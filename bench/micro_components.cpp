@@ -84,6 +84,69 @@ static void bm_page_alloc_release(benchmark::State& state) {
 }
 BENCHMARK(bm_page_alloc_release);
 
+// Machine-section codec of a default 16 MiB cache + DRAM: what each SoC
+// pays at every fleet round barrier (save at the pause, restore at the
+// resume). The cache is warmed so every transparent line is valid.
+struct warm_machine {
+    dram::dram_system dram{dram::dram_config{}};
+    cache::shared_cache cache{cache::cache_config{}, dram};
+
+    warm_machine() {
+        const std::uint64_t lines = cache.config().lines_total();
+        for (std::uint64_t i = 0; i < lines; ++i)
+            cache.transparent_access(i * line_bytes, i % 4 == 0, i,
+                                     static_cast<task_id>(i % 2));
+        const auto pages = cache.pages().try_allocate(0, 16).value();
+        for (std::uint32_t v = 0; v < pages.size(); ++v)
+            cache.cpt(0).map(v, pages[v]);
+    }
+    // `cache` holds a reference to `dram`.
+    warm_machine(const warm_machine&) = delete;
+    warm_machine& operator=(const warm_machine&) = delete;
+
+    std::size_t state_bytes() const {
+        return cache.state_bytes() + dram.state_bytes();
+    }
+};
+
+static void bm_machine_section_save(benchmark::State& state) {
+    const warm_machine m;
+    std::vector<std::uint8_t> section;
+    for (auto _ : state) {
+        // Re-save into the previous buffer, as the in-place carry does.
+        snapshot_writer w(std::move(section));
+        w.reserve(m.state_bytes());
+        m.cache.save_state(w);
+        m.dram.save_state(w);
+        section = w.take();
+        benchmark::DoNotOptimize(section.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(section.size()));
+}
+BENCHMARK(bm_machine_section_save)->Unit(benchmark::kMillisecond);
+
+static void bm_machine_section_restore(benchmark::State& state) {
+    const warm_machine m;
+    snapshot_writer w;
+    m.cache.save_state(w);
+    m.dram.save_state(w);
+    const std::vector<std::uint8_t> section = w.take();
+    dram::dram_system dram{dram::dram_config{}};
+    cache::shared_cache cache{cache::cache_config{}, dram};
+    for (auto _ : state) {
+        snapshot_reader r(section);
+        cache.restore_state(r, /*task_slots=*/2);
+        dram.restore_state(r);
+        benchmark::DoNotOptimize(cache.stats().hits);
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(section.size()));
+}
+BENCHMARK(bm_machine_section_restore)->Unit(benchmark::kMillisecond);
+
 static void bm_map_layer(benchmark::State& state) {
     const auto& m = model::model_by_abbr("RS.");
     mapping::mapper_config cfg;

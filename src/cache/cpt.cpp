@@ -90,22 +90,24 @@ pcaddr cache_page_table::translate(addr_t vcaddr) const {
 
 void cache_page_table::save_state(snapshot_writer& w) const {
     w.u64(entries_.size());
+    auto out = w.span(entries_.size() * entry_record_bytes);
     for (const auto& e : entries_) {
-        w.u32(e.pcpn);
-        w.b(e.valid);
+        out.u32(e.pcpn);
+        out.b(e.valid);
     }
 }
 
 void cache_page_table::restore_state(snapshot_reader& r) {
-    const std::uint64_t n = r.count(5);
+    const std::uint64_t n = r.count(entry_record_bytes);
     if (n != entries_.size())
         throw snapshot_error("snapshot CPT capacity mismatch: saved " +
                              std::to_string(n) + ", configured " +
                              std::to_string(entries_.size()));
+    auto in = r.span(n * entry_record_bytes);
     mapped_ = 0;
     for (auto& e : entries_) {
-        e.pcpn = r.u32();
-        e.valid = r.b();
+        e.pcpn = in.u32();
+        e.valid = in.b();
         if (e.valid) {
             if (e.pcpn >= config_.pages_total())
                 throw snapshot_error("snapshot CPT entry maps pcpn " +

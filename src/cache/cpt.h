@@ -53,12 +53,18 @@ public:
     /// table's geometry.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
+    /// Exact byte count save_state appends.
+    std::size_t state_bytes() const {
+        return 8 + entries_.size() * entry_record_bytes;
+    }
 
 private:
     struct entry {
         std::uint32_t pcpn = 0;
         bool valid = false;
     };
+    /// One entry on disk: pcpn, valid.
+    static constexpr std::size_t entry_record_bytes = 4 + 1;
 
     cache_config config_;
     std::vector<entry> entries_;

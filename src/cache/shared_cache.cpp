@@ -392,6 +392,8 @@ void restore_stats(snapshot_reader& r, cache_stats& s) {
     s.slice_busy_cycles = r.u64();
 }
 
+constexpr std::size_t stats_bytes = 15 * 8;
+
 void save_counter_vec(snapshot_writer& w, const std::vector<std::uint64_t>& v) {
     w.u64(v.size());
     for (const std::uint64_t x : v) w.u64(x);
@@ -403,18 +405,36 @@ void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
     for (auto& x : v) x = r.u64();
 }
 
+std::size_t counter_vec_bytes(const std::vector<std::uint64_t>& v) {
+    return 8 + 8 * v.size();
+}
+
+/// One transparent line on disk: tag, lru, owner, valid, dirty.
+constexpr std::size_t line_record_bytes = 8 + 8 + 4 + 1 + 1;
+
 }  // namespace
+
+std::size_t shared_cache::state_bytes() const {
+    std::size_t n = 4 + 4 + 8 + lines_.size() * line_record_bytes + 8 +
+                    8 * slice_free_.size() + stats_bytes +
+                    counter_vec_bytes(task_hits_) +
+                    counter_vec_bytes(task_misses_) + pages_.state_bytes() + 8;
+    for (const auto& table : cpts_)
+        if (table) n += 4 + table->state_bytes();
+    return n;
+}
 
 void shared_cache::save_state(snapshot_writer& w) const {
     w.u32(static_cast<std::uint32_t>(lines_.size()));
     w.u32(transparent_ways_);
     w.u64(lru_tick_);
+    auto out = w.span(lines_.size() * line_record_bytes);
     for (const auto& e : lines_) {
-        w.u64(e.tag);
-        w.u64(e.lru);
-        w.i32(e.owner);
-        w.b(e.valid);
-        w.b(e.dirty);
+        out.u64(e.tag);
+        out.u64(e.lru);
+        out.i32(e.owner);
+        out.b(e.valid);
+        out.b(e.dirty);
     }
     w.u64(slice_free_.size());
     for (const cycle_t c : slice_free_) w.u64(c);
@@ -436,7 +456,7 @@ void shared_cache::save_state(snapshot_writer& w) const {
     }
 }
 
-void shared_cache::restore_state(snapshot_reader& r) {
+void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
     const std::uint32_t nlines = r.u32();
     if (nlines != lines_.size())
         throw snapshot_error("snapshot cache geometry mismatch: saved " +
@@ -446,12 +466,13 @@ void shared_cache::restore_state(snapshot_reader& r) {
     if (transparent_ways_ < 1 || transparent_ways_ > config_.ways)
         throw snapshot_error("snapshot transparent-way count out of range");
     lru_tick_ = r.u64();
+    auto in = r.span(static_cast<std::uint64_t>(nlines) * line_record_bytes);
     for (auto& e : lines_) {
-        e.tag = r.u64();
-        e.lru = r.u64();
-        e.owner = r.i32();
-        e.valid = r.b();
-        e.dirty = r.b();
+        e.tag = in.u64();
+        e.lru = in.u64();
+        e.owner = in.i32();
+        e.valid = in.b();
+        e.dirty = in.b();
     }
     const std::uint64_t nslices = r.count(8);
     if (nslices != slice_free_.size())
@@ -462,14 +483,22 @@ void shared_cache::restore_state(snapshot_reader& r) {
     restore_counter_vec(r, task_misses_);
     pages_.restore_state(r);
 
+    // Tables were saved in strictly ascending task order, one per slot at
+    // most; cpts_ grows to each accepted id, so an id below its size is a
+    // repeat or out of order.
     cpts_.clear();
     const std::uint64_t ncpts = r.count(12);
     for (std::uint64_t i = 0; i < ncpts; ++i) {
         const task_id t = r.i32();
-        if (t < 0) throw snapshot_error("snapshot CPT with negative task id");
+        if (t < 0 || static_cast<std::size_t>(t) >= task_slots ||
+            static_cast<std::size_t>(t) < cpts_.size())
+            throw snapshot_error(
+                "snapshot CPT task id " + std::to_string(t) +
+                " is repeated, out of order or outside the " +
+                std::to_string(task_slots) + " task slots");
         auto table = std::make_unique<cache_page_table>(config_);
         table->restore_state(r);
-        if (static_cast<std::size_t>(t) >= cpts_.size()) cpts_.resize(t + 1);
+        cpts_.resize(static_cast<std::size_t>(t) + 1);
         cpts_[t] = std::move(table);
     }
 }

@@ -157,9 +157,12 @@ public:
     /// (absolute cycles; the resumed run continues the same clock),
     /// cumulative stats, per-task hit/miss counters, the page pool and
     /// every live CPT. restore_state throws snapshot_error on a geometry
-    /// mismatch.
+    /// mismatch, and on CPT task ids that are not strictly ascending or not
+    /// below `task_slots` (the resuming scheduler's slot count).
     void save_state(snapshot_writer& w) const;
-    void restore_state(snapshot_reader& r);
+    void restore_state(snapshot_reader& r, std::size_t task_slots);
+    /// Exact byte count save_state appends (sizes section buffers once).
+    std::size_t state_bytes() const;
 
 private:
     struct line_entry {

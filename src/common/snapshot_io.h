@@ -1,15 +1,23 @@
 // Byte-stream primitives for checkpoint/restore.
 //
 // Every resumable subsystem (cache, DRAM, telemetry bus, workload cursors,
-// the scheduler itself) serializes its state through these two classes so
+// the scheduler itself) serializes its state through these classes so
 // snapshot encoding rules live in exactly one place: little-endian
 // fixed-width integers, bit-exact doubles (raw IEEE-754 payload), and
 // length-prefixed strings/blobs. The reader throws `snapshot_error` on any
 // structural problem (truncation, impossible lengths) so malformed or
 // version-skewed snapshots are rejected with a clear message instead of
 // resuming a corrupt simulation.
+//
+// Large record arrays (the cache's transparent lines) go through spans:
+// `snapshot_writer::span(n)` / `snapshot_reader::span(n)` do one capacity
+// or bounds check for all `n` bytes and hand back a cursor that encodes
+// or decodes the fields inside with no further checks. The single-field
+// methods are one-field spans, so both paths produce the same bytes.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -25,20 +33,52 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// Appends snapshot fields to a growing byte buffer.
-class snapshot_writer {
+namespace snapshot_detail {
+
+// The byte order, defined once. Each byte is spelled out (no loop; stores
+// go through a local array and one memcpy) so that -O2 and up fold every
+// field into a single move on little-endian hosts.
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+    const std::uint8_t b[4] = {
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+    std::memcpy(p, b, sizeof b);
+}
+
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+    const std::uint8_t b[8] = {
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24),
+        static_cast<std::uint8_t>(v >> 32), static_cast<std::uint8_t>(v >> 40),
+        static_cast<std::uint8_t>(v >> 48), static_cast<std::uint8_t>(v >> 56)};
+    std::memcpy(p, b, sizeof b);
+}
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+    return std::uint64_t{load_le32(p)} | std::uint64_t{load_le32(p + 4)} << 32;
+}
+
+/// Out-of-line throw path of every bounds check.
+[[noreturn]] void throw_truncated(std::size_t pos, std::uint64_t need,
+                                  std::size_t have);
+
+}  // namespace snapshot_detail
+
+/// Encodes fields into a span reserved by snapshot_writer::span. The
+/// caller writes exactly the span's size before the next append to the
+/// writer (which may move the buffer).
+class snapshot_span_writer {
 public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
+    void u8(std::uint8_t v) { *take(1) = v; }
     void b(bool v) { u8(v ? 1 : 0); }
-
-    void u32(std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-    }
+    void u32(std::uint32_t v) { snapshot_detail::store_le32(take(4), v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-
-    void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-    }
+    void u64(std::uint64_t v) { snapshot_detail::store_le64(take(8), v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
     /// Raw IEEE-754 payload: round-trips bit-exactly, NaNs included.
@@ -47,6 +87,77 @@ public:
         std::memcpy(&bits, &v, sizeof bits);
         u64(bits);
     }
+
+private:
+    friend class snapshot_writer;
+    snapshot_span_writer(std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
+
+    std::uint8_t* take(std::size_t n) {
+        assert(n <= static_cast<std::size_t>(end_ - p_) && "span overrun");
+        std::uint8_t* at = p_;
+        p_ += n;
+        return at;
+    }
+
+    std::uint8_t* p_;
+    std::uint8_t* end_;
+};
+
+/// Decodes fields from a span claimed by snapshot_reader::span, whose
+/// bounds were checked once for the whole span.
+class snapshot_span_reader {
+public:
+    std::uint8_t u8() { return *take(1); }
+    bool b() { return u8() != 0; }
+    std::uint32_t u32() { return snapshot_detail::load_le32(take(4)); }
+    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+    std::uint64_t u64() { return snapshot_detail::load_le64(take(8)); }
+    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+
+    double d() {
+        const std::uint64_t bits = u64();
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        return v;
+    }
+
+private:
+    friend class snapshot_reader;
+    snapshot_span_reader(const std::uint8_t* p, std::size_t n)
+        : p_(p), end_(p + n) {}
+
+    const std::uint8_t* take(std::size_t n) {
+        assert(n <= static_cast<std::size_t>(end_ - p_) && "span overrun");
+        const std::uint8_t* at = p_;
+        p_ += n;
+        return at;
+    }
+
+    const std::uint8_t* p_;
+    const std::uint8_t* end_;
+};
+
+/// Appends snapshot fields to a growing byte buffer.
+class snapshot_writer {
+public:
+    snapshot_writer() = default;
+    /// Writes into `buf`'s storage: its contents are dropped, its capacity
+    /// is kept (re-saving into a snapshot's previous section buffer).
+    explicit snapshot_writer(std::vector<std::uint8_t> buf)
+        : buf_(std::move(buf)) {
+        buf_.clear();
+    }
+
+    /// Sizes the buffer once when the caller knows the final byte count.
+    void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+    void u8(std::uint8_t v) { span(1).u8(v); }
+    void b(bool v) { span(1).b(v); }
+    void u32(std::uint32_t v) { span(4).u32(v); }
+    void i32(std::int32_t v) { span(4).i32(v); }
+    void u64(std::uint64_t v) { span(8).u64(v); }
+    void i64(std::int64_t v) { span(8).i64(v); }
+    void d(double v) { span(8).d(v); }
 
     void str(const std::string& s) {
         u64(s.size());
@@ -57,6 +168,14 @@ public:
     void blob(const std::vector<std::uint8_t>& bytes) {
         u64(bytes.size());
         buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    }
+
+    /// Appends `n` bytes with one capacity check; the cursor encodes the
+    /// fields inside them.
+    snapshot_span_writer span(std::size_t n) {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        return snapshot_span_writer(buf_.data() + at, n);
     }
 
     const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -75,54 +194,33 @@ public:
     explicit snapshot_reader(const std::vector<std::uint8_t>& bytes)
         : snapshot_reader(bytes.data(), bytes.size()) {}
 
-    std::uint8_t u8() {
-        need(1);
-        return data_[pos_++];
-    }
-    bool b() { return u8() != 0; }
-
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double d() {
-        const std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
+    std::uint8_t u8() { return span(1).u8(); }
+    bool b() { return span(1).b(); }
+    std::uint32_t u32() { return span(4).u32(); }
+    std::int32_t i32() { return span(4).i32(); }
+    std::uint64_t u64() { return span(8).u64(); }
+    std::int64_t i64() { return span(8).i64(); }
+    double d() { return span(8).d(); }
 
     std::string str() {
         const std::uint64_t n = u64();
-        need(n);
-        std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
+        const std::uint8_t* p = claim(n);
+        return std::string(reinterpret_cast<const char*>(p),
+                           static_cast<std::size_t>(n));
     }
 
     std::vector<std::uint8_t> blob() {
         const std::uint64_t n = u64();
-        need(n);
-        std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + n);
-        pos_ += static_cast<std::size_t>(n);
-        return out;
+        const std::uint8_t* p = claim(n);
+        return std::vector<std::uint8_t>(p, p + n);
+    }
+
+    /// Claims the next `n` bytes with one bounds check (throws
+    /// snapshot_error when fewer remain); the cursor decodes the fields
+    /// inside them.
+    snapshot_span_reader span(std::uint64_t n) {
+        const std::uint8_t* p = claim(n);
+        return snapshot_span_reader(p, static_cast<std::size_t>(n));
     }
 
     /// Element count for a following sequence, sanity-bounded so a corrupt
@@ -141,12 +239,12 @@ public:
     bool done() const { return pos_ == size_; }
 
 private:
-    void need(std::uint64_t n) const {
+    const std::uint8_t* claim(std::uint64_t n) {
         if (n > remaining())
-            throw snapshot_error("snapshot truncated at byte " +
-                                 std::to_string(pos_) + ": need " +
-                                 std::to_string(n) + " more, have " +
-                                 std::to_string(remaining()));
+            snapshot_detail::throw_truncated(pos_, n, remaining());
+        const std::uint8_t* at = data_ + pos_;
+        pos_ += static_cast<std::size_t>(n);
+        return at;
     }
 
     const std::uint8_t* data_;

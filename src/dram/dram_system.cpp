@@ -759,6 +759,11 @@ void dram_system::save_state(snapshot_writer& w) const {
     w.u64(stats_.bus_busy_deci);
 }
 
+std::size_t dram_system::state_bytes() const {
+    return 8 + 16 * banks_.size() + 8 + 8 * bus_free_.size() + 8 +
+           24 * regulators_.size() + 8 + 8 * per_task_bytes_.size() + 7 * 8;
+}
+
 void dram_system::restore_state(snapshot_reader& r) {
     const std::uint64_t nbanks = r.count(16);
     if (nbanks != banks_.size())

@@ -84,6 +84,8 @@ public:
     /// restore_state throws snapshot_error on a geometry mismatch.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
+    /// Exact byte count save_state appends.
+    std::size_t state_bytes() const;
 
     /// Average achieved bandwidth (bytes/cycle) over [0, horizon].
     double achieved_bandwidth(cycle_t horizon) const {

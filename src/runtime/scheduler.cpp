@@ -196,7 +196,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
 
     {
         snapshot_reader r(snap.machine);
-        machine_.cache().restore_state(r);
+        machine_.cache().restore_state(r, tasks_.size());
         machine_.dram().restore_state(r);
         if (!r.done())
             throw snapshot_error("snapshot machine section has trailing bytes");
@@ -390,6 +390,12 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
 }
 
 scheduler_snapshot scheduler::save() const {
+    scheduler_snapshot s;
+    save(s);
+    return s;
+}
+
+void scheduler::save(scheduler_snapshot& into) const {
     if (!paused_ && !finalized_)
         throw std::logic_error(
             "scheduler::save: only valid while paused or after completion");
@@ -399,6 +405,8 @@ scheduler_snapshot scheduler::save() const {
     assert(in_flight_ == dispatch_queue_.size() + busy &&
            "pause point accounting: queued + running must equal in-flight");
 
+    // Every field is built fresh; only `into`'s section buffers are
+    // recycled (their storage, not their bytes).
     scheduler_snapshot s;
     s.machine_fingerprint = machine_fingerprint();
     s.run_fingerprint = run_fingerprint();
@@ -452,39 +460,46 @@ scheduler_snapshot scheduler::save() const {
     }
 
     {
-        snapshot_writer w;
+        // The machine section is nearly all of a snapshot (the cache's
+        // transparent lines): sized exactly, it is never regrown.
+        const std::size_t machine_bytes =
+            machine_.cache().state_bytes() + machine_.dram().state_bytes();
+        snapshot_writer w(std::move(into.machine));
+        w.reserve(machine_bytes);
         machine_.cache().save_state(w);
         machine_.dram().save_state(w);
+        assert(w.bytes().size() == machine_bytes &&
+               "state_bytes() must match what save_state() writes");
         s.machine = w.take();
     }
     {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.engine));
         machine_.layers().save_state(w);
         machine_.dma().save_state(w);
         s.engine = w.take();
     }
     {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.typed_events));
         machine_.eq().save_typed(w);
         s.typed_events = w.take();
     }
     if (telemetry_on_) {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.telemetry));
         bus_.save_state(w);
         s.telemetry = w.take();
     }
     if (ctl_) {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.controller));
         ctl_->save_state(w);
         s.controller = w.take();
     }
     if (gen_.checkpointable()) {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.workload));
         gen_.save_state(w);
         s.workload = w.take();
     }
     {
-        snapshot_writer w;
+        snapshot_writer w(std::move(into.results));
         w.u64(result_.completions.size());
         for (const auto& rec : result_.completions) {
             w.i32(rec.slot);
@@ -497,7 +512,7 @@ scheduler_snapshot scheduler::save() const {
         }
         s.results = w.take();
     }
-    return s;
+    into = std::move(s);
 }
 
 std::vector<const task*> scheduler::running_tasks_const() const {

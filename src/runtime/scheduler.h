@@ -97,6 +97,11 @@ public:
     /// Valid while paused or after completion; throws std::logic_error
     /// otherwise.
     scheduler_snapshot save() const;
+    /// save() into an existing snapshot, overwriting every field. Its
+    /// section buffers keep their capacity, so re-saving into the snapshot
+    /// this scheduler resumed from (a fleet round barrier) allocates no new
+    /// machine section.
+    void save(scheduler_snapshot& into) const;
 
     /// The finalized result (valid once run()/run_segment() completed).
     const sim::experiment_result& result() const { return result_; }

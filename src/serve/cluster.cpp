@@ -356,25 +356,26 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
         // snapshot resumes them mid-tile in the next round. Cold slots
         // (round 0, or a SoC the autoscaler just added) start fresh.
         // Single-shot runs and carry-disabled fleets stay on the cold path.
+        // The carry is in place: each SoC resumes from its slot's snapshot
+        // and saves back into it, so the fleet holds one machine section
+        // per SoC across the barrier.
         const bool carry = fb_on && (cfg.carry_soc_state || time_sliced);
         const bool more_rounds = round + 1 < rounds;
         std::vector<sim::experiment_result> round_res;
         if (carry) {
             std::vector<const runtime::scheduler_snapshot*> in(A, nullptr);
-            for (std::size_t k = 0; k < A; ++k)
+            std::vector<runtime::scheduler_snapshot*> out_snaps;
+            for (std::size_t k = 0; k < A; ++k) {
                 if (fleet[k].has_snap) in[k] = &fleet[k].snap;
+                if (more_rounds) out_snaps.push_back(&fleet[k].snap);
+            }
             std::vector<cycle_t> pause;
             if (time_sliced && more_rounds)
                 pause.assign(A, sat_mul(cfg.round_cycles, round + 1));
-            std::vector<runtime::scheduler_snapshot> snaps;
-            round_res = sim::run_sweep_segments(
-                ecs, in, more_rounds ? &snaps : nullptr, {}, cfg.threads,
-                pause);
+            round_res = sim::run_sweep_segments(ecs, in, out_snaps, {},
+                                                cfg.threads, pause);
             if (more_rounds)
-                for (std::size_t k = 0; k < A; ++k) {
-                    fleet[k].snap = std::move(snaps[k]);
-                    fleet[k].has_snap = true;
-                }
+                for (auto& slot : fleet) slot.has_snap = true;
         } else {
             round_res = sim::run_sweep(ecs, cfg.threads);
         }

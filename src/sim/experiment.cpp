@@ -69,7 +69,9 @@ experiment_result run_experiment_segment(
     // segment_result closes the boundary telemetry epoch before save(), so
     // the cut carries into the snapshot.
     experiment_result res = s->segment_result();
-    if (save_to != nullptr) *save_to = s->save();
+    // The scheduler copied everything it needs out of `resume_from` while
+    // restoring, so saving into the same snapshot is safe (in-place carry).
+    if (save_to != nullptr) s->save(*save_to);
     return res;
 }
 

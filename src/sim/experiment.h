@@ -170,7 +170,9 @@ experiment_result run_experiment(const experiment_config& cfg);
 /// instant at or after it — mid-layer, transfers still in flight — which
 /// is what time-sliced fleet rounds use; `pause_at` takes precedence over
 /// the hold. With both pointers null and neither bound this is
-/// run_experiment.
+/// run_experiment. `resume_from` and `save_to` may point at the same
+/// snapshot: the segment then resumes from it and saves back into it,
+/// reusing its section buffers (the fleet's in-place carry).
 experiment_result run_experiment_segment(
     const experiment_config& cfg,
     const runtime::scheduler_snapshot* resume_from,

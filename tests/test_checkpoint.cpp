@@ -585,6 +585,25 @@ TEST(checkpoint, warm_resume_carries_clock_and_cache_warmth) {
     EXPECT_EQ(warm.telemetry.front().index, 0u);
 }
 
+TEST(checkpoint, in_place_carry_matches_a_separate_save) {
+    // Fleet round barriers resume each SoC from its snapshot and save back
+    // into the same object. That must give the same result and the same
+    // bytes as saving into a separate snapshot.
+    const auto cfg = roundtrip_cfg();
+    scheduler_snapshot first;
+    sim::run_experiment_segment(cfg, nullptr, &first, never, ms_to_cycles(1.0));
+    ASSERT_FALSE(first.running.empty()) << "the carried state is mid-flight";
+
+    scheduler_snapshot separate;
+    const auto a = sim::run_experiment_segment(cfg, &first, &separate, never,
+                                               ms_to_cycles(3.0));
+    scheduler_snapshot carried = first;
+    const auto b = sim::run_experiment_segment(cfg, &carried, &carried, never,
+                                               ms_to_cycles(3.0));
+    expect_identical(a, b);
+    EXPECT_EQ(separate.encode(), carried.encode());
+}
+
 TEST(checkpoint, hold_dispatch_carries_the_admission_queue) {
     // Four back-to-back arrivals on one slot; dispatch is held just after
     // the first, so the remaining three pause in the admission queue and
