@@ -53,7 +53,7 @@ constexpr std::uint64_t lines_for(std::uint64_t bytes) {
 
 /// Saturating clock arithmetic. Hours-of-stream-time configs multiply
 /// round lengths by round counts; a wrapped product silently truncates a
-/// time-sliced window to near zero, so long-horizon bounds clamp to
+/// round window to near zero, so long-horizon bounds clamp to
 /// `never` instead of wrapping.
 constexpr cycle_t sat_add(cycle_t a, cycle_t b) {
     return a > never - b ? never : a + b;

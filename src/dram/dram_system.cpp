@@ -40,6 +40,12 @@ void dram_system::precompute_decode() {
     }
     data_slot_deci_ = config_.burst_deci_cycles() + config_.t_burst_gap * deci;
     controller_deci_ = config_.t_controller * deci;
+    // The batched kernels need the pow2 decode, and burst_segments needs
+    // each bank's bus-order G chain non-increasing from its second visit:
+    // a bank's CAS cadence may not outrun the whole channel bus.
+    batched_geometry_ = pow2_geometry_ &&
+                        config_.t_ccd * deci <=
+                            config_.banks_per_channel * data_slot_deci_;
 }
 
 dram_system::decoded dram_system::decode(addr_t line_addr) const {
@@ -188,8 +194,56 @@ bool dram_system::regulate_bulk(task_id task, cycle_t arrival,
     return true;
 }
 
-cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
-                                       cycle_t arrival, cycle_t* first_done) {
+namespace {
+/// Exact sum of ceil((w1 + i*b) / deci) for i = 1..n. When the step is a
+/// whole number of cycles the ceil distributes; otherwise the tail is
+/// short (visits per segment are bounded by lines_per_row) and a direct
+/// loop stays exact for any geometry.
+std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
+    if (n == 0) return 0;
+    if (b % deci == 0)
+        return n * ((w1 + deci - 1) / deci) + (b / deci) * (n * (n + 1) / 2);
+    std::uint64_t s = 0;
+    for (std::uint64_t i = 1; i <= n; ++i) s += (w1 + i * b + deci - 1) / deci;
+    return s;
+}
+
+/// Folds one channel's (or one tiny burst's) DRAM waits into few hook
+/// calls. The attributor accumulates commutative sums keyed by (victim,
+/// holder tenant), so adding equal-key charges first is bit-identical to
+/// charging them line by line. Self-charges (holder == task — every wait
+/// after a resource's first use in the burst) fold into one sum; foreign
+/// waits fold per run of equal holders: adjacent bursts sweep the same
+/// banks, so one prior user typically holds every touched resource.
+struct wait_fold {
+    obs::latency_attributor* attr;
+    task_id task;
+    std::uint64_t self = 0;
+    task_id fh = no_task;
+    std::uint64_t fw = 0;
+
+    void charge(task_id holder, std::uint64_t w) {
+        if (holder == task) {
+            self += w;
+        } else if (holder == fh) {
+            fw += w;
+        } else {
+            if (fw > 0) attr->on_dram_wait(task, fh, fw);
+            fh = holder;
+            fw = w;
+        }
+    }
+    void flush() const {
+        if (fw > 0) attr->on_dram_wait(task, fh, fw);
+        if (self > 0) attr->on_dram_wait(task, task, self);
+    }
+};
+}  // namespace
+
+template <bool Attr>
+cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
+                                    cycle_t arrival, task_id task,
+                                    cycle_t* first_done) {
     // Consecutive lines stripe channels -> banks -> rows, so each channel's
     // subsequence (own data bus, own banks) times independently. Within a
     // channel, in-channel line index u walks one row block until a pow2
@@ -199,9 +253,10 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
     // The only cross-bank coupling is the channel bus prefix-max
     //   data_start(j) = max(cmd_done(j), data_start(j-1) + S),
     // whose closed form is data_start(j) = j*S + max(P, max_{k<=j} G(k))
-    // with G(k) = cmd_done(k) - k*S and P the incoming bus horizon. G is
-    // linear in the visit index per bank, so its segment max needs only
-    // each bank's first visit and the two endpoints of its chain.
+    // with G(k) = cmd_done(k) - k*S and P the incoming bus horizon. Bank t
+    // serves lines j = t + v*nbanks, so from its second visit on each step
+    // moves G by D - nbanks*S <= 0 (access_burst's gate): the prefix max
+    // settles within the first two visit rounds.
     const std::uint64_t line_id0 = line_addr / line_bytes;
     const std::uint64_t arrival_deci = arrival * deci;
     const std::uint64_t S = data_slot_deci_;
@@ -211,6 +266,12 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
     const std::uint64_t nchannels = config_.channels;
     const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
     const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
+    if constexpr (Attr) {
+        if (attr_g1_.size() < nbanks) {
+            attr_g1_.resize(nbanks);
+            attr_visits_.resize(nbanks);
+        }
+    }
 
     cycle_t done = arrival;
     const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
@@ -222,6 +283,9 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
         std::uint64_t u = first_id >> channel_shift_;
         std::uint64_t bus = bus_free_[c];
         bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
+        [[maybe_unused]] task_id* cbank_users =
+            Attr ? &bank_user_[static_cast<std::size_t>(c) * nbanks] : nullptr;
+        [[maybe_unused]] wait_fold waits{attr_, task};
         bool first_segment = true;
         while (remaining > 0) {
             const std::uint64_t len =
@@ -229,11 +293,19 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
             const std::int64_t row =
                 static_cast<std::int64_t>(u >> row_block_shift);
             const std::uint64_t visited = std::min(nbanks, len);
-            std::int64_t gmax = static_cast<std::int64_t>(bus);
+            std::int64_t runmax = static_cast<std::int64_t>(bus);
+            // Round 0: each visited bank's first line, in bus (j) order.
             for (std::uint64_t t = 0; t < visited; ++t) {
-                bank_state& bank = cbanks[(u + t) & bank_mask_];
+                const std::uint64_t b = (u + t) & bank_mask_;
+                bank_state& bank = cbanks[b];
                 const std::uint64_t start0 =
                     std::max(arrival_deci, bank.ready_deci);
+                if constexpr (Attr) {
+                    if (start0 > arrival_deci)
+                        waits.charge(cbank_users[b],
+                                     (start0 - arrival_deci + deci - 1) / deci);
+                    cbank_users[b] = task;
+                }
                 std::uint64_t extra;
                 if (bank.open_row == row) {
                     ++stats_.row_hits;
@@ -253,231 +325,92 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                 // Visits past the first are same-row CAS hits, exactly as
                 // the per-line walk would classify them.
                 stats_.row_hits += visits - 1;
-                std::int64_t g = static_cast<std::int64_t>(cmd0) -
-                                 static_cast<std::int64_t>(t * S);
-                if (g > gmax) gmax = g;
-                if (visits >= 2) {
-                    const std::int64_t g1 =
-                        static_cast<std::int64_t>(r1 + tcl) -
-                        static_cast<std::int64_t>((t + nbanks) * S);
-                    const std::int64_t gl =
-                        static_cast<std::int64_t>(r1 + (visits - 2) * D +
-                                                  tcl) -
-                        static_cast<std::int64_t>(
-                            (t + (visits - 1) * nbanks) * S);
-                    if (g1 > gmax) gmax = g1;
-                    if (gl > gmax) gmax = gl;
+                const std::int64_t g0 = static_cast<std::int64_t>(cmd0) -
+                                        static_cast<std::int64_t>(t * S);
+                const std::int64_t g1 =
+                    static_cast<std::int64_t>(r1 + tcl) -
+                    static_cast<std::int64_t>((t + nbanks) * S);
+                if constexpr (Attr) {
+                    // Bank-chain waits for visits v >= 1: start(v) -
+                    // arrival = (r1 - arrival) + (v-1)*D, an arithmetic
+                    // progression whose step is a whole number of cycles,
+                    // so the per-line ceils sum in closed form. All
+                    // self-charges (the bank's holder is `task` from its
+                    // first visit on).
+                    if (visits >= 2) {
+                        const std::uint64_t k =
+                            (r1 - arrival_deci + deci - 1) / deci;
+                        waits.self += (visits - 1) * k +
+                                      config_.t_ccd *
+                                          ((visits - 1) * (visits - 2) / 2);
+                    }
+                    // Bus wait of line j = t: M(j) - G(j), M the running
+                    // max; only the channel's very first line can wait on a
+                    // foreign bus holder.
+                    if (runmax > g0) {
+                        const task_id holder = first_segment && t == 0
+                                                   ? bus_user_[c]
+                                                   : task;
+                        waits.charge(holder,
+                                     (static_cast<std::uint64_t>(runmax - g0) +
+                                      deci - 1) /
+                                         deci);
+                    } else {
+                        runmax = g0;
+                    }
+                    if (first_segment && t == 0) bus_user_[c] = task;
+                    attr_g1_[t] = g1;
+                    attr_visits_[t] = visits;
+                } else {
+                    // Without hooks only the segment's max G matters, and a
+                    // bank's chain peaks at its first or second visit.
+                    if (g0 > runmax) runmax = g0;
+                    if (visits >= 2 && g1 > runmax) runmax = g1;
                 }
-                if (i0 == 0 && first_segment && t == 0 &&
-                    first_done != nullptr)
+                if (i0 == 0 && first_segment && t == 0 && first_done != nullptr)
                     *first_done = (std::max(bus, cmd0) + S + controller_deci_ +
                                    deci - 1) /
                                   deci;
             }
+            if constexpr (Attr) {
+                // Round 1: the second visits, in bus order — the last lines
+                // where the prefix-max can still grow.
+                if (len > nbanks) {
+                    const std::uint64_t second = std::min(nbanks, len - nbanks);
+                    for (std::uint64_t t = 0; t < second; ++t) {
+                        const std::int64_t g1 = attr_g1_[t];
+                        if (runmax > g1)
+                            waits.self +=
+                                (static_cast<std::uint64_t>(runmax - g1) +
+                                 deci - 1) /
+                                deci;
+                        else
+                            runmax = g1;
+                    }
+                    // Rounds >= 2: M has plateaued at runmax, and each
+                    // bank's remaining waits grow by nbanks*S - D per round.
+                    for (std::uint64_t t = 0; t < second; ++t) {
+                        if (attr_visits_[t] < 3) continue;
+                        const std::uint64_t w1 =
+                            static_cast<std::uint64_t>(runmax - attr_g1_[t]);
+                        waits.self += ceil_ap_sum(w1, nbanks * S - D,
+                                                  attr_visits_[t] - 2);
+                    }
+                }
+            }
             // Last line's data_end = (len-1)*S + max(P, max G) + S; the bus
             // occupies S deci-cycles per line regardless of waits.
-            bus = static_cast<std::uint64_t>(gmax) + len * S;
-            stats_.bus_busy_deci += len * S;
-            u += len;
-            remaining -= len;
-            first_segment = false;
-        }
-        bus_free_[c] = bus;
-        // data_start is strictly increasing along a channel, so the
-        // channel's slowest line is its last; done = ceil of its data_end
-        // plus the controller hop.
-        const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
-        if (chan_done > done) done = chan_done;
-    }
-    return done;
-}
-
-namespace {
-/// Exact sum of ceil((w1 + i*b) / deci) for i = 1..n. When the step is a
-/// whole number of cycles the ceil distributes; otherwise the tail is
-/// short (visits per segment are bounded by lines_per_row) and a direct
-/// loop stays exact for any geometry.
-std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
-    if (n == 0) return 0;
-    if (b % deci == 0)
-        return n * ((w1 + deci - 1) / deci) + (b / deci) * (n * (n + 1) / 2);
-    std::uint64_t s = 0;
-    for (std::uint64_t i = 1; i <= n; ++i) s += (w1 + i * b + deci - 1) / deci;
-    return s;
-}
-}  // namespace
-
-cycle_t dram_system::burst_lines_attr(addr_t line_addr, std::uint64_t nlines,
-                                      cycle_t arrival, task_id task,
-                                      cycle_t* first_done) {
-    const std::uint64_t S = data_slot_deci_;
-    const std::uint64_t D = config_.t_ccd * deci;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    // The closed form needs the bus prefix-max candidates confined to the
-    // first two visit rounds, i.e. each bank's G chain non-increasing from
-    // its second visit on: D <= nbanks*S. Command-bound geometries (a
-    // bank's CAS cadence outruns the whole channel bus) take the exact
-    // per-line walk instead.
-    if (D > nbanks * S)
-        return burst_attr_perline(line_addr, nlines, arrival, task,
-                                  first_done);
-
-    const std::uint64_t line_id0 = line_addr / line_bytes;
-    const std::uint64_t arrival_deci = arrival * deci;
-    const std::uint64_t tcl = config_.t_cl * deci;
-    const std::uint64_t nchannels = config_.channels;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
-    const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
-    const std::uint64_t B = nbanks * S - D;  // per-round bus-wait growth
-    if (attr_g1_.size() < nbanks) {
-        attr_g1_.resize(nbanks);
-        attr_visits_.resize(nbanks);
-    }
-
-    cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
-    for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
-        const std::uint64_t first_id = line_id0 + i0;
-        const std::uint32_t c =
-            static_cast<std::uint32_t>(first_id & channel_mask_);
-        std::uint64_t remaining = (nlines - i0 + nchannels - 1) / nchannels;
-        std::uint64_t u = first_id >> channel_shift_;
-        std::uint64_t bus = bus_free_[c];
-        bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
-        task_id* cbank_users =
-            &bank_user_[static_cast<std::size_t>(c) * nbanks];
-        // Within the burst, every wait after a resource's first use is a
-        // self-charge; those fold into one hook call per channel (the
-        // attributor accumulates commutative sums, so aggregation is
-        // bit-identical). Foreign-holder waits — possible only at each
-        // resource's first touch — aggregate by holder the same way:
-        // adjacent bursts sweep the same banks, so one prior user
-        // typically holds every touched resource and a whole channel's
-        // foreign waits collapse into one call.
-        std::uint64_t self_wait = 0;
-        task_id fh = no_task;
-        std::uint64_t fw = 0;
-        const auto foreign = [&](task_id h, std::uint64_t w) {
-            if (h == fh) {
-                fw += w;
-                return;
-            }
-            if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-            fh = h;
-            fw = w;
-        };
-        bool first_segment = true;
-        while (remaining > 0) {
-            const std::uint64_t len =
-                std::min(remaining, row_block - (u & (row_block - 1)));
-            const std::int64_t row =
-                static_cast<std::int64_t>(u >> row_block_shift);
-            const std::uint64_t visited = std::min(nbanks, len);
-            std::int64_t runmax = static_cast<std::int64_t>(bus);
-            // Round 0: each visited bank's first line, in bus (j) order.
-            for (std::uint64_t t = 0; t < visited; ++t) {
-                const std::uint64_t b = (u + t) & bank_mask_;
-                bank_state& bank = cbanks[b];
-                const std::uint64_t start0 =
-                    std::max(arrival_deci, bank.ready_deci);
-                if (start0 > arrival_deci) {
-                    const std::uint64_t w =
-                        (start0 - arrival_deci + deci - 1) / deci;
-                    if (cbank_users[b] == task) self_wait += w;
-                    else foreign(cbank_users[b], w);
-                }
-                cbank_users[b] = task;
-                std::uint64_t extra;
-                if (bank.open_row == row) {
-                    ++stats_.row_hits;
-                    extra = 0;
-                } else if (bank.open_row < 0) {
-                    ++stats_.row_empties;
-                    extra = config_.t_rcd * deci;
-                } else {
-                    ++stats_.row_misses;
-                    extra = (config_.t_rp + config_.t_rcd) * deci;
-                }
-                bank.open_row = row;
-                const std::uint64_t cmd0 = start0 + tcl + extra;
-                const std::uint64_t r1 = start0 + D + extra;
-                const std::uint64_t visits = (len - t + nbanks - 1) / nbanks;
-                bank.ready_deci = r1 + (visits - 1) * D;
-                stats_.row_hits += visits - 1;
-                // Bank-chain waits for visits v >= 1: start(v) - arrival =
-                // (r1 - arrival) + (v-1)*D, an arithmetic progression whose
-                // step is a whole number of cycles, so the per-line ceils
-                // sum in closed form. All self-charges (the bank's holder
-                // is `task` from its first visit on).
-                if (visits >= 2) {
-                    const std::uint64_t k =
-                        (r1 - arrival_deci + deci - 1) / deci;
-                    self_wait += (visits - 1) * k +
-                                 config_.t_ccd * ((visits - 1) * (visits - 2) /
-                                                  2);
-                }
-                // Bus wait of line j = t: M(j) - G(j), M the running max.
-                const std::int64_t g0 = static_cast<std::int64_t>(cmd0) -
-                                        static_cast<std::int64_t>(t * S);
-                if (runmax > g0) {
-                    const std::uint64_t w =
-                        (static_cast<std::uint64_t>(runmax - g0) + deci - 1) /
-                        deci;
-                    if (first_segment && t == 0 && bus_user_[c] != task)
-                        foreign(bus_user_[c], w);
-                    else
-                        self_wait += w;
-                } else {
-                    runmax = g0;
-                }
-                if (first_segment && t == 0) {
-                    bus_user_[c] = task;
-                    if (i0 == 0 && first_done != nullptr)
-                        *first_done =
-                            (std::max(bus, cmd0) + S + controller_deci_ +
-                             deci - 1) /
-                            deci;
-                }
-                attr_g1_[t] = visits >= 2
-                                  ? static_cast<std::int64_t>(r1 + tcl) -
-                                        static_cast<std::int64_t>(
-                                            (t + nbanks) * S)
-                                  : 0;
-                attr_visits_[t] = visits;
-            }
-            // Round 1: the second visits, in bus order — the last lines
-            // where the prefix-max can still grow (G is non-increasing
-            // from the second visit on when D <= nbanks*S).
-            if (len > nbanks) {
-                const std::uint64_t second = std::min(nbanks, len - nbanks);
-                for (std::uint64_t t = 0; t < second; ++t) {
-                    const std::int64_t g1 = attr_g1_[t];
-                    if (runmax > g1)
-                        self_wait +=
-                            (static_cast<std::uint64_t>(runmax - g1) + deci -
-                             1) /
-                            deci;
-                    else
-                        runmax = g1;
-                }
-                // Rounds >= 2: M has plateaued at runmax, and each bank's
-                // remaining waits grow by B = nbanks*S - D per round.
-                for (std::uint64_t t = 0; t < second; ++t) {
-                    if (attr_visits_[t] < 3) continue;
-                    const std::uint64_t w1 =
-                        static_cast<std::uint64_t>(runmax - attr_g1_[t]);
-                    self_wait += ceil_ap_sum(w1, B, attr_visits_[t] - 2);
-                }
-            }
             bus = static_cast<std::uint64_t>(runmax) + len * S;
             stats_.bus_busy_deci += len * S;
             u += len;
             remaining -= len;
             first_segment = false;
         }
-        if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-        if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
+        if constexpr (Attr) waits.flush();
         bus_free_[c] = bus;
+        // data_start is strictly increasing along a channel, so the
+        // channel's slowest line is its last; done = ceil of its data_end
+        // plus the controller hop.
         const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
         if (chan_done > done) done = chan_done;
     }
@@ -498,23 +431,8 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
     const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
 
     cycle_t done = arrival;
-    // Waits fold into at most two hook calls per burst — one for the
-    // self-inflicted sum (holder == task) and one per distinct foreign
-    // holder (usually a single prior user holds every touched resource).
-    // The attributor accumulates commutative per-(victim, holder) sums,
-    // so aggregating equal-key calls is bit-identical.
-    std::uint64_t self_wait = 0;
-    task_id fh = no_task;
-    std::uint64_t fw = 0;
-    const auto foreign = [&](task_id h, std::uint64_t w) {
-        if (h == fh) {
-            fw += w;
-            return;
-        }
-        if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-        fh = h;
-        fw = w;
-    };
+    // Waits fold into at most two hook calls per burst (see wait_fold).
+    wait_fold waits{attr_, task};
     for (std::uint64_t i = 0; i < nlines; ++i) {
         const std::uint64_t id = line_id0 + i;
         const std::uint32_t c = static_cast<std::uint32_t>(id & channel_mask_);
@@ -525,11 +443,9 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
         bank_state& bank = banks_[bank_idx];
 
         const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-        if (attr_ != nullptr && start > arrival_deci) {
-            const std::uint64_t w = (start - arrival_deci + deci - 1) / deci;
-            if (bank_user_[bank_idx] == task) self_wait += w;
-            else foreign(bank_user_[bank_idx], w);
-        }
+        if (attr_ != nullptr && start > arrival_deci)
+            waits.charge(bank_user_[bank_idx],
+                         (start - arrival_deci + deci - 1) / deci);
         std::uint64_t cmd_cycles = config_.t_cl;
         std::uint64_t busy_cycles = config_.t_ccd;
         if (bank.open_row == row) {
@@ -548,12 +464,9 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
         const std::uint64_t cmd_done = start + cmd_cycles * deci;
         const std::uint64_t data_start = std::max(cmd_done, bus_free_[c]);
         if (attr_ != nullptr) {
-            if (data_start > cmd_done) {
-                const std::uint64_t w =
-                    (data_start - cmd_done + deci - 1) / deci;
-                if (bus_user_[c] == task) self_wait += w;
-                else foreign(bus_user_[c], w);
-            }
+            if (data_start > cmd_done)
+                waits.charge(bus_user_[c],
+                             (data_start - cmd_done + deci - 1) / deci);
             bank_user_[bank_idx] = task;
             bus_user_[c] = task;
         }
@@ -567,105 +480,7 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
         if (i == 0 && first_done != nullptr) *first_done = line_done;
         if (line_done > done) done = line_done;
     }
-    if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-    if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
-    return done;
-}
-
-cycle_t dram_system::burst_attr_perline(addr_t line_addr, std::uint64_t nlines,
-                                        cycle_t arrival, task_id task,
-                                        cycle_t* first_done) {
-    // Same arithmetic as access_timed, per line, with the decode chain
-    // hoisted to incremental per-channel form. Hook arguments and
-    // holder-table updates are bit-identical: each hook's values depend
-    // only on its own channel's state, and the attributor accumulates
-    // commutative per-resource sums, so walking channel-major instead of
-    // line-major changes nothing observable.
-    const std::uint64_t line_id0 = line_addr / line_bytes;
-    const std::uint64_t arrival_deci = arrival * deci;
-    const std::uint64_t S = data_slot_deci_;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    const std::uint64_t nchannels = config_.channels;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
-
-    cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
-    for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
-        const std::uint64_t first_id = line_id0 + i0;
-        const std::uint32_t c =
-            static_cast<std::uint32_t>(first_id & channel_mask_);
-        const std::uint64_t m = (nlines - i0 + nchannels - 1) / nchannels;
-        std::uint64_t u = first_id >> channel_shift_;
-        std::uint64_t bus = bus_free_[c];
-        bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
-        task_id* cbank_users = &bank_user_[static_cast<std::size_t>(c) * nbanks];
-        // After a resource's first use in the burst its holder is `task`
-        // itself, so almost every per-line wait is a self-charge. Those
-        // fold into one hook call per channel (the attributor accumulates
-        // commutative sums keyed by (victim, holder tenant) — aggregating
-        // equal-key calls is bit-identical); foreign-holder waits, which
-        // only the first visit of each resource can produce, aggregate by
-        // holder the same way.
-        std::uint64_t self_wait = 0;
-        task_id fh = no_task;
-        std::uint64_t fw = 0;
-        const auto foreign = [&](task_id h, std::uint64_t w) {
-            if (h == fh) {
-                fw += w;
-                return;
-            }
-            if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-            fh = h;
-            fw = w;
-        };
-        for (std::uint64_t j = 0; j < m; ++j, ++u) {
-            const std::uint64_t b = u & bank_mask_;
-            const std::int64_t row =
-                static_cast<std::int64_t>(u >> row_block_shift);
-            bank_state& bank = cbanks[b];
-            const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-            if (start > arrival_deci) {
-                const std::uint64_t w =
-                    (start - arrival_deci + deci - 1) / deci;
-                if (cbank_users[b] == task) self_wait += w;
-                else foreign(cbank_users[b], w);
-            }
-            std::uint64_t cmd_cycles = config_.t_cl;
-            std::uint64_t busy_cycles = config_.t_ccd;
-            if (bank.open_row == row) {
-                ++stats_.row_hits;
-            } else if (bank.open_row < 0) {
-                ++stats_.row_empties;
-                cmd_cycles += config_.t_rcd;
-                busy_cycles += config_.t_rcd;
-            } else {
-                ++stats_.row_misses;
-                cmd_cycles += config_.t_rp + config_.t_rcd;
-                busy_cycles += config_.t_rp + config_.t_rcd;
-            }
-            bank.open_row = row;
-            const std::uint64_t cmd_done = start + cmd_cycles * deci;
-            const std::uint64_t data_start = std::max(cmd_done, bus);
-            if (data_start > cmd_done) {
-                const std::uint64_t w =
-                    (data_start - cmd_done + deci - 1) / deci;
-                if (bus_user_[c] == task) self_wait += w;
-                else foreign(bus_user_[c], w);
-            }
-            cbank_users[b] = task;
-            bus_user_[c] = task;
-            bus = data_start + S;
-            stats_.bus_busy_deci += S;
-            bank.ready_deci = start + busy_cycles * deci;
-            if (i0 == 0 && j == 0 && first_done != nullptr)
-                *first_done = (bus + controller_deci_ + deci - 1) / deci;
-        }
-        if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-        if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
-        bus_free_[c] = bus;
-        const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
-        if (chan_done > done) done = chan_done;
-    }
+    if (attr_ != nullptr) waits.flush();
     return done;
 }
 
@@ -681,7 +496,7 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         per_task_bytes_[task] += nlines * line_bytes;
     }
     if (nlines == 0) return arrival;
-    if (pow2_geometry_ && regulate_bulk(task, arrival, nlines)) {
+    if (batched_geometry_ && regulate_bulk(task, arrival, nlines)) {
         // Single-visit bursts (at most one line per channel) are the most
         // common call by far — small fills, writebacks and tile tails —
         // and need none of the segment machinery: every line is
@@ -689,13 +504,15 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         if (nlines <= config_.channels)
             return burst_tiny(line_addr, nlines, arrival, task, first_done);
         return attr_ != nullptr
-                   ? burst_lines_attr(line_addr, nlines, arrival, task,
-                                      first_done)
-                   : burst_closed_form(line_addr, nlines, arrival, first_done);
+                   ? burst_segments<true>(line_addr, nlines, arrival, task,
+                                          first_done)
+                   : burst_segments<false>(line_addr, nlines, arrival, task,
+                                           first_done);
     }
-    // Non-pow2 geometry, or the burst crosses a regulation budget edge:
-    // the exact per-line walk (regulate per line, throttle accounting,
-    // attribution of the delays) is authoritative here.
+    // Non-pow2 or command-bound geometry, or the burst crosses a
+    // regulation budget edge: the exact per-line walk (regulate per line,
+    // throttle accounting, attribution of the delays) is authoritative
+    // here.
     cycle_t done = arrival;
     for (std::uint64_t i = 0; i < nlines; ++i) {
         const cycle_t line_done =

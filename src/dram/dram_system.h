@@ -148,51 +148,31 @@ private:
     /// scalar sequence (window advances, throttle counts, attribution).
     bool regulate_bulk(task_id task, cycle_t arrival, std::uint64_t nlines);
 
-    /// Batched burst timing for pow2 geometry with no attributor attached.
-    /// Splits each channel's line subsequence into row-chain segments and
-    /// computes per-segment timing in closed form: per visited bank, the
-    /// ready/CAS chain is linear in the visit index, so the channel's
-    /// bus-serialization prefix-max needs only the endpoints of each bank's
-    /// chain — O(banks) per segment instead of O(lines). Bit-identical
-    /// results and state updates to the per-line loop.
-    cycle_t burst_closed_form(addr_t line_addr, std::uint64_t nlines,
-                              cycle_t arrival, cycle_t* first_done);
-
-    /// Batched burst timing with the attributor attached. Same segment
-    /// decomposition as burst_closed_form, plus closed-form wait sums for
-    /// the hooks: within a burst every resource's holder is `task` itself
-    /// after its first use, so per-line waits fold into per-channel
-    /// self-charge sums (the attributor accumulates commutative sums keyed
-    /// by (victim, holder tenant) — aggregating equal-key calls is
-    /// bit-identical). Bank-chain waits are arithmetic progressions with
-    /// step tCCD (exact, since the chain step D = tCCD*deci is a whole
-    /// number of cycles); bus waits come from the same prefix-max G
-    /// structure, walking the first two visit rounds explicitly and
-    /// summing the linear tail per bank. Requires D <= nbanks*S (the
-    /// prefix-max candidates then live in the first two rounds); the rare
-    /// command-bound geometry falls back to burst_attr_perline.
-    cycle_t burst_lines_attr(addr_t line_addr, std::uint64_t nlines,
-                             cycle_t arrival, task_id task,
-                             cycle_t* first_done);
+    /// Batched burst timing (the gated geometry of access_burst). Splits
+    /// each channel's line subsequence into row-chain segments and times
+    /// each segment in closed form: per visited bank, the ready/CAS chain
+    /// is linear in the visit index, so the channel's bus-serialization
+    /// prefix-max settles within each bank's first two visits — O(banks)
+    /// per segment instead of O(lines). Bit-identical results and state
+    /// updates to the per-line walk. `Attr` adds the attributor hooks:
+    /// within a burst every resource's holder is `task` itself after its
+    /// first use, so per-line waits fold into per-channel sums (see
+    /// wait_fold in the .cpp). Bank-chain waits are arithmetic
+    /// progressions with step tCCD; bus waits walk the first two visit
+    /// rounds explicitly and sum each bank's linear tail.
+    template <bool Attr>
+    cycle_t burst_segments(addr_t line_addr, std::uint64_t nlines,
+                           cycle_t arrival, task_id task,
+                           cycle_t* first_done);
 
     /// Bursts no longer than the channel count stripe one line onto each
     /// channel, so every line is independent of the rest of the burst —
     /// a lean per-line pass (access_timed minus regulation, which
     /// regulate_bulk already committed) beats the segment machinery.
     /// These dominate the call count: small fills, writebacks, tile
-    /// tails. Handles both the plain and attributed cases (with one line
-    /// per resource there is nothing to aggregate — hooks fire directly).
+    /// tails. Handles both the plain and attributed cases.
     cycle_t burst_tiny(addr_t line_addr, std::uint64_t nlines,
                        cycle_t arrival, task_id task, cycle_t* first_done);
-
-    /// Per-line walk with the attributor attached (decode hoisted to
-    /// incremental per-channel form, self-waits aggregated per channel):
-    /// the authoritative fallback for geometries burst_lines_attr's
-    /// closed form does not cover, and the reference the equivalence
-    /// tests compare against.
-    cycle_t burst_attr_perline(addr_t line_addr, std::uint64_t nlines,
-                               cycle_t arrival, task_id task,
-                               cycle_t* first_done);
 
     /// Timing core of access(): regulation, decode, bank/bus bookkeeping.
     /// Read/write and per-task byte counters are left to the caller, which
@@ -203,7 +183,7 @@ private:
     dram_config config_;
     std::vector<bank_state> banks_;        // channel * banks + bank
     std::vector<std::uint64_t> bus_free_;  // per channel, deci-cycles
-    /// burst_lines_attr per-segment scratch (one slot per bank of the
+    /// burst_segments<true> per-segment scratch (one slot per bank of the
     /// channel being processed): each bank's second-visit G value and its
     /// visit count. Members so steady-state bursts allocate nothing.
     std::vector<std::int64_t> attr_g1_;
@@ -221,6 +201,9 @@ private:
 
     // Constants derived from config_ at construction (hot-path hoists).
     bool pow2_geometry_ = false;
+    /// pow2 geometry with t_ccd*10 <= banks*S: access_burst may take the
+    /// batched kernels. Command-bound geometries walk per line.
+    bool batched_geometry_ = false;
     std::uint64_t lines_per_row_ = 0;  // row_bytes / line_bytes, cached once
     std::uint32_t channel_shift_ = 0;
     std::uint64_t channel_mask_ = 0;

@@ -14,8 +14,7 @@
 // serializes every live flight and restore_state() rebuilds them, with the
 // pending chunk_done events riding the event queue's typed-event section.
 // Completions route to a single registered sink carrying the submitter's
-// opaque (a, b) token; the legacy closure submit() remains for unit tests
-// but its flights cannot be checkpointed.
+// opaque (a, b) token.
 //
 // Flights live in a flat vector ordered by id: ids are handed out
 // monotonically, so appends keep the order and save_state() walks it
@@ -89,12 +88,6 @@ public:
     /// transfers may be in flight.
     void submit_tracked(const transfer_request& req, const dma_target& target);
 
-    /// Legacy closure variant (unit tests, one-shot probes): `on_done`
-    /// fires with the completion cycle. A flight submitted this way cannot
-    /// be checkpointed — save_state throws while one is live.
-    void submit(const transfer_request& req,
-                std::function<void(cycle_t)> on_done);
-
     /// Synchronous variant: performs the whole transfer at `arrival` in one
     /// shot and returns its completion (no chunking, used by unit tests and
     /// warm-up paths).
@@ -107,8 +100,7 @@ public:
     std::size_t live_flights() const { return flights_.size(); }
 
     /// Serializes every live flight (cursor, window occupancy, completion
-    /// token). Throws std::logic_error while a legacy closure flight is
-    /// live. The pending chunk_done events are saved separately with the
+    /// token). The pending chunk_done events are saved separately with the
     /// event queue's typed section.
     void save_state(snapshot_writer& w) const;
     /// Rebuilds the flight table; throws snapshot_error on malformed
@@ -136,10 +128,10 @@ public:
 private:
     /// In-flight bookkeeping of one submitted transfer: the request, the
     /// chunk cursor, the occupancy of the issue window and the completion
-    /// target. Plain data except `legacy_done` (test-only closures).
-    /// Outstanding chunk completions live in `out[out_head..]` — a vector
-    /// consumed front-to-back whose buffer returns to the engine's ring
-    /// pool when the flight retires.
+    /// target — plain data, so every flight serializes. Outstanding chunk
+    /// completions live in `out[out_head..]` — a vector consumed
+    /// front-to-back whose buffer returns to the engine's ring pool when
+    /// the flight retires.
     struct flight {
         std::uint64_t id = 0;
         transfer_request req;
@@ -155,12 +147,10 @@ private:
         /// the restore clock).
         cycle_t issue = 0;
         dma_target target{};
-        std::function<void(cycle_t)> legacy_done;  // non-null: test flight
 
         std::size_t outstanding() const { return out.size() - out_head; }
     };
 
-    std::uint64_t start_flight(const transfer_request& req, flight f);
     /// Issues chunks while the window has room, then sleeps until the
     /// oldest outstanding chunk retires (typed chunk_done event) or
     /// completes the flight. `allow_inline` (event-dispatched pumps only)

@@ -554,8 +554,10 @@ void scheduler::at_restored(cycle_t when, std::uint64_t id,
                                     });
 }
 
-void scheduler::submit(const model::model* mdl, task_id slot) {
-    dispatch_queue_.push_back({mdl, machine_.eq().now(), slot});
+void scheduler::submit(const model::model* mdl, cycle_t arrival,
+                       task_id slot) {
+    dispatch_queue_.push_back(
+        {mdl, std::min(arrival, machine_.eq().now()), slot});
     in_flight_ += 1;
     try_dispatch();
 }

@@ -19,8 +19,8 @@
 // timer), so a scheduler constructed from the snapshot continues the run
 // bit-identically (resume_mode::exact) or starts a new workload segment on
 // the warm machine with the in-flight inferences carried across
-// (resume_mode::warm; how the serve layer time-slices fleet feedback
-// rounds).
+// (resume_mode::warm; how the serve layer carries SoCs across fleet
+// feedback rounds).
 #pragma once
 
 #include <cstdint>
@@ -82,11 +82,12 @@ public:
     /// May be called repeatedly to advance through multiple boundaries.
     bool run_segment(cycle_t boundary);
 
-    /// Segment-with-backlog variant for bounded workloads (fleet feedback
-    /// rounds): once the clock passes `hold_after`, admission keeps
-    /// accepting arrivals at their true times (dropping on a full queue,
-    /// exactly as live) but no new inference dispatches; running work
-    /// finishes and the scheduler pauses with the queued backlog intact.
+    /// Segment-with-backlog variant for bounded workloads (with `never`,
+    /// run_experiment's run to drain): once the clock passes `hold_after`,
+    /// admission keeps accepting arrivals at their true times (dropping on
+    /// a full queue, exactly as live) but no new inference dispatches;
+    /// running work finishes and the scheduler pauses with the queued
+    /// backlog intact.
     /// save() then carries the admission queue, and a warm resume
     /// dispatches it first — no thundering-herd clamp of late arrivals.
     /// Returns true when paused with held work, false when the workload
@@ -120,7 +121,8 @@ public:
     std::uint64_t at(cycle_t when, std::function<void()> fn) override;
     void at_restored(cycle_t when, std::uint64_t id,
                      std::function<void()> fn) override;
-    void submit(const model::model* mdl, task_id slot = no_task) override;
+    void submit(const model::model* mdl, cycle_t arrival,
+                task_id slot = no_task) override;
     std::size_t pending() const override { return dispatch_queue_.size(); }
 
 private:

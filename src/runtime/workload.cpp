@@ -69,7 +69,7 @@ public:
         if (inferences_per_slot_ == 0) return;
         live_slots_ = static_cast<std::uint32_t>(plan_.size());
         for (std::size_t s = 0; s < plan_.size(); ++s)
-            ctl.submit(plan_[s][0], static_cast<task_id>(s));
+            ctl.submit(plan_[s][0], ctl.now(), static_cast<task_id>(s));
     }
 
     void on_complete(workload_control& ctl, const completion_info& c) override {
@@ -79,7 +79,7 @@ public:
             return;
         }
         if (think_cycles_ == 0) {
-            ctl.submit(plan_[c.slot][next_[c.slot]], c.slot);
+            ctl.submit(plan_[c.slot][next_[c.slot]], ctl.now(), c.slot);
             return;
         }
         auto& p = pending_[c.slot];
@@ -133,7 +133,7 @@ public:
 private:
     void fire(task_id slot) {
         pending_[slot].armed = false;
-        ctl_->submit(plan_[slot][next_[slot]], slot);
+        ctl_->submit(plan_[slot][next_[slot]], ctl_->now(), slot);
     }
 
     /// A scheduled think-time re-dispatch (so a checkpoint can re-arm it).
@@ -188,7 +188,8 @@ public:
         if (inferences_per_slot_ == 0) return;
         live_slots_ = static_cast<std::uint32_t>(picks_.size());
         for (std::size_t s = 0; s < picks_.size(); ++s)
-            ctl.submit(model_at(s, 0, ctl.now()), static_cast<task_id>(s));
+            ctl.submit(model_at(s, 0, ctl.now()), ctl.now(),
+                       static_cast<task_id>(s));
     }
 
     void on_complete(workload_control& ctl, const completion_info& c) override {
@@ -198,7 +199,8 @@ public:
             return;
         }
         if (think_cycles_ == 0) {
-            ctl.submit(model_at(c.slot, next_[c.slot], ctl.now()), c.slot);
+            ctl.submit(model_at(c.slot, next_[c.slot], ctl.now()), ctl.now(),
+                       c.slot);
             return;
         }
         auto& p = pending_[c.slot];
@@ -265,7 +267,8 @@ private:
 
     void fire(task_id slot) {
         pending_[slot].armed = false;
-        ctl_->submit(model_at(slot, next_[slot], ctl_->now()), slot);
+        ctl_->submit(model_at(slot, next_[slot], ctl_->now()), ctl_->now(),
+                     slot);
     }
 
     /// A scheduled think-time re-dispatch (so a checkpoint can re-arm it).
@@ -367,7 +370,7 @@ private:
             rejected_ += 1;
             return;
         }
-        ctl_->submit(arrivals_[i].mdl);
+        ctl_->submit(arrivals_[i].mdl, arrivals_[i].at);
     }
 
     std::uint32_t queue_limit_;

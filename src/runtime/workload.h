@@ -105,10 +105,14 @@ public:
     virtual void at_restored(cycle_t when, std::uint64_t id,
                              std::function<void()> fn) = 0;
 
-    /// Submits one inference of `mdl`, stamped with arrival = now().
-    /// `slot` pins the request to one task slot (closed-loop semantics);
-    /// no_task lets the dispatcher run it on any free slot.
-    virtual void submit(const model::model* mdl, task_id slot = no_task) = 0;
+    /// Submits one inference of `mdl` stamped with its own `arrival`
+    /// (closed-loop generators pass now(); arrival lists pass their stamp,
+    /// which predates now() when the arrival fires late on a resumed
+    /// clock). The scheduler records min(arrival, now()). `slot` pins the
+    /// request to one task slot (closed-loop semantics); no_task lets the
+    /// dispatcher run it on any free slot.
+    virtual void submit(const model::model* mdl, cycle_t arrival,
+                        task_id slot = no_task) = 0;
 
     /// Admitted requests not yet dispatched to cores (admission queue).
     virtual std::size_t pending() const = 0;

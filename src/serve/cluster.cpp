@@ -108,15 +108,11 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
 
     const std::uint32_t rounds = std::max<std::uint32_t>(cfg.feedback_rounds, 1);
     const bool fb_on = rounds > 1;
-    // Time-sliced rounds cover fixed windows of stream time and pause
-    // every SoC mid-flight at the boundary; drain-sliced rounds split the
-    // stream by count and run each slice to completion.
-    const bool time_sliced = fb_on && cfg.round_cycles > 0;
     const bool scaling = cfg.autoscale.enabled;
-    if (scaling && !time_sliced)
+    if (scaling && !fb_on)
         throw std::invalid_argument(
-            "run_cluster: autoscaling requires time-sliced feedback rounds "
-            "(feedback_rounds > 1 and round_cycles > 0)");
+            "run_cluster: autoscaling requires feedback rounds "
+            "(feedback_rounds > 1)");
     const std::uint32_t min_socs =
         std::max<std::uint32_t>(cfg.autoscale.min_socs, 1);
     const std::uint32_t max_socs =
@@ -225,9 +221,9 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
     std::vector<double> planned_mix = weights;
 
     // Queued requests lifted out of draining SoCs, re-routed at the next
-    // round start at their original arrival stamps (the resuming SoC's
-    // admission clamps past stamps to its own clock). Each was counted in
-    // out.arrivals / routed_per_model when first routed, so re-routing
+    // round start at their original arrival stamps (the target fires them
+    // at its own clock, and admission keeps the stamp). Each was counted
+    // in out.arrivals / routed_per_model when first routed, so re-routing
     // must not re-count it.
     std::vector<stream_arrival> migrate_backlog;
     std::map<std::string, std::size_t> model_index;
@@ -289,17 +285,23 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
             routed_per_model[a.model] += 1;
             round_routed[a.model] += 1;
         };
-        if (time_sliced && round + 1 < rounds) {
-            const cycle_t window_end = sat_mul(cfg.round_cycles, round + 1);
+        // Every round but the last routes one window of the stream and
+        // pauses each SoC at the window's end; the last routes the rest
+        // and runs to drain.
+        const bool more_rounds = round + 1 < rounds;
+        cycle_t pause = never;
+        if (!more_rounds) {
+            while (!stream.exhausted()) route_one(stream.pop());
+        } else if (cfg.round_cycles > 0) {
+            pause = sat_mul(cfg.round_cycles, round + 1);
             while (const auto* a = stream.peek()) {
-                if (a->at >= window_end) break;
+                if (a->at >= pause) break;
                 route_one(stream.pop());
             }
-        } else if (time_sliced) {
-            while (!stream.exhausted()) route_one(stream.pop());
         } else {
             const std::uint64_t hi = stream.total() * (round + 1) / rounds;
             while (stream.consumed() < hi) route_one(stream.pop());
+            if (const auto* a = stream.peek()) pause = a->at;
         }
 
         // Per-(round, SoC) observability buffers: each SoC's thread writes
@@ -345,40 +347,24 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 ec.obs.attr = round_attrs[k].get();
             }
         }
-        // Warm-carry rounds resume every SoC from its previous round's
-        // snapshot: cache warmth, DRAM timing, per-slot counters and the
-        // clock all survive the boundary, so round r+1 starts on the state
-        // round r actually left behind. Drain-sliced rounds still run each
-        // slice to completion before the fleet barrier; time-sliced rounds
-        // pause every SoC at the round's wall-clock boundary with layers
-        // mid-flight (the typed-event engine serializes the in-air state),
-        // so long layers no longer stretch round boundaries — the carried
-        // snapshot resumes them mid-tile in the next round. Cold slots
-        // (round 0, or a SoC the autoscaler just added) start fresh.
-        // Single-shot runs and carry-disabled fleets stay on the cold path.
-        // The carry is in place: each SoC resumes from its slot's snapshot
-        // and saves back into it, so the fleet holds one machine section
-        // per SoC across the barrier.
-        const bool carry = fb_on && (cfg.carry_soc_state || time_sliced);
-        const bool more_rounds = round + 1 < rounds;
-        std::vector<sim::experiment_result> round_res;
-        if (carry) {
-            std::vector<const runtime::scheduler_snapshot*> in(A, nullptr);
-            std::vector<runtime::scheduler_snapshot*> out_snaps;
-            for (std::size_t k = 0; k < A; ++k) {
-                if (fleet[k].has_snap) in[k] = &fleet[k].snap;
-                if (more_rounds) out_snaps.push_back(&fleet[k].snap);
-            }
-            std::vector<cycle_t> pause;
-            if (time_sliced && more_rounds)
-                pause.assign(A, sat_mul(cfg.round_cycles, round + 1));
-            round_res = sim::run_sweep_segments(ecs, in, out_snaps, {},
-                                                cfg.threads, pause);
-            if (more_rounds)
-                for (auto& slot : fleet) slot.has_snap = true;
-        } else {
-            round_res = sim::run_sweep(ecs, cfg.threads);
+        // Each SoC resumes from its previous round's snapshot: cache
+        // warmth, DRAM timing, per-slot counters, the clock and any layers
+        // still mid-flight survive the boundary, so round r+1 starts on the
+        // state round r actually left behind. Cold slots (round 0, or a SoC
+        // the autoscaler just added) start fresh. The carry is in place:
+        // each SoC resumes from its slot's snapshot and saves back into it,
+        // so the fleet holds one machine section per SoC across the
+        // barrier. Single-shot runs carry nothing.
+        std::vector<const runtime::scheduler_snapshot*> in(A, nullptr);
+        std::vector<runtime::scheduler_snapshot*> out_snaps(A, nullptr);
+        for (std::size_t k = 0; k < A; ++k) {
+            if (fleet[k].has_snap) in[k] = &fleet[k].snap;
+            if (more_rounds) out_snaps[k] = &fleet[k].snap;
         }
+        auto round_res =
+            sim::run_sweep_segments(ecs, in, out_snaps, cfg.threads, pause);
+        if (more_rounds)
+            for (auto& slot : fleet) slot.has_snap = true;
 
         // Round barrier: fold this round's observability output in fleet
         // order, then flush the JSONL stream so telemetry leaves the

@@ -52,15 +52,14 @@ enum class route_policy : std::uint8_t {
 
 const char* route_policy_name(route_policy p);
 
-/// Elastic fleet autoscaling, decided between time-sliced feedback
-/// rounds: add a SoC when the observed queued backlog or the round's
-/// completion SLA degrades, drain one when capacity sits idle. Draining
-/// migrates the SoC's admitted-but-undispatched requests to the rest of
-/// the fleet (lifted out of its warm snapshot, re-routed at their
-/// original arrival stamps) and the SoC retires once its in-flight work
-/// finishes. Requires feedback_rounds > 1 and round_cycles > 0
-/// (run_cluster throws otherwise); new SoCs clone the first configured
-/// instance and start cold.
+/// Elastic fleet autoscaling, decided between feedback rounds: add a SoC
+/// when the observed queued backlog or the round's completion SLA
+/// degrades, drain one when capacity sits idle. Draining migrates the
+/// SoC's admitted-but-undispatched requests to the rest of the fleet
+/// (lifted out of its warm snapshot, re-routed at their original arrival
+/// stamps) and the SoC retires once its in-flight work finishes. Requires
+/// feedback_rounds > 1 (run_cluster throws otherwise); new SoCs clone the
+/// first configured instance and start cold.
 struct autoscale_config {
     bool enabled = false;
     std::uint32_t min_socs = 1;  ///< never drain below this many routable
@@ -132,26 +131,20 @@ struct cluster_config {
     route_policy router = route_policy::cache_affinity;
 
     // ---- fleet feedback (src/adapt/fleet_feedback.h) ----
-    /// 1 = single-shot legacy run. R > 1 splits the stream into R rounds:
-    /// after each round, per-SoC telemetry rollups update the router's
-    /// load weights (traffic drains away from SoCs under page-wait
-    /// pressure) and sustained SLA violation triggers re-placement against
-    /// the observed traffic mix.
+    /// 1 = single-shot run. R > 1 splits the stream into R rounds: after
+    /// each round, per-SoC telemetry rollups update the router's load
+    /// weights (traffic drains away from SoCs under page-wait pressure)
+    /// and sustained SLA violation triggers re-placement against the
+    /// observed traffic mix. Every round but the last pauses each SoC
+    /// mid-flight at its window edge (typed-event engine: DMA chunks and
+    /// tiles still in the air ride the snapshot) and the next round
+    /// warm-resumes it from that snapshot — cache warmth, DRAM timing,
+    /// clock and queue backlog all carry. The final round runs to drain.
     std::uint32_t feedback_rounds = 1;
-    /// With feedback rounds: carry each SoC's scheduler snapshot across the
-    /// round boundary (runtime::resume_mode::warm), so round r+1 starts on
-    /// round r's cache warmth, DRAM timing, clock and queue backlog instead
-    /// of restarting every SoC from cold state. false reproduces the
-    /// PR 3 cold-restart behavior (drain-sliced rounds only; time-sliced
-    /// rounds always carry).
-    bool carry_soc_state = true;
-    /// Round slicing. 0 = drain-sliced (legacy): the stream splits into R
-    /// equal-count slices and every SoC runs its slice to drain before the
-    /// fleet barrier, so long layers stretch round boundaries arbitrarily.
-    /// > 0 = time-sliced: round r covers stream time
-    /// [r*round_cycles, (r+1)*round_cycles), every SoC pauses mid-flight at
-    /// the boundary (typed-event engine: DMA chunks and tiles still in
-    /// the air ride the snapshot), and the final round runs to drain.
+    /// Round windows. > 0: round r covers stream time
+    /// [r*round_cycles, (r+1)*round_cycles). 0: equal-count windows —
+    /// round r routes the next total_arrivals / feedback_rounds arrivals
+    /// and ends at the stamp of the first arrival it left for round r+1.
     /// Ignored without feedback rounds.
     cycle_t round_cycles = 0;
     adapt::fleet_feedback_config feedback{};
@@ -173,7 +166,7 @@ struct cluster_config {
     unsigned threads = 0;
 
     // ---- long-horizon serving ----
-    /// Elastic autoscaling between time-sliced rounds (off by default —
+    /// Elastic autoscaling between feedback rounds (off by default —
     /// fixed fleets stay bit-identical to historical runs).
     autoscale_config autoscale{};
     /// Bound per-SoC history: per-round simulation results fold into the

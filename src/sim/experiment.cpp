@@ -63,7 +63,7 @@ experiment_result run_experiment_segment(
                        local, *gen, *resume_from, runtime::resume_mode::warm)
                  : std::make_unique<runtime::scheduler>(local, *gen);
     if (pause_at != never)
-        s->run_segment(pause_at);  // time-sliced: pause mid-flight
+        s->run_segment(pause_at);  // fleet round: pause mid-flight
     else
         s->run_segment_hold_dispatch(hold_dispatch_after);
     // segment_result closes the boundary telemetry epoch before save(), so

@@ -168,11 +168,11 @@ experiment_result run_experiment(const experiment_config& cfg);
 /// snapshot (see runtime::scheduler::run_segment_hold_dispatch). With
 /// `pause_at` < `never` the run instead pauses at the first inter-event
 /// instant at or after it — mid-layer, transfers still in flight — which
-/// is what time-sliced fleet rounds use; `pause_at` takes precedence over
-/// the hold. With both pointers null and neither bound this is
-/// run_experiment. `resume_from` and `save_to` may point at the same
-/// snapshot: the segment then resumes from it and saves back into it,
-/// reusing its section buffers (the fleet's in-place carry).
+/// is what fleet rounds use; `pause_at` takes precedence over the hold.
+/// With both pointers null and neither bound this is run_experiment.
+/// `resume_from` and `save_to` may point at the same snapshot: the segment
+/// then resumes from it and saves back into it, reusing its section
+/// buffers (the fleet's in-place carry).
 experiment_result run_experiment_segment(
     const experiment_config& cfg,
     const runtime::scheduler_snapshot* resume_from,

@@ -16,7 +16,7 @@
 // restore_state() rebinds the runs to the restored tasks, with the pending
 // typed events riding the event queue's typed section — the structure that
 // lets the scheduler checkpoint at an arbitrary cycle and lets fleet
-// rounds be time-sliced instead of drain-sliced.
+// rounds pause every SoC mid-layer at the window edge.
 //
 // Path selection:
 //   * baseline policies stream everything through the transparent cache;

@@ -65,17 +65,14 @@ std::vector<experiment_result> run_sweep_segments(
     const std::vector<experiment_config>& cfgs,
     const std::vector<const runtime::scheduler_snapshot*>& resume_from,
     const std::vector<runtime::scheduler_snapshot*>& save_to,
-    const std::vector<cycle_t>& hold_after, unsigned threads,
-    const std::vector<cycle_t>& pause_at) {
+    unsigned threads, cycle_t pause_at) {
     std::vector<experiment_result> results(cfgs.size());
     pool_for_each(cfgs.size(), threads, [&](std::size_t i) {
         const runtime::scheduler_snapshot* in =
             i < resume_from.size() ? resume_from[i] : nullptr;
         runtime::scheduler_snapshot* out =
             i < save_to.size() ? save_to[i] : nullptr;
-        const cycle_t hold = i < hold_after.size() ? hold_after[i] : never;
-        const cycle_t pause = i < pause_at.size() ? pause_at[i] : never;
-        results[i] = run_experiment_segment(cfgs[i], in, out, hold, pause);
+        results[i] = run_experiment_segment(cfgs[i], in, out, never, pause_at);
     });
     return results;
 }

@@ -21,19 +21,17 @@ std::vector<experiment_result> run_sweep(
 
 /// Resumable variant for segmented runs (fleet feedback rounds): entry i
 /// warm-resumes from `resume_from[i]` when non-null (empty vector = all
-/// cold), holds dispatch past `hold_after[i]` (empty vector = no hold; see
-/// run_experiment_segment), pauses mid-flight at `pause_at[i]` (empty
-/// vector = run to drain; time-sliced rounds) and writes its
-/// end-of-segment snapshot to `*save_to[i]` when non-null (empty vector =
-/// no saves). `save_to[i]` may equal `resume_from[i]`: the entry then
-/// carries its state in place. Results are bit-identical across pool
-/// widths, like run_sweep.
+/// cold), pauses mid-flight at `pause_at` (never = run to drain) and
+/// writes its end-of-segment snapshot to `*save_to[i]` when non-null
+/// (empty vector = no saves). `save_to[i]` may equal `resume_from[i]`: the
+/// entry then carries its state in place. With no snapshots and no pause
+/// this is run_sweep. Results are bit-identical across pool widths, like
+/// run_sweep.
 std::vector<experiment_result> run_sweep_segments(
     const std::vector<experiment_config>& cfgs,
     const std::vector<const runtime::scheduler_snapshot*>& resume_from,
     const std::vector<runtime::scheduler_snapshot*>& save_to,
-    const std::vector<cycle_t>& hold_after = {}, unsigned threads = 0,
-    const std::vector<cycle_t>& pause_at = {});
+    unsigned threads = 0, cycle_t pause_at = never);
 
 /// isolated_latencies() memoized per (soc_config, model set): QoS sweeps
 /// stop recomputing the single-tenant reference for every policy point.

@@ -408,13 +408,13 @@ serve::cluster_config warmth_cluster() {
     return cfg;
 }
 
-/// Transparent hit rate of the first telemetry epoch of round 2, summed
+/// Transparent hit rate of the first telemetry epoch of `round`, summed
 /// over the fleet (per_soc is round-major).
-double round2_first_epoch_hit_rate(const serve::cluster_result& res,
-                                   std::size_t socs) {
+double first_epoch_hit_rate(const serve::cluster_result& res,
+                            std::size_t round, std::size_t socs) {
     std::uint64_t hits = 0, misses = 0;
     for (std::size_t s = 0; s < socs; ++s) {
-        const auto& r = res.per_soc[socs + s];
+        const auto& r = res.per_soc[round * socs + s];
         if (r.telemetry.empty()) continue;
         for (const auto& c : r.telemetry.front().tasks) {
             hits += c.cache_hits;
@@ -428,32 +428,22 @@ double round2_first_epoch_hit_rate(const serve::cluster_result& res,
 
 TEST(cluster_feedback, warm_carry_preserves_cache_warmth_across_rounds) {
     const auto cfg = warmth_cluster();
-    const auto warm = serve::run_cluster(cfg);  // carry_soc_state default on
-
-    auto cold_cfg = cfg;
-    cold_cfg.carry_soc_state = false;  // PR 3 cold-restart behavior
-    const auto cold = serve::run_cluster(cold_cfg);
-
-    // Round 1 is cold in both runs and must be identical.
+    const auto res = serve::run_cluster(cfg);
     const std::size_t S = cfg.socs.size();
-    ASSERT_EQ(warm.per_soc.size(), 2 * S);
-    ASSERT_EQ(cold.per_soc.size(), 2 * S);
-    for (std::size_t s = 0; s < S; ++s) {
-        EXPECT_EQ(warm.per_soc[s].makespan, cold.per_soc[s].makespan);
-        EXPECT_EQ(warm.per_soc[s].completions.size(),
-                  cold.per_soc[s].completions.size());
-    }
+    ASSERT_EQ(res.per_soc.size(), 2 * S);
 
-    // Round 2 starts on carried cache state: its first epoch's hit rate
-    // must beat the cold restart's.
-    const double warm_rate = round2_first_epoch_hit_rate(warm, S);
-    const double cold_rate = round2_first_epoch_hit_rate(cold, S);
-    EXPECT_GT(warm_rate, cold_rate);
+    // Round 1 starts every SoC on a cold cache; round 2 resumes on the
+    // cache state round 1 left, so its first epoch's hit rate must beat
+    // round 1's. (checkpoint.warm_resume_carries_clock_and_cache_warmth
+    // compares warm against cold on one trace.)
+    EXPECT_GT(first_epoch_hit_rate(res, 1, S), first_epoch_hit_rate(res, 0, S));
 
     // The carried clock keeps per-SoC makespans monotone across rounds.
-    for (std::size_t s = 0; s < S; ++s)
-        if (!warm.per_soc[S + s].completions.empty())
-            EXPECT_GE(warm.per_soc[S + s].makespan, warm.per_soc[s].makespan);
+    for (std::size_t s = 0; s < S; ++s) {
+        if (!res.per_soc[S + s].completions.empty()) {
+            EXPECT_GE(res.per_soc[S + s].makespan, res.per_soc[s].makespan);
+        }
+    }
 }
 
 TEST(cluster_feedback, warm_carry_deterministic_across_pool_widths) {

@@ -698,19 +698,21 @@ TEST(checkpoint, time_sliced_rounds_account_for_every_arrival) {
     EXPECT_GT(res.makespan, cfg.round_cycles);
 }
 
-TEST(checkpoint, time_sliced_and_drain_sliced_complete_the_same_stream) {
-    auto ts = time_sliced_cluster();
-    auto ds = ts;
-    ds.round_cycles = 0;  // drain-sliced legacy rounds
-    const auto a = serve::run_cluster(ts);
-    const auto b = serve::run_cluster(ds);
-    // Same stream, same fleet: both serve every arrival (scheduling
-    // differs, so latencies may — the invariant is accounting).
+TEST(checkpoint, equal_count_and_fixed_windows_complete_the_same_stream) {
+    auto fixed = time_sliced_cluster();
+    auto counted = fixed;
+    counted.round_cycles = 0;  // equal-count windows
+    const auto a = serve::run_cluster(fixed);
+    const auto b = serve::run_cluster(counted);
+    // Same stream, same fleet: both serve every arrival (the windows
+    // differ, so scheduling and latencies may — the invariant is
+    // accounting), and both pause and carry at every window edge.
     EXPECT_EQ(a.arrivals, b.arrivals);
     EXPECT_EQ(a.completed + a.dropped_queue + a.dropped_unroutable,
               a.arrivals);
     EXPECT_EQ(b.completed + b.dropped_queue + b.dropped_unroutable,
               b.arrivals);
+    EXPECT_EQ(a.per_soc.size(), b.per_soc.size());
 }
 
 // ---- drained-run makespan (cancellable bw-epoch timer) ----------------

@@ -22,10 +22,12 @@ TEST(dma, zero_line_transfer_completes_immediately) {
     bool fired = false;
     transfer_request req;
     req.nlines = 0;
-    r.dma.submit(req, [&](cycle_t done) {
+    r.dma.set_sink([&](const dma_target& t, cycle_t done) {
         fired = true;
+        EXPECT_EQ(t.a, 7u);
         EXPECT_EQ(done, 0u);
     });
+    r.dma.submit_tracked(req, {7, 0});
     EXPECT_TRUE(fired);  // no event round needed
 }
 
@@ -37,7 +39,8 @@ TEST(dma, processes_every_line_exactly_once) {
     req.addr = 0;
     req.nlines = 1000;
     bool done_fired = false;
-    r.dma.submit(req, [&](cycle_t) { done_fired = true; });
+    r.dma.set_sink([&](const dma_target&, cycle_t) { done_fired = true; });
+    r.dma.submit_tracked(req, {});
     r.eq.run();
     EXPECT_TRUE(done_fired);
     EXPECT_EQ(r.dram.stats().reads, 1000u);
@@ -49,7 +52,8 @@ TEST(dma, completion_time_is_plausible_for_bandwidth) {
     req.op = transfer_request::kind::bypass_read;
     req.nlines = 16'000;  // 1 MiB
     cycle_t done = 0;
-    r.dma.submit(req, [&](cycle_t d) { done = d; });
+    r.dma.set_sink([&](const dma_target&, cycle_t d) { done = d; });
+    r.dma.submit_tracked(req, {});
     r.eq.run();
     // 1 MiB at 102.4 B/cycle is ~10.2K cycles; allow generous latency slack.
     EXPECT_GT(done, 9'000u);
@@ -64,7 +68,8 @@ TEST(dma, small_transfer_single_chunk) {
     req.addr = mib(4);
     req.nlines = 5;
     cycle_t done = 0;
-    r.dma.submit(req, [&](cycle_t d) { done = d; });
+    r.dma.set_sink([&](const dma_target&, cycle_t d) { done = d; });
+    r.dma.submit_tracked(req, {});
     r.eq.run();
     EXPECT_GT(done, 0u);
     EXPECT_EQ(r.cache.stats().misses, 5u);
@@ -79,15 +84,20 @@ TEST(dma, concurrent_transfers_share_resources) {
     transfer_request b = a;
     b.addr = mib(64);
 
+    // The completion token tells the two transfers apart.
     cycle_t done_a = 0, done_b = 0;
-    r.dma.submit(a, [&](cycle_t d) { done_a = d; });
-    r.dma.submit(b, [&](cycle_t d) { done_b = d; });
+    r.dma.set_sink([&](const dma_target& t, cycle_t d) {
+        (t.a == 0 ? done_a : done_b) = d;
+    });
+    r.dma.submit_tracked(a, {0, 0});
+    r.dma.submit_tracked(b, {1, 0});
     r.eq.run();
 
     rig solo;
     transfer_request s = a;
     cycle_t done_solo = 0;
-    solo.dma.submit(s, [&](cycle_t d) { done_solo = d; });
+    solo.dma.set_sink([&](const dma_target&, cycle_t d) { done_solo = d; });
+    solo.dma.submit_tracked(s, {});
     solo.eq.run();
 
     // With a competitor, each stream takes materially longer than alone.
@@ -107,7 +117,7 @@ TEST(dma, region_transfers_route_to_the_nec) {
     req.addr = 0;
     req.dram_addr = mib(8);
     req.nlines = 512;
-    r.dma.submit(req, [](cycle_t) {});
+    r.dma.submit_tracked(req, {});
     r.eq.run();
     EXPECT_EQ(r.cache.stats().region_fills, 512u);
     EXPECT_EQ(r.dram.stats().reads, 512u);
@@ -145,7 +155,8 @@ TEST_P(dma_chunking, line_count_invariant_under_chunk_size) {
     req.op = transfer_request::kind::bypass_read;
     req.nlines = 4'096;
     cycle_t done = 0;
-    dma.submit(req, [&](cycle_t d) { done = d; });
+    dma.set_sink([&](const dma_target&, cycle_t d) { done = d; });
+    dma.submit_tracked(req, {});
     eq.run();
     EXPECT_EQ(dram.stats().reads, 4'096u);
     // 256 KiB at ~102 B/cycle ~ 2.6K cycles; bounded regardless of chunking.

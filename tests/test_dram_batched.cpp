@@ -158,9 +158,9 @@ TEST(dram_batched, regulator_budget_edges_match_perline_reference) {
     EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
 }
 
-TEST(dram_batched, attributed_bursts_match_perline_reference) {
-    dram_system batched{dram_config{}};
-    dram_system perline{dram_config{}};
+void check_attributed_bursts(const dram_config& cfg) {
+    dram_system batched{cfg};
+    dram_system perline{cfg};
     obs::latency_attributor attr_b, attr_p;
     batched.set_attribution(&attr_b);
     perline.set_attribution(&attr_p);
@@ -220,6 +220,16 @@ TEST(dram_batched, attributed_bursts_match_perline_reference) {
             EXPECT_EQ(attr_b.interference(i, j), attr_p.interference(i, j))
                 << "matrix (" << i << "," << j << ")";
     }
+}
+
+TEST(dram_batched, attributed_bursts_match_perline_reference) {
+    check_attributed_bursts(dram_config{});
+    // One bank per channel is command-bound: t_ccd (40 deci-cycles)
+    // outruns the channel bus (1 bank x 25 deci-cycles), so access_burst
+    // must take the per-line walk instead of the segment kernel.
+    dram_config command_bound;
+    command_bound.banks_per_channel = 1;
+    check_attributed_bursts(command_bound);
 }
 
 TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {

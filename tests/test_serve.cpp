@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 
 #include "common/rng.h"
 #include "model/model_zoo.h"
@@ -402,12 +403,17 @@ TEST(cluster, time_sliced_window_survives_near_overflow_round_cycles) {
 
 // ---- elastic autoscaling ----
 
-TEST(cluster, autoscaling_requires_time_sliced_rounds) {
+TEST(cluster, autoscaling_requires_feedback_rounds) {
     auto cfg = colocation_cfg();
     cfg.autoscale.enabled = true;
     EXPECT_THROW(run_cluster(cfg), std::invalid_argument);
-    cfg.feedback_rounds = 4;  // drain-sliced is still not enough
-    EXPECT_THROW(run_cluster(cfg), std::invalid_argument);
+    // Equal-count windows pause and carry like fixed ones, so any
+    // multi-round run can scale.
+    cfg.feedback_rounds = 4;
+    const auto res = run_cluster(cfg);
+    EXPECT_EQ(res.arrivals, cfg.total_arrivals);
+    EXPECT_EQ(res.arrivals,
+              res.completed + res.dropped_queue + res.dropped_unroutable);
 }
 
 TEST(cluster, autoscaler_adds_socs_under_sla_pressure) {
@@ -445,11 +451,11 @@ TEST(cluster, autoscaler_adds_socs_under_sla_pressure) {
               res.completed + res.dropped_queue + res.dropped_unroutable);
 }
 
-TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
-    // Unbounded queues keep real backlog at the first barrier; a huge
-    // backlog_low forces a drain there, so the drained SoC's queued
-    // requests must migrate to the survivor and still complete. sla_low=0
-    // keeps the scale-up path quiet (adds also need backlog_high).
+/// Unbounded queues keep real backlog at the first barrier; a huge
+/// backlog_low forces a drain there, so the drained SoC's queued requests
+/// must migrate to the survivor and still complete. sla_low=0 keeps the
+/// scale-up path quiet (adds also need backlog_high).
+cluster_config drain_migrate_cfg() {
     auto cfg = colocation_cfg();
     cfg.socs.resize(2);
     // A single slow tenant loads both replicas evenly, so whichever SoC
@@ -466,6 +472,11 @@ TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
     cfg.autoscale.backlog_low = 1e18;  // always "idle": drain immediately
     cfg.autoscale.sla_low = 0.0;
     cfg.autoscale.cooldown_rounds = 0;
+    return cfg;
+}
+
+TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
+    const auto cfg = drain_migrate_cfg();
     const auto res = run_cluster(cfg);
 
     const scale_event* drain = nullptr;
@@ -486,6 +497,35 @@ TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
     EXPECT_EQ(res.dropped_queue, 0u);
     EXPECT_EQ(res.dropped_unroutable, 0u);
     EXPECT_EQ(res.completed, cfg.total_arrivals);
+}
+
+/// Runs `cfg` and checks every completion's recorded arrival against the
+/// fleet stream's stamps (replayed from a fresh stream_source).
+void expect_completions_on_stream_stamps(const cluster_config& cfg) {
+    std::set<cycle_t> stamps;
+    stream_source src(cfg, cum_mix(cfg));
+    while (!src.exhausted()) stamps.insert(src.pop().at);
+
+    const auto res = run_cluster(cfg);
+    std::uint64_t completions = 0, off_stamp = 0;
+    for (const auto& soc : res.per_soc)
+        for (const auto& rec : soc.completions) {
+            ++completions;
+            if (stamps.count(rec.arrival) == 0) ++off_stamp;
+        }
+    EXPECT_EQ(completions, res.completed);
+    EXPECT_EQ(off_stamp, 0u) << "of " << completions << " completions";
+}
+
+TEST(cluster, completions_keep_stream_arrival_stamps) {
+    // An arrival can fire after its stamp: at a window edge the pause
+    // overshoots to the next event, and migrated backlog replays on the
+    // target's clock. Admission must keep the request's own stamp either
+    // way, or its latency restarts at the late fire.
+    auto counted = colocation_cfg();
+    counted.feedback_rounds = 4;  // equal-count windows
+    expect_completions_on_stream_stamps(counted);
+    expect_completions_on_stream_stamps(drain_migrate_cfg());
 }
 
 TEST(cluster, fixed_fleet_results_unchanged_by_autoscale_plumbing) {
