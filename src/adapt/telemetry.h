@@ -174,6 +174,9 @@ public:
     bool open_epoch_active() const;
 
     const std::vector<epoch_snapshot>& history() const { return history_; }
+    /// Drops the cut history and keeps the open epoch: a warm segment
+    /// restart, as restore_state(r, keep_history = false) leaves the bus.
+    void clear_history() { history_.clear(); }
 
     // ---- checkpoint support ----
 

@@ -83,6 +83,7 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
 }
 
 void shared_cache::set_attribution(obs::latency_attributor* attr) {
+    if (attr == attr_) return;  // re-attach: the holders stay current
     attr_ = attr;
     if (attr_ != nullptr) {
         slice_user_.assign(config_.slices, no_task);

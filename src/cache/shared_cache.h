@@ -146,7 +146,9 @@ public:
     /// Attaches the latency attributor (nullptr detaches): slice-occupancy
     /// waits are charged against each slice's previous user and
     /// transparent read misses against the evicted line's owner.
-    /// Observation only — the side tables never enter snapshot bytes.
+    /// Observation only — the side tables never enter snapshot bytes. A
+    /// new attributor starts the slice table afresh; re-attaching the
+    /// current one keeps it.
     void set_attribution(obs::latency_attributor* attr);
 
     /// Drops every transparent line (used between experiment repetitions).

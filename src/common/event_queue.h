@@ -227,6 +227,14 @@ public:
         return typed_dispatched_[static_cast<std::size_t>(ch)];
     }
     std::uint64_t closures_dispatched() const { return closures_dispatched_; }
+    /// Zeroes executed_events() and its dispatch breakdown, where a queue
+    /// restored from a snapshot starts: a segment continued in place then
+    /// counts only its own events.
+    void restart_counters() {
+        executed_ = 0;
+        typed_dispatched_ = {};
+        closures_dispatched_ = 0;
+    }
 
     /// Runs the earliest live event. Returns false when no live event
     /// remains. Cancelled entries are discarded without advancing now().

@@ -533,6 +533,7 @@ void dram_system::set_task_share(task_id task, double fraction) {
 void dram_system::clear_task_shares() { regulators_.clear(); }
 
 void dram_system::set_attribution(obs::latency_attributor* attr) {
+    if (attr == attr_) return;  // re-attach: the holders stay current
     attr_ = attr;
     if (attr_ != nullptr) {
         bank_user_.assign(banks_.size(), no_task);

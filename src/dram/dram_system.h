@@ -102,7 +102,9 @@ public:
     /// / bus / regulation waits are charged to the requesting task against
     /// the resource's previous user. Observation only — the holder side
     /// tables live outside the timing state and are never serialized, so
-    /// attached runs stay bit-identical in results and snapshot bytes.
+    /// attached runs stay bit-identical in results and snapshot bytes. A
+    /// new attributor starts the tables afresh; re-attaching the current
+    /// one keeps them.
     void set_attribution(obs::latency_attributor* attr);
 
     /// Contention-free service cycles of one line (row-hit CAS + data slot

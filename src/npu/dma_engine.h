@@ -113,8 +113,13 @@ public:
 
     /// Attaches the trace recorder (nullptr detaches): one duration event
     /// per flight (issue to final chunk), plus per-chunk events when the
-    /// recorder asks for them. Observation only — never schedules events.
-    void set_trace(obs::trace_recorder* trace) { trace_ = trace; }
+    /// recorder asks for them. Live flights re-anchor their spans at now(),
+    /// as restore_state does: the new recorder saw none of their issue.
+    /// Observation only — never schedules events.
+    void set_trace(obs::trace_recorder* trace) {
+        trace_ = trace;
+        for (auto& f : flights_) f.issue = eq_.now();
+    }
     /// Attaches the host-time profiler (nullptr detaches): the chunk pump
     /// charges `dma`, the synchronous transfer path charges `cache` (with
     /// DRAM bursts re-attributed inside dram_system).
@@ -144,7 +149,7 @@ private:
         cycle_t last_done = 0;
         /// Submission cycle — trace-event bookkeeping only, NOT serialized
         /// (snapshot bytes are unchanged; a restored flight re-anchors at
-        /// the restore clock).
+        /// the restore clock, a live one when a recorder attaches).
         cycle_t issue = 0;
         dma_target target{};
 

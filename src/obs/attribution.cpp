@@ -244,6 +244,13 @@ void latency_attributor::absorb(const latency_attributor& src) {
     dma_window_wait_ += src.dma_window_wait_;
 }
 
+void latency_attributor::clear_completed() {
+    for (auto& t : tenants_) t = tenant_attribution{};
+    matrix_.clear();
+    records_.clear();
+    dma_window_wait_ = 0;
+}
+
 void latency_attributor::export_metrics(metrics_registry& m) const {
     for (std::size_t i = 0; i < names_.size(); ++i) {
         const std::string prefix = "attr." + names_[i] + ".";

@@ -39,7 +39,9 @@
 // or snapshot bytes, and an attached run's results are bit-identical to a
 // bare run. Attribution state is intentionally *not* serialized: an
 // inference carried across a snapshot boundary re-anchors and is simply
-// not attributed (its completion record is unaffected).
+// not attributed (its completion record is unaffected). Fleet rounds
+// continue each SoC in place with one attributor for its lifetime, so
+// inferences that straddle a round barrier are attributed.
 //
 // Depends only on common/ so every layer (dram, cache, npu, sim, runtime,
 // serve) can include it without an upward dependency.
@@ -181,10 +183,17 @@ public:
     attribution_components totals() const;
     std::uint64_t dma_window_wait_cycles() const { return dma_window_wait_; }
 
-    /// Merges another attributor (tenants matched by name). Fleet runs
-    /// fold per-(round, SoC) attributors into a master at round barriers,
-    /// in fleet order — deterministic across sweep-pool widths.
+    /// Merges another attributor's completed totals (tenants matched by
+    /// name). Fleet runs fold each live SoC's attributor into a master at
+    /// round barriers, in fleet order — deterministic across sweep-pool
+    /// widths.
     void absorb(const latency_attributor& src);
+    /// Zeroes the completed totals: tenant rollups, the interference
+    /// matrix, records and the window-wait diagnostic. Tenant names and
+    /// every slot's in-flight state stay, so an inference that started
+    /// before the clear is still attributed when it ends. A fleet clears
+    /// each SoC's attributor once its round is absorbed.
+    void clear_completed();
 
     /// Writes `attr.<tenant>.<component>` counters, per-tenant
     /// `attr.<tenant>.{completed,latency_cycles}` and the non-zero matrix

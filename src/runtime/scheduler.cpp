@@ -55,7 +55,7 @@ std::uint64_t model_salt(const std::string& name) {
 
 scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
     : cfg_(cfg),
-      gen_(gen),
+      gen_(&gen),
       machine_(cfg.soc, cfg.pol),
       bw_(machine_.dram()) {
     // The observer's epoch consumers ride the telemetry bus; turning it on
@@ -184,7 +184,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
             throw snapshot_error(
                 "exact resume requires the identical workload configuration "
                 "(run fingerprint mismatch)");
-        if (!gen_.checkpointable() || snap.workload.empty())
+        if (!gen_->checkpointable() || snap.workload.empty())
             throw snapshot_error(
                 "exact resume requires a generator with a saved cursor");
     }
@@ -351,7 +351,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
     if (mode == resume_mode::exact) {
         {
             snapshot_reader r(snap.workload);
-            gen_.restore_state(r);
+            gen_->restore_state(r);
             if (!r.done())
                 throw snapshot_error(
                     "snapshot workload section has trailing bytes");
@@ -493,9 +493,9 @@ void scheduler::save(scheduler_snapshot& into) const {
         ctl_->save_state(w);
         s.controller = w.take();
     }
-    if (gen_.checkpointable()) {
+    if (gen_->checkpointable()) {
         snapshot_writer w(std::move(into.workload));
-        gen_.save_state(w);
+        gen_->save_state(w);
         s.workload = w.take();
     }
     {
@@ -513,6 +513,54 @@ void scheduler::save(scheduler_snapshot& into) const {
         s.results = w.take();
     }
     into = std::move(s);
+}
+
+void scheduler::start_next_segment(workload_generator& gen) {
+    if (!paused_ && !finalized_)
+        throw std::logic_error(
+            "scheduler::start_next_segment: only valid while paused or after "
+            "completion");
+    if (!gen_->exhausted())
+        throw std::logic_error(
+            "scheduler::start_next_segment: the previous generator still "
+            "owes arrivals");
+    if (telemetry_on_ !=
+        (cfg_.telemetry || adaptive() || cfg_.obs.wants_epochs()))
+        throw std::logic_error(
+            "scheduler::start_next_segment: the telemetry setup changed "
+            "between segments");
+    // Everything below is what a warm resume's fresh scheduler starts with
+    // that the live one does not; the rest of the state is already what
+    // restore() would rebuild from save(). The epoch timer is cancelled
+    // here and re-armed by start_if_needed, as on a resumed machine.
+    bw_timer_.cancel();
+    machine_.eq().restart_counters();
+    machine_.set_observer(cfg_.obs);
+    mslots_ = {};
+    bus_.clear_history();
+    result_ = {};
+    gen_ = &gen;
+    dispatch_hold_after_ = never;
+    resume_exact_ = false;
+    started_ = paused_ = finalized_ = done_ = false;
+}
+
+std::size_t scheduler::running_count() const {
+    return static_cast<std::size_t>(
+        std::count(slot_busy_.begin(), slot_busy_.end(), true));
+}
+
+std::vector<trace_arrival> scheduler::lift_admission_queue() {
+    if (!paused_ && !finalized_)
+        throw std::logic_error(
+            "scheduler::lift_admission_queue: only valid while paused or "
+            "after completion");
+    std::vector<trace_arrival> out;
+    out.reserve(dispatch_queue_.size());
+    for (const auto& q : dispatch_queue_) out.push_back({q.arrival, q.mdl});
+    in_flight_ -= static_cast<std::uint32_t>(dispatch_queue_.size());
+    dispatch_queue_.clear();
+    return out;
 }
 
 std::vector<const task*> scheduler::running_tasks_const() const {
@@ -563,7 +611,7 @@ void scheduler::submit(const model::model* mdl, cycle_t arrival,
 }
 
 void scheduler::update_done() {
-    if (in_flight_ == 0 && dispatch_queue_.empty() && gen_.exhausted()) {
+    if (in_flight_ == 0 && dispatch_queue_.empty() && gen_->exhausted()) {
         done_ = true;
         // A drained run must not let the already-armed bandwidth epoch tick
         // on: cancelling it stops the chain and keeps the pending no-op
@@ -1021,7 +1069,7 @@ void scheduler::end_inference(task& t, cycle_t end) {
     info.arrival = t.arrival;
     info.start = t.started;
     info.end = end;
-    gen_.on_complete(*this, info);
+    gen_->on_complete(*this, info);
     update_done();
     try_dispatch();
 }
@@ -1034,7 +1082,7 @@ void scheduler::start_if_needed() {
         // Re-arm the pending work under its saved event ids so same-cycle
         // ordering replays bit for bit, then restore the tie-break counter
         // for everything scheduled after the boundary.
-        gen_.resume(*this);
+        gen_->resume(*this);
         if (resume_bw_armed_)
             bw_timer_ = machine_.eq().restore_cancellable(
                 resume_bw_when_, resume_bw_seq_,
@@ -1052,7 +1100,7 @@ void scheduler::start_if_needed() {
     if (telemetry_on_ && cfg_.adapt_ctl.epoch != 0 && epoch_deadline_ == never)
         epoch_deadline_ = cfg_.adapt_ctl.epoch;
 
-    gen_.start(*this);
+    gen_->start(*this);
     update_done();
     schedule_bw_epoch();
     try_dispatch();
@@ -1116,7 +1164,7 @@ bool scheduler::run_segment_hold_dispatch(cycle_t hold_after) {
         // this cycle. The only pending event can be the bandwidth-epoch
         // timer, which is cancelled — a warm resume re-arms it.
         const bool no_running = in_flight_ == dispatch_queue_.size();
-        if (!done_ && no_running && gen_.exhausted()) {
+        if (!done_ && no_running && gen_->exhausted()) {
             bw_timer_.cancel();
             if (eq.next_time() > eq.now()) {
                 paused_ = true;
@@ -1139,8 +1187,8 @@ void scheduler::fill_result() {
     result_.dram_stats = machine_.dram().stats();
     result_.dram_total_bytes = machine_.dram().stats().bytes();
     result_.events_executed = machine_.eq().executed_events();
-    result_.rejected_arrivals = gen_.rejected();
-    if (const percentile_tracker* delays = gen_.queue_delays_ms())
+    result_.rejected_arrivals = gen_->rejected();
+    if (const percentile_tracker* delays = gen_->queue_delays_ms())
         result_.queue_delay_ms = *delays;
     if (telemetry_on_) {
         // Close the trailing partial epoch so every counted event lands in
@@ -1165,7 +1213,7 @@ void scheduler::fill_result() {
 void scheduler::finalize() {
     if (finalized_) return;
     assert(in_flight_ == 0 && "experiment ended with live inferences");
-    assert(gen_.exhausted() && "experiment ended with pending arrivals");
+    assert(gen_->exhausted() && "experiment ended with pending arrivals");
     fill_result();
     finalized_ = true;
 }

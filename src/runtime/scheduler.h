@@ -19,8 +19,9 @@
 // timer), so a scheduler constructed from the snapshot continues the run
 // bit-identically (resume_mode::exact) or starts a new workload segment on
 // the warm machine with the in-flight inferences carried across
-// (resume_mode::warm; how the serve layer carries SoCs across fleet
-// feedback rounds).
+// (resume_mode::warm). start_next_segment() starts that same warm segment
+// on the live machine, with no snapshot: it is how the serve layer carries
+// SoCs across fleet feedback rounds, and warm resume stays its reference.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,8 @@ enum class resume_mode : std::uint8_t {
 
 class scheduler final : public workload_control {
 public:
-    /// `cfg` and `gen` must outlive the scheduler.
+    /// `cfg` must outlive the scheduler, and `gen` the scheduler or the
+    /// start_next_segment() call that replaces it.
     scheduler(const sim::experiment_config& cfg, workload_generator& gen);
 
     /// Resumes from `snap` (see resume_mode). Throws snapshot_error when
@@ -100,9 +102,32 @@ public:
     scheduler_snapshot save() const;
     /// save() into an existing snapshot, overwriting every field. Its
     /// section buffers keep their capacity, so re-saving into the snapshot
-    /// this scheduler resumed from (a fleet round barrier) allocates no new
-    /// machine section.
+    /// this scheduler resumed from allocates no new machine section.
     void save(scheduler_snapshot& into) const;
+
+    /// Starts the next workload segment on this machine in place. Valid
+    /// while paused or finished; the next run_segment() runs it. The
+    /// segment starts from exactly the state that save() followed by a
+    /// resume_mode::warm construction would give it. The clock, machine,
+    /// in-flight inferences, admission queue, open telemetry epoch and
+    /// controller state carry over. Results, events_executed and the
+    /// telemetry history restart, so epoch indices count from 0 again. The
+    /// observer in the config re-attaches as on a fresh machine, and the
+    /// bandwidth-epoch timer re-arms at the segment start. `gen` replaces
+    /// the generator. The previous generator must be exhausted, and may be
+    /// destroyed once this returns. Between segments the caller may change
+    /// the referenced config's trace and observer, but not its machine or
+    /// telemetry setup. Throws std::logic_error when a precondition fails.
+    void start_next_segment(workload_generator& gen);
+
+    /// Inferences currently running (busy task slots).
+    std::size_t running_count() const;
+    /// Removes every admitted-but-undispatched request from the admission
+    /// queue and returns them in queue order, each with its own arrival
+    /// stamp (a pinned slot is not kept). Valid while paused or finished;
+    /// a draining fleet SoC hands its backlog to the rest of the fleet
+    /// this way. Throws std::logic_error otherwise.
+    std::vector<trace_arrival> lift_admission_queue();
 
     /// The finalized result (valid once run()/run_segment() completed).
     const sim::experiment_result& result() const { return result_; }
@@ -196,7 +221,7 @@ private:
     std::uint64_t run_fingerprint() const;
 
     const sim::experiment_config& cfg_;
-    workload_generator& gen_;
+    workload_generator* gen_;  // swapped by start_next_segment
     sim::soc machine_;
     cache_allocation_algorithm alg_;
     bandwidth_allocator bw_;

@@ -16,7 +16,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/qos.h"
-#include "runtime/scheduler_snapshot.h"
+#include "runtime/scheduler.h"
+#include "runtime/workload.h"
 #include "serve/placement.h"
 #include "serve/router.h"
 #include "serve/stream_source.h"
@@ -78,15 +79,22 @@ std::uint64_t soc_seed(std::uint64_t cluster_seed, std::size_t s) {
 
 /// One live SoC of the elastic fleet. `id` is the stable identity used
 /// for RNG seeding and observability lanes; the vector index is only the
-/// current round's simulation slot. `snap` carries the warm scheduler
-/// state across round boundaries (and is where a drain lifts the queued
-/// work from).
+/// current round's simulation slot. The SoC's scheduler is built in its
+/// first round and continued in place at every later one
+/// (scheduler::start_next_segment), so cache warmth, DRAM timing, the
+/// clock, in-flight layers and the queued backlog all carry across the
+/// barrier. The scheduler references its config, generator and
+/// attributor, so all of them live on the heap: the autoscaler appends
+/// and erases slots. The attributor lives as long as the SoC, so an
+/// inference that straddles a barrier is attributed when it ends.
 struct fleet_slot {
     soc_instance_config inst;
     std::uint32_t id = 0;
     bool draining = false;
-    bool has_snap = false;
-    runtime::scheduler_snapshot snap;
+    std::unique_ptr<sim::experiment_config> cfg;
+    std::unique_ptr<runtime::workload_generator> gen;
+    std::unique_ptr<runtime::scheduler> sched;
+    std::unique_ptr<obs::latency_attributor> attr;
 };
 
 }  // namespace
@@ -109,14 +117,27 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
     const std::uint32_t rounds = std::max<std::uint32_t>(cfg.feedback_rounds, 1);
     const bool fb_on = rounds > 1;
     const bool scaling = cfg.autoscale.enabled;
+    // Contradictory knobs fail loudly instead of being ignored or
+    // rewritten.
+    const auto reject = [](const char* why) {
+        throw std::invalid_argument(std::string("run_cluster: ") + why);
+    };
     if (scaling && !fb_on)
-        throw std::invalid_argument(
-            "run_cluster: autoscaling requires feedback rounds "
-            "(feedback_rounds > 1)");
-    const std::uint32_t min_socs =
-        std::max<std::uint32_t>(cfg.autoscale.min_socs, 1);
+        reject("autoscaling requires feedback rounds (feedback_rounds > 1)");
+    if (cfg.round_cycles > 0 && !fb_on)
+        reject("round_cycles requires feedback rounds (feedback_rounds > 1)");
+    if (cfg.history_records > 0 && !cfg.bounded_history)
+        reject("history_records requires bounded_history");
+    const auto& as = cfg.autoscale;
+    if (scaling && as.min_socs > as.max_socs)
+        reject("autoscale.min_socs exceeds autoscale.max_socs");
+    if (scaling && as.backlog_low > as.backlog_high)
+        reject("autoscale.backlog_low exceeds autoscale.backlog_high");
+    if (scaling && !(as.sla_low >= 0.0 && as.sla_low <= 1.0))
+        reject("autoscale.sla_low must lie in [0, 1]");
+    const std::uint32_t min_socs = std::max<std::uint32_t>(as.min_socs, 1);
     const std::uint32_t max_socs =
-        std::max<std::uint32_t>(cfg.autoscale.max_socs, min_socs);
+        std::max<std::uint32_t>(as.max_socs, min_socs);
 
     // Normalized cumulative traffic mix (uniform when unspecified).
     const std::vector<double> weights = traffic_weights(cfg);
@@ -137,7 +158,7 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
     fleet.reserve(S0);
     for (std::size_t s = 0; s < S0; ++s)
         fleet.push_back({cfg.socs[s], static_cast<std::uint32_t>(s), false,
-                         false, {}});
+                         {}, {}, {}, {}});
     std::uint32_t next_id = static_cast<std::uint32_t>(S0);
 
     // Phase 1: placement (also warms the mapping registry for the
@@ -199,7 +220,7 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
     }
     obs::metrics_registry fleet_metrics;
     // Attribution rides along whenever any exporter wants it; the fleet
-    // master folds per-(round, SoC) attributors at each barrier.
+    // master folds each SoC's round of completions at every barrier.
     const bool attr_on = cfg.attribution || trace_on || jsonl_on;
     std::unique_ptr<obs::latency_attributor> fleet_attr;
     if (attr_on) {
@@ -306,30 +327,44 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
 
         // Per-(round, SoC) observability buffers: each SoC's thread writes
         // only its own recorder/sink, and the barrier below folds them in
-        // fleet order — deterministic across sweep-pool widths.
+        // fleet order — deterministic across sweep-pool widths. They live
+        // for this round only; the next round's start_next_segment
+        // attaches fresh ones before the SoC simulates again.
         std::vector<std::unique_ptr<obs::trace_recorder>> round_traces(
             trace_on ? A : 0);
         std::vector<obs::jsonl_sink> round_epochs(jsonl_on ? A : 0);
-        std::vector<std::unique_ptr<obs::latency_attributor>> round_attrs(
-            attr_on ? A : 0);
-
-        std::vector<sim::experiment_config> ecs(A);
         std::vector<std::uint32_t> round_ids(A);  // survives fleet edits
-        for (std::size_t k = 0; k < A; ++k) {
-            auto& ec = ecs[k];
-            const auto& slot = fleet[k];
-            round_ids[k] = slot.id;
-            ec.soc = slot.inst.soc;
-            ec.pol = slot.inst.pol;
-            ec.kind = runtime::workload_kind::trace_replay;
+        for (std::size_t k = 0; k < A; ++k) round_ids[k] = fleet[k].id;
+
+        // Each SoC continues its live scheduler with the round's trace
+        // slice: round r+1 starts on the state round r actually left
+        // behind. Cold slots (round 0, or a SoC the autoscaler just added)
+        // build theirs first. Every slot touches only its own state, so
+        // the sweep pool steps them in parallel.
+        std::vector<sim::experiment_result> round_res(A);
+        sim::pool_for_each(A, cfg.threads, [&](std::size_t k) {
+            auto& slot = fleet[k];
+            if (!slot.cfg) {
+                auto ec = std::make_unique<sim::experiment_config>();
+                ec->soc = slot.inst.soc;
+                ec->pol = slot.inst.pol;
+                ec->kind = runtime::workload_kind::trace_replay;
+                ec->co_located = std::max<std::uint32_t>(slot.inst.slots, 1);
+                ec->admission_queue_limit = slot.inst.admission_queue_limit;
+                ec->workload = cfg.models;
+                ec->seed = soc_seed(cfg.seed, slot.id);
+                ec->telemetry = cfg.telemetry || fb_on;
+                ec->obs.soc_index = slot.id;
+                ec->obs.epoch_sample_every = cfg.epoch_sample_every;
+                if (attr_on) {
+                    slot.attr = std::make_unique<obs::latency_attributor>();
+                    slot.attr->set_keep_records(false);
+                    ec->obs.attr = slot.attr.get();
+                }
+                slot.cfg = std::move(ec);
+            }
+            auto& ec = *slot.cfg;
             ec.trace = std::move(traces[k]);
-            ec.co_located = std::max<std::uint32_t>(slot.inst.slots, 1);
-            ec.admission_queue_limit = slot.inst.admission_queue_limit;
-            ec.workload = cfg.models;
-            ec.seed = soc_seed(cfg.seed, slot.id);
-            ec.telemetry = cfg.telemetry || fb_on;
-            ec.obs.soc_index = slot.id;
-            ec.obs.epoch_sample_every = cfg.epoch_sample_every;
             if (trace_on) {
                 round_traces[k] =
                     std::make_unique<obs::trace_recorder>(slot.id);
@@ -341,30 +376,16 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 ec.obs.trace = round_traces[k].get();
             }
             if (jsonl_on) ec.obs.epochs = &round_epochs[k];
-            if (attr_on) {
-                round_attrs[k] = std::make_unique<obs::latency_attributor>();
-                round_attrs[k]->set_keep_records(false);
-                ec.obs.attr = round_attrs[k].get();
-            }
-        }
-        // Each SoC resumes from its previous round's snapshot: cache
-        // warmth, DRAM timing, per-slot counters, the clock and any layers
-        // still mid-flight survive the boundary, so round r+1 starts on the
-        // state round r actually left behind. Cold slots (round 0, or a SoC
-        // the autoscaler just added) start fresh. The carry is in place:
-        // each SoC resumes from its slot's snapshot and saves back into it,
-        // so the fleet holds one machine section per SoC across the
-        // barrier. Single-shot runs carry nothing.
-        std::vector<const runtime::scheduler_snapshot*> in(A, nullptr);
-        std::vector<runtime::scheduler_snapshot*> out_snaps(A, nullptr);
-        for (std::size_t k = 0; k < A; ++k) {
-            if (fleet[k].has_snap) in[k] = &fleet[k].snap;
-            if (more_rounds) out_snaps[k] = &fleet[k].snap;
-        }
-        auto round_res =
-            sim::run_sweep_segments(ecs, in, out_snaps, cfg.threads, pause);
-        if (more_rounds)
-            for (auto& slot : fleet) slot.has_snap = true;
+            auto gen = runtime::make_workload_generator(ec);
+            if (slot.sched)
+                slot.sched->start_next_segment(*gen);
+            else
+                slot.sched = std::make_unique<runtime::scheduler>(ec, *gen);
+            // The previous round's generator goes only after the swap.
+            slot.gen = std::move(gen);
+            slot.sched->run_segment(pause);
+            round_res[k] = slot.sched->segment_result();
+        });
 
         // Round barrier: fold this round's observability output in fleet
         // order, then flush the JSONL stream so telemetry leaves the
@@ -385,7 +406,12 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                                    0, prev_round_end, round_end);
         }
         if (attr_on) {
-            for (const auto& a : round_attrs) fleet_attr->absorb(*a);
+            // Only completed totals fold; in-flight slots stay with their
+            // SoC until the round that ends them.
+            for (std::size_t k = 0; k < A; ++k) {
+                fleet_attr->absorb(*fleet[k].attr);
+                fleet[k].attr->clear_completed();
+            }
             if (trace_on) {
                 // Fleet-lane counter tracks: cumulative attribution sampled
                 // at every round barrier.
@@ -493,18 +519,16 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
         }
 
         // Autoscaling decision at the barrier. Signals: mean queued
-        // backlog per routable SoC (snapshot admission-queue depth) and
-        // the round's completion SLA. Retirements always run; add/drain
-        // decisions are cooldown-gated, one per barrier.
+        // backlog per routable SoC (its live scheduler's admission-queue
+        // depth) and the round's completion SLA. Retirements always run;
+        // add/drain decisions are cooldown-gated, one per barrier.
         if (scaling && more_rounds) {
             double backlog = 0.0;
             std::uint32_t routable = 0;
             for (const auto& fs : fleet) {
                 if (fs.draining) continue;
                 ++routable;
-                if (fs.has_snap)
-                    backlog +=
-                        static_cast<double>(fs.snap.admission_queue.size());
+                backlog += static_cast<double>(fs.sched->pending());
             }
             backlog /= std::max<std::uint32_t>(routable, 1);
             const std::uint64_t round_offered = round_completed + round_drops;
@@ -562,12 +586,12 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 }
             };
 
-            // Retire draining SoCs whose snapshots show no remaining work
-            // (running set and admission queue both empty).
+            // Retire draining SoCs with no remaining work (running set and
+            // admission queue both empty).
             for (std::size_t k = 0; k < fleet.size();) {
                 auto& fs = fleet[k];
-                if (fs.draining && fs.has_snap && fs.snap.running.empty() &&
-                    fs.snap.admission_queue.empty()) {
+                if (fs.draining && fs.sched->running_count() == 0 &&
+                    fs.sched->pending() == 0) {
                     const std::uint32_t id = fs.id;
                     fleet.erase(fleet.begin() +
                                 static_cast<std::ptrdiff_t>(k));
@@ -589,7 +613,7 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 // Scale up: a cold clone of the fleet's first configured
                 // instance under the next stable id.
                 fleet.push_back(
-                    {cfg.socs.front(), next_id++, false, false, {}});
+                    {cfg.socs.front(), next_id++, false, {}, {}, {}, {}});
                 fleet_changed = true;
                 cooldown = cfg.autoscale.cooldown_rounds;
                 scale_event ev;
@@ -600,15 +624,12 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                        sla >= cfg.autoscale.sla_low && routable > min_socs) {
                 // Drain the least-backlogged routable SoC (ties prefer the
                 // youngest, so autoscaled additions leave first), lifting
-                // its queued work out of the snapshot for re-routing.
+                // its queued work out of its scheduler for re-routing.
                 std::size_t pick = fleet.size();
                 std::uint64_t best = 0;
                 for (std::size_t k = 0; k < fleet.size(); ++k) {
                     if (fleet[k].draining) continue;
-                    const std::uint64_t q =
-                        fleet[k].has_snap
-                            ? fleet[k].snap.admission_queue.size()
-                            : 0;
+                    const std::uint64_t q = fleet[k].sched->pending();
                     if (pick == fleet.size() || q < best ||
                         (q == best && fleet[k].id > fleet[pick].id)) {
                         pick = k;
@@ -619,13 +640,12 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                     auto& fs = fleet[pick];
                     fs.draining = true;
                     std::uint64_t migrated = 0;
-                    for (const auto& q : fs.snap.admission_queue) {
-                        const auto it = model_index.find(q.model);
+                    for (const auto& q : fs.sched->lift_admission_queue()) {
+                        const auto it = model_index.find(q.mdl->name);
                         if (it == model_index.end()) continue;
-                        migrate_backlog.push_back({q.arrival, it->second});
+                        migrate_backlog.push_back({q.at, it->second});
                         ++migrated;
                     }
-                    fs.snap.admission_queue.clear();
                     out.migrated_requests += migrated;
                     fleet_changed = true;
                     cooldown = cfg.autoscale.cooldown_rounds;

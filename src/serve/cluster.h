@@ -9,9 +9,10 @@
 //      stream_source.h generates it round by round in O(1) memory) and
 //      assign every request to a hosting SoC under the selected policy
 //      (serve/router.h), producing one admission trace per SoC;
-//   3. simulation — run each SoC's trace through the existing
-//      runtime::scheduler via trace_replay (bounded admission queue) on
-//      the sim/sweep thread pool, then aggregate fleet metrics.
+//   3. simulation — feed each SoC's trace (trace_replay, bounded
+//      admission queue) to its live runtime::scheduler, which every round
+//      continues in place, on the sim/sweep thread pool, then aggregate
+//      fleet metrics.
 // Every phase is a pure function of cluster_config (per-SoC RNG streams
 // are derived from the cluster seed), so results are bit-identical across
 // repeated runs and across sweep-pool widths.
@@ -56,16 +57,18 @@ const char* route_policy_name(route_policy p);
 /// when the observed queued backlog or the round's completion SLA
 /// degrades, drain one when capacity sits idle. Draining migrates the
 /// SoC's admitted-but-undispatched requests to the rest of the fleet
-/// (lifted out of its warm snapshot, re-routed at their original arrival
-/// stamps) and the SoC retires once its in-flight work finishes. Requires
-/// feedback_rounds > 1 (run_cluster throws otherwise); new SoCs clone the
-/// first configured instance and start cold.
+/// (lifted out of its live scheduler's admission queue, re-routed at their
+/// original arrival stamps) and the SoC retires once its in-flight work
+/// finishes. New SoCs clone the first configured instance and start cold.
+/// When enabled, run_cluster throws std::invalid_argument unless
+/// feedback_rounds > 1, min_socs <= max_socs, backlog_low <= backlog_high
+/// and sla_low lies in [0, 1].
 struct autoscale_config {
     bool enabled = false;
     std::uint32_t min_socs = 1;  ///< never drain below this many routable
     std::uint32_t max_socs = 8;  ///< never add beyond this many routable
-    /// Scale up when the mean queued backlog per routable SoC (snapshot
-    /// admission-queue depth at the round barrier) exceeds this…
+    /// Scale up when the mean queued backlog per routable SoC
+    /// (admission-queue depth at the round barrier) exceeds this…
     double backlog_high = 8.0;
     /// …or when the round's completion SLA (deadline-met over completions
     /// plus drops) falls below this.
@@ -136,16 +139,19 @@ struct cluster_config {
     /// weights (traffic drains away from SoCs under page-wait pressure)
     /// and sustained SLA violation triggers re-placement against the
     /// observed traffic mix. Every round but the last pauses each SoC
-    /// mid-flight at its window edge (typed-event engine: DMA chunks and
-    /// tiles still in the air ride the snapshot) and the next round
-    /// warm-resumes it from that snapshot — cache warmth, DRAM timing,
-    /// clock and queue backlog all carry. The final round runs to drain.
+    /// mid-flight at its window edge (DMA chunks and tiles still in the
+    /// air) and the next round continues the same live scheduler in place
+    /// (runtime::scheduler::start_next_segment) — cache warmth, DRAM
+    /// timing, the clock, in-flight layers and the queue backlog all carry,
+    /// exactly as a snapshot save plus warm resume would carry them. The
+    /// final round runs to drain.
     std::uint32_t feedback_rounds = 1;
     /// Round windows. > 0: round r covers stream time
     /// [r*round_cycles, (r+1)*round_cycles). 0: equal-count windows —
     /// round r routes the next total_arrivals / feedback_rounds arrivals
     /// and ends at the stamp of the first arrival it left for round r+1.
-    /// Ignored without feedback rounds.
+    /// A value > 0 requires feedback_rounds > 1 (run_cluster throws
+    /// std::invalid_argument otherwise).
     cycle_t round_cycles = 0;
     adapt::fleet_feedback_config feedback{};
     /// SLA definition for rollups and cluster_result::sla_rate: a
@@ -179,7 +185,8 @@ struct cluster_config {
     /// keeps the last history_records completion records.
     bool bounded_history = false;
     /// With bounded_history: completion records retained in the
-    /// recent_completions ring (0 keeps none).
+    /// recent_completions ring (0 keeps none). A value > 0 without
+    /// bounded_history makes run_cluster throw std::invalid_argument.
     std::uint32_t history_records = 0;
 
     // ---- observability (src/obs) ----
@@ -219,9 +226,11 @@ struct cluster_config {
     /// default matches trace_recorder's.
     std::size_t trace_max_events = std::size_t{1} << 20;
     /// Per-request latency attribution and the cross-tenant interference
-    /// matrix (obs/attribution.h): per-(round, SoC) attributors fold into
-    /// a fleet master at each barrier, filling tenant_metrics::attribution
-    /// and cluster_result::interference. Implied by trace_path or
+    /// matrix (obs/attribution.h): each SoC keeps one attributor for its
+    /// lifetime and folds the round's completions into a fleet master at
+    /// each barrier, so inferences that straddle a barrier are attributed
+    /// too. Fills tenant_metrics::attribution and
+    /// cluster_result::interference. Implied by trace_path or
     /// metrics_jsonl_path (both exporters consume it). Observation only —
     /// results are bit-identical either way.
     bool attribution = false;
@@ -342,7 +351,8 @@ struct cluster_result {
 };
 
 /// Runs one cluster simulation to completion (deterministic under
-/// cfg.seed). Throws std::invalid_argument on an empty fleet.
+/// cfg.seed). Throws std::invalid_argument on an empty fleet and on the
+/// contradictory knobs documented on cluster_config and autoscale_config.
 cluster_result run_cluster(const cluster_config& cfg);
 
 }  // namespace camdn::serve

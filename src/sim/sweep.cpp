@@ -7,15 +7,8 @@
 #include <sstream>
 #include <thread>
 
-#include "runtime/scheduler_snapshot.h"
-
 namespace camdn::sim {
 
-namespace {
-
-/// Shared pool driver: runs `run_one(i)` for every index, inline when the
-/// effective width is 1, else across a thread pool. The first exception
-/// stops the sweep and rethrows on the caller's thread.
 void pool_for_each(std::size_t count, unsigned threads,
                    const std::function<void(std::size_t)>& run_one) {
     if (count == 0) return;
@@ -51,29 +44,11 @@ void pool_for_each(std::size_t count, unsigned threads,
     if (first_error) std::rethrow_exception(first_error);
 }
 
-}  // namespace
-
 std::vector<experiment_result> run_sweep(
     const std::vector<experiment_config>& cfgs, unsigned threads) {
     std::vector<experiment_result> results(cfgs.size());
     pool_for_each(cfgs.size(), threads,
                   [&](std::size_t i) { results[i] = run_experiment(cfgs[i]); });
-    return results;
-}
-
-std::vector<experiment_result> run_sweep_segments(
-    const std::vector<experiment_config>& cfgs,
-    const std::vector<const runtime::scheduler_snapshot*>& resume_from,
-    const std::vector<runtime::scheduler_snapshot*>& save_to,
-    unsigned threads, cycle_t pause_at) {
-    std::vector<experiment_result> results(cfgs.size());
-    pool_for_each(cfgs.size(), threads, [&](std::size_t i) {
-        const runtime::scheduler_snapshot* in =
-            i < resume_from.size() ? resume_from[i] : nullptr;
-        runtime::scheduler_snapshot* out =
-            i < save_to.size() ? save_to[i] : nullptr;
-        results[i] = run_experiment_segment(cfgs[i], in, out, never, pause_at);
-    });
     return results;
 }
 

@@ -16,6 +16,9 @@
 //   * warm resume — a new trace segment on the warm machine keeps the
 //     clock and cache warmth; time-sliced cluster rounds carry mid-layer
 //     state deterministically across sweep-pool widths;
+//   * live segments — a scheduler continued in place
+//     (start_next_segment) matches the save + warm-resume carry round by
+//     round, saved bytes included;
 //   * the drained-run makespan fix — the cancellable bandwidth-epoch
 //     timer stops the MoCA epoch chain once the run drains, so the
 //     makespan is the last real event.
@@ -23,6 +26,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cpt.h"
@@ -638,6 +642,102 @@ TEST(checkpoint, hold_dispatch_carries_the_admission_queue) {
         EXPECT_GE(rec.arrival, 1001u);  // true arrival stamps survived
         EXPECT_LE(rec.arrival, 1003u);
         EXPECT_GE(rec.start, snap.now);  // served at/after the resume
+    }
+}
+
+// ---- live segments vs the snapshot carry ------------------------------
+
+TEST(checkpoint, live_segments_match_snapshot_carry) {
+    // Fleet rounds continue each SoC's scheduler in place
+    // (start_next_segment). The snapshot carry it replaced — save, then a
+    // warm resume in a fresh scheduler — stays the reference: after every
+    // round the two must agree on the result and on the saved bytes.
+    // Round 2 ends on a burst and lifts the queued part of it (a fleet
+    // drain); round 3 brings no arrivals, so the SoC finishes before its
+    // pause and the next round continues a finished machine. The last
+    // round runs to drain.
+    constexpr std::size_t rounds = 7, lift_round = 2, idle_round = 3;
+    const auto catalog = small_catalog();
+    std::vector<std::vector<runtime::trace_arrival>> slices(rounds);
+    std::vector<cycle_t> pauses(rounds, never);
+    rng r(23);
+    cycle_t start = 0;
+    for (std::size_t k = 0; k < rounds; ++k) {
+        const cycle_t window = ms_to_cycles(k == idle_round ? 10.0 : 1.0);
+        auto arrive = [&](cycle_t at) {
+            slices[k].push_back({at, catalog[r.next_below(catalog.size())]});
+        };
+        if (k != idle_round)
+            for (int i = 0; i < 2; ++i) arrive(start + r.next_below(window));
+        if (k == lift_round)
+            for (cycle_t i = 0; i < 3; ++i) arrive(start + window - 10 + i);
+        start += window;
+        if (k + 1 < rounds) pauses[k] = start;
+    }
+
+    for (const auto pol :
+         {sim::policy::camdn_full, sim::policy::camdn_adaptive,
+          sim::policy::aurora, sim::policy::moca, sim::policy::camdn_hw_only,
+          sim::policy::shared_baseline}) {
+        for (const bool qos : {false, true}) {
+            SCOPED_TRACE(std::string(sim::policy_name(pol)) +
+                         (qos ? " qos" : ""));
+            experiment_config cfg;
+            cfg.soc.cache.total_bytes = mib(4);  // small snapshots, fast test
+            cfg.workload = catalog;
+            cfg.pol = pol;
+            cfg.co_located = 2;
+            cfg.kind = runtime::workload_kind::trace_replay;
+            cfg.admission_queue_limit = runtime::unbounded_queue;
+            cfg.telemetry = true;
+            cfg.qos_mode = qos;
+
+            // The live side: one scheduler, its config updated in place.
+            experiment_config live_cfg = cfg;
+            std::unique_ptr<runtime::workload_generator> gen;
+            std::unique_ptr<runtime::scheduler> live;
+            scheduler_snapshot carried;  // the reference side
+            bool finished_early = false;
+            for (std::size_t k = 0; k < rounds; ++k) {
+                live_cfg.trace = slices[k];
+                auto next = runtime::make_workload_generator(live_cfg);
+                if (live)
+                    live->start_next_segment(*next);
+                else
+                    live = std::make_unique<runtime::scheduler>(live_cfg,
+                                                                *next);
+                gen = std::move(next);
+                const bool paused = live->run_segment(pauses[k]);
+                if (k + 1 < rounds && !paused) finished_early = true;
+                const experiment_result a = live->segment_result();
+
+                experiment_config seg = cfg;
+                seg.trace = slices[k];
+                const experiment_result b = sim::run_experiment_segment(
+                    seg, k ? &carried : nullptr, &carried, never, pauses[k]);
+
+                SCOPED_TRACE("round " + std::to_string(k));
+                expect_identical(a, b);
+                EXPECT_EQ(a.events_executed, b.events_executed);
+                ASSERT_EQ(live->save().encode(), carried.encode());
+
+                if (k == lift_round) {
+                    const auto lifted = live->lift_admission_queue();
+                    ASSERT_FALSE(lifted.empty());
+                    ASSERT_EQ(lifted.size(), carried.admission_queue.size());
+                    for (std::size_t i = 0; i < lifted.size(); ++i) {
+                        EXPECT_EQ(lifted[i].mdl->name,
+                                  carried.admission_queue[i].model);
+                        EXPECT_EQ(lifted[i].at,
+                                  carried.admission_queue[i].arrival);
+                    }
+                    carried.admission_queue.clear();
+                    EXPECT_EQ(live->pending(), 0u);
+                }
+            }
+            EXPECT_TRUE(finished_early);
+            EXPECT_TRUE(live->finished());
+        }
     }
 }
 

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "model/model_zoo.h"
@@ -539,6 +541,61 @@ TEST(cluster, fixed_fleet_results_unchanged_by_autoscale_plumbing) {
     EXPECT_TRUE(res.scale_events.empty());
     EXPECT_EQ(res.migrated_requests, 0u);
     EXPECT_EQ(res.per_soc.size(), cfg.socs.size() * cfg.feedback_rounds);
+}
+
+TEST(cluster, attribution_covers_every_completion) {
+    // Each SoC keeps one attributor for its lifetime: an inference that
+    // starts in one round and ends in a later one is attributed in the
+    // round that ends it, and a migrated request on the SoC that serves
+    // it. Every completion is attributed, with its exact latency.
+    auto cfg = drain_migrate_cfg();
+    cfg.attribution = true;
+    const auto res = run_cluster(cfg);
+    ASSERT_GT(res.migrated_requests, 0u);
+
+    std::map<std::string, std::uint64_t> latency;
+    for (const auto& soc : res.per_soc)
+        for (const auto& rec : soc.completions)
+            latency[rec.abbr] += rec.latency();
+    for (const auto& [abbr, t] : res.tenants) {
+        EXPECT_EQ(t.attribution_completed, t.completed) << abbr;
+        EXPECT_EQ(t.attribution_latency_cycles, latency[abbr]) << abbr;
+        EXPECT_EQ(t.attribution.sum(), t.attribution_latency_cycles) << abbr;
+    }
+}
+
+TEST(cluster, rejects_contradictory_fleet_knobs) {
+    auto windows = colocation_cfg();
+    windows.round_cycles = ms_to_cycles(1.0);  // but feedback_rounds == 1
+    EXPECT_THROW(run_cluster(windows), std::invalid_argument);
+
+    auto ring = colocation_cfg();
+    ring.history_records = 8;  // but no bounded_history
+    EXPECT_THROW(run_cluster(ring), std::invalid_argument);
+
+    const auto scaled = drain_migrate_cfg();
+    auto sizes = scaled;
+    sizes.autoscale.min_socs = 3;
+    sizes.autoscale.max_socs = 2;
+    EXPECT_THROW(run_cluster(sizes), std::invalid_argument);
+
+    auto backlog = scaled;
+    backlog.autoscale.backlog_low = 2.0;
+    backlog.autoscale.backlog_high = 1.0;
+    EXPECT_THROW(run_cluster(backlog), std::invalid_argument);
+
+    for (const double sla : {-0.1, 1.5, std::nan("")}) {
+        auto bad_sla = scaled;
+        bad_sla.autoscale.sla_low = sla;
+        EXPECT_THROW(run_cluster(bad_sla), std::invalid_argument) << sla;
+    }
+
+    // The edges stay legal: drain_migrate_cfg already runs with equal
+    // backlog thresholds and sla_low = 0.
+    auto edge = scaled;
+    edge.autoscale.sla_low = 1.0;
+    edge.autoscale.min_socs = edge.autoscale.max_socs = 2;
+    EXPECT_NO_THROW(run_cluster(edge));
 }
 
 // ---- bounded history ----
