@@ -1,8 +1,9 @@
 // Raw simulator speed harness — the committed perf trajectory.
 //
 // Runs a fixed set of scenarios (single-SoC closed loop, open-loop
-// Poisson, multi-SoC fleet) and reports, per scenario: simulated cycles,
-// executed events, wall time, events/sec and simulated Mcycles/sec.
+// Poisson, multi-SoC fleet, AuRORA closed loop) and reports, per
+// scenario: simulated cycles, executed events, wall time, events/sec and
+// simulated Mcycles/sec.
 // Mapping (the offline phase) is warmed before the timer starts, so the
 // numbers measure the event engine + machine model, not the mapper.
 //
@@ -190,6 +191,17 @@ sim::experiment_config closed_loop_config(bool fast) {
     return cfg;
 }
 
+/// The transparent-cache path: AuRORA's DMA goes through the set-associative
+/// LRU lookup line by line, with a DRAM access per miss and writeback, so
+/// this scenario times the baselines every paper figure divides by.
+sim::experiment_config aurora_config(bool fast) {
+    auto cfg = base_experiment();
+    cfg.pol = sim::policy::aurora;
+    cfg.kind = runtime::workload_kind::closed_loop;
+    cfg.inferences_per_slot = fast ? 1 : 2;
+    return cfg;
+}
+
 sim::experiment_config poisson_config(bool fast) {
     auto cfg = base_experiment();
     cfg.kind = runtime::workload_kind::open_loop_poisson;
@@ -368,6 +380,8 @@ int main(int argc, char** argv) {
     results.push_back(
         run_experiment_scenario("poisson", poisson_config(fast), reps, false));
     results.push_back(run_fleet(fast, reps));
+    results.push_back(
+        run_experiment_scenario("aurora", aurora_config(fast), reps, false));
 
     std::printf("%-12s %14s %12s %10s %14s %12s\n", "scenario", "sim_cycles",
                 "events", "wall_ms", "events/s", "Mcycles/s");
@@ -400,6 +414,9 @@ int main(int argc, char** argv) {
     obs_results.push_back(
         run_experiment_scenario("poisson", poisson_config(fast), reps, true));
     obs_results.push_back(run_fleet(fast, reps, true));
+    // Same order as `results`: the loop below pairs the lists by index.
+    obs_results.push_back(
+        run_experiment_scenario("aurora", aurora_config(fast), reps, true));
 
     std::printf("\n%-12s %14s %14s %12s\n", "scenario", "off ev/s", "on ev/s",
                 "overhead %");

@@ -114,7 +114,15 @@ public:
     // ---- hooks (hot paths: null-checked by the caller) ----
 
     void on_cache_access(task_id t, bool hit) {
-        if (auto* c = slot(t)) (hit ? c->cache_hits : c->cache_misses) += 1;
+        on_cache_accesses(t, hit ? 1 : 0, hit ? 0 : 1);
+    }
+    /// One transparent burst's outcome, counted once.
+    void on_cache_accesses(task_id t, std::uint64_t hits,
+                           std::uint64_t misses) {
+        if (auto* c = slot(t)) {
+            c->cache_hits += hits;
+            c->cache_misses += misses;
+        }
     }
     void on_region_lines(task_id t, std::uint64_t lines) {
         if (auto* c = slot(t)) c->region_lines += lines;

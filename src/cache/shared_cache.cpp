@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
+#include "cache/tag_match.h"
 #include "obs/attribution.h"
 
 namespace camdn::cache {
@@ -15,27 +18,100 @@ std::uint32_t log2_of(std::uint64_t v) {
     while ((std::uint64_t{1} << s) < v) ++s;
     return s;
 }
+
+std::uint32_t lowest_bit(std::uint32_t mask) {
+    return static_cast<std::uint32_t>(__builtin_ctz(mask));
+}
+
+/// Moves way `w` to position 0 of a recency order word, shifting the ways
+/// ahead of it back one position.
+std::uint64_t to_front(std::uint64_t order, std::uint32_t w) {
+    constexpr std::uint64_t ones = 0x1111111111111111ull;
+    // Nibbles equal to w become 0 in x. The borrow trick flags the lowest
+    // zero nibble exactly (false flags only sit above a true zero), and
+    // `shift` is 4 x its position.
+    const std::uint64_t x = order ^ (ones * w);
+    const std::uint64_t zeros = (x - ones) & ~x & (ones << 3);
+    const unsigned shift = static_cast<unsigned>(__builtin_ctzll(zeros)) - 3;
+    const std::uint64_t ahead = order & ((std::uint64_t{1} << shift) - 1);
+    const std::uint64_t behind = order >> shift >> 4 << shift << 4;
+    return behind | (ahead << 4) | w;
+}
+
+/// Packs sixteen 0/1 bytes into a mask, byte w to bit w. Multiplying by
+/// 0x0102040810204080 moves byte i's bit to bit 56 + i; no two partial
+/// products collide, so nothing carries into the top byte.
+std::uint16_t pack_flags(const std::uint8_t* bytes) {
+    constexpr std::uint64_t gather = 0x0102040810204080ull;
+    const std::uint64_t lo = snapshot_detail::load_le64(bytes) * gather >> 56;
+    const std::uint64_t hi =
+        snapshot_detail::load_le64(bytes + 8) * gather >> 56;
+    return static_cast<std::uint16_t>(lo | hi << 8);
+}
+
+const cache_config& within_order_capacity(const cache_config& config) {
+    if (config.ways > shared_cache::max_ways)
+        throw std::invalid_argument(
+            "shared_cache: " + std::to_string(config.ways) +
+            " ways exceed the " + std::to_string(shared_cache::max_ways) +
+            " the transparent recency order holds");
+    return config;
+}
 }  // namespace
 
 shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
-    : config_(config),
+    : config_(within_order_capacity(config)),
       dram_(dram),
       sets_(config.sets_per_slice()),
       transparent_ways_(config.ways),
-      lines_(static_cast<std::size_t>(config.slices) * sets_ * config.ways),
       slice_free_(config.slices, 0),
+      slice_start_(config.slices, 0),
       pages_(config) {
     pow2_geometry_ = is_pow2(config_.slices) && is_pow2(sets_);
     if (pow2_geometry_) {
         slice_shift_ = log2_of(config_.slices);
         slice_mask_ = config_.slices - 1;
         set_mask_ = sets_ - 1;
+        sig_shift_ = slice_shift_ + log2_of(sets_);
     }
+    transparent_sets_.assign(static_cast<std::size_t>(config_.slices) * sets_,
+                             empty_set());
+}
+
+shared_cache::transparent_set shared_cache::empty_set() const {
+    transparent_set st;
+    for (std::uint32_t w = 0; w < config_.ways; ++w)
+        st.order |= std::uint64_t{w} << (4 * w);  // any order suits
+    std::fill(std::begin(st.owner), std::end(st.owner), no_task);
+    return st;
+}
+
+void shared_cache::derive_set(transparent_set& st) const {
+    // Insertion sort, most recent first. Way w enters after the lower
+    // ways, so it sorts ahead of any with a stamp <= its own: the tail is
+    // the smallest stamp, lowest way on ties — the victim rule.
+    std::uint32_t by_recency[max_ways];
+    for (std::uint32_t w = 0; w < transparent_ways_; ++w) {
+        std::uint32_t p = w;
+        for (; p > 0 && st.slot[by_recency[p - 1]].lru <= st.slot[w].lru; --p)
+            by_recency[p] = by_recency[p - 1];
+        by_recency[p] = w;
+    }
+    std::uint64_t order = 0;
+    for (std::uint32_t p = 0; p < config_.ways; ++p) {
+        order |= std::uint64_t{p < transparent_ways_ ? by_recency[p] : p}
+                 << (4 * p);
+        st.sig[p] = static_cast<std::uint16_t>(st.slot[p].tag >> sig_shift_);
+    }
+    st.order = order;
 }
 
 void shared_cache::set_transparent_ways(std::uint32_t ways) {
     assert(ways >= 1 && ways <= config_.ways);
+    if (ways == transparent_ways_) return;
     transparent_ways_ = ways;
+    // Stale orders: each set re-derives its own at its next access.
+    for (auto& st : transparent_sets_) st.order = 0;
 }
 
 cycle_t shared_cache::occupy_slice(std::uint32_t slice, cycle_t arrival,
@@ -96,103 +172,167 @@ void shared_cache::set_attribution(obs::latency_attributor* attr) {
     }
 }
 
-void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task) {
-    if (task < 0) return;
+void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task,
+                             std::uint64_t n) {
+    if (task < 0 || n == 0) return;
     if (static_cast<std::size_t>(task) >= v.size()) v.resize(task + 1, 0);
-    ++v[task];
+    v[task] += n;
 }
 
-access_result shared_cache::transparent_access(addr_t paddr, bool is_write,
-                                               cycle_t arrival, task_id task) {
-    const std::uint64_t line_id = paddr / line_bytes;
-    std::uint32_t slice, set;
+access_result shared_cache::transparent_lines(addr_t paddr,
+                                              std::uint64_t nlines,
+                                              bool is_write, cycle_t arrival,
+                                              task_id task) {
+    if (nlines == 0) return access_result{true, arrival};
+    const std::uint32_t slices = config_.slices;
+    const std::uint64_t line0 = paddr / line_bytes;
+    std::uint32_t slice0, set;
     if (pow2_geometry_) {
-        slice = static_cast<std::uint32_t>(line_id & slice_mask_);
-        set = static_cast<std::uint32_t>((line_id >> slice_shift_) & set_mask_);
+        slice0 = static_cast<std::uint32_t>(line0 & slice_mask_);
+        set = static_cast<std::uint32_t>((line0 >> slice_shift_) & set_mask_);
     } else {
-        slice = static_cast<std::uint32_t>(line_id % config_.slices);
-        set = static_cast<std::uint32_t>((line_id / config_.slices) % sets_);
+        slice0 = static_cast<std::uint32_t>(line0 % slices);
+        set = static_cast<std::uint32_t>((line0 / slices) % sets_);
     }
+    obs::wait_fold<&obs::latency_attributor::on_cache_wait> waits{attr_, task};
 
-    line_entry* chosen = nullptr;
-    line_entry* invalid_way = nullptr;
-    line_entry* lru_way = nullptr;
-    for (std::uint32_t w = 0; w < transparent_ways_; ++w) {
-        line_entry& e = lines_[entry_index(slice, set, w)];
-        if (e.valid && e.tag == line_id) {
-            chosen = &e;
-            break;
+    // Slice service in closed form. Line i is visit i / slices of slice
+    // (slice0 + i) mod slices, so the per-line occupy_slice chain puts its
+    // slot's end at start_s + i / slices + 1, start_s = max(arrival,
+    // slice_free_[s]). Only a slice's first visit can wait on another
+    // user; visit v >= 1 waits start_s + v - arrival behind the requester
+    // itself.
+    const std::uint64_t base = nlines / slices;
+    const std::uint64_t rem = nlines % slices;
+    const std::uint64_t touched = std::min<std::uint64_t>(nlines, slices);
+    for (std::uint32_t k = 0, s = slice0; k < touched; ++k) {
+        const std::uint64_t n = base + (k < rem ? 1 : 0);
+        const cycle_t start = std::max(arrival, slice_free_[s]);
+        slice_start_[s] = start;
+        slice_free_[s] = start + n;
+        if (attr_ != nullptr) {
+            if (start > arrival)
+                waits.charge(slice_user_[s], start - arrival);
+            waits.self += (n - 1) * (start - arrival) + n * (n - 1) / 2;
+            slice_user_[s] = task;
         }
-        if (!e.valid) {
-            if (invalid_way == nullptr) invalid_way = &e;
-        } else if (lru_way == nullptr || e.lru < lru_way->lru) {
-            lru_way = &e;
-        }
+        if (++s == slices) s = 0;
     }
+    stats_.slice_busy_cycles += nlines;
 
-    const cycle_t service = occupy_slice(slice, arrival, task);
-
-    if (chosen != nullptr) {  // hit
-        ++stats_.hits;
-        bump_task(task_hits_, task);
-        if (telemetry_) telemetry_->on_cache_access(task, true);
-        chosen->lru = ++lru_tick_;
-        if (is_write) chosen->dirty = true;
-        return access_result{true, service + config_.hit_latency};
-    }
-
-    // Miss.
-    ++stats_.misses;
-    bump_task(task_misses_, task);
-    if (telemetry_) telemetry_->on_cache_access(task, false);
-    line_entry& victim = invalid_way != nullptr ? *invalid_way : *lru_way;
-    if (attr_ != nullptr && !is_write) {
-        // Blame the fill on whoever's line the requester lost: with an
-        // invalid way free the miss is cold (self-inflicted); otherwise the
-        // victim's owner displaced the requester's working set.
-        const task_id holder =
-            victim.valid && victim.owner != task ? victim.owner : task;
-        attr_->on_cache_wait(task, holder, miss_penalty_cycles_);
-    }
-    if (victim.valid) {
-        ++stats_.evictions;
-        if (victim.owner != task) ++stats_.inter_task_evictions;
-        if (victim.dirty) {
-            ++stats_.writebacks;
-            // Fire-and-forget writeback: occupies the DRAM bus but nobody
-            // waits on it. Attributed to the data's owner.
-            dram_.access(victim.tag * line_bytes, /*is_write=*/true, service,
-                         victim.owner);
-        }
-    }
-    victim.valid = true;
-    victim.tag = line_id;
-    victim.owner = task;
-    victim.lru = ++lru_tick_;
-    victim.dirty = is_write;
-
-    if (is_write) {
-        // NPU DMA writes full lines: write-validate, no fetch-on-write.
-        return access_result{false, service + config_.hit_latency};
-    }
-
-    ++stats_.read_miss_fills;
-    const cycle_t dram_done = dram_.access(paddr, /*is_write=*/false, service, task);
-    return access_result{false,
-                         dram_done + config_.fill_latency + config_.noc_latency};
-}
-
-cycle_t shared_cache::transparent_burst(addr_t paddr, std::uint64_t nlines,
-                                        bool is_write, cycle_t arrival,
-                                        task_id task) {
+    // Cache state, line by line (a long burst revisits sets). Hits and
+    // write misses complete at their slot + hit latency; read misses wait
+    // for the DRAM run below.
+    const std::uint32_t tw = transparent_ways_;
+    const std::uint32_t tw_mask = (1u << tw) - 1;
+    const unsigned tail_shift = 4 * (tw - 1);
+    const cycle_t hit_latency = config_.hit_latency;
+    transparent_set* const sets = transparent_sets_.data();
+    const cycle_t* const slice_start = slice_start_.data();
+    std::uint64_t tick = lru_tick_;
+    std::uint64_t hits = 0, evictions = 0, inter_task = 0, writebacks = 0;
     cycle_t done = arrival;
+    dram_run_.clear();
+    std::uint32_t s = slice0;
+    std::size_t set_idx = static_cast<std::size_t>(s) * sets_ + set;
+    std::uint64_t visit = 0;
     for (std::uint64_t i = 0; i < nlines; ++i) {
-        done = std::max(
-            done,
-            transparent_access(paddr + i * line_bytes, is_write, arrival, task)
-                .done);
+        const std::uint64_t line_id = line0 + i;
+        const cycle_t service = slice_start[s] + visit + 1;
+        const auto sig = static_cast<std::uint16_t>(line_id >> sig_shift_);
+        transparent_set& st = sets[set_idx];
+        line_slot* const slot = st.slot;
+        if (st.order == 0) derive_set(st);
+        const std::uint64_t order = st.order;
+        const std::uint32_t valid = st.valid;
+
+        // The lowest valid way below the mask holding the line.
+        std::uint32_t cand = match_signatures(st.sig, sig) & valid & tw_mask;
+        std::uint32_t way = max_ways;
+        for (; cand != 0; cand &= cand - 1) {
+            const std::uint32_t w = lowest_bit(cand);
+            if (slot[w].tag == line_id) {
+                way = w;
+                break;
+            }
+        }
+
+        if (way != max_ways) {
+            ++hits;
+            if (is_write) st.dirty |= 1u << way;
+            done = std::max(done, service + hit_latency);
+        } else {
+            const std::uint32_t invalid = ~valid & tw_mask;
+            way = invalid != 0
+                      ? lowest_bit(invalid)
+                      : static_cast<std::uint32_t>(order >> tail_shift) & 0xf;
+            const std::uint32_t bit = 1u << way;
+            task_id& owner = st.owner[way];
+            // A cold miss (invalid way) is self-inflicted; otherwise the
+            // victim's owner displaced the requester's working set.
+            task_id holder = task;
+            if (valid & bit) {
+                ++evictions;
+                if (owner != task) {
+                    ++inter_task;
+                    holder = owner;
+                }
+                // Fire-and-forget writeback, attributed to the data's owner.
+                if (st.dirty & bit) {
+                    ++writebacks;
+                    dram_run_.push_back(
+                        {slot[way].tag * line_bytes, service, owner, true});
+                }
+            }
+            slot[way].tag = line_id;
+            owner = task;
+            st.sig[way] = sig;
+            st.valid = static_cast<std::uint16_t>(valid | bit);
+            if (is_write) {
+                // NPU DMA writes full lines: write-validate, no fetch.
+                st.dirty |= bit;
+                done = std::max(done, service + hit_latency);
+            } else {
+                st.dirty &= ~bit;
+                if (attr_ != nullptr)
+                    waits.charge(holder, miss_penalty_cycles_);
+                dram_run_.push_back(
+                    {paddr + i * line_bytes, service, task, false});
+            }
+        }
+        slot[way].lru = ++tick;
+        st.order = to_front(order, way);
+
+        set_idx += sets_;
+        if (++s == slices) {
+            s = 0;
+            if (++set == sets_) set = 0;
+            set_idx = set;
+        }
+        if (s == slice0) ++visit;
     }
-    return done;
+    lru_tick_ = tick;
+
+    const std::uint64_t misses = nlines - hits;
+    stats_.hits += hits;
+    stats_.misses += misses;
+    stats_.evictions += evictions;
+    stats_.inter_task_evictions += inter_task;
+    stats_.writebacks += writebacks;
+    if (!is_write) stats_.read_miss_fills += misses;
+    bump_task(task_hits_, task, hits);
+    bump_task(task_misses_, task, misses);
+    if (telemetry_) telemetry_->on_cache_accesses(task, hits, misses);
+    if (attr_ != nullptr) waits.flush();
+
+    if (!dram_run_.empty()) {
+        const cycle_t read_done =
+            dram_.access_lines(dram_run_.data(), dram_run_.size());
+        if (!is_write && misses > 0)
+            done = std::max(done, read_done + config_.fill_latency +
+                                      config_.noc_latency);
+    }
+    return access_result{misses == 0, done};
 }
 
 std::uint64_t shared_cache::task_hits(task_id task) const {
@@ -350,7 +490,7 @@ void shared_cache::reset_stats() {
 }
 
 void shared_cache::invalidate_all() {
-    for (auto& e : lines_) e = line_entry{};
+    std::fill(transparent_sets_.begin(), transparent_sets_.end(), empty_set());
     std::fill(slice_free_.begin(), slice_free_.end(), 0);
     lru_tick_ = 0;
 }
@@ -416,7 +556,7 @@ constexpr std::size_t line_record_bytes = 8 + 8 + 4 + 1 + 1;
 }  // namespace
 
 std::size_t shared_cache::state_bytes() const {
-    std::size_t n = 4 + 4 + 8 + lines_.size() * line_record_bytes + 8 +
+    std::size_t n = 4 + 4 + 8 + lines() * line_record_bytes + 8 +
                     8 * slice_free_.size() + stats_bytes +
                     counter_vec_bytes(task_hits_) +
                     counter_vec_bytes(task_misses_) + pages_.state_bytes() + 8;
@@ -426,16 +566,19 @@ std::size_t shared_cache::state_bytes() const {
 }
 
 void shared_cache::save_state(snapshot_writer& w) const {
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
+    w.u32(static_cast<std::uint32_t>(lines()));
     w.u32(transparent_ways_);
     w.u64(lru_tick_);
-    auto out = w.span(lines_.size() * line_record_bytes);
-    for (const auto& e : lines_) {
-        out.u64(e.tag);
-        out.u64(e.lru);
-        out.i32(e.owner);
-        out.b(e.valid);
-        out.b(e.dirty);
+    auto out = w.span(lines() * line_record_bytes);
+    const std::uint32_t ways = config_.ways;
+    for (const transparent_set& st : transparent_sets_) {
+        for (std::uint32_t w = 0, bit = 1; w < ways; ++w, bit <<= 1) {
+            out.u64(st.slot[w].tag);
+            out.u64(st.slot[w].lru);
+            out.i32(st.owner[w]);
+            out.b((st.valid & bit) != 0);
+            out.b((st.dirty & bit) != 0);
+        }
     }
     w.u64(slice_free_.size());
     for (const cycle_t c : slice_free_) w.u64(c);
@@ -459,22 +602,41 @@ void shared_cache::save_state(snapshot_writer& w) const {
 
 void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
     const std::uint32_t nlines = r.u32();
-    if (nlines != lines_.size())
+    if (nlines != lines())
         throw snapshot_error("snapshot cache geometry mismatch: saved " +
                              std::to_string(nlines) + " lines, configured " +
-                             std::to_string(lines_.size()));
+                             std::to_string(lines()));
     transparent_ways_ = r.u32();
     if (transparent_ways_ < 1 || transparent_ways_ > config_.ways)
         throw snapshot_error("snapshot transparent-way count out of range");
     lru_tick_ = r.u64();
     auto in = r.span(static_cast<std::uint64_t>(nlines) * line_record_bytes);
-    for (auto& e : lines_) {
-        e.tag = in.u64();
-        e.lru = in.u64();
-        e.owner = in.i32();
-        e.valid = in.b();
-        e.dirty = in.b();
+    const std::uint32_t ways = config_.ways;
+    const std::uint64_t tick = lru_tick_;
+    std::uint32_t stamped_late = 0;
+    for (transparent_set& st : transparent_sets_) {
+        // Per-way flags go to byte arrays and are packed once per set: no
+        // per-line shifts or branches.
+        std::uint8_t valid[max_ways] = {}, dirty[max_ways] = {},
+                     late[max_ways] = {};
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            const std::uint64_t tag = in.u64();
+            const std::uint64_t lru = in.u64();
+            st.slot[w] = line_slot{tag, lru};
+            st.owner[w] = in.i32();
+            valid[w] = in.b();
+            dirty[w] = in.b();
+            late[w] = lru > tick;
+        }
+        // Order and signatures are derived at the set's next access.
+        st.order = 0;
+        st.valid = pack_flags(valid);
+        st.dirty = pack_flags(dirty);
+        stamped_late |= st.valid & pack_flags(late);
     }
+    if (stamped_late != 0)
+        throw snapshot_error(
+            "snapshot transparent line stamped after the LRU tick");
     const std::uint64_t nslices = r.count(8);
     if (nslices != slice_free_.size())
         throw snapshot_error("snapshot cache slice-count mismatch");

@@ -17,6 +17,19 @@
 // horizon per slice); DRAM interactions delegate to dram::dram_system.
 // Burst entry points exploit the fact that consecutive lines stripe across
 // slices, so a burst's slice occupancy is computed in O(slices).
+//
+// The transparent path is one burst kernel (transparent_lines) with the
+// per-line semantics of an LRU cache, bit for bit: the victim is the
+// lowest invalid way below the way mask, else the valid way with the
+// smallest LRU stamp (lowest way on ties). Its layout serves the lookup.
+// A set's hot part is 64 bytes: valid/dirty masks, a 16-bit tag signature
+// per way, and the ways in recency order (one nibble each), so a miss
+// takes the order's tail instead of scanning stamps. A signature match is
+// confirmed on the full tag. Full tags with their LRU stamps, and the
+// owners, follow in the set's cold part, touched only for the way the
+// lookup picked. The order is derived state — never serialized, rebuilt
+// from the stamps at a set's first access after a restore or a way-mask
+// change.
 #pragma once
 
 #include <cstdint>
@@ -87,12 +100,20 @@ public:
 
     // ---- Transparent path ----
 
+    /// Ways the recency order can hold (one nibble each); the constructor
+    /// throws std::invalid_argument for a geometry with more.
+    static constexpr std::uint32_t max_ways = 16;
+
     access_result transparent_access(addr_t paddr, bool is_write,
-                                     cycle_t arrival, task_id task);
+                                     cycle_t arrival, task_id task) {
+        return transparent_lines(paddr, 1, is_write, arrival, task);
+    }
 
     /// Accesses `nlines` consecutive lines; returns completion of the last.
     cycle_t transparent_burst(addr_t paddr, std::uint64_t nlines, bool is_write,
-                              cycle_t arrival, task_id task);
+                              cycle_t arrival, task_id task) {
+        return transparent_lines(paddr, nlines, is_write, arrival, task).done;
+    }
 
     /// Per-task transparent hit/miss counts (Fig 2's hit-rate metric).
     std::uint64_t task_hits(task_id task) const;
@@ -155,29 +176,73 @@ public:
     void invalidate_all();
 
     /// Checkpoint support: serializes / restores the full warm state —
-    /// transparent lines with their LRU order, slice busy horizons
+    /// transparent lines with their LRU stamps, slice busy horizons
     /// (absolute cycles; the resumed run continues the same clock),
     /// cumulative stats, per-task hit/miss counters, the page pool and
     /// every live CPT. restore_state throws snapshot_error on a geometry
-    /// mismatch, and on CPT task ids that are not strictly ascending or not
-    /// below `task_slots` (the resuming scheduler's slot count).
+    /// mismatch, on a valid line stamped after the saved LRU tick (no run
+    /// produces one, and the recency order could not honour it), and on
+    /// CPT task ids that are not strictly ascending or not below
+    /// `task_slots` (the resuming scheduler's slot count).
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r, std::size_t task_slots);
     /// Exact byte count save_state appends (sizes section buffers once).
     std::size_t state_bytes() const;
 
 private:
-    struct line_entry {
-        std::uint64_t tag = 0;  // full line id, so the victim address is known
+    /// Cold per-line record: the full line id (so the victim address is
+    /// known) and the LRU stamp of its last touch.
+    struct line_slot {
+        std::uint64_t tag = 0;
         std::uint64_t lru = 0;
-        task_id owner = no_task;
-        bool valid = false;
-        bool dirty = false;
     };
+    /// One transparent set, 384 bytes. A lookup reads the first 64 (the
+    /// hot part); the line records and owners after them are touched per
+    /// way once the lookup has picked one. Deliberately not alignas(64):
+    /// glibc kept over-aligned blocks of this size in its per-thread
+    /// arenas, and a sweep of fresh SoCs grew peak RSS by a cache per
+    /// sweep.
+    struct transparent_set {
+        /// Recency order: nibble p holds the way at position p, position 0
+        /// the most recently used. Positions [0, transparent_ways_) hold
+        /// exactly the ways below the mask, so position
+        /// transparent_ways_ - 1 is the LRU victim. 0 marks a stale set
+        /// whose order and signatures are derived at its next access (0
+        /// is never a permutation of two or more ways; a one-way set
+        /// re-derives its trivial order every time).
+        std::uint64_t order = 0;
+        std::uint16_t valid = 0;  ///< bit w: way w holds a line
+        std::uint16_t dirty = 0;  ///< bit w: way w's line is dirty
+        /// Per way, 16 bits of the line id above the set index (pow2
+        /// geometries; the low 16 bits otherwise): the lookup compares
+        /// these first and confirms a candidate on the full tag.
+        std::uint16_t sig[max_ways] = {};
+        std::uint32_t pad[5] = {};  // the hot part fills 64 bytes
+        line_slot slot[max_ways];
+        task_id owner[max_ways];
+    };
+    static_assert(sizeof(transparent_set) == 384,
+                  "hot part, line records and owners: 64 + 256 + 64 bytes");
 
-    std::size_t entry_index(std::uint32_t slice, std::uint32_t set,
-                            std::uint32_t way) const {
-        return (static_cast<std::size_t>(slice) * sets_ + set) * config_.ways + way;
+    /// The transparent path's one body: `nlines` consecutive lines from
+    /// `paddr`, all arriving at `arrival`. Slice service is solved per
+    /// slice in closed form, cache state is updated line by line, and the
+    /// misses' writebacks and fills go to DRAM afterwards as one line run
+    /// in line order. `hit` reports whether every line hit.
+    access_result transparent_lines(addr_t paddr, std::uint64_t nlines,
+                                    bool is_write, cycle_t arrival,
+                                    task_id task);
+
+    /// Rebuilds a stale set's derived state: the recency order from the
+    /// stamps (ways below the mask by descending (stamp, way), then the
+    /// masked-off ways in index order) and the signatures from the tags.
+    void derive_set(transparent_set& st) const;
+    /// A set with no valid line: zero fields, owners no_task, the ways in
+    /// index order.
+    transparent_set empty_set() const;
+    /// Transparent lines of the geometry (snapshot record count).
+    std::size_t lines() const {
+        return transparent_sets_.size() * config_.ways;
     }
 
     /// Reserves one service slot on `slice` at or after `arrival`; returns
@@ -190,22 +255,28 @@ private:
     cycle_t occupy_striped(std::uint32_t start_slice, std::uint64_t nlines,
                            cycle_t arrival, task_id task = no_task);
 
-    void bump_task(std::vector<std::uint64_t>& v, task_id task);
+    void bump_task(std::vector<std::uint64_t>& v, task_id task,
+                   std::uint64_t n);
 
     cache_config config_;
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
     std::uint32_t transparent_ways_ = 0;
-    // Transparent lookup decodes slice/set once per line on the hot path;
-    // power-of-two geometries (every stock config) use shift/mask, which
-    // yields the same quotients as the div/mod fallback bit for bit.
+    // Transparent bursts decode their first line's slice/set; power-of-two
+    // geometries (every stock config) use shift/mask, which yields the
+    // same quotients as the div/mod fallback bit for bit.
     bool pow2_geometry_ = false;
     std::uint32_t slice_shift_ = 0;
     std::uint64_t slice_mask_ = 0;
     std::uint64_t set_mask_ = 0;
-    std::vector<line_entry> lines_;
+    std::uint32_t sig_shift_ = 0;  // line id bits below the tag signature
+    std::vector<transparent_set> transparent_sets_;  // slice * sets_ + set
     std::vector<cycle_t> slice_free_;
     std::uint64_t lru_tick_ = 0;
+    // transparent_lines scratch, members so bursts allocate nothing: each
+    // touched slice's first service start, and the burst's DRAM line run.
+    std::vector<cycle_t> slice_start_;
+    std::vector<dram::line_request> dram_run_;
 
     page_allocator pages_;
     /// Per-task CPTs, indexed by task id (small dense ints) — the hot NEC

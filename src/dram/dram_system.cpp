@@ -167,6 +167,17 @@ cycle_t dram_system::access(addr_t line_addr, bool is_write, cycle_t arrival,
     return done;
 }
 
+cycle_t dram_system::access_lines(const line_request* reqs, std::size_t n) {
+    obs::profile_scope scope(prof_, obs::subsystem::dram);
+    cycle_t read_done = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const line_request& q = reqs[i];
+        const cycle_t done = access(q.addr, q.is_write, q.arrival, q.task);
+        if (!q.is_write && done > read_done) read_done = done;
+    }
+    return read_done;
+}
+
 bool dram_system::regulate_bulk(task_id task, cycle_t arrival,
                                 std::uint64_t nlines) {
     if (task < 0 || static_cast<std::size_t>(task) >= regulators_.size())
@@ -208,36 +219,9 @@ std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
     return s;
 }
 
-/// Folds one channel's (or one tiny burst's) DRAM waits into few hook
-/// calls. The attributor accumulates commutative sums keyed by (victim,
-/// holder tenant), so adding equal-key charges first is bit-identical to
-/// charging them line by line. Self-charges (holder == task — every wait
-/// after a resource's first use in the burst) fold into one sum; foreign
-/// waits fold per run of equal holders: adjacent bursts sweep the same
-/// banks, so one prior user typically holds every touched resource.
-struct wait_fold {
-    obs::latency_attributor* attr;
-    task_id task;
-    std::uint64_t self = 0;
-    task_id fh = no_task;
-    std::uint64_t fw = 0;
-
-    void charge(task_id holder, std::uint64_t w) {
-        if (holder == task) {
-            self += w;
-        } else if (holder == fh) {
-            fw += w;
-        } else {
-            if (fw > 0) attr->on_dram_wait(task, fh, fw);
-            fh = holder;
-            fw = w;
-        }
-    }
-    void flush() const {
-        if (fw > 0) attr->on_dram_wait(task, fh, fw);
-        if (self > 0) attr->on_dram_wait(task, task, self);
-    }
-};
+/// One channel's (or one tiny burst's) DRAM waits, folded into few hook
+/// calls.
+using wait_fold = obs::wait_fold<&obs::latency_attributor::on_dram_wait>;
 }  // namespace
 
 template <bool Attr>

@@ -44,6 +44,14 @@ struct dram_stats {
     }
 };
 
+/// One line of an access_lines() run.
+struct line_request {
+    addr_t addr = 0;
+    cycle_t arrival = 0;
+    task_id task = no_task;
+    bool is_write = false;
+};
+
 class dram_system {
 public:
     explicit dram_system(const dram_config& config = {});
@@ -61,6 +69,13 @@ public:
     cycle_t access_burst(addr_t line_addr, std::uint64_t nlines, bool is_write,
                          cycle_t arrival, task_id task = no_task,
                          cycle_t* first_done = nullptr);
+
+    /// Times `n` independent lines, each exactly as one access() call, in
+    /// array order. Writes are posted: the return value is the latest
+    /// completion among the reads, or 0 when the run holds none. The
+    /// transparent cache path issues one run per burst (its misses' fills
+    /// and dirty writebacks).
+    cycle_t access_lines(const line_request* reqs, std::size_t n);
 
     /// Sets a task's bandwidth share in [0,1]; 0 disables regulation for it.
     void set_task_share(task_id task, double fraction);
@@ -92,10 +107,10 @@ public:
         return horizon ? static_cast<double>(stats_.bytes()) / horizon : 0.0;
     }
 
-    /// Attaches the host-time profiler (nullptr detaches). Bursts charge
-    /// `dram`; per-line access() calls stay attributed to their caller's
-    /// scope (the transparent path issues millions of them — a scope per
-    /// line would dominate the very cost being measured).
+    /// Attaches the host-time profiler (nullptr detaches). Bursts and line
+    /// runs charge `dram`, one scope per call; a lone access() stays in its
+    /// caller's scope (a scope per line would dominate the very cost being
+    /// measured).
     void set_profiler(obs::profiler* prof) { prof_ = prof; }
 
     /// Attaches the latency attributor (nullptr detaches): per-access bank

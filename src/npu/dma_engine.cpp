@@ -48,7 +48,8 @@ dma_engine::dma_engine(event_queue& eq, cache::shared_cache& cache,
 
 cycle_t dma_engine::transfer_now(const transfer_request& req, cycle_t arrival) {
     // Host-time attribution: the synchronous transfer body is cache work
-    // (the DRAM portions re-attribute inside dram_system's bursts).
+    // (the DRAM portions re-attribute inside dram_system's bursts and
+    // line runs).
     obs::profile_scope scope(prof_, obs::subsystem::cache);
     using kind = transfer_request::kind;
     switch (req.op) {

@@ -88,9 +88,9 @@ public:
     /// transfers may be in flight.
     void submit_tracked(const transfer_request& req, const dma_target& target);
 
-    /// Synchronous variant: performs the whole transfer at `arrival` in one
-    /// shot and returns its completion (no chunking, used by unit tests and
-    /// warm-up paths).
+    /// Performs the whole transfer at `arrival` in one shot and returns its
+    /// completion, with no chunking of its own. This is the body of every
+    /// chunk pump() issues; unit tests also call it directly.
     cycle_t transfer_now(const transfer_request& req, cycle_t arrival);
 
     std::uint64_t chunk_lines() const { return chunk_lines_; }

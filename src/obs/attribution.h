@@ -240,4 +240,37 @@ private:
     std::uint64_t dma_window_wait_ = 0;
 };
 
+/// Folds one burst's waits into few calls of a wait hook (`on_dram_wait`
+/// or `on_cache_wait`). The attributor accumulates commutative sums keyed
+/// by (victim, holder tenant), so adding equal-key charges first is
+/// bit-identical to charging them one by one. Self-charges (holder ==
+/// task: every wait after a resource's first use in the burst) fold into
+/// one sum; foreign waits fold per run of equal holders — adjacent bursts
+/// sweep the same resources, so one prior user typically holds all of
+/// them.
+template <void (latency_attributor::*Hook)(task_id, task_id, std::uint64_t)>
+struct wait_fold {
+    latency_attributor* attr;
+    task_id task;
+    std::uint64_t self = 0;
+    task_id fh = no_task;
+    std::uint64_t fw = 0;
+
+    void charge(task_id holder, std::uint64_t w) {
+        if (holder == task) {
+            self += w;
+        } else if (holder == fh) {
+            fw += w;
+        } else {
+            if (fw > 0) (attr->*Hook)(task, fh, fw);
+            fh = holder;
+            fw = w;
+        }
+    }
+    void flush() const {
+        if (fw > 0) (attr->*Hook)(task, fh, fw);
+        if (self > 0) (attr->*Hook)(task, task, self);
+    }
+};
+
 }  // namespace camdn::obs

@@ -2,6 +2,8 @@
 // shared cache, including way masking and contention bookkeeping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cache/shared_cache.h"
 #include "dram/dram_system.h"
 
@@ -160,6 +162,19 @@ TEST(transparent, slices_serve_in_parallel) {
             same_slice,
             r2.cache.transparent_access(set0_line(r2.cfg, i), true, 0, 0).done);
     EXPECT_LT(striped, same_slice);
+}
+
+TEST(transparent, rejects_more_ways_than_the_order_holds) {
+    // Each set keeps its ways' recency order one nibble per way, which
+    // holds 16; a wider geometry must fail at construction, not fall back.
+    dram::dram_system dram{dram::dram_config{}};
+    cache_config cfg;
+    cfg.ways = shared_cache::max_ways;
+    EXPECT_NO_THROW(shared_cache(cfg, dram));
+    cfg.ways = shared_cache::max_ways + 1;
+    EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument);
+    cfg.ways = 32;
+    EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument);
 }
 
 // Capacity sweep: larger caches keep a working set resident longer.

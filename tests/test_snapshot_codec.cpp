@@ -5,8 +5,9 @@
 //     of an encoding rejected;
 //   * exact section sizing (state_bytes() == what save_state writes);
 //   * decoder rejection inside the machine section: a cut through the
-//     transparent-line block, and corrupt CPT task ids (out of range,
-//     repeated, out of order);
+//     transparent-line block, a valid transparent line stamped after the
+//     LRU tick, and corrupt CPT task ids (out of range, repeated, out of
+//     order);
 //   * a pinned size + FNV-1a hash of one mid-flight snapshot, so any
 //     drift of the byte format fails;
 //   * a seeded mutation fuzz (bit flips, truncations, splices of two valid
@@ -304,6 +305,47 @@ TEST(snapshot_codec, cut_inside_the_transparent_line_block_is_rejected) {
         cut.machine.resize(len);
         EXPECT_THROW(warm_resume(cfg, cut), snapshot_error) << "cut at " << len;
     }
+}
+
+TEST(snapshot_codec, transparent_line_stamped_after_the_tick_is_rejected) {
+    // MoCA runs its DMA through the transparent path, so a paused MoCA
+    // snapshot carries valid lines. No run stamps a line after the LRU
+    // tick; restore rejects a valid one that is, since the recency order
+    // rebuilt from the stamps and the stamp minimum could then pick
+    // different victims.
+    auto cfg = codec_cfg();
+    cfg.pol = sim::policy::moca;
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    EXPECT_NO_THROW(warm_resume(cfg, snap));
+
+    const std::uint64_t tick =
+        snapshot_reader(snap.machine.data() + line_block_begin - 8, 8).u64();
+    const std::size_t lines = cfg.soc.cache.lines_total();
+    // Each record: tag (8), lru (8), owner (4), valid (1), dirty (1).
+    auto first_record = [&](bool valid) {
+        for (std::size_t i = 0; i < lines; ++i) {
+            const std::size_t at = line_block_begin + i * line_record_bytes;
+            if ((snap.machine[at + 20] != 0) == valid) return at;
+        }
+        return std::size_t{0};
+    };
+    auto stamped = [&](std::size_t record, std::uint64_t lru) {
+        scheduler_snapshot s = snap;
+        for (int b = 0; b < 8; ++b)
+            s.machine[record + 8 + b] =
+                static_cast<std::uint8_t>(lru >> (8 * b));
+        return s;
+    };
+    const std::size_t valid_line = first_record(true);
+    const std::size_t invalid_line = first_record(false);
+    ASSERT_NE(valid_line, 0u) << "no valid transparent line";
+    ASSERT_NE(invalid_line, 0u) << "no invalid transparent line";
+    EXPECT_THROW(warm_resume(cfg, stamped(valid_line, tick + 1)),
+                 snapshot_error);
+    EXPECT_THROW(warm_resume(cfg, stamped(valid_line, ~std::uint64_t{0})),
+                 snapshot_error);
+    // An invalid line's stamp never picks a victim.
+    EXPECT_NO_THROW(warm_resume(cfg, stamped(invalid_line, tick + 1)));
 }
 
 TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
