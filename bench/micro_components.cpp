@@ -17,7 +17,9 @@ using namespace camdn;
 static void bm_event_queue(benchmark::State& state) {
     for (auto _ : state) {
         event_queue eq;
-        for (int i = 0; i < 1024; ++i) eq.schedule(i, [] {});
+        eq.set_handler(event_channel::dma, [](const typed_event&) {});
+        for (std::uint64_t i = 0; i < 1024; ++i)
+            eq.schedule_event(i, typed_event{0, 0, i, 0});
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 1024);

@@ -3,70 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace camdn {
 
-event_queue::event_queue()
-    : live_closures_(std::make_shared<std::int64_t>(0)) {
-    heap_.reserve(256);
-    pool_.reserve(64);
-}
-
-std::uint32_t event_queue::alloc_slot(callback fn,
-                                      std::shared_ptr<timer::state> tok) {
-    std::uint32_t slot;
-    if (free_head_ != no_slot) {
-        slot = free_head_;
-        free_head_ = pool_[slot].next_free;
-        pool_[slot].fn = std::move(fn);
-        pool_[slot].tok = std::move(tok);
-    } else {
-        slot = static_cast<std::uint32_t>(pool_.size());
-        pool_.push_back(closure_slot{std::move(fn), std::move(tok), no_slot});
-    }
-    return slot;
-}
-
-void event_queue::release_slot(std::uint32_t slot) {
-    pool_[slot].fn = nullptr;
-    pool_[slot].tok = nullptr;
-    pool_[slot].next_free = free_head_;
-    free_head_ = slot;
-}
-
 void event_queue::push(const entry& e) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), later{});
-}
-
-event_queue::entry event_queue::pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), later{});
-    const entry e = heap_.back();
-    heap_.pop_back();
-    return e;
-}
-
-std::uint64_t event_queue::schedule(cycle_t when, callback fn) {
-    if (when < now_) when = now_;
-    const std::uint64_t seq = next_seq_++;
-    push(entry{when, seq, 0, 0, alloc_slot(std::move(fn), nullptr), 0, 0,
-               false});
-    ++*live_closures_;
-    return seq;
-}
-
-event_queue::timer event_queue::schedule_cancellable(cycle_t when,
-                                                     callback fn) {
-    if (when < now_) when = now_;
-    auto tok = std::make_shared<timer::state>();
-    tok->when = when;
-    tok->seq = next_seq_++;
-    tok->live = live_closures_;
-    const std::uint64_t seq = tok->seq;
-    push(entry{when, seq, 0, 0, alloc_slot(std::move(fn), tok), 0, 0, false});
-    ++*live_closures_;
-    return timer(std::move(tok));
 }
 
 void event_queue::set_handler(event_channel ch, typed_handler fn) {
@@ -75,31 +19,48 @@ void event_queue::set_handler(event_channel ch, typed_handler fn) {
 
 std::uint64_t event_queue::schedule_event(cycle_t when,
                                           const typed_event& ev) {
-    if (when < now_) when = now_;
     const std::uint64_t seq = next_seq_++;
-    push(entry{when, seq, ev.a, ev.b, no_slot, ev.channel, ev.kind, true});
-    ++typed_count_;
+    restore_event(when, seq, ev);
     return seq;
 }
 
 void event_queue::restore_event(cycle_t when, std::uint64_t seq,
                                 const typed_event& ev) {
     if (when < now_) when = now_;
-    push(entry{when, seq, ev.a, ev.b, no_slot, ev.channel, ev.kind, true});
-    ++typed_count_;
+    push(entry{when, seq, ev.a, ev.b, ev.channel, ev.kind});
+}
+
+std::size_t event_queue::cancel(event_channel ch, std::uint8_t kind) {
+    const auto c = static_cast<std::uint8_t>(ch);
+    const auto kept =
+        std::remove_if(heap_.begin(), heap_.end(), [&](const entry& e) {
+            return e.channel == c && e.kind == kind;
+        });
+    const auto removed = static_cast<std::size_t>(heap_.end() - kept);
+    if (removed == 0) return 0;
+    heap_.erase(kept, heap_.end());
+    // (when, seq) is a total order, so the rebuilt heap pops in exactly
+    // the order the original would have.
+    std::make_heap(heap_.begin(), heap_.end(), later{});
+    return removed;
+}
+
+std::size_t event_queue::pending(event_channel ch, std::uint8_t kind) const {
+    const auto c = static_cast<std::uint8_t>(ch);
+    return static_cast<std::size_t>(
+        std::count_if(heap_.begin(), heap_.end(), [&](const entry& e) {
+            return e.channel == c && e.kind == kind;
+        }));
 }
 
 void event_queue::save_typed(snapshot_writer& w) const {
-    std::vector<const entry*> typed;
-    typed.reserve(typed_count_);
-    for (const auto& e : heap_)
-        if (e.is_typed) typed.push_back(&e);
-    std::sort(typed.begin(), typed.end(), [](const entry* a, const entry* b) {
-        if (a->when != b->when) return a->when < b->when;
-        return a->seq < b->seq;
-    });
-    w.u64(typed.size());
-    for (const entry* e : typed) {
+    std::vector<const entry*> sorted;
+    sorted.reserve(heap_.size());
+    for (const auto& e : heap_) sorted.push_back(&e);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const entry* a, const entry* b) { return later{}(*b, *a); });
+    w.u64(sorted.size());
+    for (const entry* e : sorted) {
         w.u64(e->when);
         w.u64(e->seq);
         w.u8(e->channel);
@@ -126,27 +87,6 @@ void event_queue::restore_typed(snapshot_reader& r) {
     }
 }
 
-void event_queue::schedule_restored(cycle_t when, std::uint64_t seq,
-                                    callback fn) {
-    if (when < now_) when = now_;
-    push(entry{when, seq, 0, 0, alloc_slot(std::move(fn), nullptr), 0, 0,
-               false});
-    ++*live_closures_;
-}
-
-event_queue::timer event_queue::restore_cancellable(cycle_t when,
-                                                    std::uint64_t seq,
-                                                    callback fn) {
-    if (when < now_) when = now_;
-    auto tok = std::make_shared<timer::state>();
-    tok->when = when;
-    tok->seq = seq;
-    tok->live = live_closures_;
-    push(entry{when, seq, 0, 0, alloc_slot(std::move(fn), tok), 0, 0, false});
-    ++*live_closures_;
-    return timer(std::move(tok));
-}
-
 void event_queue::restore_next_seq(std::uint64_t seq) {
     assert(seq >= next_seq_ && "tie-break counter must not rewind");
     next_seq_ = seq;
@@ -155,15 +95,6 @@ void event_queue::restore_next_seq(std::uint64_t seq) {
 void event_queue::restore_now(cycle_t now) {
     assert(heap_.empty() && "clock restore requires an empty queue");
     now_ = now;
-}
-
-void event_queue::discard_cancelled_head() {
-    while (!heap_.empty() && head_cancelled()) release_slot(pop().slot);
-}
-
-cycle_t event_queue::next_time() {
-    discard_cancelled_head();
-    return heap_.empty() ? never : heap_.front().when;
 }
 
 bool event_queue::try_inline(cycle_t when, event_channel ch) {
@@ -178,31 +109,19 @@ bool event_queue::try_inline(cycle_t when, event_channel ch) {
 }
 
 bool event_queue::step() {
-    discard_cancelled_head();
     if (heap_.empty()) return false;
-    const entry e = pop();
+    std::pop_heap(heap_.begin(), heap_.end(), later{});
+    const entry e = heap_.back();
+    heap_.pop_back();
     now_ = e.when;
     ++executed_;
-    if (e.is_typed) {
-        --typed_count_;
-        ++typed_dispatched_[e.channel];
-        const auto& h = handlers_[e.channel];
-        if (!h)
-            throw std::logic_error(
-                "typed event dispatched to unregistered channel " +
-                std::to_string(e.channel));
-        h(typed_event{e.channel, e.kind, e.a, e.b});
-    } else {
-        // Move the closure out and recycle its slot before running: the
-        // callback may schedule new events, which may claim the slot.
-        callback fn = std::move(pool_[e.slot].fn);
-        auto tok = std::move(pool_[e.slot].tok);
-        release_slot(e.slot);
-        ++closures_dispatched_;
-        --*live_closures_;
-        if (tok) tok->fired = true;
-        fn();
-    }
+    ++typed_dispatched_[e.channel];
+    const auto& h = handlers_[e.channel];
+    if (!h)
+        throw std::logic_error(
+            "typed event dispatched to unregistered channel " +
+            std::to_string(e.channel));
+    h(typed_event{e.channel, e.kind, e.a, e.b});
     return true;
 }
 

@@ -41,6 +41,16 @@ struct fingerprint {
     }
 };
 
+constexpr std::uint8_t kind(sched_event k) {
+    return static_cast<std::uint8_t>(k);
+}
+
+/// A typed event on the scheduler's channel.
+typed_event sched_ev(sched_event k, std::uint64_t a = 0) {
+    return typed_event{static_cast<std::uint8_t>(event_channel::sched),
+                       kind(k), a, 0};
+}
+
 /// Address-map salt of a model name (FNV-1a). Dispatch and mid-layer
 /// restore must derive the identical salt or a resumed run's parameter
 /// addresses silently diverge — keep this the single definition.
@@ -90,14 +100,14 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
         free_cores_.push_back(static_cast<npu_id>(c - 1));
 
     // Typed-event wiring: layer completions route back per slot, and
-    // page-negotiation retries arrive on the scheduler's channel.
+    // page-negotiation retries, generator events and the bandwidth epoch
+    // arrive on the scheduler's channel.
     machine_.layers().set_features(cfg_.features);
     machine_.layers().set_on_done(
         [this](task_id slot, cycle_t end) { end_layer(tasks_[slot], end); });
-    machine_.eq().set_handler(event_channel::sched,
-                              [this](const typed_event& ev) {
-                                  on_page_retry(static_cast<task_id>(ev.a));
-                              });
+    machine_.eq().set_handler(
+        event_channel::sched,
+        [this](const typed_event& ev) { on_sched_event(ev); });
 }
 
 scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen,
@@ -376,17 +386,18 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
                     "snapshot results section has trailing bytes");
         }
         resume_exact_ = true;
-        resume_bw_armed_ = snap.bw_timer_armed;
-        resume_bw_when_ = snap.bw_timer_when;
-        resume_bw_seq_ = snap.bw_timer_seq;
-        resume_event_seq_ = snap.event_seq;
     } else {
-        // Warm resume: the restored typed events keep their saved
-        // sequences, so the tie-break counter must move past them before
-        // the new workload schedules anything (restored-before-new at
-        // equal cycles; relative order among new events is unaffected).
-        machine_.eq().restore_next_seq(snap.event_seq);
+        // The old segment's generator events and epoch chain belong to its
+        // workload; the new segment's generator and epoch chain arm their
+        // own in start_if_needed.
+        machine_.eq().cancel(event_channel::sched, kind(sched_event::workload));
+        machine_.eq().cancel(event_channel::sched, kind(sched_event::bw_epoch));
     }
+    // The restored events keep their saved sequences, so the tie-break
+    // counter must move past them before anything new is scheduled
+    // (restored-before-new at equal cycles; relative order among new
+    // events is unaffected).
+    machine_.eq().restore_next_seq(snap.event_seq);
 }
 
 scheduler_snapshot scheduler::save() const {
@@ -414,9 +425,6 @@ void scheduler::save(scheduler_snapshot& into) const {
     s.now = machine_.eq().now();
     s.event_seq = machine_.eq().next_seq();
     s.epoch_deadline = epoch_deadline_;
-    s.bw_timer_armed = bw_timer_.armed();
-    s.bw_timer_when = bw_timer_.when();
-    s.bw_timer_seq = bw_timer_.seq();
     s.dram_bytes_mark = dram_bytes_mark_;
     s.dram_throttled_mark = dram_throttled_mark_;
     s.ahead_ratio = alg_.ahead_ratio();
@@ -532,8 +540,9 @@ void scheduler::start_next_segment(workload_generator& gen) {
     // Everything below is what a warm resume's fresh scheduler starts with
     // that the live one does not; the rest of the state is already what
     // restore() would rebuild from save(). The epoch timer is cancelled
-    // here and re-armed by start_if_needed, as on a resumed machine.
-    bw_timer_.cancel();
+    // here and re-armed by start_if_needed, as on a resumed machine; the
+    // exhausted generator has no events left.
+    machine_.eq().cancel(event_channel::sched, kind(sched_event::bw_epoch));
     machine_.eq().restart_counters();
     machine_.set_observer(cfg_.obs);
     mslots_ = {};
@@ -583,23 +592,8 @@ std::uint64_t scheduler::est_total_cycles(const task& t) const {
     return sum;
 }
 
-std::uint64_t scheduler::at(cycle_t when, std::function<void()> fn) {
-    // Generator-scheduled events (arrivals) can change exhausted(); the
-    // wrapper re-evaluates completion so a drained open-loop run
-    // terminates its bandwidth-epoch chain.
-    return machine_.eq().schedule(when, [this, fn = std::move(fn)]() {
-        fn();
-        update_done();
-    });
-}
-
-void scheduler::at_restored(cycle_t when, std::uint64_t id,
-                            std::function<void()> fn) {
-    machine_.eq().schedule_restored(when, id,
-                                    [this, fn = std::move(fn)]() {
-                                        fn();
-                                        update_done();
-                                    });
+void scheduler::at(cycle_t when, std::uint64_t token) {
+    machine_.eq().schedule_event(when, sched_ev(sched_event::workload, token));
 }
 
 void scheduler::submit(const model::model* mdl, cycle_t arrival,
@@ -615,9 +609,9 @@ void scheduler::update_done() {
         done_ = true;
         // A drained run must not let the already-armed bandwidth epoch tick
         // on: cancelling it stops the chain and keeps the pending no-op
-        // event from inflating the makespan (the cancelled entry is skipped
-        // without advancing the clock).
-        bw_timer_.cancel();
+        // event from inflating the makespan (a cancelled event never
+        // advances the clock).
+        machine_.eq().cancel(event_channel::sched, kind(sched_event::bw_epoch));
     }
 }
 
@@ -625,8 +619,8 @@ void scheduler::schedule_bw_epoch() {
     if (done_ || !use_bw_alloc()) return;
     auto running = running_tasks();
     bw_.reallocate(running, machine_.eq().now());
-    bw_timer_ = machine_.eq().schedule_cancellable(
-        machine_.eq().now() + cfg_.bw_epoch, [this]() { schedule_bw_epoch(); });
+    machine_.eq().schedule_event(machine_.eq().now() + cfg_.bw_epoch,
+                                 sched_ev(sched_event::bw_epoch));
 }
 
 void scheduler::cut_epoch() {
@@ -927,9 +921,8 @@ void scheduler::negotiate_pages(task& t, allocation_decision d) {
             neg.pages = d.pages_needed;
             neg.timeout = d.timeout;
             machine_.eq().schedule_event(
-                retry,
-                typed_event{static_cast<std::uint8_t>(event_channel::sched), 0,
-                            static_cast<std::uint64_t>(t.id), 0});
+                retry, sched_ev(sched_event::page_retry,
+                                static_cast<std::uint64_t>(t.id)));
             return;
         }
         t.p_alloc = pool.allocated(t.id);
@@ -978,6 +971,29 @@ void scheduler::remap_cpt(task& t) {
     cpt.clear();
     const auto& pages = machine_.cache().pages().pages_of(t.id);
     for (std::uint32_t v = 0; v < pages.size(); ++v) cpt.map(v, pages[v]);
+}
+
+void scheduler::on_sched_event(const typed_event& ev) {
+    switch (static_cast<sched_event>(ev.kind)) {
+        case sched_event::page_retry:
+            if (ev.a >= neg_.size())
+                throw std::logic_error("page_retry event for slot " +
+                                       std::to_string(ev.a) +
+                                       " past the slot table");
+            on_page_retry(static_cast<task_id>(ev.a));
+            return;
+        case sched_event::workload:
+            // A generator event can change exhausted(): re-evaluating
+            // completion lets a drained open-loop run end its epoch chain.
+            gen_->on_event(*this, ev.a);
+            update_done();
+            return;
+        case sched_event::bw_epoch:
+            schedule_bw_epoch();
+            return;
+    }
+    throw std::logic_error("unknown sched event kind " +
+                           std::to_string(ev.kind));
 }
 
 void scheduler::on_page_retry(task_id slot) {
@@ -1079,20 +1095,16 @@ void scheduler::start_if_needed() {
     started_ = true;
 
     if (resume_exact_) {
-        // Re-arm the pending work under its saved event ids so same-cycle
-        // ordering replays bit for bit, then restore the tie-break counter
-        // for everything scheduled after the boundary.
-        gen_->resume(*this);
-        if (resume_bw_armed_)
-            bw_timer_ = machine_.eq().restore_cancellable(
-                resume_bw_when_, resume_bw_seq_,
-                [this]() { schedule_bw_epoch(); });
-        machine_.eq().restore_next_seq(resume_event_seq_);
+        // The pending work came back with the typed section under its
+        // saved sequences; nothing is re-armed.
         update_done();
         // A held snapshot (run_segment_hold_dispatch) cancelled the
         // bandwidth-epoch chain before saving; there is no continuous
         // reference to phase-match, so re-arm it fresh like a warm resume.
-        if (!done_ && !bw_timer_.armed()) schedule_bw_epoch();
+        if (!done_ &&
+            machine_.eq().pending(event_channel::sched,
+                                  kind(sched_event::bw_epoch)) == 0)
+            schedule_bw_epoch();
         try_dispatch();
         return;
     }
@@ -1108,11 +1120,9 @@ void scheduler::start_if_needed() {
 
 bool scheduler::at_pause_point() {
     if (done_) return false;
-    // All same-cycle activity must have drained: the next live event has to
-    // be strictly in the future. In-flight work is fine — its typed events
-    // serialize with the queue, and every pending closure at such an
-    // instant (arrivals, the bandwidth-epoch timer, think-time
-    // re-dispatches) is reconstructible from an owned cursor.
+    // All same-cycle activity must have drained: the next event has to be
+    // strictly in the future. In-flight work is fine — every pending event
+    // is a typed record and serializes with the queue.
     return machine_.eq().next_time() > machine_.eq().now();
 }
 
@@ -1165,7 +1175,7 @@ bool scheduler::run_segment_hold_dispatch(cycle_t hold_after) {
         // timer, which is cancelled — a warm resume re-arms it.
         const bool no_running = in_flight_ == dispatch_queue_.size();
         if (!done_ && no_running && gen_->exhausted()) {
-            bw_timer_.cancel();
+            eq.cancel(event_channel::sched, kind(sched_event::bw_epoch));
             if (eq.next_time() > eq.now()) {
                 paused_ = true;
                 eq.set_inline_horizon(0);
@@ -1204,7 +1214,6 @@ void scheduler::fill_result() {
         m->set("eq.dispatch.dma", eq.typed_dispatched(event_channel::dma));
         m->set("eq.dispatch.layer", eq.typed_dispatched(event_channel::layer));
         m->set("eq.dispatch.sched", eq.typed_dispatched(event_channel::sched));
-        m->set("eq.dispatch.closure", eq.closures_dispatched());
     }
     if (cfg_.obs.attr != nullptr && cfg_.obs.metrics != nullptr)
         cfg_.obs.attr->export_metrics(*cfg_.obs.metrics);

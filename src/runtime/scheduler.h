@@ -13,10 +13,11 @@
 // first inter-event instant at or after the requested boundary — mid-layer,
 // with DMA chunks in flight and page negotiations pending — and save()
 // serializes the full warm state as a scheduler_snapshot. Every pending
-// event at a pause is either typed (layer tile gates and stores, DMA chunk
-// completions, page-negotiation retries — serialized with the queue) or
-// re-armable from an owned cursor (generator arrivals, the bandwidth-epoch
-// timer), so a scheduler constructed from the snapshot continues the run
+// event is a typed record — layer tile gates and stores, DMA chunk
+// completions and, on the scheduler's own channel, page-negotiation
+// retries, generator events (arrivals, think-time re-dispatches) and the
+// bandwidth-epoch timer — so the snapshot's typed section holds the run's
+// whole future. A scheduler constructed from the snapshot continues the run
 // bit-identically (resume_mode::exact) or starts a new workload segment on
 // the warm machine with the in-flight inferences carried across
 // (resume_mode::warm). start_next_segment() starts that same warm segment
@@ -26,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,10 +44,17 @@
 
 namespace camdn::runtime {
 
+/// Kinds of the scheduler's typed events (event_channel::sched).
+enum class sched_event : std::uint8_t {
+    page_retry = 0,  ///< Algorithm-1 page-negotiation retry; a = slot
+    workload = 1,    ///< generator event; a = the generator's token
+    bw_epoch = 2,    ///< MoCA/AuRORA bandwidth re-partitioning epoch
+};
+
 /// How a scheduler constructed from a snapshot interprets it.
 enum class resume_mode : std::uint8_t {
     /// Continue the same run bit-identically: the generator cursor, pending
-    /// event ids, telemetry history and completions so far are restored, so
+    /// events, telemetry history and completions so far are restored, so
     /// the finished result matches an unsplit run exactly. Requires the
     /// identical experiment_config (validated by fingerprint) and a
     /// checkpointable generator.
@@ -143,9 +150,7 @@ public:
 
     // ---- workload_control ----
     cycle_t now() const override { return machine_.eq().now(); }
-    std::uint64_t at(cycle_t when, std::function<void()> fn) override;
-    void at_restored(cycle_t when, std::uint64_t id,
-                     std::function<void()> fn) override;
+    void at(cycle_t when, std::uint64_t token) override;
     void submit(const model::model* mdl, cycle_t arrival,
                 task_id slot = no_task) override;
     std::size_t pending() const override { return dispatch_queue_.size(); }
@@ -184,8 +189,11 @@ private:
     void negotiate_pages(task& t, allocation_decision d);
     void grant_and_run(task& t, const allocation_decision& d);
     void run_layer(task& t, const mapping::mapping_candidate& cand);
-    /// Typed page_retry event handler: rebuilds the slot's armed
-    /// allocation decision and re-enters negotiate_pages.
+    /// Handler of the sched channel: dispatches on sched_event and throws
+    /// std::logic_error on an unknown kind or a slot past the table.
+    void on_sched_event(const typed_event& ev);
+    /// page_retry: rebuilds the slot's armed allocation decision and
+    /// re-enters negotiate_pages.
     void on_page_retry(task_id slot);
     void end_layer(task& t, cycle_t end);
     void end_inference(task& t, cycle_t end);
@@ -205,16 +213,17 @@ private:
     void apply_action(const adapt::control_action& a);
     void update_done();
 
-    /// First-run / first-resume setup: starts (or resumes) the generator
-    /// and arms the bandwidth-epoch timer.
+    /// First-run / first-resume setup: starts the generator (unless
+    /// resuming exactly, whose events are already queued) and arms the
+    /// bandwidth-epoch timer.
     void start_if_needed();
     /// Fills result_ from the current simulation state (idempotent).
     void fill_result();
     /// Fills result_ and marks the run finished.
     void finalize();
-    /// True at an instant eligible for save(): the next live event is
-    /// strictly in the future (work may be mid-flight — the typed-event
-    /// engine serializes it).
+    /// True at an instant eligible for save(): the next event is strictly
+    /// in the future (work may be mid-flight — the typed-event engine
+    /// serializes it).
     bool at_pause_point();
     void restore(const scheduler_snapshot& snap, resume_mode mode);
     std::uint64_t machine_fingerprint() const;
@@ -232,7 +241,7 @@ private:
 
     /// Armed Algorithm-1 page-negotiation retry per slot: the payload the
     /// queued sched-channel page_retry event needs to rebuild its
-    /// allocation_decision (serializable, unlike the old retry closure).
+    /// allocation_decision.
     struct pending_negotiation {
         bool armed = false;
         std::int32_t cand = -2;  ///< candidate_index in the layer's MCT
@@ -287,20 +296,15 @@ private:
     void bind_metric_slots(obs::metrics_registry& m);
 
     // ---- segmented execution / checkpointing ----
-    event_queue::timer bw_timer_;
     bool started_ = false;
     bool paused_ = false;
     bool finalized_ = false;
     /// Dispatch hold (run_segment_hold_dispatch): from this cycle on,
     /// admitted requests stay queued instead of dispatching.
     cycle_t dispatch_hold_after_ = never;
-    /// Exact resume defers generator re-arm and seq restore to
-    /// start_if_needed; these stash the snapshot's pending-timer state.
+    /// Set by an exact restore: start_if_needed must not start the
+    /// generator, whose pending events came back with the typed section.
     bool resume_exact_ = false;
-    bool resume_bw_armed_ = false;
-    cycle_t resume_bw_when_ = 0;
-    std::uint64_t resume_bw_seq_ = 0;
-    std::uint64_t resume_event_seq_ = 0;
 
     sim::experiment_result result_;
     std::uint32_t in_flight_ = 0;

@@ -13,9 +13,6 @@ std::vector<std::uint8_t> scheduler_snapshot::encode() const {
     w.u64(now);
     w.u64(event_seq);
     w.u64(epoch_deadline);
-    w.b(bw_timer_armed);
-    w.u64(bw_timer_when);
-    w.u64(bw_timer_seq);
 
     w.u64(dram_bytes_mark);
     w.u64(dram_throttled_mark);
@@ -93,9 +90,6 @@ scheduler_snapshot scheduler_snapshot::decode(const std::uint8_t* data,
     s.now = r.u64();
     s.event_seq = r.u64();
     s.epoch_deadline = r.u64();
-    s.bw_timer_armed = r.b();
-    s.bw_timer_when = r.u64();
-    s.bw_timer_seq = r.u64();
 
     s.dram_bytes_mark = r.u64();
     s.dram_throttled_mark = r.u64();

@@ -4,9 +4,7 @@
 // cycle — mid-layer, with DMA chunks in flight and stores pending — not
 // only at quiescent instants. Everything the simulation's future depends
 // on is captured:
-//   * the clock, the event-queue tie-break counter and the pending
-//     bandwidth-epoch timer (time + sequence, so same-cycle ordering
-//     replays bit for bit);
+//   * the clock and the event-queue tie-break counter;
 //   * the full machine state — transparent cache lines with LRU order,
 //     slice/DRAM timing horizons, the shared page pool (exact free-list
 //     order) and live CPTs, per-core busy counters, regulator windows;
@@ -16,16 +14,20 @@
 //   * the in-flight execution state — one `running_slot` per busy task
 //     (model, layer cursor, core group, QoS deadline, Algorithm-1
 //     globals, pending page negotiation), the layer engine's tile
-//     cursors and the DMA engine's flight records (the `engine` section),
-//     and the pending typed events of the queue (the `typed_events`
-//     section) under their saved sequence numbers;
+//     cursors and the DMA engine's flight records (the `engine` section);
+//   * every pending event of the queue (the `typed_events` section) under
+//     its saved sequence number — DMA chunks, layer tile gates and stores,
+//     page-negotiation retries, generator arrivals and think-time
+//     re-dispatches, the bandwidth-epoch timer — so same-cycle ordering
+//     replays bit for bit and the section holds the run's whole future;
 //   * opaque cursor sections for the workload generator and the
 //     completions recorded so far (exact resume only).
 //
 // encode()/decode() round-trip through a versioned little-endian byte
 // format; decode throws camdn::snapshot_error on truncation, bad magic or
 // version mismatch (version-1 snapshots from the pre-typed-event engine
-// are rejected with an explicit legacy message), and scheduler resume
+// are rejected with an explicit legacy message, version 2 with the
+// generic mismatch), and scheduler resume
 // additionally validates the fingerprints against the resuming
 // configuration.
 #pragma once
@@ -43,7 +45,10 @@ struct scheduler_snapshot {
     static constexpr std::uint32_t magic = 0x43534e50;  // "PNSC" on disk
     /// Version 2: typed-event engine — adds the running-slot, engine and
     /// typed-event sections and drops the quiescent-boundary requirement.
-    static constexpr std::uint32_t version = 2;
+    /// Version 3: typed-event-only engine — generator events and the
+    /// bandwidth-epoch timer move into the typed-event section, so the
+    /// header's timer fields and the generators' event ids go.
+    static constexpr std::uint32_t version = 3;
 
     // ---- identity / compatibility ----
     /// Hash of everything the machine state depends on (SoC geometry,
@@ -55,15 +60,12 @@ struct scheduler_snapshot {
     std::uint64_t run_fingerprint = 0;
     std::uint32_t slots = 0;
 
-    // ---- clock and pending re-armable events ----
+    // ---- clock ----
     cycle_t now = 0;
     /// Event-queue tie-break counter at the boundary.
     std::uint64_t event_seq = 0;
     /// Next telemetry epoch cut (absolute; `never` when telemetry is off).
     cycle_t epoch_deadline = never;
-    bool bw_timer_armed = false;
-    cycle_t bw_timer_when = 0;
-    std::uint64_t bw_timer_seq = 0;
 
     // ---- scheduler bookkeeping ----
     std::uint64_t dram_bytes_mark = 0;
@@ -121,7 +123,7 @@ struct scheduler_snapshot {
     // ---- opaque subsystem sections ----
     std::vector<std::uint8_t> machine;    ///< cache + pool + CPTs + DRAM + cores
     std::vector<std::uint8_t> engine;     ///< layer-run cursors + DMA flights
-    std::vector<std::uint8_t> typed_events;  ///< pending typed queue entries
+    std::vector<std::uint8_t> typed_events;  ///< every pending queue entry
     std::vector<std::uint8_t> telemetry;  ///< bus counters + epoch history
     std::vector<std::uint8_t> controller; ///< feedback-controller loop state
     std::vector<std::uint8_t> workload;   ///< generator cursor (exact resume)

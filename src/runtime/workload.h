@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -93,17 +92,12 @@ public:
     /// Current simulation time.
     virtual cycle_t now() const = 0;
 
-    /// Schedules `fn` at absolute simulation time `when` (generators use
-    /// this for future arrivals; past times clamp to now()). Returns the
-    /// event's id — its same-cycle tie-break sequence — which generators
-    /// record for pending work so a checkpoint can re-arm it exactly.
-    virtual std::uint64_t at(cycle_t when, std::function<void()> fn) = 0;
-
-    /// Exact-resume re-arm: schedules `fn` at `when` under the event id it
-    /// held when the checkpoint was taken, so same-cycle event ordering
-    /// replays bit for bit. Only valid while resuming from a snapshot.
-    virtual void at_restored(cycle_t when, std::uint64_t id,
-                             std::function<void()> fn) = 0;
+    /// Schedules the generator's on_event(ctl, token) at absolute simulation
+    /// time `when` (past times clamp to now()). The token — an arrival
+    /// index, a slot — is all the event carries: it is a typed scheduler
+    /// event, so it serializes with the queue and a checkpoint holds every
+    /// pending generator event.
+    virtual void at(cycle_t when, std::uint64_t token) = 0;
 
     /// Submits one inference of `mdl` stamped with its own `arrival`
     /// (closed-loop generators pass now(); arrival lists pass their stamp,
@@ -138,6 +132,11 @@ public:
     /// every future arrival through `ctl`.
     virtual void start(workload_control& ctl) = 0;
 
+    /// Called when an event scheduled through workload_control::at() comes
+    /// due, with the token it was scheduled under. Must throw on a token it
+    /// never issued (a corrupt snapshot can carry one).
+    virtual void on_event(workload_control& ctl, std::uint64_t token) = 0;
+
     /// Called after each inference completes (its cores are already back
     /// in the free pool, so a submission here can dispatch immediately).
     virtual void on_complete(workload_control& ctl,
@@ -159,17 +158,14 @@ public:
 
     // ---- checkpoint support (scheduler::save / exact resume) ----
     //
-    // save_state serializes the arrival cursor: everything needed so that a
-    // generator freshly constructed from the same config, after
-    // restore_state, owes the simulation exactly the not-yet-fired work.
-    // resume() is called instead of start() on an exact resume and must
-    // re-arm that pending work via at_restored() under the saved event ids.
-    // The defaults support generators whose start() is idempotent from any
-    // point (none of the built-ins; all of them override).
+    // save_state serializes the generator's cursor: everything a generator
+    // freshly constructed from the same config needs, after restore_state,
+    // to continue the saved one. Pending generator events are not part of
+    // the cursor — they sit in the snapshot's typed-event section — so an
+    // exact resume calls neither start() nor anything that re-arms them.
 
     virtual void save_state(snapshot_writer&) const {}
     virtual void restore_state(snapshot_reader&) {}
-    virtual void resume(workload_control& ctl) { start(ctl); }
 
     /// True when this generator implements the checkpoint hooks. The
     /// scheduler refuses an exact resume of a generator that cannot restore

@@ -525,7 +525,13 @@ TEST(checkpoint, exact_resume_of_a_held_snapshot_rearms_the_bw_chain) {
     runtime::scheduler sched(seg, *gen);
     ASSERT_TRUE(sched.run_segment_hold_dispatch(/*hold_after=*/1005));
     const auto snap = sched.save();
-    EXPECT_FALSE(snap.bw_timer_armed);
+    event_queue typed;
+    snapshot_reader typed_reader(snap.typed_events);
+    typed.restore_typed(typed_reader);
+    EXPECT_EQ(typed.pending(event_channel::sched,
+                            static_cast<std::uint8_t>(
+                                runtime::sched_event::bw_epoch)),
+              0u);
     ASSERT_FALSE(snap.admission_queue.empty());
 
     auto gen2 = runtime::make_workload_generator(seg);

@@ -2,6 +2,7 @@
 // table printing and unit helpers.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -69,58 +70,74 @@ TEST(types, saturating_arithmetic_clamps_to_never) {
 
 // ---- event queue ----
 
-TEST(event_queue, runs_in_time_order) {
+/// A queue whose sched channel records each dispatched payload `a` and
+/// then runs `then` (nested scheduling).
+struct recording_queue {
     event_queue eq;
-    std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30u);
+    std::vector<std::uint64_t> order;
+    std::function<void(const typed_event&)> then;
+
+    recording_queue() {
+        eq.set_handler(event_channel::sched, [this](const typed_event& ev) {
+            order.push_back(ev.a);
+            if (then) then(ev);
+        });
+    }
+    std::uint64_t at(cycle_t when, std::uint64_t a, std::uint8_t kind = 0) {
+        return eq.schedule_event(when, typed_event{2, kind, a, 0});
+    }
+};
+
+TEST(event_queue, runs_in_time_order) {
+    recording_queue q;
+    q.at(30, 3);
+    q.at(10, 1);
+    q.at(20, 2);
+    q.eq.run();
+    EXPECT_EQ(q.order, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(q.eq.now(), 30u);
 }
 
 TEST(event_queue, fifo_among_equal_timestamps) {
-    event_queue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i) eq.schedule(5, [&order, i] { order.push_back(i); });
-    eq.run();
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+    recording_queue q;
+    for (std::uint64_t i = 0; i < 8; ++i) q.at(5, i);
+    q.eq.run();
+    for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(q.order[i], i);
 }
 
 TEST(event_queue, scheduling_in_past_clamps_to_now) {
-    event_queue eq;
+    recording_queue q;
     cycle_t seen = 0;
-    eq.schedule(100, [&] {
-        eq.schedule(50, [&] { seen = eq.now(); });  // in the past
-    });
-    eq.run();
+    q.then = [&](const typed_event& ev) {
+        if (ev.a == 0) q.at(50, 1);  // in the past
+        else seen = q.eq.now();
+    };
+    q.at(100, 0);
+    q.eq.run();
     EXPECT_EQ(seen, 100u);
 }
 
 TEST(event_queue, run_until_leaves_later_events) {
-    event_queue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
-    eq.run_until(50);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 50u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 2);
+    recording_queue q;
+    q.at(10, 1);
+    q.at(100, 2);
+    q.eq.run_until(50);
+    EXPECT_EQ(q.order.size(), 1u);
+    EXPECT_EQ(q.eq.now(), 50u);
+    EXPECT_EQ(q.eq.pending(), 1u);
+    q.eq.run();
+    EXPECT_EQ(q.order.size(), 2u);
 }
 
 TEST(event_queue, nested_scheduling_from_callbacks) {
-    event_queue eq;
-    int depth = 0;
-    std::function<void()> recurse = [&] {
-        if (++depth < 5) eq.schedule_after(10, recurse);
+    recording_queue q;
+    q.then = [&](const typed_event& ev) {
+        if (ev.a + 1 < 5) q.at(q.eq.now() + 10, ev.a + 1);
     };
-    eq.schedule(0, recurse);
-    eq.run();
-    EXPECT_EQ(depth, 5);
-    EXPECT_EQ(eq.now(), 40u);
+    q.at(0, 0);
+    q.eq.run();
+    EXPECT_EQ(q.order.size(), 5u);
+    EXPECT_EQ(q.eq.now(), 40u);
 }
 
 TEST(event_queue, step_returns_false_when_empty) {
@@ -130,77 +147,70 @@ TEST(event_queue, step_returns_false_when_empty) {
 }
 
 TEST(event_queue, run_respects_max_events) {
-    event_queue eq;
-    int fired = 0;
-    for (int i = 0; i < 10; ++i) eq.schedule(i, [&] { ++fired; });
-    EXPECT_EQ(eq.run(3), 3u);
-    EXPECT_EQ(fired, 3);
+    recording_queue q;
+    for (std::uint64_t i = 0; i < 10; ++i) q.at(i, i);
+    EXPECT_EQ(q.eq.run(3), 3u);
+    EXPECT_EQ(q.order.size(), 3u);
 }
 
-TEST(event_queue, cancelled_timer_neither_runs_nor_advances_the_clock) {
-    event_queue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    auto timer = eq.schedule_cancellable(100, [&] { fired += 100; });
-    EXPECT_TRUE(timer.armed());
-    EXPECT_EQ(timer.when(), 100u);
-    timer.cancel();
-    EXPECT_FALSE(timer.armed());
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    // The cancelled entry was discarded silently: the clock stops at the
-    // last live event instead of being dragged to cycle 100.
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_TRUE(eq.empty());
+TEST(event_queue, cancelled_events_neither_run_nor_advance_the_clock) {
+    recording_queue q;
+    q.at(10, 1);
+    q.at(100, 100, /*kind=*/7);
+    EXPECT_EQ(q.eq.pending(event_channel::sched, 7), 1u);
+    EXPECT_EQ(q.eq.cancel(event_channel::sched, 7), 1u);
+    EXPECT_EQ(q.eq.pending(event_channel::sched, 7), 0u);
+    q.eq.run();
+    EXPECT_EQ(q.order, (std::vector<std::uint64_t>{1}));
+    // The cancelled event is gone: the clock stops at the last live event
+    // instead of being dragged to cycle 100.
+    EXPECT_EQ(q.eq.now(), 10u);
+    EXPECT_TRUE(q.eq.empty());
 }
 
-TEST(event_queue, uncancelled_timer_fires_once_and_disarms) {
-    event_queue eq;
-    int fired = 0;
-    auto timer = eq.schedule_cancellable(5, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(timer.armed());
-    timer.cancel();  // after firing: harmless no-op
-    EXPECT_EQ(eq.now(), 5u);
+TEST(event_queue, uncancelled_event_fires_once_and_cancel_after_is_a_no_op) {
+    recording_queue q;
+    q.at(5, 1, /*kind=*/7);
+    q.eq.run();
+    EXPECT_EQ(q.order, (std::vector<std::uint64_t>{1}));
+    EXPECT_EQ(q.eq.cancel(event_channel::sched, 7), 0u);  // harmless
+    EXPECT_EQ(q.eq.now(), 5u);
 }
 
 TEST(event_queue, next_time_skips_cancelled_entries) {
-    event_queue eq;
-    auto t1 = eq.schedule_cancellable(3, [] {});
-    eq.schedule(7, [] {});
-    EXPECT_EQ(eq.next_time(), 3u);
-    t1.cancel();
-    EXPECT_EQ(eq.next_time(), 7u);
-    eq.run();
-    EXPECT_EQ(eq.next_time(), never);
+    recording_queue q;
+    q.at(3, 1, /*kind=*/7);
+    q.at(7, 2);
+    EXPECT_EQ(q.eq.next_time(), 3u);
+    q.eq.cancel(event_channel::sched, 7);
+    EXPECT_EQ(q.eq.next_time(), 7u);
+    q.eq.run();
+    EXPECT_EQ(q.eq.next_time(), never);
 }
 
 TEST(event_queue, restored_events_replay_saved_tie_break_order) {
     // Two runs: one schedules A then B at the same cycle; the other
     // restores them in the opposite call order but under the saved
     // sequence numbers — execution order must match the original.
-    std::string order;
-    event_queue eq;
-    eq.restore_now(50);
-    eq.schedule_restored(60, /*seq=*/7, [&] { order += 'B'; });
-    eq.schedule_restored(60, /*seq=*/3, [&] { order += 'A'; });
-    eq.restore_next_seq(8);
-    eq.schedule(60, [&] { order += 'C'; });  // gets seq 8: runs last
-    eq.run();
-    EXPECT_EQ(order, "ABC");
-    EXPECT_EQ(eq.now(), 60u);
+    recording_queue q;
+    q.eq.restore_now(50);
+    q.eq.restore_event(60, /*seq=*/7, typed_event{2, 0, 'B', 0});
+    q.eq.restore_event(60, /*seq=*/3, typed_event{2, 0, 'A', 0});
+    q.eq.restore_next_seq(8);
+    q.at(60, 'C');  // gets seq 8: runs last
+    q.eq.run();
+    EXPECT_EQ(q.order, (std::vector<std::uint64_t>{'A', 'B', 'C'}));
+    EXPECT_EQ(q.eq.now(), 60u);
 }
 
 TEST(event_queue, restore_now_moves_the_clock_of_an_empty_queue) {
-    event_queue eq;
-    eq.restore_now(1234);
-    EXPECT_EQ(eq.now(), 1234u);
-    int fired = 0;
-    eq.schedule(1000, [&] { ++fired; });  // past: clamps to restored now
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 1234u);
+    recording_queue q;
+    q.eq.restore_now(1234);
+    EXPECT_EQ(q.eq.now(), 1234u);
+    q.at(1000, 1);  // past: clamps to restored now
+    q.eq.run();
+    EXPECT_EQ(q.order.size(), 1u);
+    EXPECT_EQ(q.eq.now(), 1234u);
 }
 
 // ---- typed events ----
@@ -214,15 +224,17 @@ TEST(event_queue, typed_events_dispatch_to_their_channel_in_seq_order) {
     });
     eq.set_handler(event_channel::layer,
                    [&](const typed_event& ev) { order += 'L'; (void)ev; });
-    // Interleave closures and typed events at one cycle: the shared
-    // sequence counter orders them exactly by scheduling order.
-    eq.schedule(10, [&] { order += 'c'; });
+    eq.set_handler(event_channel::sched,
+                   [&](const typed_event& ev) { order += 's'; (void)ev; });
+    // Interleave channels at one cycle: the shared sequence counter orders
+    // them exactly by scheduling order.
+    eq.schedule_event(10, typed_event{2, 0, 0, 0});  // sched
     eq.schedule_event(10, typed_event{0, 0, 1, 0});  // dma, a=1
     eq.schedule_event(10, typed_event{1, 0, 0, 0});  // layer
-    eq.schedule(10, [&] { order += 'c'; });
+    eq.schedule_event(10, typed_event{2, 0, 0, 0});  // sched
     eq.schedule_event(5, typed_event{0, 0, 2, 0});   // dma, earlier cycle
     eq.run();
-    EXPECT_EQ(order, "d2cd1Lc");
+    EXPECT_EQ(order, "d2sd1Ls");
 }
 
 TEST(event_queue, typed_events_round_trip_through_save_restore) {
@@ -242,8 +254,7 @@ TEST(event_queue, typed_events_round_trip_through_save_restore) {
     eq.schedule_event(30, typed_event{0, 0, 1, 0});
     eq.schedule_event(20, typed_event{2, 0, 0, 7});
     eq.schedule_event(30, typed_event{0, 0, 2, 0});
-    EXPECT_EQ(eq.pending_typed(), 3u);
-    EXPECT_EQ(eq.pending_closures(), 0u);
+    EXPECT_EQ(eq.pending(), 3u);
 
     snapshot_writer w;
     eq.save_typed(w);

@@ -1,9 +1,9 @@
 // Regression tests for the hot-path engine rewrites behind sim_throughput:
 //
-//   * event_queue — POD heap entries with a pooled closure store: the
-//     microbench-shaped throughput smoke, slot reuse under churn, the
-//     incremental pending_closures() counter and unchanged cancellable-
-//     timer semantics;
+//   * event_queue — POD heap entries carrying typed records: the
+//     microbench-shaped throughput smoke, exact accounting under churn,
+//     (channel, kind) cancellation dropping pending() at cancel time, and
+//     fire-once / cancel-after-fire semantics;
 //   * dma_engine — flights in a flat id-ordered vector: snapshot bytes of
 //     a mid-air state must round-trip identically through a fresh engine
 //     (byte compatibility with the std::map encoding it replaced);
@@ -32,89 +32,99 @@ namespace {
 // ---- event queue ------------------------------------------------------
 
 TEST(engine_hotpath, event_queue_schedule_step_throughput_smoke) {
-    // Microbench shape: a large interleaved stream of closures and typed
-    // events drains completely with exact accounting.
+    // Microbench shape: a large interleaved stream of events on two
+    // channels drains completely with exact accounting.
     event_queue eq;
-    eq.set_handler(event_channel::dma, [](const typed_event&) {});
-    constexpr std::size_t n = 50'000;
     std::size_t fired = 0;
+    eq.set_handler(event_channel::dma, [](const typed_event&) {});
+    eq.set_handler(event_channel::sched, [&](const typed_event&) { ++fired; });
+    constexpr std::size_t n = 50'000;
     for (std::size_t i = 0; i < n; ++i) {
-        eq.schedule(i % 997, [&] { ++fired; });
+        eq.schedule_event(i % 997, typed_event{2, 0, i, 0});
         eq.schedule_event(i % 991, typed_event{0, 0, i, 0});
     }
     EXPECT_EQ(eq.pending(), 2 * n);
-    EXPECT_EQ(eq.pending_closures(), n);
-    EXPECT_EQ(eq.pending_typed(), n);
+    EXPECT_EQ(eq.pending(event_channel::sched, 0), n);
+    EXPECT_EQ(eq.pending(event_channel::dma, 0), n);
     EXPECT_EQ(eq.run(), 2 * n);
     EXPECT_EQ(fired, n);
     EXPECT_EQ(eq.executed_events(), 2 * n);
-    EXPECT_EQ(eq.pending_closures(), 0u);
-    EXPECT_EQ(eq.pending_typed(), 0u);
+    EXPECT_EQ(eq.typed_dispatched(event_channel::sched), n);
+    EXPECT_EQ(eq.typed_dispatched(event_channel::dma), n);
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(engine_hotpath, event_queue_pool_reuse_under_churn) {
-    // Repeated fill/drain cycles keep the closure accounting exact; the
-    // slot pool recycles, so a zero-latency self-rescheduling chain works
-    // (each callback claims the slot its predecessor released).
+TEST(engine_hotpath, event_queue_accounting_under_churn) {
+    // Repeated fill/drain cycles keep the accounting exact, and a
+    // zero-latency self-rescheduling chain runs 1000 deep.
     event_queue eq;
+    std::size_t fired = 0;
+    int depth = 0;
+    eq.set_handler(event_channel::sched, [&](const typed_event& ev) {
+        ++fired;
+        if (ev.kind == 1 && ++depth < 1000)
+            eq.schedule_event(eq.now(), typed_event{2, 1, 0, 0});
+    });
     for (int round = 0; round < 20; ++round) {
-        std::size_t fired = 0;
-        for (int i = 0; i < 500; ++i)
-            eq.schedule_after(i, [&] { ++fired; });
-        EXPECT_EQ(eq.pending_closures(), 500u);
+        fired = 0;
+        for (std::uint64_t i = 0; i < 500; ++i)
+            eq.schedule_event(eq.now() + i, typed_event{2, 0, i, 0});
+        EXPECT_EQ(eq.pending(), 500u);
         eq.run();
         EXPECT_EQ(fired, 500u);
-        EXPECT_EQ(eq.pending_closures(), 0u);
+        EXPECT_EQ(eq.pending(), 0u);
     }
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 1000) eq.schedule_after(0, chain);
-    };
-    eq.schedule_after(0, chain);
+    const cycle_t start = eq.now();
+    eq.schedule_event(start, typed_event{2, 1, 0, 0});
     eq.run();
     EXPECT_EQ(depth, 1000);
+    EXPECT_EQ(eq.now(), start);
 }
 
-TEST(engine_hotpath, cancel_decrements_pending_closures_immediately) {
+TEST(engine_hotpath, cancel_drops_pending_immediately) {
     event_queue eq;
-    std::vector<event_queue::timer> timers;
-    for (int i = 0; i < 100; ++i)
-        timers.push_back(eq.schedule_cancellable(10 + i, [] {}));
-    eq.schedule(5, [] {});
-    EXPECT_EQ(eq.pending_closures(), 101u);
-    // Cancel every other timer: the live count drops at cancel() time,
-    // before the dead entries surface at the heap head.
-    for (std::size_t i = 0; i < timers.size(); i += 2) timers[i].cancel();
-    EXPECT_EQ(eq.pending_closures(), 51u);
+    eq.set_handler(event_channel::sched, [](const typed_event&) {});
+    // Every other event is kind 1; the rest are kind 2.
+    for (std::uint64_t i = 0; i < 100; ++i)
+        eq.schedule_event(10 + i, typed_event{2, i % 2 == 0 ? std::uint8_t{1}
+                                                            : std::uint8_t{2},
+                                              i, 0});
+    eq.schedule_event(5, typed_event{2, 0, 0, 0});
+    EXPECT_EQ(eq.pending(), 101u);
+    // The removal happens at cancel() time, not when the dead entries
+    // would surface at the heap head.
+    EXPECT_EQ(eq.cancel(event_channel::sched, 1), 50u);
+    EXPECT_EQ(eq.pending(), 51u);
+    EXPECT_EQ(eq.cancel(event_channel::sched, 1), 0u);  // nothing left: no-op
     EXPECT_EQ(eq.run(), 51u);
-    EXPECT_EQ(eq.pending_closures(), 0u);
+    EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.executed_events(), 51u);  // cancelled entries never count
-    for (std::size_t i = 0; i < timers.size(); ++i)
-        EXPECT_FALSE(timers[i].armed()) << i;
+    EXPECT_EQ(eq.now(), 109u);             // the last kind-2 event
 }
 
-TEST(engine_hotpath, cancellable_timer_semantics_unchanged) {
+TEST(engine_hotpath, cancel_semantics) {
     event_queue eq;
     int fired = 0;
-    auto t = eq.schedule_cancellable(50, [&] { ++fired; });
-    EXPECT_TRUE(t.armed());
-    EXPECT_EQ(t.when(), 50u);
+    eq.set_handler(event_channel::sched, [&](const typed_event&) { ++fired; });
+    eq.set_handler(event_channel::dma, [&](const typed_event&) { ++fired; });
+    eq.schedule_event(50, typed_event{2, 1, 0, 0});
+    EXPECT_EQ(eq.pending(event_channel::sched, 1), 1u);
     eq.run();
     EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(t.armed());
-    t.cancel();  // post-fire cancel stays a harmless no-op
-    EXPECT_EQ(eq.pending_closures(), 0u);
+    EXPECT_EQ(eq.cancel(event_channel::sched, 1), 0u);  // post-fire: no-op
+    EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.now(), 50u);
 
-    // A timer outliving its queue must stay safe to cancel.
-    event_queue::timer orphan;
-    {
-        event_queue scoped;
-        orphan = scoped.schedule_cancellable(10, [] {});
-    }
-    orphan.cancel();
-    EXPECT_FALSE(orphan.armed());
+    // Cancellation is keyed by (channel, kind): the same kind on another
+    // channel and another kind on the same channel both survive.
+    eq.schedule_event(60, typed_event{2, 1, 0, 0});
+    eq.schedule_event(70, typed_event{0, 1, 0, 0});
+    eq.schedule_event(80, typed_event{2, 3, 0, 0});
+    EXPECT_EQ(eq.cancel(event_channel::sched, 1), 1u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(eq.now(), 80u);
 }
 
 TEST(engine_hotpath, typed_section_bytes_stable_across_restore) {

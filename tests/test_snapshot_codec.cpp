@@ -287,8 +287,8 @@ TEST(snapshot_codec, mid_flight_snapshot_bytes_are_pinned) {
     const auto snap = paused_snapshot(codec_cfg(), ms_to_cycles(2.0));
     ASSERT_FALSE(snap.running.empty()) << "the pinned snapshot is mid-flight";
     const auto bytes = snap.encode();
-    EXPECT_EQ(bytes.size(), 5775392u);
-    EXPECT_EQ(fnv1a(bytes), 0x4b61724339f423a2ull);
+    EXPECT_EQ(bytes.size(), 5775571u);
+    EXPECT_EQ(fnv1a(bytes), 0x1b06a5bfa24178a0ull);
 }
 
 TEST(snapshot_codec, cut_inside_the_transparent_line_block_is_rejected) {

@@ -40,6 +40,8 @@
 namespace {
 
 using camdn::cycle_t;
+using camdn::event_channel;
+using camdn::runtime::sched_event;
 using camdn::runtime::scheduler_snapshot;
 
 struct options {
@@ -195,6 +197,48 @@ int cmd_load(const options& opt) {
     return 0;
 }
 
+/// Pending events of the typed-event section by channel and scheduler
+/// kind, parsed from the event_queue::save_typed layout. The
+/// bandwidth-epoch timer is armed when a bw_epoch event is pending.
+struct pending_events {
+    bool parsed = false;
+    std::uint64_t total = 0;
+    std::uint64_t dma = 0, layer = 0, page_retry = 0, workload = 0;
+    std::uint64_t bw_epoch = 0;
+    cycle_t bw_when = 0;
+};
+
+pending_events count_pending(const scheduler_snapshot& snap) {
+    pending_events p;
+    try {
+        camdn::snapshot_reader r(snap.typed_events);
+        p.total = snap.typed_events.empty() ? 0 : r.u64();
+        for (std::uint64_t i = 0; i < p.total; ++i) {
+            const cycle_t when = r.u64();
+            r.u64();  // seq
+            const auto channel = static_cast<event_channel>(r.u8());
+            const auto kind = static_cast<sched_event>(r.u8());
+            r.u64();  // payload a
+            r.u64();  // payload b
+            if (channel == event_channel::dma) {
+                ++p.dma;
+            } else if (channel == event_channel::layer) {
+                ++p.layer;
+            } else if (kind == sched_event::page_retry) {
+                ++p.page_retry;
+            } else if (kind == sched_event::workload) {
+                ++p.workload;
+            } else if (kind == sched_event::bw_epoch) {
+                ++p.bw_epoch;
+                p.bw_when = when;
+            }
+        }
+        p.parsed = true;
+    } catch (const camdn::snapshot_error&) {
+    }
+    return p;
+}
+
 /// Machine-readable inspect: one JSON object whose numeric leaves flatten
 /// into camdn_report metrics (so two snapshots diff like two run dumps).
 /// Mirrors the text report's fields; section parse failures degrade to
@@ -202,6 +246,7 @@ int cmd_load(const options& opt) {
 int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
                      const scheduler_snapshot& snap) {
     std::ostream& o = std::cout;
+    const pending_events pend = count_pending(snap);
     o << "{\"snapshot\":{"
       << "\"bytes\":" << bytes.size()
       << ",\"version\":" << scheduler_snapshot::version
@@ -212,7 +257,7 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
       << ",\"clock\":" << snap.now
       << ",\"event_seq\":" << snap.event_seq
       << ",\"slots\":" << snap.slots
-      << ",\"bw_timer_armed\":" << (snap.bw_timer_armed ? 1 : 0)
+      << ",\"bw_timer_armed\":" << (pend.bw_epoch > 0 ? 1 : 0)
       << ",\"admission_queue\":" << snap.admission_queue.size()
       << ",\"in_flight\":" << snap.running.size() << "}";
 
@@ -226,8 +271,15 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
     }
     o << "]";
 
+    if (pend.parsed)
+        o << ",\"pending_events\":{\"dma\":" << pend.dma
+          << ",\"layer\":" << pend.layer
+          << ",\"page_retry\":" << pend.page_retry
+          << ",\"workload\":" << pend.workload
+          << ",\"bw_epoch\":" << pend.bw_epoch << "}";
+
     try {
-        std::uint64_t runs = 0, flights = 0, typed = 0;
+        std::uint64_t runs = 0, flights = 0;
         if (!snap.engine.empty()) {
             camdn::snapshot_reader r(snap.engine);
             runs = r.u64();
@@ -245,13 +297,9 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
             r.u64();  // next flight id
             flights = r.u64();
         }
-        if (!snap.typed_events.empty()) {
-            camdn::snapshot_reader r(snap.typed_events);
-            typed = r.u64();
-        }
         o << ",\"engine\":{\"layer_runs\":" << runs
           << ",\"dma_flights\":" << flights
-          << ",\"pending_typed_events\":" << typed << "}";
+          << ",\"pending_typed_events\":" << pend.total << "}";
     } catch (const camdn::snapshot_error&) {
     }
 
@@ -326,6 +374,7 @@ int cmd_inspect(const options& opt) {
     const auto bytes = read_file(opt.file);
     const auto snap = scheduler_snapshot::decode(bytes);
     if (opt.json) return cmd_inspect_json(bytes, snap);
+    const pending_events pend = count_pending(snap);
 
     std::cout << "camdn scheduler snapshot (" << bytes.size() << " bytes)\n"
               << "  version:              " << scheduler_snapshot::version
@@ -338,8 +387,8 @@ int cmd_inspect(const options& opt) {
               << "  event seq:            " << snap.event_seq << "\n"
               << "  slots:                " << snap.slots << "\n"
               << "  bw timer:             "
-              << (snap.bw_timer_armed
-                      ? "armed at " + std::to_string(snap.bw_timer_when)
+              << (pend.bw_epoch > 0
+                      ? "armed at " + std::to_string(pend.bw_when)
                       : std::string("idle"))
               << "\n"
               << "  admission queue:      " << snap.admission_queue.size()
@@ -381,14 +430,17 @@ int cmd_inspect(const options& opt) {
             const std::uint64_t flights = r.u64();
             std::cout << "  dma flights:          " << flights << "\n";
         }
-        if (!snap.typed_events.empty()) {
-            camdn::snapshot_reader r(snap.typed_events);
-            const std::uint64_t n = r.u64();
-            std::cout << "  pending typed events: " << n << "\n";
-        }
     } catch (const camdn::snapshot_error& e) {
         std::cout << "  (engine section did not parse: " << e.what() << ")\n";
     }
+
+    if (pend.parsed)
+        std::cout << "  pending typed events: " << pend.total << " (dma "
+                  << pend.dma << ", layer " << pend.layer << ", page_retry "
+                  << pend.page_retry << ", workload " << pend.workload
+                  << ", bw_epoch " << pend.bw_epoch << ")\n";
+    else
+        std::cout << "  (typed-event section did not parse)\n";
 
     // Telemetry summary: epoch count, open-epoch state and the counter
     // totals across the recorded history (mirrors adapt::telemetry_bus::
