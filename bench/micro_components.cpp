@@ -38,6 +38,30 @@ static void bm_dram_access(benchmark::State& state) {
 }
 BENCHMARK(bm_dram_access);
 
+// The CaMDN chunk shape: 128-line NEC bursts from eight interleaved
+// streams, each issuing its next chunk when the previous one completes,
+// as co-located tenants' DMA flights do. Streams sit 64 MiB apart, so
+// they share banks on different rows and the bursts mix row hits,
+// empties and conflicts.
+static void bm_dram_burst(benchmark::State& state) {
+    constexpr std::uint64_t streams = 8;
+    constexpr std::uint64_t chunk_lines = 128;
+    dram::dram_system d{dram::dram_config{}};
+    std::vector<addr_t> next(streams);
+    std::vector<cycle_t> ready(streams, 0);
+    for (std::uint64_t s = 0; s < streams; ++s) next[s] = s * mib(64);
+    std::uint64_t s = 0;
+    for (auto _ : state) {
+        ready[s] = d.access_burst(next[s], chunk_lines, false, ready[s],
+                                  static_cast<task_id>(s));
+        benchmark::DoNotOptimize(ready[s]);
+        next[s] += chunk_lines * line_bytes;
+        s = (s + 1) % streams;
+    }
+    state.SetItemsProcessed(state.iterations() * chunk_lines);
+}
+BENCHMARK(bm_dram_burst);
+
 static void bm_transparent_access(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};
     cache::shared_cache c{cache::cache_config{}, d};

@@ -1,6 +1,8 @@
 #include "dram/dram_system.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "obs/attribution.h"
 
@@ -226,8 +228,7 @@ using wait_fold = obs::wait_fold<&obs::latency_attributor::on_dram_wait>;
 
 template <bool Attr>
 cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
-                                    cycle_t arrival, task_id task,
-                                    cycle_t* first_done) {
+                                    cycle_t arrival, task_id task) {
     // Consecutive lines stripe channels -> banks -> rows, so each channel's
     // subsequence (own data bus, own banks) times independently. Within a
     // channel, in-channel line index u walks one row block until a pow2
@@ -241,34 +242,60 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
     // serves lines j = t + v*nbanks, so from its second visit on each step
     // moves G by D - nbanks*S <= 0 (access_burst's gate): the prefix max
     // settles within the first two visit rounds.
+    //
+    // Everything the bank loop reads is copied into locals first, and the
+    // stats are counted in locals and added once per burst. The loop
+    // stores 64-bit bank fields through a pointer, which as far as the
+    // compiler knows may alias any 64-bit member; reading members there
+    // would reload them, and bump stats_ in memory, on every bank.
     const std::uint64_t line_id0 = line_addr / line_bytes;
     const std::uint64_t arrival_deci = arrival * deci;
     const std::uint64_t S = data_slot_deci_;
-    const std::uint64_t D = config_.t_ccd * deci;
+    const std::uint64_t tccd = config_.t_ccd;
+    const std::uint64_t D = tccd * deci;
     const std::uint64_t tcl = config_.t_cl * deci;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    const std::uint64_t nchannels = config_.channels;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
+    const std::uint64_t empty_extra = config_.t_rcd * deci;
+    const std::uint64_t miss_extra = (config_.t_rp + config_.t_rcd) * deci;
+    // batched_geometry_ implies pow2_geometry_: counts are masks + 1 and
+    // every divide by them is a shift.
+    const std::uint64_t channel_mask = channel_mask_;
+    const std::uint32_t channel_shift = channel_shift_;
+    const std::uint64_t bank_mask = bank_mask_;
+    const std::uint32_t bank_shift = bank_shift_;
+    const std::uint64_t nbanks = bank_mask + 1;
+    const std::uint32_t row_block_shift = bank_shift + row_shift_;
     const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
+    bank_state* const banks = banks_.data();
+    std::uint64_t* const bus_free = bus_free_.data();
+    [[maybe_unused]] task_id* const bank_users = bank_user_.data();
+    [[maybe_unused]] task_id* const bus_users = bus_user_.data();
+    [[maybe_unused]] std::int64_t* g1s = nullptr;
+    [[maybe_unused]] std::uint64_t* visits_of = nullptr;
     if constexpr (Attr) {
         if (attr_g1_.size() < nbanks) {
             attr_g1_.resize(nbanks);
             attr_visits_.resize(nbanks);
         }
+        g1s = attr_g1_.data();
+        visits_of = attr_visits_.data();
     }
 
-    cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
+    // Only a bank's first visit in a segment can open a row: later visits
+    // are same-row CAS hits, exactly as the per-line walk classifies them.
+    // Every line is a hit, an empty or a miss, so hits are the rest.
+    std::uint64_t empties = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t last_bus = 0;
+    const std::uint64_t touched = std::min(channel_mask + 1, nlines);
     for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
         const std::uint64_t first_id = line_id0 + i0;
-        const std::uint32_t c =
-            static_cast<std::uint32_t>(first_id & channel_mask_);
-        std::uint64_t remaining = (nlines - i0 + nchannels - 1) / nchannels;
-        std::uint64_t u = first_id >> channel_shift_;
-        std::uint64_t bus = bus_free_[c];
-        bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
-        [[maybe_unused]] task_id* cbank_users =
-            Attr ? &bank_user_[static_cast<std::size_t>(c) * nbanks] : nullptr;
+        const std::uint64_t c = first_id & channel_mask;
+        std::uint64_t remaining = (nlines - i0 + channel_mask) >> channel_shift;
+        std::uint64_t u = first_id >> channel_shift;
+        std::uint64_t bus = bus_free[c];
+        bank_state* const cbanks = banks + (c << bank_shift);
+        [[maybe_unused]] task_id* const cbank_users =
+            Attr ? bank_users + (c << bank_shift) : nullptr;
         [[maybe_unused]] wait_fold waits{attr_, task};
         bool first_segment = true;
         while (remaining > 0) {
@@ -280,7 +307,7 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
             std::int64_t runmax = static_cast<std::int64_t>(bus);
             // Round 0: each visited bank's first line, in bus (j) order.
             for (std::uint64_t t = 0; t < visited; ++t) {
-                const std::uint64_t b = (u + t) & bank_mask_;
+                const std::uint64_t b = (u + t) & bank_mask;
                 bank_state& bank = cbanks[b];
                 const std::uint64_t start0 =
                     std::max(arrival_deci, bank.ready_deci);
@@ -290,31 +317,25 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                                      (start0 - arrival_deci + deci - 1) / deci);
                     cbank_users[b] = task;
                 }
-                std::uint64_t extra;
-                if (bank.open_row == row) {
-                    ++stats_.row_hits;
-                    extra = 0;
-                } else if (bank.open_row < 0) {
-                    ++stats_.row_empties;
-                    extra = config_.t_rcd * deci;
-                } else {
-                    ++stats_.row_misses;
-                    extra = (config_.t_rp + config_.t_rcd) * deci;
+                std::uint64_t extra = 0;
+                if (bank.open_row != row) {
+                    if (bank.open_row < 0) {
+                        ++empties;
+                        extra = empty_extra;
+                    } else {
+                        ++misses;
+                        extra = miss_extra;
+                    }
                 }
                 bank.open_row = row;
                 const std::uint64_t cmd0 = start0 + tcl + extra;
-                const std::uint64_t r1 = start0 + D + extra;
-                const std::uint64_t visits = (len - t + nbanks - 1) / nbanks;
-                bank.ready_deci = r1 + (visits - 1) * D;
-                // Visits past the first are same-row CAS hits, exactly as
-                // the per-line walk would classify them.
-                stats_.row_hits += visits - 1;
+                const std::uint64_t visits = (len - t + bank_mask) >> bank_shift;
+                // R1 + (visits-1)*D, R1 = start0 + D + extra.
+                bank.ready_deci = start0 + extra + visits * D;
                 const std::int64_t g0 = static_cast<std::int64_t>(cmd0) -
                                         static_cast<std::int64_t>(t * S);
-                const std::int64_t g1 =
-                    static_cast<std::int64_t>(r1 + tcl) -
-                    static_cast<std::int64_t>((t + nbanks) * S);
                 if constexpr (Attr) {
+                    const std::uint64_t r1 = start0 + D + extra;
                     // Bank-chain waits for visits v >= 1: start(v) -
                     // arrival = (r1 - arrival) + (v-1)*D, an arithmetic
                     // progression whose step is a whole number of cycles,
@@ -325,15 +346,14 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                         const std::uint64_t k =
                             (r1 - arrival_deci + deci - 1) / deci;
                         waits.self += (visits - 1) * k +
-                                      config_.t_ccd *
-                                          ((visits - 1) * (visits - 2) / 2);
+                                      tccd * ((visits - 1) * (visits - 2) / 2);
                     }
                     // Bus wait of line j = t: M(j) - G(j), M the running
                     // max; only the channel's very first line can wait on a
                     // foreign bus holder.
                     if (runmax > g0) {
                         const task_id holder = first_segment && t == 0
-                                                   ? bus_user_[c]
+                                                   ? bus_users[c]
                                                    : task;
                         waits.charge(holder,
                                      (static_cast<std::uint64_t>(runmax - g0) +
@@ -342,19 +362,16 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                     } else {
                         runmax = g0;
                     }
-                    if (first_segment && t == 0) bus_user_[c] = task;
-                    attr_g1_[t] = g1;
-                    attr_visits_[t] = visits;
+                    if (first_segment && t == 0) bus_users[c] = task;
+                    g1s[t] = static_cast<std::int64_t>(r1 + tcl) -
+                             static_cast<std::int64_t>((t + nbanks) * S);
+                    visits_of[t] = visits;
                 } else {
-                    // Without hooks only the segment's max G matters, and a
-                    // bank's chain peaks at its first or second visit.
+                    // Without hooks only the segment's max G matters. A
+                    // bank's second visit has G1 = G0 + D - nbanks*S <= G0
+                    // under the gate, so only first visits can raise it.
                     if (g0 > runmax) runmax = g0;
-                    if (visits >= 2 && g1 > runmax) runmax = g1;
                 }
-                if (i0 == 0 && first_segment && t == 0 && first_done != nullptr)
-                    *first_done = (std::max(bus, cmd0) + S + controller_deci_ +
-                                   deci - 1) /
-                                  deci;
             }
             if constexpr (Attr) {
                 // Round 1: the second visits, in bus order — the last lines
@@ -362,7 +379,7 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                 if (len > nbanks) {
                     const std::uint64_t second = std::min(nbanks, len - nbanks);
                     for (std::uint64_t t = 0; t < second; ++t) {
-                        const std::int64_t g1 = attr_g1_[t];
+                        const std::int64_t g1 = g1s[t];
                         if (runmax > g1)
                             waits.self +=
                                 (static_cast<std::uint64_t>(runmax - g1) +
@@ -374,36 +391,37 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                     // Rounds >= 2: M has plateaued at runmax, and each
                     // bank's remaining waits grow by nbanks*S - D per round.
                     for (std::uint64_t t = 0; t < second; ++t) {
-                        if (attr_visits_[t] < 3) continue;
+                        if (visits_of[t] < 3) continue;
                         const std::uint64_t w1 =
-                            static_cast<std::uint64_t>(runmax - attr_g1_[t]);
+                            static_cast<std::uint64_t>(runmax - g1s[t]);
                         waits.self += ceil_ap_sum(w1, nbanks * S - D,
-                                                  attr_visits_[t] - 2);
+                                                  visits_of[t] - 2);
                     }
                 }
             }
             // Last line's data_end = (len-1)*S + max(P, max G) + S; the bus
             // occupies S deci-cycles per line regardless of waits.
             bus = static_cast<std::uint64_t>(runmax) + len * S;
-            stats_.bus_busy_deci += len * S;
             u += len;
             remaining -= len;
             first_segment = false;
         }
         if constexpr (Attr) waits.flush();
-        bus_free_[c] = bus;
-        // data_start is strictly increasing along a channel, so the
-        // channel's slowest line is its last; done = ceil of its data_end
-        // plus the controller hop.
-        const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
-        if (chan_done > done) done = chan_done;
+        bus_free[c] = bus;
+        if (bus > last_bus) last_bus = bus;
     }
-    return done;
+    stats_.row_hits += nlines - empties - misses;
+    stats_.row_empties += empties;
+    stats_.row_misses += misses;
+    stats_.bus_busy_deci += nlines * S;
+    // data_start is strictly increasing along a channel, so the burst's
+    // slowest line is the last of the channel whose bus ends latest; done
+    // = ceil of its data_end plus the controller hop.
+    return std::max(arrival, (last_bus + controller_deci_ + deci - 1) / deci);
 }
 
 cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
-                                cycle_t arrival, task_id task,
-                                cycle_t* first_done) {
+                                cycle_t arrival, task_id task) {
     // nlines <= channels: consecutive line ids stripe distinct channels,
     // so each line has its own bank and bus — no intra-burst coupling.
     // Same arithmetic as access_timed with regulation already committed
@@ -461,7 +479,6 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
 
         const cycle_t line_done =
             (data_end + controller_deci_ + deci - 1) / deci;
-        if (i == 0 && first_done != nullptr) *first_done = line_done;
         if (line_done > done) done = line_done;
     }
     if (attr_ != nullptr) waits.flush();
@@ -469,8 +486,8 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
 }
 
 cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
-                                  bool is_write, cycle_t arrival, task_id task,
-                                  cycle_t* first_done) {
+                                  bool is_write, cycle_t arrival,
+                                  task_id task) {
     obs::profile_scope scope(prof_, obs::subsystem::dram);
     // Same totals the per-line bumps would have produced, paid once.
     if (is_write) stats_.writes += nlines; else stats_.reads += nlines;
@@ -486,28 +503,27 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         // and need none of the segment machinery: every line is
         // independent.
         if (nlines <= config_.channels)
-            return burst_tiny(line_addr, nlines, arrival, task, first_done);
+            return burst_tiny(line_addr, nlines, arrival, task);
         return attr_ != nullptr
-                   ? burst_segments<true>(line_addr, nlines, arrival, task,
-                                          first_done)
-                   : burst_segments<false>(line_addr, nlines, arrival, task,
-                                           first_done);
+                   ? burst_segments<true>(line_addr, nlines, arrival, task)
+                   : burst_segments<false>(line_addr, nlines, arrival, task);
     }
     // Non-pow2 or command-bound geometry, or the burst crosses a
     // regulation budget edge: the exact per-line walk (regulate per line,
     // throttle accounting, attribution of the delays) is authoritative
     // here.
     cycle_t done = arrival;
-    for (std::uint64_t i = 0; i < nlines; ++i) {
-        const cycle_t line_done =
-            access_timed(line_addr + i * line_bytes, arrival, task);
-        if (i == 0 && first_done != nullptr) *first_done = line_done;
-        done = std::max(done, line_done);
-    }
+    for (std::uint64_t i = 0; i < nlines; ++i)
+        done = std::max(done,
+                        access_timed(line_addr + i * line_bytes, arrival, task));
     return done;
 }
 
 void dram_system::set_task_share(task_id task, double fraction) {
+    // std::clamp passes NaN through, and a NaN share would make the burst
+    // and per-line regulators disagree (every comparison with it fails).
+    if (std::isnan(fraction))
+        throw std::invalid_argument("dram_system::set_task_share: NaN share");
     if (task < 0) return;
     if (static_cast<std::size_t>(task) >= regulators_.size())
         regulators_.resize(task + 1);
@@ -584,6 +600,8 @@ void dram_system::restore_state(snapshot_reader& r) {
     regulators_.assign(nreg, regulator_state{});
     for (auto& reg : regulators_) {
         reg.share = r.d();
+        if (!(reg.share >= 0.0 && reg.share <= 1.0))
+            throw snapshot_error("snapshot DRAM regulator share outside [0, 1]");
         reg.epoch_start = r.u64();
         reg.bytes_used = r.u64();
     }

@@ -62,13 +62,12 @@ public:
     cycle_t access(addr_t line_addr, bool is_write, cycle_t arrival,
                    task_id task = no_task);
 
-    /// Times `nlines` consecutive lines starting at `line_addr`.
-    /// Returns completion of the last line; if `first_done` is non-null it
-    /// receives the completion of the first line (pipelining visibility for
-    /// the DMA model).
+    /// Times `nlines` consecutive lines starting at `line_addr`, all
+    /// arriving at `arrival`. Returns the completion of the burst's slowest
+    /// line, and leaves the same state and stats as `nlines` access()
+    /// calls in address order.
     cycle_t access_burst(addr_t line_addr, std::uint64_t nlines, bool is_write,
-                         cycle_t arrival, task_id task = no_task,
-                         cycle_t* first_done = nullptr);
+                         cycle_t arrival, task_id task = no_task);
 
     /// Times `n` independent lines, each exactly as one access() call, in
     /// array order. Writes are posted: the return value is the latest
@@ -77,7 +76,8 @@ public:
     /// and dirty writebacks).
     cycle_t access_lines(const line_request* reqs, std::size_t n);
 
-    /// Sets a task's bandwidth share in [0,1]; 0 disables regulation for it.
+    /// Sets a task's bandwidth share, clamped to [0,1]; 0 disables
+    /// regulation for it. Throws std::invalid_argument on NaN.
     void set_task_share(task_id task, double fraction);
     void clear_task_shares();
 
@@ -96,7 +96,8 @@ public:
     /// ready horizons), channel bus horizons, regulator windows, per-task
     /// byte counters and cumulative stats. Horizons are absolute
     /// deci-cycles — the resumed run continues the same clock.
-    /// restore_state throws snapshot_error on a geometry mismatch.
+    /// restore_state throws snapshot_error on a geometry mismatch or a
+    /// regulator share that is NaN or outside [0,1].
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
     /// Exact byte count save_state appends.
@@ -176,11 +177,15 @@ private:
     /// first use, so per-line waits fold into per-channel sums (see
     /// wait_fold in the .cpp). Bank-chain waits are arithmetic
     /// progressions with step tCCD; bus waits walk the first two visit
-    /// rounds explicitly and sum each bank's linear tail.
+    /// rounds explicitly and sum each bank's linear tail. The plain
+    /// instantiation tracks only each bank's first-visit G0: the second
+    /// visit has G1 = G0 + D - nbanks*S (D = tCCD, S = one line's bus
+    /// slot, in deci-cycles), which the batched gate keeps <= G0, so G1
+    /// can never raise the segment's max. Only the attributed wait sums
+    /// need G1.
     template <bool Attr>
     cycle_t burst_segments(addr_t line_addr, std::uint64_t nlines,
-                           cycle_t arrival, task_id task,
-                           cycle_t* first_done);
+                           cycle_t arrival, task_id task);
 
     /// Bursts no longer than the channel count stripe one line onto each
     /// channel, so every line is independent of the rest of the burst —
@@ -189,7 +194,7 @@ private:
     /// These dominate the call count: small fills, writebacks, tile
     /// tails. Handles both the plain and attributed cases.
     cycle_t burst_tiny(addr_t line_addr, std::uint64_t nlines,
-                       cycle_t arrival, task_id task, cycle_t* first_done);
+                       cycle_t arrival, task_id task);
 
     /// Timing core of access(): regulation, decode, bank/bus bookkeeping.
     /// Read/write and per-task byte counters are left to the caller, which

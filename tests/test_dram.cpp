@@ -2,6 +2,12 @@
 // ceilings, per-task attribution and MoCA-style regulation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
+
+#include "common/snapshot_io.h"
 #include "dram/dram_system.h"
 
 namespace camdn::dram {
@@ -117,12 +123,45 @@ TEST(dram, clear_task_shares_unthrottles) {
     EXPECT_EQ(d.stats().throttled, 0u);
 }
 
-TEST(dram, burst_reports_first_line_completion) {
+TEST(dram, nan_share_is_rejected) {
+    // std::clamp would pass NaN through, and every regulator comparison
+    // with a NaN share fails: the burst path would commit the whole burst
+    // while the per-line walk throttled every line.
     dram_system d(table2_config());
-    cycle_t first = 0;
-    const cycle_t last = d.access_burst(0, 1'000, false, 0, no_task, &first);
-    EXPECT_GT(first, 0u);
-    EXPECT_LT(first, last);
+    EXPECT_THROW(d.set_task_share(0, std::nan("")), std::invalid_argument);
+    // The rejected share leaves task 0 unregulated on the per-line path.
+    for (addr_t a = 0; a < 64 * line_bytes; a += line_bytes)
+        d.access(a, false, 0, 0);
+    EXPECT_EQ(d.stats().throttled, 0u);
+}
+
+TEST(dram, restore_rejects_share_outside_unit_interval) {
+    const dram_config cfg = table2_config();
+    dram_system d(cfg);
+    d.set_task_share(0, 0.5);
+    snapshot_writer w;
+    d.save_state(w);
+    const std::vector<std::uint8_t> good = w.bytes();
+    // Task 0's share follows the banks, the bus horizons and the
+    // regulator count.
+    const std::size_t at = 8 + 16 * static_cast<std::size_t>(cfg.channels) *
+                                   cfg.banks_per_channel +
+                           8 + 8 * cfg.channels + 8;
+    double saved = 0.0;
+    std::memcpy(&saved, good.data() + at, sizeof saved);
+    ASSERT_EQ(saved, 0.5);
+    {
+        snapshot_reader r(good);
+        dram_system ok(cfg);
+        EXPECT_NO_THROW(ok.restore_state(r));
+    }
+    for (const double bad : {std::nan(""), -0.5, 7.0}) {
+        std::vector<std::uint8_t> bytes = good;
+        std::memcpy(bytes.data() + at, &bad, sizeof bad);
+        snapshot_reader r(bytes);
+        dram_system fresh(cfg);
+        EXPECT_THROW(fresh.restore_state(r), snapshot_error) << bad;
+    }
 }
 
 TEST(dram, reset_stats_and_timing) {

@@ -1,11 +1,12 @@
 // Property tests for the batched access_burst paths (burst_tiny, the
 // closed-form row-chain, and the attributed variants): every one must be
 // bit-exact against the per-line reference — same completion cycles, same
-// first-line completion, same stats (row_hits included: they enter
-// snapshot bytes), same snapshot bytes, and, with an attributor attached,
-// the same attribution state. The reference is a mirror dram_system driven
-// one access() per line at the burst's arrival, which is exactly the walk
-// the per-line fallback inside access_burst performs.
+// stats (row_hits included: they enter snapshot bytes), same snapshot
+// bytes, and, with an attributor attached, the same attribution state —
+// over every batched geometry in batched_geometries(). The reference is a
+// mirror dram_system driven one access() per line at the burst's arrival,
+// which is exactly the walk the per-line fallback inside access_burst
+// performs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,18 +27,63 @@ std::vector<std::uint8_t> snapshot_of(const dram_system& d) {
 }
 
 /// The per-line reference: one access() per line, all at the burst's
-/// arrival, completion = max over lines, first_done = line 0's completion.
+/// arrival, completion = max over lines.
 cycle_t perline_burst(dram_system& d, addr_t addr, std::uint64_t nlines,
-                      bool is_write, cycle_t arrival, task_id task,
-                      cycle_t* first_done) {
+                      bool is_write, cycle_t arrival, task_id task) {
     cycle_t done = arrival;
-    for (std::uint64_t i = 0; i < nlines; ++i) {
-        const cycle_t c = d.access(addr + i * line_bytes, is_write, arrival,
-                                   task);
-        if (i == 0 && first_done != nullptr) *first_done = c;
-        done = std::max(done, c);
-    }
+    for (std::uint64_t i = 0; i < nlines; ++i)
+        done = std::max(done, d.access(addr + i * line_bytes, is_write,
+                                       arrival, task));
     return done;
+}
+
+bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// access_burst's gate for the batched kernels, restated from the config:
+/// a pow2 geometry whose bank CAS cadence (t_ccd) cannot outrun the whole
+/// channel bus (banks x one line's bus slot S).
+bool meets_batched_gate(const dram_config& cfg) {
+    const std::uint64_t row_lines = cfg.row_bytes / line_bytes;
+    const std::uint64_t S = cfg.burst_deci_cycles() + cfg.t_burst_gap * 10;
+    return is_pow2(cfg.channels) && is_pow2(cfg.banks_per_channel) &&
+           cfg.row_bytes % line_bytes == 0 && is_pow2(row_lines) &&
+           cfg.t_ccd * 10 <= cfg.banks_per_channel * S;
+}
+
+struct named_geometry {
+    const char* name;
+    dram_config cfg;
+};
+
+/// Geometries the batched kernels serve, each checked against the gate so
+/// none falls back to the per-line walk unnoticed.
+std::vector<named_geometry> batched_geometries() {
+    std::vector<named_geometry> out;
+    out.push_back({"stock", dram_config{}});
+    dram_config wide;
+    wide.channels = 8;
+    wide.banks_per_channel = 8;
+    out.push_back({"8ch x 8 banks", wide});
+    dram_config deep;
+    deep.channels = 2;
+    deep.banks_per_channel = 32;
+    deep.row_bytes = 4096;
+    out.push_back({"2ch x 32 banks, 4 KiB rows", deep});
+    dram_config short_rows;
+    short_rows.row_bytes = 1024;
+    out.push_back({"1 KiB rows", short_rows});
+    dram_config gap;
+    gap.t_burst_gap = 1;  // S = 35 deci-cycles
+    out.push_back({"t_burst_gap 1", gap});
+    // The gate's boundary, t_ccd*10 == banks*S: S = 6400 / 320 = 20 and
+    // D = 40 = 2 * 20, so a bank's second visit has G1 == G0.
+    dram_config edge;
+    edge.banks_per_channel = 2;
+    edge.bytes_per_cycle_x10 = 320;
+    out.push_back({"gate boundary (2 banks, S 20, D 40)", edge});
+    for (const named_geometry& g : out)
+        EXPECT_TRUE(meets_batched_gate(g.cfg)) << g.name;
+    return out;
 }
 
 void expect_stats_eq(const dram_stats& a, const dram_stats& b) {
@@ -61,8 +107,10 @@ struct burst_op {
     task_id task = no_task;
 };
 
-std::vector<burst_op> random_ops(std::uint64_t seed, std::size_t count,
-                                 int ntasks) {
+std::vector<burst_op> random_ops(const dram_config& cfg, std::uint64_t seed,
+                                 std::size_t count, int ntasks) {
+    const std::uint64_t channels = cfg.channels;
+    const std::uint64_t row_lines = cfg.row_bytes / line_bytes;
     std::mt19937_64 rng(seed);
     std::vector<burst_op> ops;
     ops.reserve(count);
@@ -72,7 +120,7 @@ std::vector<burst_op> random_ops(std::uint64_t seed, std::size_t count,
         burst_op op;
         switch (rng() % 4) {
             case 0:  // tiny path: at most one line per channel
-                op.nlines = 1 + rng() % 4;
+                op.nlines = 1 + rng() % channels;
                 break;
             case 1:  // closed form, inside one row block
                 op.nlines = 5 + rng() % 196;
@@ -81,14 +129,14 @@ std::vector<burst_op> random_ops(std::uint64_t seed, std::size_t count,
                 op.nlines = 201 + rng() % 4800;
                 break;
             default:  // degenerate edges around the tiny/segment boundary
-                op.nlines = 3 + rng() % 4;  // 3..6 around channels=4
+                op.nlines = channels - 1 + rng() % 4;  // channels-1..+2
                 break;
         }
         switch (rng() % 3) {
             case 0:  // continue the sequential stream (row hits)
                 break;
             case 1:  // jump to a row-aligned base (fresh activates)
-                cursor = (rng() % (1u << 16)) * 32;
+                cursor = (rng() % (1u << 16)) * row_lines;
                 break;
             default:  // scattered base (conflict-heavy)
                 cursor = rng() % (1u << 21);
@@ -107,26 +155,30 @@ std::vector<burst_op> random_ops(std::uint64_t seed, std::size_t count,
     return ops;
 }
 
-TEST(dram_batched, randomized_bursts_match_perline_reference) {
-    dram_system batched{dram_config{}};
-    dram_system perline{dram_config{}};
-    const auto ops = random_ops(/*seed=*/0x5eed0001, /*count=*/400,
+void check_plain_bursts(const dram_config& cfg) {
+    dram_system batched{cfg};
+    dram_system perline{cfg};
+    const auto ops = random_ops(cfg, /*seed=*/0x5eed0001, /*count=*/400,
                                 /*ntasks=*/3);
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const burst_op& op = ops[i];
-        cycle_t first_b = 0, first_p = 0;
         const cycle_t done_b = batched.access_burst(
-            op.addr, op.nlines, op.is_write, op.arrival, op.task, &first_b);
+            op.addr, op.nlines, op.is_write, op.arrival, op.task);
         const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task,
-                                             &first_p);
+                                             op.is_write, op.arrival, op.task);
         ASSERT_EQ(done_b, done_p) << "burst " << i;
-        ASSERT_EQ(first_b, first_p) << "burst " << i;
     }
     expect_stats_eq(batched.stats(), perline.stats());
     EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
     for (task_id t = 0; t < 3; ++t)
         EXPECT_EQ(batched.task_bytes(t), perline.task_bytes(t));
+}
+
+TEST(dram_batched, randomized_bursts_match_perline_reference) {
+    for (const named_geometry& g : batched_geometries()) {
+        SCOPED_TRACE(g.name);
+        check_plain_bursts(g.cfg);
+    }
 }
 
 TEST(dram_batched, regulator_budget_edges_match_perline_reference) {
@@ -140,18 +192,15 @@ TEST(dram_batched, regulator_budget_edges_match_perline_reference) {
         d->set_task_share(1, 0.5);
         // Task 2 stays unregulated: the bulk-commit fast path.
     }
-    const auto ops = random_ops(/*seed=*/0x5eed0002, /*count=*/300,
-                                /*ntasks=*/3);
+    const auto ops = random_ops(dram_config{}, /*seed=*/0x5eed0002,
+                                /*count=*/300, /*ntasks=*/3);
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const burst_op& op = ops[i];
-        cycle_t first_b = 0, first_p = 0;
         const cycle_t done_b = batched.access_burst(
-            op.addr, op.nlines, op.is_write, op.arrival, op.task, &first_b);
+            op.addr, op.nlines, op.is_write, op.arrival, op.task);
         const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task,
-                                             &first_p);
+                                             op.is_write, op.arrival, op.task);
         ASSERT_EQ(done_b, done_p) << "burst " << i;
-        ASSERT_EQ(first_b, first_p) << "burst " << i;
     }
     EXPECT_GT(batched.stats().throttled, 0u);  // the edge case actually ran
     expect_stats_eq(batched.stats(), perline.stats());
@@ -176,19 +225,16 @@ void check_attributed_bursts(const dram_config& cfg) {
         attr_p.on_inference_start(s, 0, 0);
     }
 
-    const auto ops = random_ops(/*seed=*/0x5eed0003, /*count=*/400,
+    const auto ops = random_ops(cfg, /*seed=*/0x5eed0003, /*count=*/400,
                                 /*ntasks=*/3);
     cycle_t horizon = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const burst_op& op = ops[i];
-        cycle_t first_b = 0, first_p = 0;
         const cycle_t done_b = batched.access_burst(
-            op.addr, op.nlines, op.is_write, op.arrival, op.task, &first_b);
+            op.addr, op.nlines, op.is_write, op.arrival, op.task);
         const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task,
-                                             &first_p);
+                                             op.is_write, op.arrival, op.task);
         ASSERT_EQ(done_b, done_p) << "burst " << i;
-        ASSERT_EQ(first_b, first_p) << "burst " << i;
         horizon = std::max(horizon, done_b);
         // Give every slot span so the waterfall has stall to attribute.
         if (op.task >= 0 && op.task < 3) {
@@ -223,40 +269,44 @@ void check_attributed_bursts(const dram_config& cfg) {
 }
 
 TEST(dram_batched, attributed_bursts_match_perline_reference) {
-    check_attributed_bursts(dram_config{});
+    for (const named_geometry& g : batched_geometries()) {
+        SCOPED_TRACE(g.name);
+        check_attributed_bursts(g.cfg);
+    }
     // One bank per channel is command-bound: t_ccd (40 deci-cycles)
     // outruns the channel bus (1 bank x 25 deci-cycles), so access_burst
     // must take the per-line walk instead of the segment kernel.
     dram_config command_bound;
     command_bound.banks_per_channel = 1;
+    ASSERT_FALSE(meets_batched_gate(command_bound));
     check_attributed_bursts(command_bound);
 }
 
 TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {
-    // Explicit widths around the tiny/segment dispatch boundary (channels
-    // = 4 in the stock config): 1..channels goes through burst_tiny,
-    // channels+1 through the segment paths.
-    const dram_config cfg{};
-    for (std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2},
-                            std::uint64_t{4}, std::uint64_t{5},
-                            std::uint64_t{8}}) {
-        dram_system batched{cfg};
-        dram_system perline{cfg};
-        cycle_t clock = 0;
-        for (int rep = 0; rep < 64; ++rep) {
-            const addr_t addr =
-                static_cast<addr_t>(rep) * 7 * line_bytes;  // stride: mixes
-            cycle_t fb = 0, fp = 0;                         // hit and miss
-            const cycle_t db =
-                batched.access_burst(addr, n, rep & 1, clock, 0, &fb);
-            const cycle_t dp =
-                perline_burst(perline, addr, n, rep & 1, clock, 0, &fp);
-            ASSERT_EQ(db, dp) << "nlines " << n << " rep " << rep;
-            ASSERT_EQ(fb, fp) << "nlines " << n << " rep " << rep;
-            clock += (rep % 3 == 0) ? 0 : 37;
+    // Explicit widths around the tiny/segment dispatch boundary:
+    // 1..channels goes through burst_tiny, channels+1 through the segment
+    // paths.
+    for (const named_geometry& g : batched_geometries()) {
+        SCOPED_TRACE(g.name);
+        const std::uint64_t channels = g.cfg.channels;
+        for (std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2}, channels,
+                                channels + 1, 2 * channels}) {
+            dram_system batched{g.cfg};
+            dram_system perline{g.cfg};
+            cycle_t clock = 0;
+            for (int rep = 0; rep < 64; ++rep) {
+                const addr_t addr = static_cast<addr_t>(rep) * 7 *
+                                    line_bytes;  // stride: mixes hit and miss
+                const cycle_t db =
+                    batched.access_burst(addr, n, rep & 1, clock, 0);
+                const cycle_t dp =
+                    perline_burst(perline, addr, n, rep & 1, clock, 0);
+                ASSERT_EQ(db, dp) << "nlines " << n << " rep " << rep;
+                clock += (rep % 3 == 0) ? 0 : 37;
+            }
+            expect_stats_eq(batched.stats(), perline.stats());
+            EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
         }
-        expect_stats_eq(batched.stats(), perline.stats());
-        EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
     }
 }
 
@@ -268,14 +318,13 @@ TEST(dram_batched, non_pow2_geometry_uses_exact_perline_walk) {
     cfg.channels = 3;
     dram_system batched{cfg};
     dram_system perline{cfg};
-    const auto ops = random_ops(/*seed=*/0x5eed0004, /*count=*/100,
+    const auto ops = random_ops(cfg, /*seed=*/0x5eed0004, /*count=*/100,
                                 /*ntasks=*/2);
     for (const burst_op& op : ops) {
         const cycle_t done_b = batched.access_burst(
             op.addr, op.nlines, op.is_write, op.arrival, op.task);
         const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task,
-                                             nullptr);
+                                             op.is_write, op.arrival, op.task);
         ASSERT_EQ(done_b, done_p);
     }
     expect_stats_eq(batched.stats(), perline.stats());
