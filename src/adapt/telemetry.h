@@ -1,16 +1,15 @@
 // Telemetry bus: low-overhead per-epoch runtime counters.
 //
-// The simulated components (shared cache, DMA engine, layer executor,
-// scheduler) carry a nullable `telemetry_bus*`; every hook is a null check
-// plus an integer increment, so instrumentation costs nothing when
-// telemetry is off and stays cheap when it is on. The scheduler cuts the
+// The scheduler attaches its bus to the SoC's probe (obs/probe.h), which
+// forwards the components' facts here; every hook is an integer
+// increment, so instrumentation costs nothing when telemetry is off and
+// stays cheap when it is on. The scheduler cuts the
 // accumulated counters into an `epoch_snapshot` every adaptive epoch; the
 // snapshot stream is what the feedback controller (adapt/controller.h) and
 // the fleet rollups (adapt/fleet_feedback.h) consume, and it is exported on
 // `sim::experiment_result::telemetry` for offline analysis.
 //
-// This header depends only on common/ so that the hardware layers below
-// sim/ can include it without an upward dependency.
+// This header depends only on common/.
 #pragma once
 
 #include <cstdint>
@@ -97,25 +96,24 @@ struct epoch_snapshot {
     }
 };
 
-/// The accumulator the instrumented components write into. Hooks are
-/// no-ops for out-of-range slots (no_task, isolated warm-up probes).
+/// The accumulator the probe writes into. Hooks are no-ops for
+/// out-of-range slots (no_task, isolated warm-up probes).
 class telemetry_bus {
 public:
     explicit telemetry_bus(std::uint32_t slots = 0) { reset(slots); }
 
-    void reset(std::uint32_t slots) {
+    /// Zeroes every counter and the history; the open epoch starts at
+    /// `start`.
+    void reset(std::uint32_t slots, cycle_t start = 0) {
         cur_.assign(slots, task_counters{});
         history_.clear();
-        epoch_start_ = 0;
+        epoch_start_ = start;
     }
 
     std::uint32_t slots() const { return static_cast<std::uint32_t>(cur_.size()); }
 
-    // ---- hooks (hot paths: null-checked by the caller) ----
+    // ---- hooks (hot paths, called by the probe) ----
 
-    void on_cache_access(task_id t, bool hit) {
-        on_cache_accesses(t, hit ? 1 : 0, hit ? 0 : 1);
-    }
     /// One transparent burst's outcome, counted once.
     void on_cache_accesses(task_id t, std::uint64_t hits,
                            std::uint64_t misses) {

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "cache/tag_match.h"
-#include "obs/attribution.h"
+#include "obs/probe.h"
 
 namespace camdn::cache {
 
@@ -66,7 +66,9 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
       transparent_ways_(config.ways),
       slice_free_(config.slices, 0),
       slice_start_(config.slices, 0),
-      pages_(config) {
+      pages_(config),
+      miss_penalty_cycles_(dram.isolated_line_service_cycles() +
+                           config.fill_latency + config.noc_latency) {
     pow2_geometry_ = is_pow2(config_.slices) && is_pow2(sets_);
     if (pow2_geometry_) {
         slice_shift_ = log2_of(config_.slices);
@@ -114,19 +116,6 @@ void shared_cache::set_transparent_ways(std::uint32_t ways) {
     for (auto& st : transparent_sets_) st.order = 0;
 }
 
-cycle_t shared_cache::occupy_slice(std::uint32_t slice, cycle_t arrival,
-                                   task_id task) {
-    cycle_t start = std::max(arrival, slice_free_[slice]);
-    if (attr_ != nullptr) {
-        if (start > arrival)
-            attr_->on_cache_wait(task, slice_user_[slice], start - arrival);
-        slice_user_[slice] = task;
-    }
-    slice_free_[slice] = start + 1;
-    ++stats_.slice_busy_cycles;
-    return start + 1;
-}
-
 cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
                                      std::uint64_t nlines, cycle_t arrival,
                                      task_id task) {
@@ -137,6 +126,7 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
     const std::uint64_t base = nlines / slices;
     const std::uint64_t rem = nlines % slices;
     const std::uint32_t start_mod = start_slice % slices;
+    obs::probe* const attr = obs::attribution_of(probe_);
     cycle_t done = arrival;
     for (std::uint32_t s = 0; s < slices; ++s) {
         // s + slices - start_mod is in [1, 2*slices), so one conditional
@@ -146,30 +136,16 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
         const std::uint64_t n = base + (offset < rem ? 1 : 0);
         if (n == 0) continue;
         const cycle_t start = std::max(arrival, slice_free_[s]);
-        if (attr_ != nullptr) {
+        if (attr != nullptr) {
+            const task_id holder = attr->take_slice(s, task);
             if (start > arrival)
-                attr_->on_cache_wait(task, slice_user_[s], start - arrival);
-            slice_user_[s] = task;
+                attr->cache_wait(task, holder, start - arrival);
         }
         slice_free_[s] = start + n;
         stats_.slice_busy_cycles += n;
         done = std::max(done, slice_free_[s]);
     }
     return done;
-}
-
-void shared_cache::set_attribution(obs::latency_attributor* attr) {
-    if (attr == attr_) return;  // re-attach: the holders stay current
-    attr_ = attr;
-    if (attr_ != nullptr) {
-        slice_user_.assign(config_.slices, no_task);
-        // Raw penalty of a transparent read miss over the hit it displaced:
-        // the isolated DRAM line service plus fill/NoC hops. DRAM *waits*
-        // inside the miss are charged by the DRAM hooks — this constant
-        // deliberately excludes them to avoid double counting.
-        miss_penalty_cycles_ = dram_.isolated_line_service_cycles() +
-                               config_.fill_latency + config_.noc_latency;
-    }
 }
 
 void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task,
@@ -194,14 +170,15 @@ access_result shared_cache::transparent_lines(addr_t paddr,
         slice0 = static_cast<std::uint32_t>(line0 % slices);
         set = static_cast<std::uint32_t>((line0 / slices) % sets_);
     }
-    obs::wait_fold<&obs::latency_attributor::on_cache_wait> waits{attr_, task};
+    obs::probe* const attr = obs::attribution_of(probe_);
+    obs::probe::wait_fold<&obs::probe::cache_wait> waits{attr, task};
 
     // Slice service in closed form. Line i is visit i / slices of slice
-    // (slice0 + i) mod slices, so the per-line occupy_slice chain puts its
-    // slot's end at start_s + i / slices + 1, start_s = max(arrival,
-    // slice_free_[s]). Only a slice's first visit can wait on another
-    // user; visit v >= 1 waits start_s + v - arrival behind the requester
-    // itself.
+    // (slice0 + i) mod slices, so a per-line chain of one-slot
+    // reservations puts its slot's end at start_s + i / slices + 1,
+    // start_s = max(arrival, slice_free_[s]). Only a slice's first visit
+    // can wait on another user; visit v >= 1 waits start_s + v - arrival
+    // behind the requester itself.
     const std::uint64_t base = nlines / slices;
     const std::uint64_t rem = nlines % slices;
     const std::uint64_t touched = std::min<std::uint64_t>(nlines, slices);
@@ -210,11 +187,10 @@ access_result shared_cache::transparent_lines(addr_t paddr,
         const cycle_t start = std::max(arrival, slice_free_[s]);
         slice_start_[s] = start;
         slice_free_[s] = start + n;
-        if (attr_ != nullptr) {
-            if (start > arrival)
-                waits.charge(slice_user_[s], start - arrival);
+        if (attr != nullptr) {
+            const task_id holder = attr->take_slice(s, task);
+            if (start > arrival) waits.charge(holder, start - arrival);
             waits.self += (n - 1) * (start - arrival) + n * (n - 1) / 2;
-            slice_user_[s] = task;
         }
         if (++s == slices) s = 0;
     }
@@ -294,8 +270,7 @@ access_result shared_cache::transparent_lines(addr_t paddr,
                 done = std::max(done, service + hit_latency);
             } else {
                 st.dirty &= ~bit;
-                if (attr_ != nullptr)
-                    waits.charge(holder, miss_penalty_cycles_);
+                if (attr != nullptr) waits.charge(holder, miss_penalty_cycles_);
                 dram_run_.push_back(
                     {paddr + i * line_bytes, service, task, false});
             }
@@ -322,8 +297,8 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     if (!is_write) stats_.read_miss_fills += misses;
     bump_task(task_hits_, task, hits);
     bump_task(task_misses_, task, misses);
-    if (telemetry_) telemetry_->on_cache_accesses(task, hits, misses);
-    if (attr_ != nullptr) waits.flush();
+    if (probe_ != nullptr) probe_->cache_accesses(task, hits, misses);
+    if (attr != nullptr) waits.flush();
 
     if (!dram_run_.empty()) {
         const cycle_t read_done =
@@ -360,70 +335,13 @@ void shared_cache::destroy_cpt(task_id task) {
         cpts_[task].reset();
 }
 
-cycle_t shared_cache::region_read(task_id task, addr_t vcaddr, cycle_t arrival) {
-    ++stats_.region_reads;
-    const pcaddr p = cpt(task).translate(vcaddr);
-    return occupy_slice(p.slice, arrival, task) + config_.hit_latency;
-}
-
-cycle_t shared_cache::region_write(task_id task, addr_t vcaddr, cycle_t arrival) {
-    ++stats_.region_writes;
-    const pcaddr p = cpt(task).translate(vcaddr);
-    return occupy_slice(p.slice, arrival, task) + config_.noc_latency;
-}
-
-cycle_t shared_cache::region_fill(task_id task, addr_t vcaddr, addr_t dram_addr,
-                                  cycle_t arrival) {
-    ++stats_.region_fills;
-    const pcaddr p = cpt(task).translate(vcaddr);
-    const cycle_t dram_done = dram_.access(dram_addr, false, arrival, task);
-    const cycle_t slot = occupy_slice(p.slice, dram_done, task);
-    return slot + config_.fill_latency;
-}
-
-cycle_t shared_cache::region_writeback(task_id task, addr_t vcaddr,
-                                       addr_t dram_addr, cycle_t arrival) {
-    ++stats_.region_writebacks;
-    const pcaddr p = cpt(task).translate(vcaddr);
-    const cycle_t slot = occupy_slice(p.slice, arrival, task);
-    return dram_.access(dram_addr, true, slot, task);
-}
-
-cycle_t shared_cache::bypass_read(addr_t dram_addr, cycle_t arrival,
-                                  task_id task) {
-    ++stats_.bypass_reads;
-    return dram_.access(dram_addr, false, arrival, task) + config_.noc_latency;
-}
-
-cycle_t shared_cache::bypass_write(addr_t dram_addr, cycle_t arrival,
-                                   task_id task) {
-    ++stats_.bypass_writes;
-    return dram_.access(dram_addr, true, arrival + config_.noc_latency, task);
-}
-
-cycle_t shared_cache::multicast_read(task_id task, addr_t vcaddr,
-                                     cycle_t arrival, std::uint32_t group_size) {
-    ++stats_.multicast_reads;
-    if (group_size > 1) stats_.multicast_combined += group_size - 1;
-    const pcaddr p = cpt(task).translate(vcaddr);
-    return occupy_slice(p.slice, arrival, task) + config_.hit_latency;
-}
-
-cycle_t shared_cache::multicast_bypass_read(addr_t dram_addr, cycle_t arrival,
-                                            task_id task,
-                                            std::uint32_t group_size) {
-    ++stats_.bypass_reads;
-    if (group_size > 1) stats_.multicast_combined += group_size - 1;
-    return dram_.access(dram_addr, false, arrival, task) + config_.noc_latency;
-}
-
 cycle_t shared_cache::region_read_burst(task_id task, addr_t vcaddr,
                                         std::uint64_t nlines, cycle_t arrival,
                                         std::uint32_t group_size) {
     if (nlines == 0) return arrival;
     stats_.region_reads += nlines;
     if (group_size > 1) stats_.multicast_combined += (group_size - 1) * nlines;
-    if (telemetry_) telemetry_->on_region_lines(task, nlines);
+    if (probe_ != nullptr) probe_->region_lines(task, nlines);
     const pcaddr first = cpt(task).translate(vcaddr);
     return occupy_striped(first.slice, nlines, arrival, task) +
            config_.hit_latency;
@@ -433,7 +351,7 @@ cycle_t shared_cache::region_write_burst(task_id task, addr_t vcaddr,
                                          std::uint64_t nlines, cycle_t arrival) {
     if (nlines == 0) return arrival;
     stats_.region_writes += nlines;
-    if (telemetry_) telemetry_->on_region_lines(task, nlines);
+    if (probe_ != nullptr) probe_->region_lines(task, nlines);
     const pcaddr first = cpt(task).translate(vcaddr);
     return occupy_striped(first.slice, nlines, arrival, task) +
            config_.noc_latency;
@@ -444,7 +362,7 @@ cycle_t shared_cache::region_fill_burst(task_id task, addr_t vcaddr,
                                         cycle_t arrival) {
     if (nlines == 0) return arrival;
     stats_.region_fills += nlines;
-    if (telemetry_) telemetry_->on_fill_lines(task, nlines);
+    if (probe_ != nullptr) probe_->fill_lines(task, nlines);
     const pcaddr first = cpt(task).translate(vcaddr);
     const cycle_t dram_done =
         dram_.access_burst(dram_addr, nlines, false, arrival, task);

@@ -36,15 +36,15 @@
 #include <memory>
 #include <vector>
 
-#include "adapt/telemetry.h"
 #include "cache/cache_config.h"
 #include "cache/cpt.h"
 #include "cache/page_allocator.h"
+#include "common/snapshot_io.h"
 #include "common/types.h"
 #include "dram/dram_system.h"
 
 namespace camdn::obs {
-class latency_attributor;
+class probe;
 }
 
 namespace camdn::cache {
@@ -67,6 +67,8 @@ struct cache_stats {
     std::uint64_t region_writebacks = 0;
     std::uint64_t bypass_reads = 0;
     std::uint64_t bypass_writes = 0;
+    /// Written by nothing since the single-line multicast read is gone;
+    /// kept because it is part of the snapshot layout.
     std::uint64_t multicast_reads = 0;
     /// Requests that multicast combining removed from the NoC/memory.
     std::uint64_t multicast_combined = 0;
@@ -126,21 +128,6 @@ public:
     page_allocator& pages() { return pages_; }
     const page_allocator& pages() const { return pages_; }
 
-    // ---- NEC semantics (single line) ----
-
-    cycle_t region_read(task_id task, addr_t vcaddr, cycle_t arrival);
-    cycle_t region_write(task_id task, addr_t vcaddr, cycle_t arrival);
-    cycle_t region_fill(task_id task, addr_t vcaddr, addr_t dram_addr,
-                        cycle_t arrival);
-    cycle_t region_writeback(task_id task, addr_t vcaddr, addr_t dram_addr,
-                             cycle_t arrival);
-    cycle_t bypass_read(addr_t dram_addr, cycle_t arrival, task_id task);
-    cycle_t bypass_write(addr_t dram_addr, cycle_t arrival, task_id task);
-    cycle_t multicast_read(task_id task, addr_t vcaddr, cycle_t arrival,
-                           std::uint32_t group_size);
-    cycle_t multicast_bypass_read(addr_t dram_addr, cycle_t arrival,
-                                  task_id task, std::uint32_t group_size);
-
     // ---- NEC semantics (bursts over consecutive lines) ----
 
     cycle_t region_read_burst(task_id task, addr_t vcaddr, std::uint64_t nlines,
@@ -160,17 +147,9 @@ public:
     const cache_stats& stats() const { return stats_; }
     void reset_stats();
 
-    /// Attaches the per-epoch telemetry bus (nullptr detaches; hooks are a
-    /// null check when telemetry is off).
-    void set_telemetry(adapt::telemetry_bus* bus) { telemetry_ = bus; }
-
-    /// Attaches the latency attributor (nullptr detaches): slice-occupancy
-    /// waits are charged against each slice's previous user and
-    /// transparent read misses against the evicted line's owner.
-    /// Observation only — the side tables never enter snapshot bytes. A
-    /// new attributor starts the slice table afresh; re-attaching the
-    /// current one keeps it.
-    void set_attribution(obs::latency_attributor* attr);
+    /// The SoC's probe (nullptr: nothing attached). Slice waits charge the
+    /// slice's previous user, transparent read misses the victim's owner.
+    void set_probe(obs::probe* p) { probe_ = p; }
 
     /// Drops every transparent line (used between experiment repetitions).
     void invalidate_all();
@@ -245,15 +224,12 @@ private:
         return transparent_sets_.size() * config_.ways;
     }
 
-    /// Reserves one service slot on `slice` at or after `arrival`; returns
-    /// the cycle the slot completes. `task` is the requester, for
-    /// attribution only (no_task = untracked) — timing ignores it.
-    cycle_t occupy_slice(std::uint32_t slice, cycle_t arrival,
-                         task_id task = no_task);
-
-    /// Reserves `nlines` striped service slots starting at `start_slice`.
+    /// Reserves `nlines` striped service slots starting at `start_slice`,
+    /// one per line at or after `arrival`; returns the cycle the last
+    /// completes. `task` is the requester, for attribution only (no_task =
+    /// untracked) — timing ignores it.
     cycle_t occupy_striped(std::uint32_t start_slice, std::uint64_t nlines,
-                           cycle_t arrival, task_id task = no_task);
+                           cycle_t arrival, task_id task);
 
     void bump_task(std::vector<std::uint64_t>& v, task_id task,
                    std::uint64_t n);
@@ -285,14 +261,14 @@ private:
     std::vector<std::unique_ptr<cache_page_table>> cpts_;
 
     cache_stats stats_;
-    adapt::telemetry_bus* telemetry_ = nullptr;
     std::vector<std::uint64_t> task_hits_;
     std::vector<std::uint64_t> task_misses_;
 
-    // Attribution side tables (observation only, never serialized).
-    obs::latency_attributor* attr_ = nullptr;
-    std::vector<task_id> slice_user_;  // last occupant per slice
-    cycle_t miss_penalty_cycles_ = 0;  // isolated fill cost of a read miss
+    obs::probe* probe_ = nullptr;
+    // Attributed cost of a transparent read miss over a hit: the isolated
+    // DRAM line service plus fill/NoC hops. DRAM *waits* inside the miss
+    // are the DRAM hooks' to charge, so they are excluded here.
+    cycle_t miss_penalty_cycles_ = 0;
 };
 
 }  // namespace camdn::cache

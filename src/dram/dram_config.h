@@ -8,6 +8,8 @@
 
 namespace camdn::dram {
 
+/// dram_system's constructor throws std::invalid_argument on a zero
+/// divisor (count, bandwidth or epoch) or a row below one line.
 struct dram_config {
     /// Independent channels; consecutive cache lines interleave across them.
     std::uint32_t channels = 4;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/attribution.h"
+#include "obs/probe.h"
 
 namespace camdn::dram {
 
@@ -12,6 +12,18 @@ namespace {
 constexpr std::uint64_t deci = 10;  // deci-cycles per cycle
 
 bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// The config, once its divisors are known to be usable.
+const dram_config& checked(const dram_config& c) {
+    if (c.channels == 0 || c.banks_per_channel == 0 ||
+        c.bytes_per_cycle_x10 == 0 || c.regulation_epoch == 0)
+        throw std::invalid_argument(
+            "dram_system: channels, banks_per_channel, bytes_per_cycle_x10 "
+            "and regulation_epoch must be non-zero");
+    if (c.row_bytes < line_bytes)
+        throw std::invalid_argument("dram_system: a row is below one line");
+    return c;
+}
 
 std::uint32_t log2_of(std::uint64_t v) {
     std::uint32_t s = 0;
@@ -21,7 +33,7 @@ std::uint32_t log2_of(std::uint64_t v) {
 }  // namespace
 
 dram_system::dram_system(const dram_config& config)
-    : config_(config),
+    : config_(checked(config)),
       banks_(static_cast<std::size_t>(config.channels) * config.banks_per_channel),
       bus_free_(config.channels, 0) {
     precompute_decode();
@@ -100,9 +112,10 @@ cycle_t dram_system::regulate(task_id task, cycle_t arrival) {
 
 cycle_t dram_system::access_timed(addr_t line_addr, cycle_t arrival,
                                   task_id task) {
+    obs::probe* const attr = obs::attribution_of(probe_);
     const cycle_t reg_arrival = regulate(task, arrival);
-    if (attr_ != nullptr && reg_arrival > arrival)
-        attr_->on_dram_wait(task, task, reg_arrival - arrival);
+    if (attr != nullptr && reg_arrival > arrival)
+        attr->dram_wait(task, task, reg_arrival - arrival);
     arrival = reg_arrival;
 
     const decoded d = decode(line_addr);
@@ -114,9 +127,12 @@ cycle_t dram_system::access_timed(addr_t line_addr, cycle_t arrival,
 
     const std::uint64_t arrival_deci = arrival * deci;
     const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-    if (attr_ != nullptr && start > arrival_deci)
-        attr_->on_dram_wait(task, bank_user_[bank_idx],
+    if (attr != nullptr) {
+        const task_id holder = attr->take_bank(bank_idx, task);
+        if (start > arrival_deci)
+            attr->dram_wait(task, holder,
                             (start - arrival_deci + deci - 1) / deci);
+    }
 
     // Latency of this access (visible to the requester) and occupancy of
     // the bank (what the *next* access to this bank waits for). Row hits
@@ -139,12 +155,11 @@ cycle_t dram_system::access_timed(addr_t line_addr, cycle_t arrival,
 
     const std::uint64_t cmd_done = start + cmd_cycles * deci;
     const std::uint64_t data_start = std::max(cmd_done, bus_free);
-    if (attr_ != nullptr) {
+    if (attr != nullptr) {
+        const task_id holder = attr->take_bus(d.channel, task);
         if (data_start > cmd_done)
-            attr_->on_dram_wait(task, bus_user_[d.channel],
-                                (data_start - cmd_done + deci - 1) / deci);
-        bank_user_[bank_idx] = task;
-        bus_user_[d.channel] = task;
+            attr->dram_wait(task, holder,
+                            (data_start - cmd_done + deci - 1) / deci);
     }
     const std::uint64_t data_end = data_start + data_slot_deci_;
     bus_free = data_end;
@@ -170,7 +185,7 @@ cycle_t dram_system::access(addr_t line_addr, bool is_write, cycle_t arrival,
 }
 
 cycle_t dram_system::access_lines(const line_request* reqs, std::size_t n) {
-    obs::profile_scope scope(prof_, obs::subsystem::dram);
+    const obs::probe::scope host(probe_, obs::subsystem::dram);
     cycle_t read_done = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const line_request& q = reqs[i];
@@ -223,7 +238,7 @@ std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
 
 /// One channel's (or one tiny burst's) DRAM waits, folded into few hook
 /// calls.
-using wait_fold = obs::wait_fold<&obs::latency_attributor::on_dram_wait>;
+using wait_fold = obs::probe::wait_fold<&obs::probe::dram_wait>;
 }  // namespace
 
 template <bool Attr>
@@ -267,8 +282,7 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
     const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
     bank_state* const banks = banks_.data();
     std::uint64_t* const bus_free = bus_free_.data();
-    [[maybe_unused]] task_id* const bank_users = bank_user_.data();
-    [[maybe_unused]] task_id* const bus_users = bus_user_.data();
+    [[maybe_unused]] obs::probe* const attr = Attr ? probe_ : nullptr;
     [[maybe_unused]] std::int64_t* g1s = nullptr;
     [[maybe_unused]] std::uint64_t* visits_of = nullptr;
     if constexpr (Attr) {
@@ -294,9 +308,7 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
         std::uint64_t u = first_id >> channel_shift;
         std::uint64_t bus = bus_free[c];
         bank_state* const cbanks = banks + (c << bank_shift);
-        [[maybe_unused]] task_id* const cbank_users =
-            Attr ? bank_users + (c << bank_shift) : nullptr;
-        [[maybe_unused]] wait_fold waits{attr_, task};
+        [[maybe_unused]] wait_fold waits{attr, task};
         bool first_segment = true;
         while (remaining > 0) {
             const std::uint64_t len =
@@ -312,10 +324,11 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                 const std::uint64_t start0 =
                     std::max(arrival_deci, bank.ready_deci);
                 if constexpr (Attr) {
+                    const task_id holder =
+                        attr->take_bank((c << bank_shift) + b, task);
                     if (start0 > arrival_deci)
-                        waits.charge(cbank_users[b],
+                        waits.charge(holder,
                                      (start0 - arrival_deci + deci - 1) / deci);
-                    cbank_users[b] = task;
                 }
                 std::uint64_t extra = 0;
                 if (bank.open_row != row) {
@@ -351,18 +364,16 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                     // Bus wait of line j = t: M(j) - G(j), M the running
                     // max; only the channel's very first line can wait on a
                     // foreign bus holder.
-                    if (runmax > g0) {
-                        const task_id holder = first_segment && t == 0
-                                                   ? bus_users[c]
-                                                   : task;
+                    const task_id holder = first_segment && t == 0
+                                               ? attr->take_bus(c, task)
+                                               : task;
+                    if (runmax > g0)
                         waits.charge(holder,
                                      (static_cast<std::uint64_t>(runmax - g0) +
                                       deci - 1) /
                                          deci);
-                    } else {
+                    else
                         runmax = g0;
-                    }
-                    if (first_segment && t == 0) bus_users[c] = task;
                     g1s[t] = static_cast<std::int64_t>(r1 + tcl) -
                              static_cast<std::int64_t>((t + nbanks) * S);
                     visits_of[t] = visits;
@@ -434,7 +445,8 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
 
     cycle_t done = arrival;
     // Waits fold into at most two hook calls per burst (see wait_fold).
-    wait_fold waits{attr_, task};
+    obs::probe* const attr = obs::attribution_of(probe_);
+    wait_fold waits{attr, task};
     for (std::uint64_t i = 0; i < nlines; ++i) {
         const std::uint64_t id = line_id0 + i;
         const std::uint32_t c = static_cast<std::uint32_t>(id & channel_mask_);
@@ -445,9 +457,11 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
         bank_state& bank = banks_[bank_idx];
 
         const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-        if (attr_ != nullptr && start > arrival_deci)
-            waits.charge(bank_user_[bank_idx],
-                         (start - arrival_deci + deci - 1) / deci);
+        if (attr != nullptr) {
+            const task_id holder = attr->take_bank(bank_idx, task);
+            if (start > arrival_deci)
+                waits.charge(holder, (start - arrival_deci + deci - 1) / deci);
+        }
         std::uint64_t cmd_cycles = config_.t_cl;
         std::uint64_t busy_cycles = config_.t_ccd;
         if (bank.open_row == row) {
@@ -465,12 +479,10 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
 
         const std::uint64_t cmd_done = start + cmd_cycles * deci;
         const std::uint64_t data_start = std::max(cmd_done, bus_free_[c]);
-        if (attr_ != nullptr) {
+        if (attr != nullptr) {
+            const task_id holder = attr->take_bus(c, task);
             if (data_start > cmd_done)
-                waits.charge(bus_user_[c],
-                             (data_start - cmd_done + deci - 1) / deci);
-            bank_user_[bank_idx] = task;
-            bus_user_[c] = task;
+                waits.charge(holder, (data_start - cmd_done + deci - 1) / deci);
         }
         const std::uint64_t data_end = data_start + data_slot_deci_;
         bus_free_[c] = data_end;
@@ -481,14 +493,14 @@ cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
             (data_end + controller_deci_ + deci - 1) / deci;
         if (line_done > done) done = line_done;
     }
-    if (attr_ != nullptr) waits.flush();
+    if (attr != nullptr) waits.flush();
     return done;
 }
 
 cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
                                   bool is_write, cycle_t arrival,
                                   task_id task) {
-    obs::profile_scope scope(prof_, obs::subsystem::dram);
+    const obs::probe::scope host(probe_, obs::subsystem::dram);
     // Same totals the per-line bumps would have produced, paid once.
     if (is_write) stats_.writes += nlines; else stats_.reads += nlines;
     if (task >= 0 && nlines > 0) {
@@ -504,7 +516,7 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         // independent.
         if (nlines <= config_.channels)
             return burst_tiny(line_addr, nlines, arrival, task);
-        return attr_ != nullptr
+        return obs::attribution_of(probe_) != nullptr
                    ? burst_segments<true>(line_addr, nlines, arrival, task)
                    : burst_segments<false>(line_addr, nlines, arrival, task);
     }
@@ -531,15 +543,6 @@ void dram_system::set_task_share(task_id task, double fraction) {
 }
 
 void dram_system::clear_task_shares() { regulators_.clear(); }
-
-void dram_system::set_attribution(obs::latency_attributor* attr) {
-    if (attr == attr_) return;  // re-attach: the holders stay current
-    attr_ = attr;
-    if (attr_ != nullptr) {
-        bank_user_.assign(banks_.size(), no_task);
-        bus_user_.assign(bus_free_.size(), no_task);
-    }
-}
 
 std::uint64_t dram_system::task_bytes(task_id task) const {
     if (task < 0 || static_cast<std::size_t>(task) >= per_task_bytes_.size())

@@ -19,10 +19,9 @@
 #include "common/snapshot_io.h"
 #include "common/types.h"
 #include "dram/dram_config.h"
-#include "obs/profile.h"
 
 namespace camdn::obs {
-class latency_attributor;
+class probe;
 }
 
 namespace camdn::dram {
@@ -108,20 +107,11 @@ public:
         return horizon ? static_cast<double>(stats_.bytes()) / horizon : 0.0;
     }
 
-    /// Attaches the host-time profiler (nullptr detaches). Bursts and line
-    /// runs charge `dram`, one scope per call; a lone access() stays in its
-    /// caller's scope (a scope per line would dominate the very cost being
-    /// measured).
-    void set_profiler(obs::profiler* prof) { prof_ = prof; }
-
-    /// Attaches the latency attributor (nullptr detaches): per-access bank
-    /// / bus / regulation waits are charged to the requesting task against
-    /// the resource's previous user. Observation only — the holder side
-    /// tables live outside the timing state and are never serialized, so
-    /// attached runs stay bit-identical in results and snapshot bytes. A
-    /// new attributor starts the tables afresh; re-attaching the current
-    /// one keeps them.
-    void set_attribution(obs::latency_attributor* attr);
+    /// The SoC's probe (nullptr: nothing attached). Bursts and line runs
+    /// charge host time to `dram`; a lone access() stays in its caller's
+    /// scope (a scope per line would dominate the cost it measures). Bank,
+    /// bus and regulation waits charge the resource's previous user.
+    void set_probe(obs::probe* p) { probe_ = p; }
 
     /// Contention-free service cycles of one line (row-hit CAS + data slot
     /// + controller) — the cache's transparent-miss penalty constant.
@@ -172,10 +162,10 @@ private:
     /// is linear in the visit index, so the channel's bus-serialization
     /// prefix-max settles within each bank's first two visits — O(banks)
     /// per segment instead of O(lines). Bit-identical results and state
-    /// updates to the per-line walk. `Attr` adds the attributor hooks:
+    /// updates to the per-line walk. `Attr` adds the attribution hooks:
     /// within a burst every resource's holder is `task` itself after its
     /// first use, so per-line waits fold into per-channel sums (see
-    /// wait_fold in the .cpp). Bank-chain waits are arithmetic
+    /// obs::probe::wait_fold). Bank-chain waits are arithmetic
     /// progressions with step tCCD; bus waits walk the first two visit
     /// rounds explicitly and sum each bank's linear tail. The plain
     /// instantiation tracks only each bank's first-visit G0: the second
@@ -213,13 +203,7 @@ private:
     std::vector<regulator_state> regulators_;     // indexed by task id
     std::vector<std::uint64_t> per_task_bytes_;   // indexed by task id
     dram_stats stats_;
-    obs::profiler* prof_ = nullptr;
-
-    // Attribution side tables (observation only, never serialized): the
-    // task that last occupied each bank / channel bus, for blame charging.
-    obs::latency_attributor* attr_ = nullptr;
-    std::vector<task_id> bank_user_;  // channel * banks + bank
-    std::vector<task_id> bus_user_;   // per channel
+    obs::probe* probe_ = nullptr;
 
     // Constants derived from config_ at construction (hot-path hoists).
     bool pow2_geometry_ = false;

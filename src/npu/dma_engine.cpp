@@ -4,29 +4,19 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/attribution.h"
+#include "obs/probe.h"
 
 namespace camdn::npu {
 
 namespace {
 
+/// Trace name of a flight's kind, in enum order.
 const char* op_name(transfer_request::kind op) {
-    using kind = transfer_request::kind;
-    switch (op) {
-        case kind::transparent_read: return "transparent_read";
-        case kind::transparent_write: return "transparent_write";
-        case kind::region_read: return "region_read";
-        case kind::region_write: return "region_write";
-        case kind::region_fill: return "region_fill";
-        case kind::region_writeback: return "region_writeback";
-        case kind::bypass_read: return "bypass_read";
-        case kind::bypass_write: return "bypass_write";
-    }
-    return "?";
-}
-
-std::uint32_t trace_tid(task_id t) {
-    return t < 0 ? obs::trace_tid_untracked : static_cast<std::uint32_t>(t);
+    static constexpr const char* names[] = {
+        "transparent_read", "transparent_write", "region_read",
+        "region_write",     "region_fill",       "region_writeback",
+        "bypass_read",      "bypass_write"};
+    return names[static_cast<std::size_t>(op)];
 }
 
 }  // namespace
@@ -50,7 +40,7 @@ cycle_t dma_engine::transfer_now(const transfer_request& req, cycle_t arrival) {
     // Host-time attribution: the synchronous transfer body is cache work
     // (the DRAM portions re-attribute inside dram_system's bursts and
     // line runs).
-    obs::profile_scope scope(prof_, obs::subsystem::cache);
+    const obs::probe::scope host(probe_, obs::subsystem::cache);
     using kind = transfer_request::kind;
     switch (req.op) {
         case kind::transparent_read:
@@ -114,7 +104,7 @@ void dma_engine::submit_tracked(const transfer_request& req,
         if (sink_) sink_(target, eq_.now());
         return;
     }
-    if (telemetry_) telemetry_->on_dma_bytes(req.task, req.nlines * line_bytes);
+    if (probe_ != nullptr) probe_->dma_bytes(req.task, req.nlines * line_bytes);
     flight f;
     f.target = target;
     f.req = req;
@@ -132,7 +122,7 @@ void dma_engine::submit_tracked(const transfer_request& req,
 }
 
 void dma_engine::pump(std::uint64_t id, bool allow_inline) {
-    obs::profile_scope scope(prof_, obs::subsystem::dma);
+    const obs::probe::scope host(probe_, obs::subsystem::dma);
     const std::size_t at = find_flight(id);
     for (;;) {
         flight& f = flights_[at];
@@ -146,13 +136,11 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
             chunk.dram_addr = f.req.dram_addr + f.issued_lines * line_bytes;
             chunk.nlines = lines;
             const cycle_t done = transfer_now(chunk, eq_.now());
-            // The chunk's service window is known synchronously, so its
-            // trace event is recordable at issue (sampled: the chunk lane
-            // is the highest-volume category by an order of magnitude).
-            if (trace_ != nullptr && trace_->chunk_events() &&
-                trace_->sample_chunk())
-                trace_->complete_arg("dma_chunk", "dma", trace_tid(f.req.task),
-                                     eq_.now(), done, lines * line_bytes);
+            // The chunk's service window is known synchronously, so it is
+            // reported at issue.
+            if (probe_ != nullptr)
+                probe_->dma_chunk(f.req.task, eq_.now(), done,
+                                  lines * line_bytes);
             f.issued_lines += lines;
             ++f.issued_chunks;
             f.out.push_back(done);
@@ -163,10 +151,9 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
             // completion runs: the sink may submit a follow-up transfer.
             const cycle_t done = f.last_done;
             const dma_target target = f.target;
-            if (trace_ != nullptr && trace_->sample_flight())
-                trace_->complete_arg(op_name(f.req.op), "dma",
-                                     trace_tid(f.req.task), f.issue, done,
-                                     f.req.nlines * line_bytes);
+            if (probe_ != nullptr)
+                probe_->dma_flight(op_name(f.req.op), f.req.task, f.issue,
+                                   done, f.req.nlines * line_bytes);
             recycle_ring(std::move(f.out));
             flights_.erase(flights_.begin() +
                            static_cast<std::ptrdiff_t>(at));
@@ -175,9 +162,9 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
         }
         // Wake when the oldest chunk retires; that frees a window slot.
         const cycle_t next = f.out[f.out_head];
-        if (attr_ != nullptr && f.issued_chunks < f.total_chunks &&
+        if (probe_ != nullptr && f.issued_chunks < f.total_chunks &&
             next > eq_.now())
-            attr_->on_dma_window_wait(f.req.task, next - eq_.now());
+            probe_->dma_window_wait(f.req.task, next - eq_.now());
         if (++f.out_head == f.out.size()) {
             f.out.clear();
             f.out_head = 0;

@@ -28,16 +28,13 @@
 #include <functional>
 #include <vector>
 
-#include "adapt/telemetry.h"
 #include "cache/shared_cache.h"
 #include "common/event_queue.h"
 #include "common/snapshot_io.h"
 #include "common/types.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace camdn::obs {
-class latency_attributor;
+class probe;
 }
 
 namespace camdn::npu {
@@ -107,28 +104,14 @@ public:
     /// input. Requires an idle engine.
     void restore_state(snapshot_reader& r);
 
-    /// Attaches the per-epoch telemetry bus (nullptr detaches). Submitted
-    /// transfers are attributed to their task at issue time.
-    void set_telemetry(adapt::telemetry_bus* bus) { telemetry_ = bus; }
-
-    /// Attaches the trace recorder (nullptr detaches): one duration event
-    /// per flight (issue to final chunk), plus per-chunk events when the
-    /// recorder asks for them. Live flights re-anchor their spans at now(),
-    /// as restore_state does: the new recorder saw none of their issue.
-    /// Observation only — never schedules events.
-    void set_trace(obs::trace_recorder* trace) {
-        trace_ = trace;
+    /// The SoC's probe (nullptr: nothing attached). The pump charges host
+    /// time to `dma`, the transfer body to `cache`. Live flights re-anchor
+    /// their spans at now(), as restore_state does: a recorder attached
+    /// now saw none of their issue.
+    void set_probe(obs::probe* p) {
+        probe_ = p;
         for (auto& f : flights_) f.issue = eq_.now();
     }
-    /// Attaches the host-time profiler (nullptr detaches): the chunk pump
-    /// charges `dma`, the synchronous transfer path charges `cache` (with
-    /// DRAM bursts re-attributed inside dram_system).
-    void set_profiler(obs::profiler* prof) { prof_ = prof; }
-    /// Attaches the latency attributor (nullptr detaches): flights report
-    /// the cycles their issue loop spent gated on a full chunk window (a
-    /// diagnostic counter; the memory-side waits inside each chunk are
-    /// charged by the cache/DRAM hooks).
-    void set_attribution(obs::latency_attributor* attr) { attr_ = attr; }
 
 private:
     /// In-flight bookkeeping of one submitted transfer: the request, the
@@ -149,7 +132,7 @@ private:
         cycle_t last_done = 0;
         /// Submission cycle — trace-event bookkeeping only, NOT serialized
         /// (snapshot bytes are unchanged; a restored flight re-anchors at
-        /// the restore clock, a live one when a recorder attaches).
+        /// the restore clock, a live one at every set_probe).
         cycle_t issue = 0;
         dma_target target{};
 
@@ -175,10 +158,7 @@ private:
     std::vector<flight> flights_;  // ascending id
     std::vector<std::vector<cycle_t>> ring_pool_;
     std::uint64_t next_flight_ = 0;
-    adapt::telemetry_bus* telemetry_ = nullptr;
-    obs::trace_recorder* trace_ = nullptr;
-    obs::profiler* prof_ = nullptr;
-    obs::latency_attributor* attr_ = nullptr;
+    obs::probe* probe_ = nullptr;
 };
 
 }  // namespace camdn::npu

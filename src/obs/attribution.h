@@ -34,17 +34,17 @@
 // tenant's own transfer volume, not another tenant's fault.
 //
 // Same zero-overhead-off contract as the rest of obs/: the attributor is a
-// nullable borrowed pointer on obs::run_observer, every hook in the
-// machine is a single null check, nothing it touches enters fingerprints
-// or snapshot bytes, and an attached run's results are bit-identical to a
-// bare run. Attribution state is intentionally *not* serialized: an
-// inference carried across a snapshot boundary re-anchors and is simply
-// not attributed (its completion record is unaffected). Fleet rounds
-// continue each SoC in place with one attributor for its lifetime, so
-// inferences that straddle a round barrier are attributed.
+// nullable borrowed pointer on obs::run_observer, fed by the SoC's probe
+// (obs/probe.h, which also owns the holder tables naming who held a
+// contended DRAM bank, bus or cache slice); nothing it touches enters
+// fingerprints or snapshot bytes, and an attached run's results are
+// bit-identical to a bare run. Attribution state is intentionally *not*
+// serialized: an inference carried across a snapshot boundary re-anchors
+// and is simply not attributed (its completion record is unaffected).
+// Fleet rounds continue each SoC in place with one attributor for its
+// lifetime, so inferences that straddle a round barrier are attributed.
 //
-// Depends only on common/ so every layer (dram, cache, npu, sim, runtime,
-// serve) can include it without an upward dependency.
+// Depends only on common/.
 #pragma once
 
 #include <cstdint>
@@ -238,39 +238,6 @@ private:
     std::vector<std::vector<std::uint64_t>> matrix_;
     std::vector<inference_attribution> records_;
     std::uint64_t dma_window_wait_ = 0;
-};
-
-/// Folds one burst's waits into few calls of a wait hook (`on_dram_wait`
-/// or `on_cache_wait`). The attributor accumulates commutative sums keyed
-/// by (victim, holder tenant), so adding equal-key charges first is
-/// bit-identical to charging them one by one. Self-charges (holder ==
-/// task: every wait after a resource's first use in the burst) fold into
-/// one sum; foreign waits fold per run of equal holders — adjacent bursts
-/// sweep the same resources, so one prior user typically holds all of
-/// them.
-template <void (latency_attributor::*Hook)(task_id, task_id, std::uint64_t)>
-struct wait_fold {
-    latency_attributor* attr;
-    task_id task;
-    std::uint64_t self = 0;
-    task_id fh = no_task;
-    std::uint64_t fw = 0;
-
-    void charge(task_id holder, std::uint64_t w) {
-        if (holder == task) {
-            self += w;
-        } else if (holder == fh) {
-            fw += w;
-        } else {
-            if (fw > 0) (attr->*Hook)(task, fh, fw);
-            fh = holder;
-            fw = w;
-        }
-    }
-    void flush() const {
-        if (fw > 0) (attr->*Hook)(task, fh, fw);
-        if (self > 0) (attr->*Hook)(task, task, self);
-    }
 };
 
 }  // namespace camdn::obs

@@ -1,7 +1,7 @@
 // Streaming JSONL sinks for per-epoch and per-round telemetry.
 //
 // A sink accepts one JSON object per row. In streaming mode (constructed
-// on an ostream) rows hit the stream as they are produced — the scheduler
+// on an ostream) rows hit the stream as they are produced — the probe
 // emits an epoch row at every telemetry cut, so telemetry leaves the
 // process *during* the run instead of as an end-of-run rollup. In buffered
 // mode (default) rows accumulate in memory; fleet runs give every SoC of a

@@ -7,7 +7,7 @@
 // sample count, which is what lets a million-request run keep latency
 // percentiles without retaining every sample.
 //
-// The registry is fed from scheduler epoch cuts and completion events (all
+// The probe feeds the registry from epoch cuts and completions (all
 // simulation facts), so its contents are deterministic; names are stored
 // in ordered maps so write_json() emits identical bytes for identical
 // runs. Host wall-time never enters the registry — that belongs to the

@@ -1,14 +1,16 @@
-// The run observer: the bundle of nullable observability hooks a run
-// carries (sim::experiment_config::obs).
+// The run observer: the bundle of observability sinks a run carries
+// (sim::experiment_config::obs).
 //
-// All pointers default to null — the zero-overhead-off property: with no
-// observer attached every hook in the machine is a single null check, and
-// a run's results, goldens and snapshot bytes are bit-identical to a build
-// without the observability layer. The pointers are borrowed (the caller
-// owns the recorder/registry/sink/profiler and outlives the run), mirroring
-// the telemetry_bus* pattern. None of these fields enter the scheduler's
-// machine/run fingerprints, so snapshots taken with and without observers
-// attached are interchangeable.
+// The scheduler attaches it to its SoC's probe (obs/probe.h), which fans
+// every component's facts out to these sinks and owns the attribution
+// holder tables. All pointers default to null — the zero-overhead-off
+// property: with nothing attached every hook in the machine is a single
+// null check, and a run's results, goldens and snapshot bytes are
+// bit-identical to a build without the observability layer. The pointers
+// are borrowed (the caller owns each sink and outlives the run). None of
+// these fields enter the scheduler's machine/run fingerprints, so
+// snapshots taken with and without observers attached are
+// interchangeable.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Chrome trace-event recorder.
 //
-// The observability layer's timeline view: simulated components record
+// The observability layer's timeline view: the SoC's probe records
 // duration events (layer executions, DMA flights and chunks, page-wait
 // retries, whole inferences) and instants (negotiation timeouts) against
 // the simulation clock, and write_chrome_trace() exports them as Chrome
@@ -18,8 +18,7 @@
 // by (pid, tid, ts), so the exported bytes are identical across repeated
 // runs and sweep-pool widths.
 //
-// Depends only on common/ so every layer (npu, cache, sim, runtime, serve)
-// can include it without an upward dependency.
+// Depends only on common/.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +74,7 @@ public:
     }
     std::uint32_t chunk_sample_every() const { return chunk_sample_every_; }
     /// Advances the chunk sampling counter; true when this chunk's event
-    /// should be recorded. Called once per issued chunk by the DMA engine
+    /// should be recorded. Called once per issued chunk by the SoC's probe
     /// while chunk_events() is on.
     bool sample_chunk() {
         if (++chunk_counter_ < chunk_sample_every_) return false;
@@ -92,7 +91,7 @@ public:
     std::uint32_t flight_sample_every() const { return flight_sample_every_; }
     /// Advances the flight sampling counter; true when this flight's
     /// completion event should be recorded. Called once per retired
-    /// flight by the DMA engine while a recorder is attached.
+    /// flight by the SoC's probe while a recorder is attached.
     bool sample_flight() {
         if (++flight_counter_ < flight_sample_every_) return false;
         flight_counter_ = 0;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
-#include "obs/attribution.h"
-#include "obs/jsonl.h"
-#include "obs/metrics.h"
 #include "sim/mapping_registry.h"
 
 namespace camdn::runtime {
@@ -68,15 +66,15 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
       gen_(&gen),
       machine_(cfg.soc, cfg.pol),
       bw_(machine_.dram()) {
+    // A zero epoch would re-arm the bandwidth timer at one cycle forever.
+    if (cfg_.bw_epoch == 0)
+        throw std::invalid_argument("scheduler: bw_epoch must be non-zero");
     // The observer's epoch consumers ride the telemetry bus; turning it on
     // for them is observation only (epoch cuts are lazy — see
     // maybe_cut_epoch), so results stay bit-identical to a bare run.
     telemetry_on_ = cfg_.telemetry || adaptive() || cfg_.obs.wants_epochs();
-    if (telemetry_on_) {
-        bus_.reset(cfg_.co_located);
-        machine_.set_telemetry(&bus_);
-    }
-    if (cfg_.obs.enabled()) machine_.set_observer(cfg_.obs);
+    if (telemetry_on_) bus_.reset(cfg_.co_located);
+    machine_.attach(cfg_.obs, telemetry_on_ ? &bus_ : nullptr);
     if (adaptive()) {
         page_share_.assign(cfg_.co_located,
                            machine_.cache().pages().total_pages() /
@@ -314,23 +312,27 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
                 "snapshot typed-event section has trailing bytes");
     }
 
-    dram_bytes_mark_ = snap.dram_bytes_mark;
-    dram_throttled_mark_ = snap.dram_throttled_mark;
     alg_.set_ahead_ratio(snap.ahead_ratio);
-    // A telemetry-off scheduler must keep the deadline at `never` even if
-    // the snapshot came from an observing run (maybe_cut_epoch would
-    // otherwise cut into a slot-less bus).
-    epoch_deadline_ = telemetry_on_ ? snap.epoch_deadline : never;
+    if (telemetry_saved()) {
+        dram_bytes_mark_ = snap.dram_bytes_mark;
+        dram_throttled_mark_ = snap.dram_throttled_mark;
+        epoch_deadline_ = snap.epoch_deadline;
+        if (!snap.telemetry.empty()) {
+            snapshot_reader r(snap.telemetry);
+            bus_.restore_state(r, /*keep_history=*/mode == resume_mode::exact);
+            if (!r.done())
+                throw snapshot_error(
+                    "snapshot telemetry section has trailing bytes");
+        }
+    } else {
+        // Nothing of a bus that only feeds observers rides the snapshot:
+        // their epochs re-anchor at the resume instant.
+        dram_bytes_mark_ = machine_.dram().stats().bytes();
+        dram_throttled_mark_ = machine_.dram().stats().throttled;
+        if (telemetry_on_) bus_.reset(cfg_.co_located, snap.now);
+    }
     if (telemetry_on_ && cfg_.adapt_ctl.epoch != 0 && epoch_deadline_ == never)
         epoch_deadline_ = snap.now + cfg_.adapt_ctl.epoch;
-
-    if (telemetry_on_ && !snap.telemetry.empty()) {
-        snapshot_reader r(snap.telemetry);
-        bus_.restore_state(r, /*keep_history=*/mode == resume_mode::exact);
-        if (!r.done())
-            throw snapshot_error(
-                "snapshot telemetry section has trailing bytes");
-    }
     if (ctl_) {
         if (snap.controller.empty())
             throw snapshot_error(
@@ -424,9 +426,11 @@ void scheduler::save(scheduler_snapshot& into) const {
     s.slots = cfg_.co_located;
     s.now = machine_.eq().now();
     s.event_seq = machine_.eq().next_seq();
-    s.epoch_deadline = epoch_deadline_;
-    s.dram_bytes_mark = dram_bytes_mark_;
-    s.dram_throttled_mark = dram_throttled_mark_;
+    if (telemetry_saved()) {
+        s.epoch_deadline = epoch_deadline_;
+        s.dram_bytes_mark = dram_bytes_mark_;
+        s.dram_throttled_mark = dram_throttled_mark_;
+    }
     s.ahead_ratio = alg_.ahead_ratio();
 
     s.slot_completed.reserve(tasks_.size());
@@ -491,7 +495,7 @@ void scheduler::save(scheduler_snapshot& into) const {
         machine_.eq().save_typed(w);
         s.typed_events = w.take();
     }
-    if (telemetry_on_) {
+    if (telemetry_saved()) {
         snapshot_writer w(std::move(into.telemetry));
         bus_.save_state(w);
         s.telemetry = w.take();
@@ -544,8 +548,7 @@ void scheduler::start_next_segment(workload_generator& gen) {
     // exhausted generator has no events left.
     machine_.eq().cancel(event_channel::sched, kind(sched_event::bw_epoch));
     machine_.eq().restart_counters();
-    machine_.set_observer(cfg_.obs);
-    mslots_ = {};
+    machine_.attach(cfg_.obs, telemetry_on_ ? &bus_ : nullptr);
     bus_.clear_history();
     result_ = {};
     gen_ = &gen;
@@ -633,72 +636,8 @@ void scheduler::cut_epoch() {
     s.peak_bytes_per_cycle = machine_.dram().config().peak_bytes_per_cycle();
     s.idle_pages = machine_.cache().pages().idle_pages();
     const auto& snap = bus_.cut(machine_.eq().now(), s);
-    observe_epoch(snap);
+    if (auto* p = machine_.probe()) p->epoch_cut(snap, machine_.eq().now());
     if (ctl_) apply_action(ctl_->on_epoch(snap));
-}
-
-void scheduler::bind_metric_slots(obs::metrics_registry& m) {
-    if (mslots_.bound == &m) return;
-    mslots_.bound = &m;
-    mslots_.epochs_cut = m.counter_slot("sim.epochs_cut");
-    mslots_.dram_bytes = m.counter_slot("sim.dram_bytes");
-    mslots_.dram_throttled = m.counter_slot("sim.dram_throttled");
-    mslots_.page_wait_cycles = m.counter_slot("sim.page_wait_cycles");
-    mslots_.page_timeouts = m.counter_slot("sim.page_timeouts");
-    mslots_.layers_retired = m.counter_slot("sim.layers_retired");
-    mslots_.cache_hits = m.counter_slot("sim.cache_hits");
-    mslots_.cache_misses = m.counter_slot("sim.cache_misses");
-    mslots_.dma_bytes = m.counter_slot("sim.dma_bytes");
-    mslots_.completions = m.counter_slot("sched.completions");
-    mslots_.deadline_misses = m.counter_slot("sched.deadline_misses");
-    mslots_.bw_utilization = &m.histogram("sim.epoch_bw_utilization");
-    mslots_.latency_ms = &m.histogram("sched.latency_ms");
-    mslots_.queue_delay_ms = &m.histogram("sched.queue_delay_ms");
-    mslots_.idle_pages = m.gauge_slot("sim.idle_pages");
-    mslots_.active_slots = m.gauge_slot("sim.active_slots");
-}
-
-void scheduler::observe_epoch(const adapt::epoch_snapshot& snap) {
-    const obs::run_observer& o = cfg_.obs;
-    if (!o.wants_epochs()) return;
-    const std::uint32_t every =
-        o.epoch_sample_every == 0 ? 1 : o.epoch_sample_every;
-    if (o.epochs != nullptr && snap.index % every == 0)
-        o.epochs->epoch_row(o.soc_index, snap);
-    if (o.metrics != nullptr) {
-        bind_metric_slots(*o.metrics);
-        *mslots_.epochs_cut += 1;
-        *mslots_.dram_bytes += snap.dram_bytes;
-        *mslots_.dram_throttled += snap.dram_throttled;
-        *mslots_.page_wait_cycles += snap.total_page_wait();
-        *mslots_.page_timeouts += snap.total_timeouts();
-        for (const auto& t : snap.tasks) {
-            *mslots_.layers_retired += t.layers_retired;
-            *mslots_.cache_hits += t.cache_hits;
-            *mslots_.cache_misses += t.cache_misses;
-            *mslots_.dma_bytes += t.dma_bytes;
-        }
-        mslots_.bw_utilization->add(snap.bw_utilization);
-        *mslots_.idle_pages = snap.idle_pages;
-        *mslots_.active_slots = snap.active_slots;
-    }
-    if (o.attr != nullptr) {
-        if (o.epochs != nullptr && snap.index % every == 0)
-            o.epochs->row(o.attr->jsonl_row(o.soc_index, snap.index));
-        if (o.trace != nullptr) {
-            // One counter track per latency component: cumulative cycles
-            // sampled at each epoch cut.
-            const cycle_t at = machine_.eq().now();
-            const obs::attribution_components tot = o.attr->totals();
-            o.trace->counter("attr.queue_wait", 0, at, tot.queue_wait);
-            o.trace->counter("attr.page_wait", 0, at, tot.page_wait);
-            o.trace->counter("attr.dma_stall", 0, at, tot.dma_stall);
-            o.trace->counter("attr.dram_contention", 0, at,
-                             tot.dram_contention);
-            o.trace->counter("attr.cache_penalty", 0, at, tot.cache_penalty);
-            o.trace->counter("attr.compute", 0, at, tot.compute);
-        }
-    }
 }
 
 void scheduler::maybe_cut_epoch() {
@@ -727,7 +666,7 @@ task_id scheduler::pick_free_slot() const {
 }
 
 void scheduler::try_dispatch() {
-    obs::profile_scope scope(cfg_.obs.prof, obs::subsystem::sched);
+    const obs::probe::scope host(machine_.probe(), obs::subsystem::sched);
     if (machine_.eq().now() >= dispatch_hold_after_) return;
     while (!dispatch_queue_.empty() && !free_cores_.empty()) {
         // First dispatchable item in FIFO order: a request pinned to a
@@ -756,7 +695,6 @@ void scheduler::try_dispatch() {
         // Re-key the slot's parameter addresses to the dispatched model
         // (FNV-1a of the name keeps runs reproducible across processes).
         addrs_[slot] = sim::address_map(slot, model_salt(mdl->name));
-        if (auto* at = cfg_.obs.attr) at->on_dispatch(slot, mdl->abbr);
         t.arrival = arrival;
         // The deadline anchors at arrival — the same reference the SLA
         // metrics use — so queue delay consumes slack. Closed-loop slots
@@ -805,8 +743,8 @@ void scheduler::try_dispatch() {
 
 void scheduler::begin_inference(task& t) {
     t.started = machine_.eq().now();
-    if (auto* at = cfg_.obs.attr)
-        at->on_inference_start(t.id, t.arrival, t.started);
+    if (auto* p = machine_.probe())
+        p->inference_start(t.id, t.mdl->abbr, t.arrival, t.started);
     neg_[t.id] = {};
     t.dram_bytes_mark = machine_.dram().task_bytes(t.id);
     t.lbm_enabled = false;
@@ -887,31 +825,21 @@ void scheduler::negotiate_pages(task& t, allocation_decision d) {
             const cycle_t now = machine_.eq().now();
             if (d.timeout != never && now >= d.timeout) {
                 // Timeout: fall back to the next-smaller candidate.
-                if (telemetry_on_)
-                    bus_.on_page_timeout(t.id, d.candidate->is_lbm);
-                if (auto* tr = cfg_.obs.trace)
-                    tr->instant("page_timeout", "sched",
-                                static_cast<std::uint32_t>(t.id), now);
+                if (auto* p = machine_.probe())
+                    p->page_timeout(t.id, now, d.candidate->is_lbm);
                 negotiate_pages(
                     t, alg_.downgrade(t, d.candidate->pages_needed, now));
                 return;
             }
             const cycle_t retry =
                 std::min(d.timeout, now + cfg_.page_retry_interval);
-            if (telemetry_on_) bus_.on_page_wait(t.id, retry - now);
-            if (auto* tr = cfg_.obs.trace)
-                tr->complete("page_wait", "sched",
-                             static_cast<std::uint32_t>(t.id), now, retry);
-            if (auto* at = cfg_.obs.attr) {
-                // Who holds the pages this wait is gated on: the co-located
-                // slots' current allocations apportion the blame.
-                held_pages_.resize(cfg_.co_located);
-                for (std::uint32_t s = 0; s < cfg_.co_located; ++s)
-                    held_pages_[s] = machine_.cache().pages().allocated(
-                        static_cast<task_id>(s));
-                at->on_page_wait(t.id, retry - now, held_pages_.data(),
-                                 held_pages_.size());
-            }
+            // Who holds the pages this wait is gated on: the co-located
+            // slots' current allocations apportion the blame.
+            if (auto* p = machine_.probe())
+                p->page_wait(t.id, now, retry, cfg_.co_located,
+                             [&pool](std::uint32_t s) {
+                                 return pool.allocated(static_cast<task_id>(s));
+                             });
             // The retry is a typed event: the decision's payload lands in
             // the slot's pending_negotiation record so a mid-wait
             // checkpoint can rebuild it.
@@ -997,7 +925,7 @@ void scheduler::on_sched_event(const typed_event& ev) {
 }
 
 void scheduler::on_page_retry(task_id slot) {
-    obs::profile_scope scope(cfg_.obs.prof, obs::subsystem::sched);
+    const obs::probe::scope host(machine_.probe(), obs::subsystem::sched);
     auto& neg = neg_[slot];
     if (!neg.armed) return;  // superseded (defensive; retries arm 1:1)
     neg.armed = false;
@@ -1015,7 +943,7 @@ void scheduler::run_layer(task& t, const mapping::mapping_candidate& cand) {
 }
 
 void scheduler::end_layer(task& t, cycle_t end) {
-    obs::profile_scope scope(cfg_.obs.prof, obs::subsystem::sched);
+    const obs::probe::scope host(machine_.probe(), obs::subsystem::sched);
     maybe_cut_epoch();
     t.t_next = end;  // reallocating right now
 
@@ -1037,20 +965,10 @@ void scheduler::end_layer(task& t, cycle_t end) {
 }
 
 void scheduler::end_inference(task& t, cycle_t end) {
-    if (telemetry_on_) bus_.on_completion(t.id, end, t.deadline);
-    if (auto* tr = cfg_.obs.trace)
-        tr->complete_arg(tr->intern(t.mdl->abbr), "inference",
-                         static_cast<std::uint32_t>(t.id), t.started, end,
-                         static_cast<std::uint64_t>(t.cores.size()));
-    if (auto* m = cfg_.obs.metrics) {
-        bind_metric_slots(*m);
-        *mslots_.completions += 1;
-        mslots_.latency_ms->add(cycles_to_ms(end - t.arrival));
-        mslots_.queue_delay_ms->add(cycles_to_ms(t.started - t.arrival));
-        if (t.deadline != never && end > t.deadline)
-            *mslots_.deadline_misses += 1;
-    }
-    if (auto* at = cfg_.obs.attr) at->on_inference_end(t.id, end);
+    if (auto* p = machine_.probe())
+        p->completion(t.id, t.mdl->abbr,
+                      static_cast<std::uint32_t>(t.cores.size()), t.arrival,
+                      t.started, end, t.deadline);
     if (sim::is_camdn(cfg_.pol)) {
         machine_.cache().pages().release_all(t.id);
         t.p_alloc = 0;
@@ -1206,17 +1124,7 @@ void scheduler::fill_result() {
         if (bus_.open_epoch_active()) cut_epoch();
         result_.telemetry = bus_.history();
     }
-    if (auto* m = cfg_.obs.metrics) {
-        // set(), not add(): fill_result runs once per segment_result call
-        // and these are run totals, not deltas.
-        const auto& eq = machine_.eq();
-        m->set("eq.events_executed", eq.executed_events());
-        m->set("eq.dispatch.dma", eq.typed_dispatched(event_channel::dma));
-        m->set("eq.dispatch.layer", eq.typed_dispatched(event_channel::layer));
-        m->set("eq.dispatch.sched", eq.typed_dispatched(event_channel::sched));
-    }
-    if (cfg_.obs.attr != nullptr && cfg_.obs.metrics != nullptr)
-        cfg_.obs.attr->export_metrics(*cfg_.obs.metrics);
+    if (auto* p = machine_.probe()) p->run_totals(machine_.eq());
 }
 
 void scheduler::finalize() {

@@ -177,6 +177,10 @@ private:
                (cfg_.qos_mode && sim::is_camdn(cfg_.pol));
     }
     bool adaptive() const { return cfg_.pol == sim::policy::camdn_adaptive; }
+    /// The bus and its epoch grid and DRAM marks ride snapshots when the
+    /// run asks for telemetry or the controller reads it; a bus that only
+    /// feeds observers is observation, saved as a bare run's.
+    bool telemetry_saved() const { return cfg_.telemetry || adaptive(); }
 
     std::vector<const task*> running_tasks_const() const;
     std::vector<task*> running_tasks();
@@ -207,9 +211,6 @@ private:
     /// included).
     void maybe_cut_epoch();
     void cut_epoch();
-    /// Feeds a freshly cut epoch to the run observer (JSONL row, metrics).
-    /// Observation only — never touches simulated state.
-    void observe_epoch(const adapt::epoch_snapshot& snap);
     void apply_action(const adapt::control_action& a);
     void update_done();
 
@@ -252,9 +253,6 @@ private:
 
     std::vector<npu_id> free_cores_;
     std::deque<work_item> dispatch_queue_;
-    /// Scratch buffer for the attribution page-wait hook (per-slot page
-    /// holdings at the wait instant); reused to avoid per-wait allocation.
-    std::vector<std::uint32_t> held_pages_;
 
     // ---- telemetry + adaptive control (src/adapt) ----
     bool telemetry_on_ = false;
@@ -266,34 +264,6 @@ private:
     std::uint64_t dram_bytes_mark_ = 0;
     std::uint64_t dram_throttled_mark_ = 0;
     cycle_t epoch_deadline_ = never;
-
-    /// Resolved metric handles for the per-epoch / per-completion hot
-    /// paths: name lookups happen once when the registry is first seen
-    /// (slots are reference-stable for the registry's lifetime), after
-    /// which every update is a pointer bump instead of a string-keyed map
-    /// walk. `bound` keys the cache so a config swap rebinds.
-    struct metric_slots {
-        obs::metrics_registry* bound = nullptr;
-        std::uint64_t* epochs_cut = nullptr;
-        std::uint64_t* dram_bytes = nullptr;
-        std::uint64_t* dram_throttled = nullptr;
-        std::uint64_t* page_wait_cycles = nullptr;
-        std::uint64_t* page_timeouts = nullptr;
-        std::uint64_t* layers_retired = nullptr;
-        std::uint64_t* cache_hits = nullptr;
-        std::uint64_t* cache_misses = nullptr;
-        std::uint64_t* dma_bytes = nullptr;
-        std::uint64_t* completions = nullptr;
-        std::uint64_t* deadline_misses = nullptr;
-        p2_quantiles* bw_utilization = nullptr;
-        p2_quantiles* latency_ms = nullptr;
-        p2_quantiles* queue_delay_ms = nullptr;
-        double* idle_pages = nullptr;
-        double* active_slots = nullptr;
-    };
-    metric_slots mslots_;
-    /// Rebinds mslots_ to `m` (no-op when already bound to it).
-    void bind_metric_slots(obs::metrics_registry& m);
 
     // ---- segmented execution / checkpointing ----
     bool started_ = false;

@@ -14,6 +14,7 @@
 #include "obs/attribution.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/trace.h"
 #include "runtime/qos.h"
 #include "runtime/scheduler.h"
@@ -355,7 +356,6 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 ec->seed = soc_seed(cfg.seed, slot.id);
                 ec->telemetry = cfg.telemetry || fb_on;
                 ec->obs.soc_index = slot.id;
-                ec->obs.epoch_sample_every = cfg.epoch_sample_every;
                 if (attr_on) {
                     slot.attr = std::make_unique<obs::latency_attributor>();
                     slot.attr->set_keep_records(false);
@@ -368,9 +368,6 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
             if (trace_on) {
                 round_traces[k] =
                     std::make_unique<obs::trace_recorder>(slot.id);
-                round_traces[k]->set_chunk_events(cfg.trace_chunk_events);
-                round_traces[k]->set_chunk_sample_every(
-                    cfg.trace_chunk_sample_every);
                 round_traces[k]->set_flight_sample_every(
                     cfg.trace_flight_sample_every);
                 ec.obs.trace = round_traces[k].get();
@@ -412,23 +409,10 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 fleet_attr->absorb(*fleet[k].attr);
                 fleet[k].attr->clear_completed();
             }
-            if (trace_on) {
-                // Fleet-lane counter tracks: cumulative attribution sampled
-                // at every round barrier.
-                const obs::attribution_components tot = fleet_attr->totals();
-                master_trace->counter("attr.queue_wait", 0, round_end,
-                                      tot.queue_wait);
-                master_trace->counter("attr.page_wait", 0, round_end,
-                                      tot.page_wait);
-                master_trace->counter("attr.dma_stall", 0, round_end,
-                                      tot.dma_stall);
-                master_trace->counter("attr.dram_contention", 0, round_end,
-                                      tot.dram_contention);
-                master_trace->counter("attr.cache_penalty", 0, round_end,
-                                      tot.cache_penalty);
-                master_trace->counter("attr.compute", 0, round_end,
-                                      tot.compute);
-            }
+            // Fleet-lane counter tracks: cumulative attribution sampled
+            // at every round barrier.
+            if (trace_on)
+                obs::trace_attribution(*master_trace, round_end, *fleet_attr);
         }
         if (jsonl_on) {
             for (auto& sink : round_epochs) sink.drain_to(jsonl_out);

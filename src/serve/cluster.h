@@ -162,10 +162,6 @@ struct cluster_config {
 
     /// Max replicas per model (0 = bounded only by cache capacity).
     std::uint32_t replication_limit = 0;
-    /// cache_affinity falls back to the least-loaded host once the best
-    /// warm host's backlog exceeds the fleet minimum by more than this
-    /// many mean service times (keeps stickiness from starving the fleet).
-    double affinity_imbalance = 2.0;
 
     /// Sweep-pool width for the per-SoC simulations (0 = hardware
     /// concurrency, 1 = inline). Never changes results.
@@ -195,28 +191,19 @@ struct cluster_config {
     /// results and goldens are bit-identical; bench/fleet_scaling reports
     /// both to quantify the estimator error.
     bool streaming_quantiles = false;
-    /// Chrome trace-event JSON output path ("" = off). Per-SoC recorders
+    /// Chrome trace-event JSON output path ("" = off), at DMA-flight
+    /// granularity (no per-chunk events). Per-SoC recorders
     /// are folded deterministically at each round barrier and the file is
     /// written once at the end of the run (valid JSON needs the closing
     /// bracket). Load in Perfetto / chrome://tracing.
     std::string trace_path;
-    /// Telemetry JSONL output path ("" = off). Per-epoch rows (buffered
-    /// per SoC, merged round-major at each barrier) and one fleet_round
-    /// row per round stream to the file *during* the run; a final
-    /// "metrics" row dumps the fleet metrics registry.
+    /// Telemetry JSONL output path ("" = off). Every per-epoch row
+    /// (buffered per SoC, merged round-major at each barrier) and one
+    /// fleet_round row per round stream to the file *during* the run; a
+    /// final "metrics" row dumps the fleet metrics registry.
     std::string metrics_jsonl_path;
-    /// Emit every Nth epoch JSONL row (0 behaves as 1).
-    std::uint32_t epoch_sample_every = 1;
-    /// Record per-DMA-chunk trace events (the highest-volume lane; off
-    /// keeps fleet traces at flight granularity).
-    bool trace_chunk_events = false;
-    /// Record every Nth chunk event when trace_chunk_events is on (0
-    /// behaves as 1). Count-based and deterministic — the chunk issue
-    /// order is a simulation fact, so sampled traces are byte-identical
-    /// across runs and sweep-pool widths.
-    std::uint32_t trace_chunk_sample_every = 1;
     /// Record every Nth DMA-flight completion event (0 behaves as 1) —
-    /// the highest-volume lane after chunks. Count-based on the flight
+    /// the highest-volume lane of a fleet trace. Count-based on the flight
     /// retire order, so sampled traces stay byte-identical across runs
     /// and sweep-pool widths.
     std::uint32_t trace_flight_sample_every = 1;

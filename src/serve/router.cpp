@@ -91,11 +91,11 @@ std::uint32_t request_router::pick_cache_affinity(
     if (best_warm == hosts.size()) return balanced;
 
     // Stickiness is bounded: once the warm host's backlog exceeds the
-    // fleet minimum by more than affinity_imbalance mean service times,
-    // load wins over warmth.
+    // fleet minimum by more than warm_host_slack mean service times, load
+    // wins over warmth (keeps stickiness from starving the fleet).
+    constexpr double warm_host_slack = 2.0;
     const cycle_t slack = static_cast<cycle_t>(
-        std::max(cfg_.affinity_imbalance, 0.0) *
-        static_cast<double>(mean_service_));
+        warm_host_slack * static_cast<double>(mean_service_));
     if (best_warm_work > backlog(balanced, at) + slack) return balanced;
     return best_warm;
 }

@@ -99,7 +99,7 @@ struct experiment_config {
 
     /// Poll interval while waiting on a page request (Algorithm 1).
     cycle_t page_retry_interval = 2'000;
-    /// Bandwidth reallocation epoch for MoCA/AuRORA.
+    /// Bandwidth reallocation epoch for MoCA/AuRORA; must be non-zero.
     cycle_t bw_epoch = 50'000;
 
     // ---- observability (src/obs) ----

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/attribution.h"
+#include "obs/probe.h"
 #include "sim/soc.h"
 
 namespace camdn::sim {
@@ -251,7 +251,7 @@ layer_engine::layer_run& layer_engine::run_of(task_id slot) {
 }
 
 void layer_engine::on_event(const typed_event& ev) {
-    obs::profile_scope scope(prof_, obs::subsystem::layer);
+    const obs::probe::scope host(probe_, obs::subsystem::layer);
     const task_id slot = static_cast<task_id>(ev.a);
     switch (ev.kind) {
         case kind_tile_gate:
@@ -267,7 +267,7 @@ void layer_engine::on_event(const typed_event& ev) {
 
 void layer_engine::on_transfer_done(const npu::dma_target& target,
                                     cycle_t done) {
-    obs::profile_scope scope(prof_, obs::subsystem::layer);
+    const obs::probe::scope host(probe_, obs::subsystem::layer);
     const task_id slot = static_cast<task_id>(target.a);
     layer_run& run = run_of(slot);
     if (target.b & store_bit) {
@@ -359,25 +359,15 @@ void layer_engine::maybe_finish(task_id slot) {
     layer_run& run = runs_[slot];
     if (!run.all_issued || run.pending_stores > 0) return;
     const cycle_t end = std::max(run.final_end, machine_.eq().now());
-    runtime::task* t = run.t;
-    const std::uint64_t compute_total = run.compute_total;
-    const cycle_t issue = run.issue_cycle;
-    const bool is_lbm = run.cand->is_lbm;
+    const runtime::task* t = run.t;
+    if (probe_ != nullptr)
+        probe_->layer_retired(t->id, t->mdl->abbr, t->current_layer,
+                              run.issue_cycle, end, run.compute_total,
+                              run.cand->is_lbm);
     // Detach before the callback: the completion may start the next layer
     // on this slot.
     run.active = false;
     --active_count_;
-    if (auto* bus = machine_.telemetry())
-        bus->on_layer_retired(t->id, compute_total,
-                              end > issue ? end - issue : 0, is_lbm);
-    if (attr_ != nullptr)
-        attr_->on_layer_retired(t->id, end > issue ? end - issue : 0,
-                                compute_total);
-    if (trace_ != nullptr)
-        trace_->complete_arg(trace_->intern(t->mdl->abbr),
-                             is_lbm ? "layer.lbm" : "layer",
-                             static_cast<std::uint32_t>(t->id), issue, end,
-                             t->current_layer);
     if (on_done_) on_done_(t->id, end);
 }
 

@@ -39,7 +39,7 @@
 #include "sim/soc_config.h"
 
 namespace camdn::obs {
-class latency_attributor;
+class probe;
 }
 
 namespace camdn::sim {
@@ -88,16 +88,9 @@ public:
     void restore_state(snapshot_reader& r, std::vector<runtime::task>& tasks,
                        const std::vector<address_map>& addrs);
 
-    /// Attaches the trace recorder (nullptr detaches): one duration event
-    /// per retired layer, spanning issue to final store, on the slot's tid.
-    void set_trace(obs::trace_recorder* trace) { trace_ = trace; }
-    /// Attaches the host-time profiler (nullptr detaches): tile-gate and
-    /// DMA-completion processing charge `layer`.
-    void set_profiler(obs::profiler* prof) { prof_ = prof; }
-    /// Attaches the latency attributor (nullptr detaches): every retired
-    /// layer reports its wall span and pure-compute cycles, the per-layer
-    /// split the six-component decomposition is built on.
-    void set_attribution(obs::latency_attributor* attr) { attr_ = attr; }
+    /// The SoC's probe (nullptr: nothing attached). Event processing
+    /// charges host time to `layer`; a retired layer reports its span.
+    void set_probe(obs::probe* p) { probe_ = p; }
 
 private:
     // Typed layer events: a = slot; store_due carries the tile in b.
@@ -179,9 +172,7 @@ private:
     /// std::map encoding this replaces.
     std::vector<layer_run> runs_;
     std::size_t active_count_ = 0;
-    obs::trace_recorder* trace_ = nullptr;
-    obs::profiler* prof_ = nullptr;
-    obs::latency_attributor* attr_ = nullptr;
+    obs::probe* probe_ = nullptr;
 };
 
 }  // namespace camdn::sim

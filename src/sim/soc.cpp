@@ -15,7 +15,10 @@ const char* policy_name(policy p) {
 }
 
 soc::soc(const soc_config& config, policy pol)
-    : config_(config), policy_(pol) {
+    : config_(config),
+      policy_(pol),
+      probe_(std::size_t{config.dram.channels} * config.dram.banks_per_channel,
+             config.dram.channels, config.cache.slices) {
     dram_ = std::make_unique<dram::dram_system>(config_.dram);
     cache_ = std::make_unique<cache::shared_cache>(config_.cache, *dram_);
     dma_ = std::make_unique<npu::dma_engine>(eq_, *cache_);
@@ -29,6 +32,15 @@ soc::soc(const soc_config& config, policy pol)
     cores_.reserve(config_.npu.cores);
     for (std::uint32_t i = 0; i < config_.npu.cores; ++i)
         cores_.emplace_back(static_cast<npu_id>(i), config_.npu);
+}
+
+void soc::attach(const obs::run_observer& o, adapt::telemetry_bus* bus) {
+    probe_.attach(o, bus);
+    obs::probe* const p = probe();
+    dram_->set_probe(p);
+    cache_->set_probe(p);
+    dma_->set_probe(p);
+    layers_->set_probe(p);
 }
 
 }  // namespace camdn::sim

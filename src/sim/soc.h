@@ -1,6 +1,8 @@
 // The simulated SoC: event queue, DRAM, sliced shared cache, NPU cores,
 // the DMA engine and the typed-event layer engine, wired per soc_config
 // and configured for a policy.
+// It owns the probe every component reports to (obs/probe.h), and with it
+// the attribution holder tables, which live in obs::probe alone.
 #pragma once
 
 #include <memory>
@@ -11,9 +13,7 @@
 #include "dram/dram_system.h"
 #include "npu/dma_engine.h"
 #include "npu/npu_core.h"
-#include "obs/observer.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "sim/layer_engine.h"
 #include "sim/soc_config.h"
 
@@ -39,32 +39,12 @@ public:
     const soc_config& config() const { return config_; }
     policy active_policy() const { return policy_; }
 
-    /// Attaches the telemetry bus to every instrumented component (cache,
-    /// DMA engine, layer executor). nullptr detaches.
-    void set_telemetry(adapt::telemetry_bus* bus) {
-        telemetry_ = bus;
-        cache_->set_telemetry(bus);
-        dma_->set_telemetry(bus);
-    }
-    adapt::telemetry_bus* telemetry() const { return telemetry_; }
-
-    /// Fans the run observer's hooks out to the instrumented components:
-    /// the trace recorder to the DMA and layer engines, the profiler to the
-    /// DMA engine, layer engine and DRAM, the latency attributor to every
-    /// wait-charging component (DRAM, cache, DMA, layer engine). Null
-    /// pointers detach. Observation only — attaching an observer never
-    /// changes simulated behavior.
-    void set_observer(const obs::run_observer& o) {
-        dma_->set_trace(o.trace);
-        dma_->set_profiler(o.prof);
-        layers_->set_trace(o.trace);
-        layers_->set_profiler(o.prof);
-        dram_->set_profiler(o.prof);
-        dram_->set_attribution(o.attr);
-        cache_->set_attribution(o.attr);
-        dma_->set_attribution(o.attr);
-        layers_->set_attribution(o.attr);
-    }
+    /// Attaches the observer's sinks and the telemetry bus (nullptr: none)
+    /// to the probe and points every component at it — or at nothing
+    /// while nothing is attached. Never changes simulated behavior.
+    void attach(const obs::run_observer& o, adapt::telemetry_bus* bus);
+    /// The probe while anything is attached to it, else nullptr.
+    obs::probe* probe() { return probe_.attached() ? &probe_ : nullptr; }
 
 private:
     soc_config config_;
@@ -75,7 +55,7 @@ private:
     std::unique_ptr<npu::dma_engine> dma_;
     std::unique_ptr<layer_engine> layers_;
     std::vector<npu::npu_core> cores_;
-    adapt::telemetry_bus* telemetry_ = nullptr;
+    obs::probe probe_;
 };
 
 }  // namespace camdn::sim

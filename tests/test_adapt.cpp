@@ -20,8 +20,8 @@ namespace {
 
 TEST(telemetry, counters_accumulate_and_cut_resets) {
     adapt::telemetry_bus bus(2);
-    bus.on_cache_access(0, true);
-    bus.on_cache_access(0, false);
+    bus.on_cache_accesses(0, 1, 0);
+    bus.on_cache_accesses(0, 0, 1);
     bus.on_dma_bytes(1, 4096);
     bus.on_page_wait(1, 500);
     bus.on_layer_retired(0, 100, 150, true);
@@ -57,7 +57,7 @@ TEST(telemetry, counters_accumulate_and_cut_resets) {
 
 TEST(telemetry, out_of_range_slots_are_ignored) {
     adapt::telemetry_bus bus(1);
-    bus.on_cache_access(no_task, true);
+    bus.on_cache_accesses(no_task, 1, 0);
     bus.on_dma_bytes(5, 100);
     bus.on_page_timeout(-3, true);
     const auto& snap = bus.cut(10, {});

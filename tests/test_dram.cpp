@@ -135,6 +135,40 @@ TEST(dram, nan_share_is_rejected) {
     EXPECT_EQ(d.stats().throttled, 0u);
 }
 
+// Zero divisors fail at construction instead of as a SIGFPE (a zero
+// regulation epoch divided in regulate()) or a degenerate decode.
+TEST(dram, zero_channels_are_rejected) {
+    dram_config cfg = table2_config();
+    cfg.channels = 0;
+    EXPECT_THROW(dram_system{cfg}, std::invalid_argument);
+}
+
+TEST(dram, zero_banks_per_channel_are_rejected) {
+    dram_config cfg = table2_config();
+    cfg.banks_per_channel = 0;
+    EXPECT_THROW(dram_system{cfg}, std::invalid_argument);
+}
+
+TEST(dram, zero_bus_bandwidth_is_rejected) {
+    dram_config cfg = table2_config();
+    cfg.bytes_per_cycle_x10 = 0;
+    EXPECT_THROW(dram_system{cfg}, std::invalid_argument);
+}
+
+TEST(dram, zero_regulation_epoch_is_rejected) {
+    dram_config cfg = table2_config();
+    cfg.regulation_epoch = 0;
+    EXPECT_THROW(dram_system{cfg}, std::invalid_argument);
+}
+
+TEST(dram, row_smaller_than_a_line_is_rejected) {
+    dram_config cfg = table2_config();
+    cfg.row_bytes = line_bytes - 1;
+    EXPECT_THROW(dram_system{cfg}, std::invalid_argument);
+    cfg.row_bytes = line_bytes;  // one line per row is a valid geometry
+    EXPECT_NO_THROW(dram_system{cfg});
+}
+
 TEST(dram, restore_rejects_share_outside_unit_interval) {
     const dram_config cfg = table2_config();
     dram_system d(cfg);

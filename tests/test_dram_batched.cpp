@@ -16,9 +16,21 @@
 #include "common/snapshot_io.h"
 #include "dram/dram_system.h"
 #include "obs/attribution.h"
+#include "obs/probe.h"
 
 namespace camdn::dram {
 namespace {
+
+/// A probe for a standalone DRAM of geometry `cfg` that charges `attr`.
+obs::probe attributing_probe(const dram_config& cfg,
+                             obs::latency_attributor& attr) {
+    obs::probe p(std::size_t{cfg.channels} * cfg.banks_per_channel,
+                 cfg.channels, 0);
+    obs::run_observer o;
+    o.attr = &attr;
+    p.attach(o, nullptr);
+    return p;
+}
 
 std::vector<std::uint8_t> snapshot_of(const dram_system& d) {
     snapshot_writer w;
@@ -211,8 +223,10 @@ void check_attributed_bursts(const dram_config& cfg) {
     dram_system batched{cfg};
     dram_system perline{cfg};
     obs::latency_attributor attr_b, attr_p;
-    batched.set_attribution(&attr_b);
-    perline.set_attribution(&attr_p);
+    obs::probe probe_b = attributing_probe(cfg, attr_b);
+    obs::probe probe_p = attributing_probe(cfg, attr_p);
+    batched.set_probe(&probe_b);
+    perline.set_probe(&probe_p);
 
     // Three active slots across two tenants, so bursts suffer both
     // self-inflicted and cross-tenant waits (the by-holder aggregation in

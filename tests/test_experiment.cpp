@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "model/model_zoo.h"
 #include "sim/experiment.h"
@@ -271,6 +272,14 @@ TEST(experiment_golden, aurora_qos_matches_pre_refactor_driver) {
                    {1, "MB.", 0, 0, 708188, 9081920, 1},
                    {2, "MB.", 0, 0, 713506, 9140096, 1},
                    {3, "MB.", 0, 0, 719856, 9175936, 1}});
+}
+
+TEST(experiment, zero_bandwidth_epoch_is_rejected) {
+    // A zero epoch would re-arm MoCA's bandwidth timer at the same cycle
+    // forever; the scheduler refuses it for every policy.
+    auto cfg = small_cfg(policy::moca);
+    cfg.bw_epoch = 0;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
 TEST(experiment, isolated_latencies_cover_requested_models) {

@@ -1,5 +1,6 @@
 // Unit tests for the NEC access semantics (paper §III-B2): region
-// read/write, fill/writeback, bypass, multicast and their timing/stats.
+// read/write, fill/writeback, bypass, multicast and their timing/stats,
+// through the burst entry points (a single line is a one-line burst).
 #include <gtest/gtest.h>
 
 #include "cache/shared_cache.h"
@@ -23,7 +24,7 @@ struct rig {
 
 TEST(nec, region_read_has_cache_latency_no_dram) {
     rig r;
-    const cycle_t done = r.cache.region_read(0, 0, 0);
+    const cycle_t done = r.cache.region_read_burst(0, 0, 1, 0);
     EXPECT_EQ(r.dram.stats().accesses(), 0u);
     EXPECT_LE(done, r.cfg.hit_latency + 4u);
     EXPECT_EQ(r.cache.stats().region_reads, 1u);
@@ -31,14 +32,14 @@ TEST(nec, region_read_has_cache_latency_no_dram) {
 
 TEST(nec, region_write_no_dram) {
     rig r;
-    r.cache.region_write(0, 0, 0);
+    r.cache.region_write_burst(0, 0, 1, 0);
     EXPECT_EQ(r.dram.stats().accesses(), 0u);
     EXPECT_EQ(r.cache.stats().region_writes, 1u);
 }
 
 TEST(nec, fill_moves_memory_into_cache) {
     rig r;
-    const cycle_t done = r.cache.region_fill(0, 0, mib(1), 0);
+    const cycle_t done = r.cache.region_fill_burst(0, 0, mib(1), 1, 0);
     EXPECT_EQ(r.dram.stats().reads, 1u);
     EXPECT_GT(done, static_cast<cycle_t>(r.cfg.hit_latency));
     EXPECT_EQ(r.cache.stats().region_fills, 1u);
@@ -46,7 +47,7 @@ TEST(nec, fill_moves_memory_into_cache) {
 
 TEST(nec, writeback_moves_cache_into_memory) {
     rig r;
-    r.cache.region_writeback(0, 0, mib(2), 0);
+    r.cache.region_writeback_burst(0, 0, mib(2), 1, 0);
     EXPECT_EQ(r.dram.stats().writes, 1u);
     EXPECT_EQ(r.cache.stats().region_writebacks, 1u);
 }
@@ -54,8 +55,8 @@ TEST(nec, writeback_moves_cache_into_memory) {
 TEST(nec, bypass_skips_the_cache_entirely) {
     rig r;
     const std::uint64_t slices_before = r.cache.stats().slice_busy_cycles;
-    r.cache.bypass_read(0, 0, 0);
-    r.cache.bypass_write(64, 0, 0);
+    r.cache.bypass_read_burst(0, 1, 0, 0);
+    r.cache.bypass_write_burst(64, 1, 0, 0);
     EXPECT_EQ(r.cache.stats().slice_busy_cycles, slices_before);
     EXPECT_EQ(r.dram.stats().reads, 1u);
     EXPECT_EQ(r.dram.stats().writes, 1u);
@@ -65,15 +66,14 @@ TEST(nec, bypass_skips_the_cache_entirely) {
 
 TEST(nec, multicast_read_counts_combined_requests) {
     rig r;
-    r.cache.multicast_read(0, 0, 0, /*group_size=*/4);
-    EXPECT_EQ(r.cache.stats().multicast_reads, 1u);
+    r.cache.region_read_burst(0, 0, 1, 0, /*group_size=*/4);
     EXPECT_EQ(r.cache.stats().multicast_combined, 3u);
     EXPECT_EQ(r.dram.stats().accesses(), 0u);
 }
 
 TEST(nec, multicast_bypass_read_hits_dram_once) {
     rig r;
-    r.cache.multicast_bypass_read(0, 0, 0, 4);
+    r.cache.bypass_read_burst(0, 1, 0, 0, /*group_size=*/4);
     EXPECT_EQ(r.dram.stats().reads, 1u);  // one combined request, not four
     EXPECT_EQ(r.cache.stats().multicast_combined, 3u);
 }
@@ -131,7 +131,7 @@ TEST(nec, regions_and_transparent_paths_share_slice_bandwidth) {
     rig r;
     // Saturate slice 0 through the NEC path, then observe a transparent
     // access to the same slice being delayed.
-    for (int i = 0; i < 100; ++i) r.cache.region_read(0, 0, 0);
+    for (int i = 0; i < 100; ++i) r.cache.region_read_burst(0, 0, 1, 0);
     const auto res = r.cache.transparent_access(0, true, 0, 1);
     EXPECT_GT(res.done, 100u);
 }

@@ -7,14 +7,18 @@
 //     exact() access guard;
 //   * trace recorder — Chrome trace JSON validity (mini validator),
 //     per-(pid, tid) timestamp ordering, interning, absorb, drop cap;
-//   * zero-overhead-off — a run with every observer attached is
-//     bit-identical (results AND snapshot bytes) to a bare run;
+//   * zero-overhead-off — under every policy, a run with all five
+//     sinks attached is bit-identical (results AND snapshot bytes) to a
+//     bare run;
+//   * pinned outputs — size and FNV-1a of every observer output of an
+//     adaptive, an AuRORA and a fleet run;
 //   * cluster determinism — trace and JSONL files byte-identical across
 //     sweep-pool widths;
 //   * metrics registry and profiler basics.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -25,6 +29,7 @@
 
 #include "common/stats.h"
 #include "model/model_zoo.h"
+#include "obs/attribution.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -508,53 +513,108 @@ void expect_identical(const sim::experiment_result& a,
     }
 }
 
-TEST(zero_overhead_off, observed_run_results_are_bit_identical) {
-    const auto bare = sim::run_experiment(observed_cfg());
-
-    obs::trace_recorder trace(0);
-    trace.set_chunk_events(true);  // max granularity, still observation-only
+/// Every observer attached at once: the five sinks of a run_observer.
+struct all_sinks {
+    obs::trace_recorder trace{0};
     obs::metrics_registry metrics;
     obs::jsonl_sink epochs;
     obs::profiler prof;
-    auto cfg = observed_cfg();
-    cfg.obs.trace = &trace;
-    cfg.obs.metrics = &metrics;
-    cfg.obs.epochs = &epochs;
-    cfg.obs.prof = &prof;
-    const auto observed = sim::run_experiment(cfg);
+    obs::latency_attributor attr;
 
-    expect_identical(bare, observed);
-    // The observers actually saw the run.
-    EXPECT_GT(trace.size(), 0u);
-    EXPECT_GT(metrics.counter("sched.completions"), 0u);
-    EXPECT_GT(metrics.counter("eq.events_executed"), 0u);
-    EXPECT_GT(epochs.rows(), 0u);
-    ASSERT_NE(metrics.find_histogram("sched.latency_ms"), nullptr);
-    EXPECT_EQ(metrics.find_histogram("sched.latency_ms")->count(),
-              bare.completions.size());
+    explicit all_sinks(sim::experiment_config& cfg) {
+        trace.set_chunk_events(true);  // max granularity, still observation
+        cfg.obs.trace = &trace;
+        cfg.obs.metrics = &metrics;
+        cfg.obs.epochs = &epochs;
+        cfg.obs.prof = &prof;
+        cfg.obs.attr = &attr;
+    }
+};
+
+constexpr sim::policy all_policies[] = {
+    sim::policy::shared_baseline, sim::policy::moca,
+    sim::policy::aurora,          sim::policy::camdn_hw_only,
+    sim::policy::camdn_full,      sim::policy::camdn_adaptive};
+
+TEST(zero_overhead_off, observed_run_results_are_bit_identical) {
+    for (const sim::policy pol : all_policies) {
+        SCOPED_TRACE(sim::policy_name(pol));
+        auto cfg = observed_cfg();
+        cfg.pol = pol;
+        const auto bare = sim::run_experiment(cfg);
+
+        all_sinks sinks(cfg);
+        const auto observed = sim::run_experiment(cfg);
+
+        expect_identical(bare, observed);
+        // The observers actually saw the run.
+        EXPECT_GT(sinks.trace.size(), 0u);
+        EXPECT_GT(sinks.metrics.counter("sched.completions"), 0u);
+        EXPECT_GT(sinks.metrics.counter("eq.events_executed"), 0u);
+        EXPECT_GT(sinks.epochs.rows(), 0u);
+        ASSERT_NE(sinks.metrics.find_histogram("sched.latency_ms"), nullptr);
+        EXPECT_EQ(sinks.metrics.find_histogram("sched.latency_ms")->count(),
+                  bare.completions.size());
+        EXPECT_EQ(sinks.attr.records().size(), bare.completions.size());
+    }
 }
 
 TEST(zero_overhead_off, snapshot_bytes_are_bit_identical) {
     // Pause both runs at the same mid-run boundary: the snapshot of the
     // observed machine must be byte-equal to the bare machine's (observers
     // are never fingerprinted or serialized).
-    const auto cfg = observed_cfg();
     const cycle_t boundary = ms_to_cycles(2.0);
+    for (const sim::policy pol : all_policies) {
+        SCOPED_TRACE(sim::policy_name(pol));
+        auto cfg = observed_cfg();
+        cfg.pol = pol;
+        auto gen_bare = runtime::make_workload_generator(cfg);
+        runtime::scheduler bare(cfg, *gen_bare);
+        ASSERT_TRUE(bare.run_segment(boundary));
 
-    auto gen_bare = runtime::make_workload_generator(cfg);
-    runtime::scheduler bare(cfg, *gen_bare);
-    ASSERT_TRUE(bare.run_segment(boundary));
+        auto ocfg = cfg;
+        all_sinks sinks(ocfg);
+        auto gen_obs = runtime::make_workload_generator(ocfg);
+        runtime::scheduler observed(ocfg, *gen_obs);
+        ASSERT_TRUE(observed.run_segment(boundary));
 
-    obs::trace_recorder trace(0);
-    obs::metrics_registry metrics;
-    auto ocfg = cfg;
-    ocfg.obs.trace = &trace;
-    ocfg.obs.metrics = &metrics;
-    auto gen_obs = runtime::make_workload_generator(ocfg);
-    runtime::scheduler observed(ocfg, *gen_obs);
-    ASSERT_TRUE(observed.run_segment(boundary));
+        EXPECT_EQ(bare.save().encode(), observed.save().encode());
+    }
+}
 
-    EXPECT_EQ(bare.save().encode(), observed.save().encode());
+TEST(zero_overhead_off, observer_epochs_restart_at_a_resume) {
+    // A bus that only feeds observers is not saved with the run: an
+    // observing exact resume finishes the run bit-identically, and its
+    // epochs restart at the resume instant, counting only the DRAM bytes
+    // moved after it.
+    auto cfg = observed_cfg();
+    cfg.pol = sim::policy::camdn_full;
+    obs::jsonl_sink rows;
+    cfg.obs.epochs = &rows;
+    const auto whole = sim::run_experiment(cfg);
+
+    auto gen = runtime::make_workload_generator(cfg);
+    runtime::scheduler first(cfg, *gen);
+    ASSERT_TRUE(first.run_segment(ms_to_cycles(2.0)));
+    const std::uint64_t paused_bytes = first.segment_result().dram_total_bytes;
+    const auto snap = first.save();
+    EXPECT_TRUE(snap.telemetry.empty());
+
+    auto gen_resumed = runtime::make_workload_generator(cfg);
+    runtime::scheduler resumed(cfg, *gen_resumed, snap,
+                               runtime::resume_mode::exact);
+    const auto res = resumed.run();
+    // events_executed counts the resumed process only; the rest matches.
+    EXPECT_EQ(whole.makespan, res.makespan);
+    EXPECT_EQ(whole.dram_total_bytes, res.dram_total_bytes);
+    ASSERT_EQ(whole.completions.size(), res.completions.size());
+    for (std::size_t i = 0; i < res.completions.size(); ++i)
+        EXPECT_EQ(whole.completions[i].end, res.completions[i].end);
+    ASSERT_FALSE(res.telemetry.empty());
+    EXPECT_EQ(res.telemetry.front().start, snap.now);
+    std::uint64_t epoch_bytes = 0;
+    for (const auto& e : res.telemetry) epoch_bytes += e.dram_bytes;
+    EXPECT_EQ(epoch_bytes, res.dram_total_bytes - paused_bytes);
 }
 
 TEST(zero_overhead_off, epoch_sampling_thins_rows_without_changing_the_run) {
@@ -587,6 +647,84 @@ serve::cluster_config small_fleet() {
     cfg.total_arrivals = 24;
     cfg.feedback_rounds = 2;
     return cfg;
+}
+
+/// Byte size and FNV-1a hash of one observer output.
+struct output_pin {
+    std::size_t bytes = 0;
+    std::uint64_t fnv = 0;
+    bool operator==(const output_pin& o) const {
+        return bytes == o.bytes && fnv == o.fnv;
+    }
+};
+
+std::ostream& operator<<(std::ostream& out, const output_pin& p) {
+    return out << "{" << p.bytes << "u, 0x" << std::hex << p.fnv << std::dec
+               << "ull}";
+}
+
+output_pin pin_of(const std::string& bytes) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : bytes)
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    return {bytes.size(), h};
+}
+
+/// A single-SoC run with all five sinks attached, reduced to pins of its
+/// Chrome trace, metrics JSON, buffered JSONL rows, and the attributor's
+/// records plus its JSONL row.
+std::vector<output_pin> observed_pins(sim::experiment_config cfg) {
+    all_sinks sinks(cfg);
+    sim::run_experiment(cfg);
+    std::ostringstream trace, metrics;
+    obs::write_chrome_trace(trace, sinks.trace.events());
+    sinks.metrics.write_json(metrics);
+    std::string rows;
+    for (const auto& r : sinks.epochs.buffered()) rows += r + "\n";
+    std::ostringstream attr;
+    for (const auto& rec : sinks.attr.records()) {
+        attr << rec.slot << ' ' << rec.tenant << ' ' << rec.arrival << ' '
+             << rec.end;
+        for (std::size_t c = 0; c < 6; ++c)
+            attr << ' ' << obs::attribution_component(rec.comp, c);
+        attr << '\n';
+    }
+    attr << sinks.attr.jsonl_row(0, 0);
+    return {pin_of(trace.str()), pin_of(metrics.str()), pin_of(rows),
+            pin_of(attr.str())};
+}
+
+// The pins hold every byte the sinks produce, so rewiring the probe's
+// hooks must reproduce them; re-pin only for a deliberate output change.
+TEST(observer_outputs, are_pinned_for_adaptive_aurora_and_fleet_runs) {
+    const std::vector<output_pin> adaptive = observed_pins(observed_cfg());
+    EXPECT_EQ(adaptive, (std::vector<output_pin>{
+                            {13496959u, 0xb1edc855cc994e00ull},
+                            {1641u, 0x9048ead1ad7667fdull},
+                            {27981u, 0x7b2e01aa142a6419ull},
+                            {498u, 0x51b4d15eaef867b1ull}}));
+
+    auto aurora_cfg = observed_cfg();
+    aurora_cfg.pol = sim::policy::aurora;
+    const std::vector<output_pin> aurora = observed_pins(aurora_cfg);
+    EXPECT_EQ(aurora, (std::vector<output_pin>{
+                          {20375549u, 0x14d973d17574a1e6ull},
+                          {1732u, 0x8384ae3fcf9cf6abull},
+                          {29907u, 0xa8679bdca45753f8ull},
+                          {502u, 0xc67ad3de978f0d25ull}}));
+
+    auto fleet = small_fleet();
+    fleet.trace_path = "test_obs_pinned_trace.json";
+    fleet.metrics_jsonl_path = "test_obs_pinned_epochs.jsonl";
+    serve::run_cluster(fleet);
+    const std::vector<output_pin> files = {
+        pin_of(slurp(fleet.trace_path)),
+        pin_of(slurp(fleet.metrics_jsonl_path))};
+    EXPECT_EQ(files, (std::vector<output_pin>{
+                         {11278642u, 0xf7e6c6aec27d28c1ull},
+                         {60300u, 0x43d33316413e0199ull}}));
+    std::remove(fleet.trace_path.c_str());
+    std::remove(fleet.metrics_jsonl_path.c_str());
 }
 
 TEST(cluster_obs, trace_and_jsonl_identical_across_pool_widths) {

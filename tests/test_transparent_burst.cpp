@@ -31,6 +31,7 @@
 #include "common/snapshot_io.h"
 #include "dram/dram_system.h"
 #include "obs/attribution.h"
+#include "obs/probe.h"
 
 namespace camdn::cache {
 namespace {
@@ -312,11 +313,23 @@ std::uint64_t run_scenario(const scenario& sc) {
     ref.set_transparent_ways(sc.transparent_ways);
 
     obs::latency_attributor kernel_attr, ref_attr;
+    // One probe per side holds the DRAM's bank and bus holders (and, on
+    // the kernel side, the cache's slice holders).
+    const dram::dram_config& dcfg = kernel_dram.config();
+    obs::probe kernel_probe(std::size_t{dcfg.channels} * dcfg.banks_per_channel,
+                            dcfg.channels, cfg.slices);
+    obs::probe ref_probe(std::size_t{dcfg.channels} * dcfg.banks_per_channel,
+                         dcfg.channels, cfg.slices);
     if (sc.attribution) {
-        kernel->set_attribution(&kernel_attr);
-        kernel_dram.set_attribution(&kernel_attr);
+        obs::run_observer o;
+        o.attr = &kernel_attr;
+        kernel_probe.attach(o, nullptr);
+        o.attr = &ref_attr;
+        ref_probe.attach(o, nullptr);
+        kernel->set_probe(&kernel_probe);
+        kernel_dram.set_probe(&kernel_probe);
         ref.set_attribution(&ref_attr);
-        ref_dram.set_attribution(&ref_attr);
+        ref_dram.set_probe(&ref_probe);
         start_inferences(kernel_attr);
         start_inferences(ref_attr);
     }
