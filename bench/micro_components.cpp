@@ -4,6 +4,9 @@
 // hardware performance.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "bench/harness.h"
 #include "cache/shared_cache.h"
 #include "common/event_queue.h"
@@ -25,6 +28,48 @@ static void bm_event_queue(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(bm_event_queue);
+
+// Hold model: `pending` events in steady state; each iteration pops the
+// next one and schedules one at now + delta, delta drawn from a fixed
+// seeded exponential table (mean 1,000 cycles). The second argument first
+// arms a 400-event far backlog, the arrival list an open-loop generator
+// arms up front. bm_event_queue's fill-then-drain sees neither the steady
+// churn nor the backlog.
+static void bm_event_queue_hold(benchmark::State& state) {
+    const auto pending = static_cast<std::uint64_t>(state.range(0));
+    const bool backlog = state.range(1) != 0;
+    std::vector<cycle_t> delta(4096);
+    std::uint64_t x = 12345;
+    for (auto& d : delta) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const double u = static_cast<double>((x >> 11) + 1) * 0x1p-53;
+        d = 1 + static_cast<cycle_t>(-1000.0 * std::log(u));
+    }
+    event_queue eq;
+    eq.set_handler(event_channel::dma, [](const typed_event&) {});
+    eq.set_handler(event_channel::sched, [](const typed_event&) {});
+    if (backlog)
+        for (std::uint64_t i = 0; i < 400; ++i)
+            eq.schedule_event(1'000'000'000'000 + 1'000'000 * i,
+                              typed_event{2, 1, i, 0});
+    for (std::uint64_t i = 0; i < pending; ++i)
+        eq.schedule_event(delta[i % delta.size()], typed_event{0, 0, i, 0});
+    std::uint64_t k = 0;
+    for (auto _ : state) {
+        eq.step();
+        eq.schedule_event(eq.now() + delta[k % delta.size()],
+                          typed_event{0, 0, k, 0});
+        ++k;
+    }
+    benchmark::DoNotOptimize(eq.now());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_event_queue_hold)
+    ->ArgNames({"pending", "backlog"})
+    ->Args({32, 0})
+    ->Args({32, 1})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 static void bm_dram_access(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};

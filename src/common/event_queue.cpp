@@ -9,8 +9,19 @@
 namespace camdn {
 
 void event_queue::push(const entry& e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), later{});
+    // An event due after the near_reach-th entry from the back of the run
+    // goes to the heap; one comparison settles that, since the run is
+    // sorted. Otherwise e's slot is at most near_reach entries from the
+    // back (or the run is shorter), and a scan from the back finds it.
+    const std::size_t n = near_.size();
+    if (n > near_reach && later{}(e, near_[n - near_reach])) {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), later{});
+        return;
+    }
+    std::size_t i = n;
+    while (i > 0 && later{}(e, near_[i - 1])) --i;
+    near_.insert(near_.begin() + static_cast<std::ptrdiff_t>(i), e);
 }
 
 void event_queue::set_handler(event_channel ch, typed_handler fn) {
@@ -32,30 +43,38 @@ void event_queue::restore_event(cycle_t when, std::uint64_t seq,
 
 std::size_t event_queue::cancel(event_channel ch, std::uint8_t kind) {
     const auto c = static_cast<std::uint8_t>(ch);
-    const auto kept =
-        std::remove_if(heap_.begin(), heap_.end(), [&](const entry& e) {
-            return e.channel == c && e.kind == kind;
-        });
-    const auto removed = static_cast<std::size_t>(heap_.end() - kept);
-    if (removed == 0) return 0;
-    heap_.erase(kept, heap_.end());
-    // (when, seq) is a total order, so the rebuilt heap pops in exactly
-    // the order the original would have.
-    std::make_heap(heap_.begin(), heap_.end(), later{});
+    const auto doomed = [&](const entry& e) {
+        return e.channel == c && e.kind == kind;
+    };
+    // remove_if keeps the survivors' order, so the run stays sorted.
+    const auto near_kept = std::remove_if(near_.begin(), near_.end(), doomed);
+    const auto heap_kept = std::remove_if(heap_.begin(), heap_.end(), doomed);
+    const auto removed = static_cast<std::size_t>(
+        (near_.end() - near_kept) + (heap_.end() - heap_kept));
+    near_.erase(near_kept, near_.end());
+    if (heap_kept != heap_.end()) {
+        heap_.erase(heap_kept, heap_.end());
+        // (when, seq) is a total order, so the rebuilt heap pops in exactly
+        // the order the original would have.
+        std::make_heap(heap_.begin(), heap_.end(), later{});
+    }
     return removed;
 }
 
 std::size_t event_queue::pending(event_channel ch, std::uint8_t kind) const {
     const auto c = static_cast<std::uint8_t>(ch);
+    const auto match = [&](const entry& e) {
+        return e.channel == c && e.kind == kind;
+    };
     return static_cast<std::size_t>(
-        std::count_if(heap_.begin(), heap_.end(), [&](const entry& e) {
-            return e.channel == c && e.kind == kind;
-        }));
+        std::count_if(near_.begin(), near_.end(), match) +
+        std::count_if(heap_.begin(), heap_.end(), match));
 }
 
 void event_queue::save_typed(snapshot_writer& w) const {
     std::vector<const entry*> sorted;
-    sorted.reserve(heap_.size());
+    sorted.reserve(pending());
+    for (const auto& e : near_) sorted.push_back(&e);
     for (const auto& e : heap_) sorted.push_back(&e);
     std::sort(sorted.begin(), sorted.end(),
               [](const entry* a, const entry* b) { return later{}(*b, *a); });
@@ -83,17 +102,42 @@ void event_queue::restore_typed(snapshot_reader& r) {
                                  std::to_string(ev.channel));
         ev.a = r.u64();
         ev.b = r.u64();
+        // restore_event() would clamp a past event to now(), moving it.
+        if (when < now_)
+            throw snapshot_error("snapshot typed event (seq " +
+                                 std::to_string(seq) + ") due at cycle " +
+                                 std::to_string(when) +
+                                 ", before the clock " + std::to_string(now_));
         restore_event(when, seq, ev);
     }
+    std::vector<std::uint64_t> seqs;
+    seqs.reserve(pending());
+    for (const auto& e : near_) seqs.push_back(e.seq);
+    for (const auto& e : heap_) seqs.push_back(e.seq);
+    std::sort(seqs.begin(), seqs.end());
+    const auto dup = std::adjacent_find(seqs.begin(), seqs.end());
+    if (dup != seqs.end())
+        throw snapshot_error("snapshot typed events repeat sequence number " +
+                             std::to_string(*dup));
 }
 
 void event_queue::restore_next_seq(std::uint64_t seq) {
-    assert(seq >= next_seq_ && "tie-break counter must not rewind");
+    if (seq < next_seq_)
+        throw snapshot_error("snapshot tie-break counter " +
+                             std::to_string(seq) + " rewinds the queue's " +
+                             std::to_string(next_seq_));
+    for (const auto* part : {&near_, &heap_})
+        for (const auto& e : *part)
+            if (e.seq >= seq)
+                throw snapshot_error(
+                    "pending event sequence " + std::to_string(e.seq) +
+                    " is not below the snapshot tie-break counter " +
+                    std::to_string(seq));
     next_seq_ = seq;
 }
 
 void event_queue::restore_now(cycle_t now) {
-    assert(heap_.empty() && "clock restore requires an empty queue");
+    assert(empty() && "clock restore requires an empty queue");
     now_ = now;
 }
 
@@ -109,10 +153,17 @@ bool event_queue::try_inline(cycle_t when, event_channel ch) {
 }
 
 bool event_queue::step() {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), later{});
-    const entry e = heap_.back();
-    heap_.pop_back();
+    if (empty()) return false;
+    entry e{};
+    if (near_.empty() ||
+        (!heap_.empty() && later{}(near_.back(), heap_.front()))) {
+        std::pop_heap(heap_.begin(), heap_.end(), later{});
+        e = heap_.back();
+        heap_.pop_back();
+    } else {
+        e = near_.back();
+        near_.pop_back();
+    }
     now_ = e.when;
     ++executed_;
     ++typed_dispatched_[e.channel];
@@ -141,7 +192,7 @@ void event_queue::run_until(cycle_t until) {
     // past it (saturating: run_until(never) may coalesce everything).
     const cycle_t saved = inline_horizon_;
     inline_horizon_ = until == never ? never : until + 1;
-    while (next_time() <= until && !heap_.empty()) step();
+    while (next_time() <= until && !empty()) step();
     inline_horizon_ = saved;
     if (now_ < until) now_ = until;
 }

@@ -14,9 +14,25 @@
 // tiles still in flight (the structure ONNXim-style cycle-level NPU models
 // use for their event records).
 //
-// The heap itself is the simulator's hottest data structure: tens of
-// millions of sift operations per run. Entries are therefore POD with the
-// whole payload inline, so heap moves never touch an allocator.
+// The pending set is the simulator's hottest data structure: every DMA
+// chunk retire, layer gate and arrival passes through it, tens of millions
+// of push/pop pairs per run. Entries are therefore POD with the whole
+// payload inline, so moves never touch an allocator, and the set is split
+// in two by where a new event lands:
+//   * a short *near run* kept sorted descending by (when, seq), so the
+//     next event pops off its back in O(1). A push with fewer than
+//     near_reach run entries due before it (or into a run no longer than
+//     that) finds its slot by a scan from the back;
+//   * a binary min-heap for the events that would land deeper: the
+//     open-loop arrival backlog (a generator arms every arrival up front)
+//     and far timers.
+// The traffic is what makes this pay. On an MMPP camdn_adaptive run the
+// queue holds ~223 events at each push, mostly the arrival backlog, yet a
+// new event is due within the next few pending ones: the mean insertion
+// depth from the back of the run is 3.2, and 668 of 11.0M pushes go to the
+// heap. step() takes the smaller of the run's back and the heap's top;
+// since (when, seq) is a strict total order, the split changes no dispatch
+// order, clock value, counter or snapshot byte.
 //
 // Three facilities support the resumable scheduler (runtime/scheduler.h):
 //   * cancellation — cancel(channel, kind) removes every pending event of
@@ -30,7 +46,8 @@
 //     bit for bit;
 //   * serialization — save_typed() walks the pending entries (sorted by
 //     time and sequence, so snapshots are byte-stable) and restore_typed()
-//     re-arms them under their saved sequences.
+//     re-arms them under their saved sequences, rejecting a section whose
+//     events repeat a sequence or fall due before the clock.
 #pragma once
 
 #include <array>
@@ -69,7 +86,15 @@ class event_queue {
 public:
     using typed_handler = std::function<void(const typed_event&)>;
 
-    event_queue() { heap_.reserve(256); }
+    /// How deep into the near run a push may land: when the run is longer
+    /// than near_reach, an event with near_reach or more run entries due
+    /// before it goes to the heap instead.
+    static constexpr std::size_t near_reach = 32;
+
+    event_queue() {
+        near_.reserve(2 * near_reach);
+        heap_.reserve(256);
+    }
 
     /// Current simulation time. Advances only inside step()/run*.
     cycle_t now() const { return now_; }
@@ -101,9 +126,11 @@ public:
     /// (when, seq) so equal states produce equal bytes.
     void save_typed(snapshot_writer& w) const;
 
-    /// Re-arms a saved pending set. The caller restores now()/next_seq()
-    /// separately; restored sequences must stay below the restored
-    /// next_seq().
+    /// Re-arms a saved pending set. The caller restores now() first and
+    /// next_seq() after. Throws snapshot_error on an unknown channel, an
+    /// event due before now(), or a sequence number some pending event
+    /// already holds (two events equal in (when, seq) have no defined pop
+    /// order).
     void restore_typed(snapshot_reader& r);
 
     // ---- checkpoint/restore support ----
@@ -111,8 +138,10 @@ public:
     /// Tie-break counter the next schedule_event() call will use.
     std::uint64_t next_seq() const { return next_seq_; }
 
-    /// Restores the tie-break counter after a resume; must not go
-    /// backwards past sequences already scheduled.
+    /// Restores the tie-break counter after a resume. Throws
+    /// snapshot_error when `seq` would rewind the counter or is not above
+    /// every pending event's sequence (the next schedule_event() would
+    /// reuse one).
     void restore_next_seq(std::uint64_t seq);
 
     /// Sets the clock of an empty queue (resume from a snapshot).
@@ -120,7 +149,9 @@ public:
 
     /// Earliest pending event time; `never` when nothing is pending.
     cycle_t next_time() const {
-        return heap_.empty() ? never : heap_.front().when;
+        const cycle_t near = near_.empty() ? never : near_.back().when;
+        const cycle_t far = heap_.empty() ? never : heap_.front().when;
+        return near < far ? near : far;
     }
 
     // ---- inline continuations (chunk-event coalescing) ----
@@ -147,8 +178,8 @@ public:
     void set_inline_horizon(cycle_t horizon) { inline_horizon_ = horizon; }
     cycle_t inline_horizon() const { return inline_horizon_; }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t pending() const { return heap_.size(); }
+    bool empty() const { return near_.empty() && heap_.empty(); }
+    std::size_t pending() const { return near_.size() + heap_.size(); }
 
     /// Events executed by step()/run*() over the queue's lifetime.
     /// Monotonic; not serialized — a resumed queue restarts at zero, so
@@ -181,7 +212,7 @@ public:
     void run_until(cycle_t until);
 
 private:
-    /// Heap node: trivially copyable, 40 bytes, payload inline.
+    /// Pending entry: trivially copyable, 40 bytes, payload inline.
     struct entry {
         cycle_t when;
         std::uint64_t seq;  // tie-breaker: FIFO among same-cycle events
@@ -199,8 +230,11 @@ private:
 
     void push(const entry& e);
 
-    /// Min-heap on (when, seq) — a plain vector managed with the std heap
-    /// algorithms so checkpointing can walk the pending entries.
+    /// The pending set, split in two (see the file comment). near_ is
+    /// sorted descending by (when, seq), so its back is its earliest entry;
+    /// heap_ is a min-heap on (when, seq) managed with the std heap
+    /// algorithms. Every pending event is in exactly one of them.
+    std::vector<entry> near_;
     std::vector<entry> heap_;
     std::array<typed_handler, n_event_channels> handlers_{};
     cycle_t now_ = 0;

@@ -1,9 +1,12 @@
 // Regression tests for the hot-path engine rewrites behind sim_throughput:
 //
-//   * event_queue — POD heap entries carrying typed records: the
-//     microbench-shaped throughput smoke, exact accounting under churn,
-//     (channel, kind) cancellation dropping pending() at cancel time, and
-//     fire-once / cancel-after-fire semantics;
+//   * event_queue — POD entries carrying typed records in a sorted near run
+//     in front of a heap: the microbench-shaped throughput smoke, exact
+//     accounting under churn, (channel, kind) cancellation dropping
+//     pending() at cancel time, fire-once / cancel-after-fire semantics,
+//     and a property check against the plain binary heap it replaced
+//     (seeded op streams, an arrival backlog with churn at the front, and
+//     inserts at the near run's reach boundary);
 //   * dma_engine — flights in a flat id-ordered vector: snapshot bytes of
 //     a mid-air state must round-trip identically through a fresh engine
 //     (byte compatibility with the std::map encoding it replaced);
@@ -13,6 +16,12 @@
 //     layers identical tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/shared_cache.h"
@@ -125,6 +134,366 @@ TEST(engine_hotpath, cancel_semantics) {
     EXPECT_EQ(eq.run(), 2u);
     EXPECT_EQ(fired, 3);
     EXPECT_EQ(eq.now(), 80u);
+}
+
+// ---- event queue vs the reference binary heap -------------------------
+
+/// The plain binary heap on (when, seq) that event_queue used before its
+/// near run, with the same clock, counters, inline rule and typed-section
+/// format. The property tests below drive both with identical op streams.
+class reference_heap {
+public:
+    void set_handler(event_channel ch, event_queue::typed_handler fn) {
+        handlers_[static_cast<std::size_t>(ch)] = std::move(fn);
+    }
+    std::uint64_t schedule_event(cycle_t when, const typed_event& ev) {
+        push({std::max(when, now_), next_seq_, ev});
+        return next_seq_++;
+    }
+    bool step() {
+        if (heap_.empty()) return false;
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        const node n = heap_.back();
+        heap_.pop_back();
+        now_ = n.when;
+        ++executed_;
+        ++dispatched_[n.ev.channel];
+        handlers_[n.ev.channel](n.ev);
+        return true;
+    }
+    std::size_t run(std::size_t max_events = SIZE_MAX) {
+        const cycle_t saved = horizon_;
+        if (max_events == SIZE_MAX) horizon_ = never;
+        std::size_t executed = 0;
+        while (executed < max_events && step()) ++executed;
+        horizon_ = saved;
+        return executed;
+    }
+    void run_until(cycle_t until) {
+        const cycle_t saved = horizon_;
+        horizon_ = until == never ? never : until + 1;
+        while (next_time() <= until && !heap_.empty()) step();
+        horizon_ = saved;
+        now_ = std::max(now_, until);
+    }
+    bool try_inline(cycle_t when, event_channel ch) {
+        if (when >= horizon_ || when < now_ || next_time() <= when)
+            return false;
+        now_ = when;
+        ++executed_;
+        ++dispatched_[static_cast<std::size_t>(ch)];
+        return true;
+    }
+    std::size_t cancel(event_channel ch, std::uint8_t kind) {
+        const auto kept = std::remove_if(heap_.begin(), heap_.end(),
+                                         [&](const node& n) {
+                                             return matches(n, ch, kind);
+                                         });
+        const auto removed = static_cast<std::size_t>(heap_.end() - kept);
+        heap_.erase(kept, heap_.end());
+        std::make_heap(heap_.begin(), heap_.end(), later);
+        return removed;
+    }
+    std::size_t pending(event_channel ch, std::uint8_t kind) const {
+        return static_cast<std::size_t>(
+            std::count_if(heap_.begin(), heap_.end(), [&](const node& n) {
+                return matches(n, ch, kind);
+            }));
+    }
+    std::size_t pending() const { return heap_.size(); }
+    cycle_t next_time() const {
+        return heap_.empty() ? never : heap_.front().when;
+    }
+    void save_typed(snapshot_writer& w) const {
+        auto sorted = heap_;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const node& a, const node& b) { return later(b, a); });
+        w.u64(sorted.size());
+        for (const node& n : sorted) {
+            w.u64(n.when);
+            w.u64(n.seq);
+            w.u8(n.ev.channel);
+            w.u8(n.ev.kind);
+            w.u64(n.ev.a);
+            w.u64(n.ev.b);
+        }
+    }
+    void restore_typed(snapshot_reader& r) {
+        const std::uint64_t n = r.count(8 + 8 + 1 + 1 + 8 + 8);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            node e;
+            e.when = r.u64();
+            e.seq = r.u64();
+            e.ev.channel = r.u8();
+            e.ev.kind = r.u8();
+            e.ev.a = r.u64();
+            e.ev.b = r.u64();
+            push(e);
+        }
+    }
+    void restore_now(cycle_t now) { now_ = now; }
+    void restore_next_seq(std::uint64_t seq) { next_seq_ = seq; }
+    void set_inline_horizon(cycle_t h) { horizon_ = h; }
+    cycle_t inline_horizon() const { return horizon_; }
+    cycle_t now() const { return now_; }
+    std::uint64_t next_seq() const { return next_seq_; }
+    std::uint64_t executed_events() const { return executed_; }
+    std::uint64_t typed_dispatched(event_channel ch) const {
+        return dispatched_[static_cast<std::size_t>(ch)];
+    }
+
+private:
+    struct node {
+        cycle_t when = 0;
+        std::uint64_t seq = 0;
+        typed_event ev;
+    };
+    static bool later(const node& a, const node& b) {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+    static bool matches(const node& n, event_channel ch, std::uint8_t kind) {
+        return n.ev.channel == static_cast<std::uint8_t>(ch) &&
+               n.ev.kind == kind;
+    }
+    void push(const node& n) {
+        heap_.push_back(n);
+        std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+
+    std::vector<node> heap_;
+    std::array<event_queue::typed_handler, n_event_channels> handlers_{};
+    cycle_t now_ = 0;
+    cycle_t horizon_ = 0;
+    std::uint64_t next_seq_ = 0;
+    std::uint64_t executed_ = 0;
+    std::array<std::uint64_t, n_event_channels> dispatched_{};
+};
+
+std::uint64_t mix(std::uint64_t x) {  // splitmix64
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/// A queue whose handlers log every dispatch (payload, clock) and, keyed
+/// on the payload, sometimes schedule a follow-up close by or ask to run
+/// it inline first, as DMA and layer handlers do.
+template <class Q>
+struct driven {
+    std::unique_ptr<Q> q = std::make_unique<Q>();
+    std::vector<std::uint64_t> log;
+    std::size_t inlined = 0;
+
+    driven() { wire(); }
+    driven(const driven&) = delete;
+    driven& operator=(const driven&) = delete;
+
+    void wire() {
+        for (std::size_t ch = 0; ch < n_event_channels; ++ch)
+            q->set_handler(static_cast<event_channel>(ch),
+                           [this](const typed_event& ev) { on(ev); });
+    }
+    void on(const typed_event& ev) {
+        log.push_back(ev.a);
+        log.push_back(q->now());
+        const std::uint64_t x = mix(ev.b);
+        const typed_event child{static_cast<std::uint8_t>((x >> 8) % 3),
+                                static_cast<std::uint8_t>((x >> 16) % 4),
+                                mix(ev.a), x};
+        const cycle_t when = q->now() + (x >> 24) % 9;
+        if (x % 8 == 0 &&
+            q->try_inline(when, static_cast<event_channel>(child.channel))) {
+            log.push_back(~child.a);
+            ++inlined;
+            return;
+        }
+        if (x % 4 <= 1) q->schedule_event(when, child);
+    }
+    std::vector<std::uint8_t> typed_bytes() const {
+        snapshot_writer w;
+        q->save_typed(w);
+        return w.bytes();
+    }
+    /// save_typed() -> restore_typed() into a fresh queue, as a resume
+    /// does; the fresh queue's counters restart at zero.
+    void resume_fresh() {
+        const auto bytes = typed_bytes();
+        auto fresh = std::make_unique<Q>();
+        fresh->restore_now(q->now());
+        snapshot_reader r(bytes);
+        fresh->restore_typed(r);
+        fresh->restore_next_seq(q->next_seq());
+        fresh->set_inline_horizon(q->inline_horizon());
+        q = std::move(fresh);
+        wire();
+    }
+};
+
+void expect_same(const driven<event_queue>& got,
+                 const driven<reference_heap>& ref, const std::string& where) {
+    ASSERT_EQ(got.log, ref.log) << where;
+    EXPECT_EQ(got.q->now(), ref.q->now()) << where;
+    EXPECT_EQ(got.q->next_seq(), ref.q->next_seq()) << where;
+    EXPECT_EQ(got.q->executed_events(), ref.q->executed_events()) << where;
+    for (std::size_t ch = 0; ch < n_event_channels; ++ch)
+        EXPECT_EQ(got.q->typed_dispatched(static_cast<event_channel>(ch)),
+                  ref.q->typed_dispatched(static_cast<event_channel>(ch)))
+            << where << " channel " << ch;
+    EXPECT_EQ(got.q->pending(), ref.q->pending()) << where;
+    EXPECT_EQ(got.q->next_time(), ref.q->next_time()) << where;
+    ASSERT_EQ(got.typed_bytes(), ref.typed_bytes()) << where;
+}
+
+/// Applies one op, decoded from `x`, to `d`'s queue. Queries append their
+/// answer to the log, so a diverging answer shows as a log mismatch.
+template <class Q>
+void apply_op(driven<Q>& d, std::uint64_t x, std::uint64_t id) {
+    Q& q = *d.q;
+    const auto ch = static_cast<event_channel>((x >> 8) % 3);
+    const auto kind = static_cast<std::uint8_t>((x >> 16) % 4);
+    const typed_event ev{static_cast<std::uint8_t>(ch), kind, id, x};
+    const std::uint64_t r = x >> 24;
+    switch (x % 16) {
+        case 0: case 1: case 2: case 3:  // near, often at equal times
+            q.schedule_event(q.now() + r % 64, ev);
+            break;
+        case 4:  // far timer
+            q.schedule_event(q.now() + 10'000 + r % 1'000'000, ev);
+            break;
+        case 5:  // at the next pending event's time
+            q.schedule_event(std::min(q.next_time(), q.now() + 64), ev);
+            break;
+        case 6:  // in the past: clamped to now()
+            q.schedule_event(q.now() - std::min<cycle_t>(q.now(), r % 8), ev);
+            break;
+        case 7: case 8: case 9: case 10: case 11:
+            q.step();
+            break;
+        case 12:
+            d.log.push_back(q.cancel(ch, kind));
+            break;
+        case 13:
+            d.log.push_back(q.pending(ch, kind));
+            d.log.push_back(q.next_time());
+            break;
+        case 14: {  // inline horizon: off, a few cycles ahead, or open
+            const cycle_t horizons[] = {0, q.now() + r % 32, never};
+            q.set_inline_horizon(horizons[r % 3]);
+            break;
+        }
+        default:
+            if (r % 2 == 0)
+                q.run_until(q.now() + r % 16);
+            else
+                d.log.push_back(q.run(r % 5));
+            break;
+    }
+}
+
+TEST(engine_hotpath, event_queue_matches_reference_heap_on_seeded_ops) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        driven<event_queue> got;
+        driven<reference_heap> ref;
+        std::uint64_t x = seed;
+        constexpr int ops = 20'000;
+        for (int op = 0; op < ops; ++op) {
+            x = mix(x);
+            apply_op(got, x, static_cast<std::uint64_t>(op));
+            apply_op(ref, x, static_cast<std::uint64_t>(op));
+            if (op % 250 == 0) {
+                expect_same(got, ref, "seed " + std::to_string(seed) +
+                                          " op " + std::to_string(op));
+                if (::testing::Test::HasFatalFailure()) return;
+            }
+            if (op == ops / 2) {
+                got.resume_fresh();
+                ref.resume_fresh();
+            }
+        }
+        got.q->run();
+        ref.q->run();
+        expect_same(got, ref, "seed " + std::to_string(seed) + " drained");
+        EXPECT_EQ(got.q->pending(), 0u);
+        EXPECT_GT(got.inlined, 0u) << "no continuation ran inline";
+    }
+}
+
+TEST(engine_hotpath, event_queue_matches_reference_heap_under_arrival_backlog) {
+    // An open-loop generator arms its whole arrival list up front, so a
+    // long backlog of increasing far events sits behind the churn of DMA
+    // and layer events at the front.
+    driven<event_queue> got;
+    driven<reference_heap> ref;
+    auto both = [&](auto&& op) {
+        op(*got.q);
+        op(*ref.q);
+    };
+    for (std::uint64_t i = 0; i < 1'000; ++i)
+        both([&](auto& q) {
+            q.schedule_event(1'000'000 + 5'000 * i,
+                             typed_event{2, 1, i, mix(i)});
+        });
+    std::uint64_t x = 99;
+    for (std::uint64_t op = 0; op < 30'000; ++op) {
+        x = mix(x);
+        both([&](auto& q) {
+            q.schedule_event(q.now() + x % 200,
+                             typed_event{0, 0, 1'000 + op, x});
+            q.step();
+            q.step();
+        });
+        if (op % 1'000 == 0) {
+            expect_same(got, ref, "op " + std::to_string(op));
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+    EXPECT_GT(got.q->now(), 1'000'000u) << "the churn never reached the backlog";
+    both([](auto& q) { q.run(); });
+    expect_same(got, ref, "drained");
+}
+
+TEST(engine_hotpath, event_queue_matches_reference_heap_at_the_reach_boundary) {
+    // A run of 2 * near_reach events, each due before every earlier one,
+    // then inserts with exactly `depth` pending events due before them —
+    // on either side of the deepest slot a push still scans for.
+    constexpr std::size_t reach = event_queue::near_reach;
+    for (const std::size_t depth : {reach - 1, reach, reach + 1, reach + 2}) {
+        for (const bool tie : {false, true}) {
+            driven<event_queue> got;
+            driven<reference_heap> ref;
+            auto both = [&](auto&& op) {
+                op(*got.q);
+                op(*ref.q);
+            };
+            for (std::uint64_t i = 0; i < 2 * reach; ++i)
+                both([&](auto& q) {
+                    q.schedule_event(100 * (2 * reach - i),
+                                     typed_event{1, 0, i, 4 * i + 2});
+                });
+            // Ascending times are 100, 200, ...: an insert at 100 * depth
+            // (a tie, broken by its later sequence) or 50 past it has
+            // exactly `depth` entries due before it.
+            const cycle_t when = 100 * depth + (tie ? 0 : 50);
+            for (std::uint64_t k = 0; k < 3; ++k)
+                both([&](auto& q) {
+                    q.schedule_event(when + k, typed_event{2, 1, 500 + k, 3});
+                });
+            const std::string where =
+                "depth " + std::to_string(depth) + (tie ? " tie" : "");
+            expect_same(got, ref, where);
+            // Pop past half the run, insert at the boundary again, drain.
+            both([&](auto& q) { q.run(reach); });
+            for (std::uint64_t k = 0; k < 3; ++k)
+                both([&](auto& q) {
+                    q.schedule_event(q.now() + 100 * depth + k,
+                                     typed_event{2, 2, 600 + k, 3});
+                });
+            expect_same(got, ref, where + " refilled");
+            both([](auto& q) { q.run(); });
+            expect_same(got, ref, where + " drained");
+        }
+    }
 }
 
 TEST(engine_hotpath, typed_section_bytes_stable_across_restore) {

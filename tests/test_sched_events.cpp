@@ -7,6 +7,10 @@
 //     unknown sched kind, an arrival token past the arrival list, a
 //     re-dispatch for a slot past the slot count — throws on exact resume
 //     and run instead of indexing out of range;
+//   * a crafted typed section whose events repeat a pending sequence
+//     number, sit at or above the tie-break counter, or fall due before
+//     the snapshot clock throws snapshot_error on exact resume instead of
+//     running with an undefined pop order or a moved event;
 //   * exact-resuming a mid-run snapshot and pausing again at the same
 //     boundary, with no progress, re-encodes byte for byte (nothing is
 //     re-armed under a new sequence number);
@@ -16,6 +20,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -84,22 +89,33 @@ scheduler_snapshot paused_at(const experiment_config& cfg, cycle_t boundary) {
     return sched.save();
 }
 
-/// `snap` with one extra sched event due right after the pause, under the
-/// next free sequence number.
-scheduler_snapshot with_sched_event(scheduler_snapshot snap, sched_event kind,
-                                    std::uint64_t a) {
+typed_event sched_ev(sched_event kind, std::uint64_t a) {
+    return typed_event{static_cast<std::uint8_t>(event_channel::sched),
+                       static_cast<std::uint8_t>(kind), a, 0};
+}
+
+/// `snap` with `ev` added to its typed section at (`when`, `seq`) as given:
+/// the crafting queue's clock stays at 0, so nothing is clamped, and the
+/// tie-break counter is left alone.
+scheduler_snapshot with_typed_event(scheduler_snapshot snap, cycle_t when,
+                                    std::uint64_t seq, const typed_event& ev) {
     event_queue q;
-    q.restore_now(snap.now);
     snapshot_reader r(snap.typed_events);
     q.restore_typed(r);
-    q.restore_event(snap.now + 1, snap.event_seq,
-                    typed_event{static_cast<std::uint8_t>(event_channel::sched),
-                                static_cast<std::uint8_t>(kind), a, 0});
-    snap.event_seq += 1;
+    q.restore_event(when, seq, ev);
     snapshot_writer w;
     q.save_typed(w);
     snap.typed_events = w.take();
     return snap;
+}
+
+/// `snap` with one extra sched event due right after the pause, under the
+/// next free sequence number.
+scheduler_snapshot with_sched_event(scheduler_snapshot snap, sched_event kind,
+                                    std::uint64_t a) {
+    const cycle_t when = snap.now + 1;
+    const std::uint64_t seq = snap.event_seq++;
+    return with_typed_event(std::move(snap), when, seq, sched_ev(kind, a));
 }
 
 void resume_and_run(const experiment_config& cfg,
@@ -131,6 +147,35 @@ TEST(sched_events, crafted_typed_sections_throw_instead_of_indexing_out) {
                      std::exception)
             << c.what;
     }
+}
+
+TEST(sched_events, malformed_typed_sequences_and_times_throw) {
+    const auto cfg = poisson_demo();
+    const auto snap = paused_at(cfg, 3'000'000);
+    // The first pending event's (when, seq): the typed section is sorted.
+    snapshot_reader r(snap.typed_events);
+    ASSERT_GT(r.u64(), 0u);
+    const cycle_t first_when = r.u64();
+    const std::uint64_t first_seq = r.u64();
+    // A page retry for a slot with no armed negotiation does nothing when
+    // it runs, so only the (when, seq) it is filed under can be at fault.
+    for (const auto& rs : snap.running)
+        ASSERT_FALSE(rs.slot == 0 && rs.neg_armed);
+    const auto retry = sched_ev(sched_event::page_retry, 0);
+    auto early = with_typed_event(snap, snap.now - 5, snap.event_seq, retry);
+    early.event_seq += 1;
+    const struct {
+        const char* what;
+        scheduler_snapshot snap;
+    } cases[] = {
+        {"repeats a pending sequence",
+         with_typed_event(snap, first_when, first_seq, retry)},
+        {"sequence at the tie-break counter",
+         with_typed_event(snap, snap.now + 1, snap.event_seq, retry)},
+        {"due before the snapshot clock", early},
+    };
+    for (const auto& c : cases)
+        EXPECT_THROW(resume_and_run(cfg, c.snap), snapshot_error) << c.what;
 }
 
 TEST(sched_events, exact_resume_pauses_again_with_identical_bytes) {
