@@ -119,6 +119,43 @@ static void bm_transparent_access(benchmark::State& state) {
 }
 BENCHMARK(bm_transparent_access);
 
+// The AuRORA shape: 128-line transparent bursts from 16 interleaved tenant
+// streams over twice the cache, so the cache is warm and over-subscribed
+// and most lines miss, evict and write back. Each stream sweeps its own
+// 2 MiB region and issues its next burst when the previous one completes;
+// every fourth burst of a stream is a write. DRAM shares are AuRORA's for
+// 16 tenants of equal demand: min(1, headroom 2 / 16).
+static void bm_transparent_burst(benchmark::State& state) {
+    constexpr std::uint64_t streams = 16;
+    constexpr std::uint64_t burst_lines = 128;
+    dram::dram_system d{dram::dram_config{}};
+    cache::shared_cache c{cache::cache_config{}, d};
+    const std::uint64_t region = 2 * c.config().total_bytes / streams;
+    for (std::uint64_t s = 0; s < streams; ++s)
+        d.set_task_share(static_cast<task_id>(s), 2.0 / streams);
+    std::vector<std::uint64_t> offset(streams, 0), bursts(streams, 0);
+    std::vector<cycle_t> ready(streams, 0);
+    std::uint64_t s = 0;
+    const auto step = [&] {
+        const auto task = static_cast<task_id>(s);
+        ready[s] = c.transparent_burst(s * region + offset[s], burst_lines,
+                                       bursts[s]++ % 4 == 3, ready[s], task);
+        offset[s] = (offset[s] + burst_lines * line_bytes) % region;
+        s = (s + 1) % streams;
+    };
+    // Warm-up: two sweeps of every region, untimed.
+    for (std::uint64_t i = 0; i < 2 * streams * region /
+                                      (burst_lines * line_bytes);
+         ++i)
+        step();
+    for (auto _ : state) {
+        step();
+        benchmark::DoNotOptimize(ready.data());
+    }
+    state.SetItemsProcessed(state.iterations() * burst_lines);
+}
+BENCHMARK(bm_transparent_burst);
+
 static void bm_region_read_burst(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};
     cache::shared_cache c{cache::cache_config{}, d};

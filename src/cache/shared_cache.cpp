@@ -55,8 +55,18 @@ const cache_config& within_order_capacity(const cache_config& config) {
             "shared_cache: " + std::to_string(config.ways) +
             " ways exceed the " + std::to_string(shared_cache::max_ways) +
             " the transparent recency order holds");
+    if (config.npu_ways > config.ways)
+        throw std::invalid_argument(
+            "shared_cache: " + std::to_string(config.npu_ways) +
+            " NPU ways exceed the cache's " + std::to_string(config.ways));
     return config;
 }
+
+/// Sets the burst loop prefetches ahead of the one it looks up. The cold
+/// parts (5 MiB in the stock cache) come from the host's L3; on a
+/// recorded AuRORA burst trace, distances 4, 8 and 16 timed the same,
+/// and 8 wastes few prefetches past the end of a 128-line burst.
+constexpr std::size_t prefetch_sets = 8;
 }  // namespace
 
 shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
@@ -69,33 +79,36 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
       pages_(config),
       miss_penalty_cycles_(dram.isolated_line_service_cycles() +
                            config.fill_latency + config.noc_latency) {
+    const std::size_t nsets = static_cast<std::size_t>(config_.slices) * sets_;
     pow2_geometry_ = is_pow2(config_.slices) && is_pow2(sets_);
     if (pow2_geometry_) {
-        slice_shift_ = log2_of(config_.slices);
         slice_mask_ = config_.slices - 1;
-        set_mask_ = sets_ - 1;
-        sig_shift_ = slice_shift_ + log2_of(sets_);
+        index_mask_ = nsets - 1;
+        sig_shift_ = log2_of(nsets);
     }
-    transparent_sets_.assign(static_cast<std::size_t>(config_.slices) * sets_,
-                             empty_set());
+    clear_sets(nsets);
 }
 
-shared_cache::transparent_set shared_cache::empty_set() const {
-    transparent_set st;
+void shared_cache::clear_sets(std::size_t nsets) {
+    hot_set hot;
     for (std::uint32_t w = 0; w < config_.ways; ++w)
-        st.order |= std::uint64_t{w} << (4 * w);  // any order suits
-    std::fill(std::begin(st.owner), std::end(st.owner), no_task);
-    return st;
+        hot.order |= std::uint64_t{w} << (4 * w);  // any order suits
+    cold_set cold;
+    std::fill(std::begin(cold.owner), std::end(cold.owner), no_task);
+    hot_.assign(nsets, hot);
+    cold_.assign(nsets, cold);
 }
 
-void shared_cache::derive_set(transparent_set& st) const {
+void shared_cache::derive_set(hot_set& hot, const cold_set& cold) const {
     // Insertion sort, most recent first. Way w enters after the lower
     // ways, so it sorts ahead of any with a stamp <= its own: the tail is
     // the smallest stamp, lowest way on ties — the victim rule.
     std::uint32_t by_recency[max_ways];
     for (std::uint32_t w = 0; w < transparent_ways_; ++w) {
         std::uint32_t p = w;
-        for (; p > 0 && st.slot[by_recency[p - 1]].lru <= st.slot[w].lru; --p)
+        for (; p > 0 &&
+               cold.slot[by_recency[p - 1]].lru <= cold.slot[w].lru;
+             --p)
             by_recency[p] = by_recency[p - 1];
         by_recency[p] = w;
     }
@@ -103,17 +116,21 @@ void shared_cache::derive_set(transparent_set& st) const {
     for (std::uint32_t p = 0; p < config_.ways; ++p) {
         order |= std::uint64_t{p < transparent_ways_ ? by_recency[p] : p}
                  << (4 * p);
-        st.sig[p] = static_cast<std::uint16_t>(st.slot[p].tag >> sig_shift_);
+        hot.sig[p] = static_cast<std::uint16_t>(cold.slot[p].tag >> sig_shift_);
     }
-    st.order = order;
+    hot.order = order;
 }
 
 void shared_cache::set_transparent_ways(std::uint32_t ways) {
-    assert(ways >= 1 && ways <= config_.ways);
+    if (ways < 1 || ways > config_.ways)
+        throw std::invalid_argument(
+            "shared_cache::set_transparent_ways: " + std::to_string(ways) +
+            " ways, the cache has " + std::to_string(config_.ways) +
+            " and the transparent path needs at least one");
     if (ways == transparent_ways_) return;
     transparent_ways_ = ways;
     // Stale orders: each set re-derives its own at its next access.
-    for (auto& st : transparent_sets_) st.order = 0;
+    for (hot_set& hot : hot_) hot.order = 0;
 }
 
 cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
@@ -161,14 +178,16 @@ access_result shared_cache::transparent_lines(addr_t paddr,
                                               task_id task) {
     if (nlines == 0) return access_result{true, arrival};
     const std::uint32_t slices = config_.slices;
+    const std::size_t nsets = hot_.size();
     const std::uint64_t line0 = paddr / line_bytes;
-    std::uint32_t slice0, set;
+    std::uint32_t slice0;
+    std::size_t idx;
     if (pow2_geometry_) {
         slice0 = static_cast<std::uint32_t>(line0 & slice_mask_);
-        set = static_cast<std::uint32_t>((line0 >> slice_shift_) & set_mask_);
+        idx = static_cast<std::size_t>(line0 & index_mask_);
     } else {
         slice0 = static_cast<std::uint32_t>(line0 % slices);
-        set = static_cast<std::uint32_t>((line0 / slices) % sets_);
+        idx = static_cast<std::size_t>(line0 % nsets);
     }
     obs::probe* const attr = obs::attribution_of(probe_);
     obs::probe::wait_fold<&obs::probe::cache_wait> waits{attr, task};
@@ -178,15 +197,18 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     // reservations puts its slot's end at start_s + i / slices + 1,
     // start_s = max(arrival, slice_free_[s]). Only a slice's first visit
     // can wait on another user; visit v >= 1 waits start_s + v - arrival
-    // behind the requester itself.
+    // behind the requester itself. slice_start_[k] is start_s of the k-th
+    // slice the burst touches.
     const std::uint64_t base = nlines / slices;
     const std::uint64_t rem = nlines % slices;
     const std::uint64_t touched = std::min<std::uint64_t>(nlines, slices);
+    cycle_t last_slot = arrival;
     for (std::uint32_t k = 0, s = slice0; k < touched; ++k) {
         const std::uint64_t n = base + (k < rem ? 1 : 0);
         const cycle_t start = std::max(arrival, slice_free_[s]);
-        slice_start_[s] = start;
+        slice_start_[k] = start;
         slice_free_[s] = start + n;
+        last_slot = std::max(last_slot, start + n);
         if (attr != nullptr) {
             const task_id holder = attr->take_slice(s, task);
             if (start > arrival) waits.charge(holder, start - arrival);
@@ -197,94 +219,106 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     stats_.slice_busy_cycles += nlines;
 
     // Cache state, line by line (a long burst revisits sets). Hits and
-    // write misses complete at their slot + hit latency; read misses wait
-    // for the DRAM run below.
+    // write misses complete at their slot + hit latency — for a write
+    // burst that is every line, so its completion is the last slot's —
+    // and read misses wait for the DRAM run below, which takes each miss's
+    // writeback and fill (two lines at most).
     const std::uint32_t tw = transparent_ways_;
     const std::uint32_t tw_mask = (1u << tw) - 1;
     const unsigned tail_shift = 4 * (tw - 1);
+    const std::uint32_t sig_shift = sig_shift_;
     const cycle_t hit_latency = config_.hit_latency;
-    transparent_set* const sets = transparent_sets_.data();
+    hot_set* const hots = hot_.data();
+    cold_set* const colds = cold_.data();
     const cycle_t* const slice_start = slice_start_.data();
+    if (dram_run_.size() < 2 * nlines) dram_run_.resize(2 * nlines);
+    dram::line_request* const run = dram_run_.data();
+    std::size_t run_lines = 0;
     std::uint64_t tick = lru_tick_;
     std::uint64_t hits = 0, evictions = 0, inter_task = 0, writebacks = 0;
-    cycle_t done = arrival;
-    dram_run_.clear();
-    std::uint32_t s = slice0;
-    std::size_t set_idx = static_cast<std::size_t>(s) * sets_ + set;
-    std::uint64_t visit = 0;
-    for (std::uint64_t i = 0; i < nlines; ++i) {
-        const std::uint64_t line_id = line0 + i;
-        const cycle_t service = slice_start[s] + visit + 1;
-        const auto sig = static_cast<std::uint16_t>(line_id >> sig_shift_);
-        transparent_set& st = sets[set_idx];
-        line_slot* const slot = st.slot;
-        if (st.order == 0) derive_set(st);
-        const std::uint64_t order = st.order;
-        const std::uint32_t valid = st.valid;
+    cycle_t done = is_write ? last_slot + hit_latency : arrival;
+    std::size_t ahead = (idx + prefetch_sets) % nsets;
+    std::uint64_t i = 0;
+    for (std::uint64_t visit = 1; i < nlines; ++visit) {
+        const std::uint64_t round = std::min<std::uint64_t>(nlines - i, slices);
+        for (std::uint32_t k = 0; k < round; ++k, ++i) {
+            // The set `prefetch_sets` lines ahead: its hot part and every
+            // line of its cold part, since the way is not known yet.
+            __builtin_prefetch(&hots[ahead], 1);
+            const char* const pc = reinterpret_cast<const char*>(&colds[ahead]);
+            for (std::size_t off = 0; off < sizeof(cold_set); off += 64)
+                __builtin_prefetch(pc + off, 1);
+            if (++ahead == nsets) ahead = 0;
 
-        // The lowest valid way below the mask holding the line.
-        std::uint32_t cand = match_signatures(st.sig, sig) & valid & tw_mask;
-        std::uint32_t way = max_ways;
-        for (; cand != 0; cand &= cand - 1) {
-            const std::uint32_t w = lowest_bit(cand);
-            if (slot[w].tag == line_id) {
-                way = w;
-                break;
-            }
-        }
+            const std::uint64_t line_id = line0 + i;
+            const cycle_t service = slice_start[k] + visit;
+            const auto sig = static_cast<std::uint16_t>(line_id >> sig_shift);
+            hot_set& hot = hots[idx];
+            cold_set& cold = colds[idx];
+            if (++idx == nsets) idx = 0;
+            line_slot* const slot = cold.slot;
+            if (hot.order == 0) derive_set(hot, cold);
+            const std::uint64_t order = hot.order;
+            const std::uint32_t valid = hot.valid;
 
-        if (way != max_ways) {
-            ++hits;
-            if (is_write) st.dirty |= 1u << way;
-            done = std::max(done, service + hit_latency);
-        } else {
-            const std::uint32_t invalid = ~valid & tw_mask;
-            way = invalid != 0
-                      ? lowest_bit(invalid)
-                      : static_cast<std::uint32_t>(order >> tail_shift) & 0xf;
-            const std::uint32_t bit = 1u << way;
-            task_id& owner = st.owner[way];
-            // A cold miss (invalid way) is self-inflicted; otherwise the
-            // victim's owner displaced the requester's working set.
-            task_id holder = task;
-            if (valid & bit) {
-                ++evictions;
-                if (owner != task) {
-                    ++inter_task;
-                    holder = owner;
-                }
-                // Fire-and-forget writeback, attributed to the data's owner.
-                if (st.dirty & bit) {
-                    ++writebacks;
-                    dram_run_.push_back(
-                        {slot[way].tag * line_bytes, service, owner, true});
+            // The lowest valid way below the mask holding the line.
+            std::uint32_t cand =
+                match_signatures(hot.sig, sig) & valid & tw_mask;
+            std::uint32_t way = max_ways;
+            for (; cand != 0; cand &= cand - 1) {
+                const std::uint32_t w = lowest_bit(cand);
+                if (slot[w].tag == line_id) {
+                    way = w;
+                    break;
                 }
             }
-            slot[way].tag = line_id;
-            owner = task;
-            st.sig[way] = sig;
-            st.valid = static_cast<std::uint16_t>(valid | bit);
-            if (is_write) {
-                // NPU DMA writes full lines: write-validate, no fetch.
-                st.dirty |= bit;
+
+            if (way != max_ways) {
+                ++hits;
+                if (is_write) hot.dirty |= 1u << way;
                 done = std::max(done, service + hit_latency);
             } else {
-                st.dirty &= ~bit;
-                if (attr != nullptr) waits.charge(holder, miss_penalty_cycles_);
-                dram_run_.push_back(
-                    {paddr + i * line_bytes, service, task, false});
+                const std::uint32_t invalid = ~valid & tw_mask;
+                way = invalid != 0 ? lowest_bit(invalid)
+                                   : static_cast<std::uint32_t>(
+                                         order >> tail_shift) & 0xf;
+                const std::uint32_t bit = 1u << way;
+                task_id& owner = cold.owner[way];
+                // A cold miss (invalid way) is self-inflicted; otherwise
+                // the victim's owner displaced the requester's working set.
+                task_id holder = task;
+                if (valid & bit) {
+                    ++evictions;
+                    if (owner != task) {
+                        ++inter_task;
+                        holder = owner;
+                    }
+                    // Fire-and-forget writeback, attributed to the data's
+                    // owner.
+                    if (hot.dirty & bit) {
+                        ++writebacks;
+                        run[run_lines++] = {slot[way].tag * line_bytes,
+                                            service, owner, true};
+                    }
+                }
+                slot[way].tag = line_id;
+                owner = task;
+                hot.sig[way] = sig;
+                hot.valid = static_cast<std::uint16_t>(valid | bit);
+                if (is_write) {
+                    // NPU DMA writes full lines: write-validate, no fetch.
+                    hot.dirty |= bit;
+                } else {
+                    hot.dirty &= ~bit;
+                    if (attr != nullptr)
+                        waits.charge(holder, miss_penalty_cycles_);
+                    run[run_lines++] = {paddr + i * line_bytes, service, task,
+                                        false};
+                }
             }
+            slot[way].lru = ++tick;
+            hot.order = to_front(order, way);
         }
-        slot[way].lru = ++tick;
-        st.order = to_front(order, way);
-
-        set_idx += sets_;
-        if (++s == slices) {
-            s = 0;
-            if (++set == sets_) set = 0;
-            set_idx = set;
-        }
-        if (s == slice0) ++visit;
     }
     lru_tick_ = tick;
 
@@ -300,9 +334,8 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     if (probe_ != nullptr) probe_->cache_accesses(task, hits, misses);
     if (attr != nullptr) waits.flush();
 
-    if (!dram_run_.empty()) {
-        const cycle_t read_done =
-            dram_.access_lines(dram_run_.data(), dram_run_.size());
+    if (run_lines != 0) {
+        const cycle_t read_done = dram_.access_lines(run, run_lines);
         if (!is_write && misses > 0)
             done = std::max(done, read_done + config_.fill_latency +
                                       config_.noc_latency);
@@ -408,7 +441,7 @@ void shared_cache::reset_stats() {
 }
 
 void shared_cache::invalidate_all() {
-    std::fill(transparent_sets_.begin(), transparent_sets_.end(), empty_set());
+    clear_sets(hot_.size());
     std::fill(slice_free_.begin(), slice_free_.end(), 0);
     lru_tick_ = 0;
 }
@@ -489,13 +522,20 @@ void shared_cache::save_state(snapshot_writer& w) const {
     w.u64(lru_tick_);
     auto out = w.span(lines() * line_record_bytes);
     const std::uint32_t ways = config_.ways;
-    for (const transparent_set& st : transparent_sets_) {
-        for (std::uint32_t w = 0, bit = 1; w < ways; ++w, bit <<= 1) {
-            out.u64(st.slot[w].tag);
-            out.u64(st.slot[w].lru);
-            out.i32(st.owner[w]);
-            out.b((st.valid & bit) != 0);
-            out.b((st.dirty & bit) != 0);
+    const std::uint32_t slices = config_.slices;
+    // Records in slice-major order: (slice, set) lives at set index
+    // slice + slices * set.
+    for (std::uint32_t slice = 0; slice < slices; ++slice) {
+        for (std::size_t idx = slice; idx < hot_.size(); idx += slices) {
+            const hot_set& hot = hot_[idx];
+            const cold_set& cold = cold_[idx];
+            for (std::uint32_t w = 0, bit = 1; w < ways; ++w, bit <<= 1) {
+                out.u64(cold.slot[w].tag);
+                out.u64(cold.slot[w].lru);
+                out.i32(cold.owner[w]);
+                out.b((hot.valid & bit) != 0);
+                out.b((hot.dirty & bit) != 0);
+            }
         }
     }
     w.u64(slice_free_.size());
@@ -531,26 +571,32 @@ void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
     auto in = r.span(static_cast<std::uint64_t>(nlines) * line_record_bytes);
     const std::uint32_t ways = config_.ways;
     const std::uint64_t tick = lru_tick_;
+    const std::uint32_t slices = config_.slices;
     std::uint32_t stamped_late = 0;
-    for (transparent_set& st : transparent_sets_) {
-        // Per-way flags go to byte arrays and are packed once per set: no
-        // per-line shifts or branches.
-        std::uint8_t valid[max_ways] = {}, dirty[max_ways] = {},
-                     late[max_ways] = {};
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            const std::uint64_t tag = in.u64();
-            const std::uint64_t lru = in.u64();
-            st.slot[w] = line_slot{tag, lru};
-            st.owner[w] = in.i32();
-            valid[w] = in.b();
-            dirty[w] = in.b();
-            late[w] = lru > tick;
+    // save_state's slice-major record order.
+    for (std::uint32_t slice = 0; slice < slices; ++slice) {
+        for (std::size_t idx = slice; idx < hot_.size(); idx += slices) {
+            hot_set& hot = hot_[idx];
+            cold_set& cold = cold_[idx];
+            // Per-way flags go to byte arrays and are packed once per set:
+            // no per-line shifts or branches.
+            std::uint8_t valid[max_ways] = {}, dirty[max_ways] = {},
+                         late[max_ways] = {};
+            for (std::uint32_t w = 0; w < ways; ++w) {
+                const std::uint64_t tag = in.u64();
+                const std::uint64_t lru = in.u64();
+                cold.slot[w] = line_slot{tag, lru};
+                cold.owner[w] = in.i32();
+                valid[w] = in.b();
+                dirty[w] = in.b();
+                late[w] = lru > tick;
+            }
+            // Order and signatures are derived at the set's next access.
+            hot.order = 0;
+            hot.valid = pack_flags(valid);
+            hot.dirty = pack_flags(dirty);
+            stamped_late |= hot.valid & pack_flags(late);
         }
-        // Order and signatures are derived at the set's next access.
-        st.order = 0;
-        st.valid = pack_flags(valid);
-        st.dirty = pack_flags(dirty);
-        stamped_late |= st.valid & pack_flags(late);
     }
     if (stamped_late != 0)
         throw snapshot_error(

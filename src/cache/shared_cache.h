@@ -22,14 +22,20 @@
 // per-line semantics of an LRU cache, bit for bit: the victim is the
 // lowest invalid way below the way mask, else the valid way with the
 // smallest LRU stamp (lowest way on ties). Its layout serves the lookup.
-// A set's hot part is 64 bytes: valid/dirty masks, a 16-bit tag signature
-// per way, and the ways in recency order (one nibble each), so a miss
-// takes the order's tail instead of scanning stamps. A signature match is
-// confirmed on the full tag. Full tags with their LRU stamps, and the
-// owners, follow in the set's cold part, touched only for the way the
-// lookup picked. The order is derived state — never serialized, rebuilt
-// from the stamps at a set's first access after a restore or a way-mask
-// change.
+// Sets are stored in line order: line L lives in set L mod (slices x
+// sets), which is slice + slices x set of its (slice, set) pair, so a
+// burst walks consecutive sets instead of one stream per slice. Each set
+// is split in two arrays. Its hot part is 64 bytes: valid/dirty masks, a
+// 16-bit tag signature per way, and the ways in recency order (one nibble
+// each), so a miss takes the order's tail instead of scanning stamps; the
+// stock 16 MiB cache's hot array is 1 MiB, small enough to stay in a host
+// core's L2. A signature match is confirmed on the full tag. The cold
+// part holds the full tags with their LRU stamps, and the owners, touched
+// only for the way the lookup picked. The burst loop prefetches both
+// parts a fixed number of sets ahead. The order is derived state — never
+// serialized, rebuilt from the stamps at a set's first access after a
+// restore or a way-mask change. Snapshots write the records slice-major
+// (slice, then set, then way), the snapshot format's order.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +94,8 @@ struct access_result {
 
 class shared_cache {
 public:
+    /// Throws std::invalid_argument when config.npu_ways exceeds
+    /// config.ways, or config.ways exceeds max_ways.
     shared_cache(const cache_config& config, dram::dram_system& dram);
 
     const cache_config& config() const { return config_; }
@@ -96,7 +104,8 @@ public:
 
     /// Number of ways the transparent path may allocate into. Baselines run
     /// unpartitioned (== config.ways); CaMDN policies restrict the
-    /// transparent path to config.cpu_ways().
+    /// transparent path to config.cpu_ways(). Throws std::invalid_argument
+    /// for 0 ways or more than config.ways.
     void set_transparent_ways(std::uint32_t ways);
     std::uint32_t transparent_ways() const { return transparent_ways_; }
 
@@ -175,13 +184,13 @@ private:
         std::uint64_t tag = 0;
         std::uint64_t lru = 0;
     };
-    /// One transparent set, 384 bytes. A lookup reads the first 64 (the
-    /// hot part); the line records and owners after them are touched per
-    /// way once the lookup has picked one. Deliberately not alignas(64):
-    /// glibc kept over-aligned blocks of this size in its per-thread
-    /// arenas, and a sweep of fresh SoCs grew peak RSS by a cache per
-    /// sweep.
-    struct transparent_set {
+    /// A transparent set's hot part, 64 bytes: everything a lookup reads.
+    /// Deliberately not alignas(64): glibc kept over-aligned blocks of the
+    /// set arrays' size in its per-thread arenas, and a sweep of fresh SoCs
+    /// grew peak RSS by a cache per sweep. Aligning both arrays by hand
+    /// inside one plain allocation measured no faster on a recorded AuRORA
+    /// burst trace, so the arrays are plain vectors.
+    struct hot_set {
         /// Recency order: nibble p holds the way at position p, position 0
         /// the most recently used. Positions [0, transparent_ways_) hold
         /// exactly the ways below the mask, so position
@@ -197,10 +206,15 @@ private:
         /// these first and confirms a candidate on the full tag.
         std::uint16_t sig[max_ways] = {};
         std::uint32_t pad[5] = {};  // the hot part fills 64 bytes
+    };
+    static_assert(sizeof(hot_set) == 64, "one host cache line per set");
+    /// A transparent set's cold part: the line records and owners, touched
+    /// per way once the lookup has picked one.
+    struct cold_set {
         line_slot slot[max_ways];
         task_id owner[max_ways];
     };
-    static_assert(sizeof(transparent_set) == 384,
+    static_assert(sizeof(hot_set) + sizeof(cold_set) == 384,
                   "hot part, line records and owners: 64 + 256 + 64 bytes");
 
     /// The transparent path's one body: `nlines` consecutive lines from
@@ -215,14 +229,12 @@ private:
     /// Rebuilds a stale set's derived state: the recency order from the
     /// stamps (ways below the mask by descending (stamp, way), then the
     /// masked-off ways in index order) and the signatures from the tags.
-    void derive_set(transparent_set& st) const;
-    /// A set with no valid line: zero fields, owners no_task, the ways in
-    /// index order.
-    transparent_set empty_set() const;
+    void derive_set(hot_set& hot, const cold_set& cold) const;
+    /// Sizes the sets to `nsets`, each empty: no valid line, owners
+    /// no_task, the ways in index order.
+    void clear_sets(std::size_t nsets);
     /// Transparent lines of the geometry (snapshot record count).
-    std::size_t lines() const {
-        return transparent_sets_.size() * config_.ways;
-    }
+    std::size_t lines() const { return hot_.size() * config_.ways; }
 
     /// Reserves `nlines` striped service slots starting at `start_slice`,
     /// one per line at or after `arrival`; returns the cycle the last
@@ -238,19 +250,22 @@ private:
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
     std::uint32_t transparent_ways_ = 0;
-    // Transparent bursts decode their first line's slice/set; power-of-two
-    // geometries (every stock config) use shift/mask, which yields the
-    // same quotients as the div/mod fallback bit for bit.
+    // Transparent bursts decode their first line's slice and set index;
+    // power-of-two geometries (every stock config) use masks, which yield
+    // the same remainders as the modulo fallback bit for bit.
     bool pow2_geometry_ = false;
-    std::uint32_t slice_shift_ = 0;
     std::uint64_t slice_mask_ = 0;
-    std::uint64_t set_mask_ = 0;
+    std::uint64_t index_mask_ = 0;
     std::uint32_t sig_shift_ = 0;  // line id bits below the tag signature
-    std::vector<transparent_set> transparent_sets_;  // slice * sets_ + set
+    // Sets in line order (index = line mod (slices * sets_)), split into
+    // the parts a lookup reads and the parts it touches per way.
+    std::vector<hot_set> hot_;
+    std::vector<cold_set> cold_;
     std::vector<cycle_t> slice_free_;
     std::uint64_t lru_tick_ = 0;
     // transparent_lines scratch, members so bursts allocate nothing: each
-    // touched slice's first service start, and the burst's DRAM line run.
+    // touched slice's first service start, in the order the burst touches
+    // them, and the burst's DRAM line run (two lines per miss at most).
     std::vector<cycle_t> slice_start_;
     std::vector<dram::line_request> dram_run_;
 

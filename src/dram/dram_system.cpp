@@ -53,6 +53,7 @@ void dram_system::precompute_decode() {
         row_shift_ = log2_of(lines_per_row_);
     }
     data_slot_deci_ = config_.burst_deci_cycles() + config_.t_burst_gap * deci;
+    peak_bytes_per_cycle_ = config_.peak_bytes_per_cycle();
     controller_deci_ = config_.t_controller * deci;
     // The batched kernels need the pow2 decode, and burst_segments needs
     // each bank's bus-order G chain non-increasing from its second visit:
@@ -62,136 +63,247 @@ void dram_system::precompute_decode() {
                             config_.banks_per_channel * data_slot_deci_;
 }
 
-dram_system::decoded dram_system::decode(addr_t line_addr) const {
-    const std::uint64_t line_id = line_addr / line_bytes;
-    if (pow2_geometry_) {
-        const std::uint32_t channel =
-            static_cast<std::uint32_t>(line_id & channel_mask_);
-        const std::uint64_t in_channel = line_id >> channel_shift_;
-        const std::uint32_t bank =
-            static_cast<std::uint32_t>(in_channel & bank_mask_);
-        const std::uint64_t in_bank = in_channel >> bank_shift_;
-        return decoded{channel, bank,
-                       static_cast<std::int64_t>(in_bank >> row_shift_)};
-    }
-    const std::uint32_t channel =
-        static_cast<std::uint32_t>(line_id % config_.channels);
-    const std::uint64_t in_channel = line_id / config_.channels;
-    const std::uint32_t bank =
-        static_cast<std::uint32_t>(in_channel % config_.banks_per_channel);
-    const std::uint64_t in_bank = in_channel / config_.banks_per_channel;
-    return decoded{channel, bank,
-                   static_cast<std::int64_t>(in_bank / lines_per_row_)};
-}
+/// The one per-line timing body: regulation, decode and the bank/bus
+/// update of one line at a time, exactly as a lone access() times it.
+/// Everything it reads is copied into locals, and everything it counts
+/// (row outcomes, throttles, bus slots, reads and writes, per-task bytes)
+/// stays in locals until commit(): the body stores 64-bit bank fields
+/// through pointers, which as far as the compiler knows may alias any
+/// 64-bit member, so members read there would be reloaded, and stats_
+/// bumped in memory, on every line.
+class dram_system::line_timer {
+public:
+    explicit line_timer(dram_system& d)
+        : d_(d),
+          attr_(obs::attribution_of(d.probe_)),
+          banks_(d.banks_.data()),
+          bus_free_(d.bus_free_.data()),
+          regs_(d.regulators_.data()),
+          nregs_(d.regulators_.size()),
+          pow2_(d.pow2_geometry_),
+          channel_mask_(d.channel_mask_),
+          channel_shift_(d.channel_shift_),
+          bank_mask_(d.bank_mask_),
+          bank_shift_(d.bank_shift_),
+          row_block_shift_(d.bank_shift_ + d.row_shift_),
+          channels_(d.config_.channels),
+          nbanks_(d.config_.banks_per_channel),
+          lines_per_row_(d.lines_per_row_),
+          tcl_(d.config_.t_cl * deci),
+          tccd_(d.config_.t_ccd * deci),
+          empty_extra_(d.config_.t_rcd * deci),
+          miss_extra_((d.config_.t_rp + d.config_.t_rcd) * deci),
+          slot_(d.data_slot_deci_),
+          controller_(d.controller_deci_),
+          epoch_(d.config_.regulation_epoch),
+          peak_(d.peak_bytes_per_cycle_) {}
 
-cycle_t dram_system::regulate(task_id task, cycle_t arrival) {
-    if (task < 0 || static_cast<std::size_t>(task) >= regulators_.size())
-        return arrival;
-    regulator_state& reg = regulators_[task];
-    if (reg.share <= 0.0) return arrival;
+    /// Whether the attribution hooks are live (Attr instantiations).
+    bool attributing() const { return attr_ != nullptr; }
 
-    const cycle_t epoch = config_.regulation_epoch;
-    // Advance the regulator's window to the epoch containing `arrival`.
-    if (arrival >= reg.epoch_start + epoch) {
-        reg.epoch_start = arrival / epoch * epoch;
-        reg.bytes_used = 0;
-    }
-    const double budget =
-        reg.share * config_.peak_bytes_per_cycle() * static_cast<double>(epoch);
-    if (static_cast<double>(reg.bytes_used) + line_bytes <= budget) {
-        reg.bytes_used += line_bytes;
-        return arrival;
-    }
-    // Budget exhausted: delay to the next epoch boundary (repeatedly if the
-    // budget is smaller than one line, which we clamp against).
-    ++stats_.throttled;
-    reg.epoch_start += epoch;
-    reg.bytes_used = line_bytes;
-    return reg.epoch_start;
-}
-
-cycle_t dram_system::access_timed(addr_t line_addr, cycle_t arrival,
-                                  task_id task) {
-    obs::probe* const attr = obs::attribution_of(probe_);
-    const cycle_t reg_arrival = regulate(task, arrival);
-    if (attr != nullptr && reg_arrival > arrival)
-        attr->dram_wait(task, task, reg_arrival - arrival);
-    arrival = reg_arrival;
-
-    const decoded d = decode(line_addr);
-    const std::size_t bank_idx =
-        static_cast<std::size_t>(d.channel) * config_.banks_per_channel +
-        d.bank;
-    bank_state& bank = banks_[bank_idx];
-    std::uint64_t& bus_free = bus_free_[d.channel];
-
-    const std::uint64_t arrival_deci = arrival * deci;
-    const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-    if (attr != nullptr) {
-        const task_id holder = attr->take_bank(bank_idx, task);
-        if (start > arrival_deci)
-            attr->dram_wait(task, holder,
-                            (start - arrival_deci + deci - 1) / deci);
+    /// Per-task regulation: the (possibly delayed) arrival. A task with
+    /// share f may move f * peak bytes per epoch; a line over budget waits
+    /// for the next epoch boundary.
+    cycle_t regulate(task_id task, cycle_t arrival) {
+        if (task < 0 || static_cast<std::size_t>(task) >= nregs_)
+            return arrival;
+        regulator_state& reg = regs_[task];
+        if (reg.share <= 0.0) return arrival;
+        // Advance the regulator's window to the epoch containing `arrival`.
+        if (arrival >= reg.epoch_start + epoch_) {
+            reg.epoch_start = arrival / epoch_ * epoch_;
+            reg.bytes_used = 0;
+        }
+        const double budget =
+            reg.share * peak_ * static_cast<double>(epoch_);
+        if (static_cast<double>(reg.bytes_used) + line_bytes <= budget) {
+            reg.bytes_used += line_bytes;
+            return arrival;
+        }
+        // Budget exhausted: delay to the next epoch boundary (repeatedly
+        // if the budget is smaller than one line, which we clamp against).
+        ++throttled_;
+        reg.epoch_start += epoch_;
+        reg.bytes_used = line_bytes;
+        return reg.epoch_start;
     }
 
-    // Latency of this access (visible to the requester) and occupancy of
-    // the bank (what the *next* access to this bank waits for). Row hits
-    // pipeline column commands at tCCD, so a same-row stream is bus-bound;
-    // row switches occupy the bank for precharge+activate.
-    std::uint64_t cmd_cycles = config_.t_cl;
-    std::uint64_t busy_cycles = config_.t_ccd;
-    if (bank.open_row == d.row) {
-        ++stats_.row_hits;
-    } else if (bank.open_row < 0) {
-        ++stats_.row_empties;
-        cmd_cycles += config_.t_rcd;
-        busy_cycles += config_.t_rcd;
-    } else {
-        ++stats_.row_misses;
-        cmd_cycles += config_.t_rp + config_.t_rcd;
-        busy_cycles += config_.t_rp + config_.t_rcd;
-    }
-    bank.open_row = d.row;
+    /// Decode and bank/bus update of line `line_id`, arriving (after
+    /// regulation) at `arrival`; returns its completion. With Attr the
+    /// bank and bus change holder, and each wait goes to
+    /// charge(holder, cycles).
+    template <bool Attr, typename Charge>
+    cycle_t time(std::uint64_t line_id, cycle_t arrival, task_id task,
+                 Charge&& charge) {
+        std::uint32_t channel;
+        std::uint64_t bank_in_channel;
+        std::int64_t row;
+        if (pow2_) {
+            channel = static_cast<std::uint32_t>(line_id & channel_mask_);
+            const std::uint64_t u = line_id >> channel_shift_;
+            bank_in_channel = u & bank_mask_;
+            row = static_cast<std::int64_t>(u >> row_block_shift_);
+        } else {
+            channel = static_cast<std::uint32_t>(line_id % channels_);
+            const std::uint64_t u = line_id / channels_;
+            bank_in_channel = u % nbanks_;
+            row = static_cast<std::int64_t>(u / nbanks_ / lines_per_row_);
+        }
+        const std::size_t bank_idx =
+            static_cast<std::size_t>(channel) * nbanks_ + bank_in_channel;
+        bank_state& bank = banks_[bank_idx];
 
-    const std::uint64_t cmd_done = start + cmd_cycles * deci;
-    const std::uint64_t data_start = std::max(cmd_done, bus_free);
-    if (attr != nullptr) {
-        const task_id holder = attr->take_bus(d.channel, task);
-        if (data_start > cmd_done)
-            attr->dram_wait(task, holder,
-                            (data_start - cmd_done + deci - 1) / deci);
-    }
-    const std::uint64_t data_end = data_start + data_slot_deci_;
-    bus_free = data_end;
-    stats_.bus_busy_deci += data_end - data_start;
-    // Row remains open (open-page policy); the next same-row CAS may issue
-    // tCCD later even while this burst is still on the bus.
-    bank.ready_deci = start + busy_cycles * deci;
+        const std::uint64_t arrival_deci = arrival * deci;
+        const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
+        if constexpr (Attr) {
+            const task_id holder = attr_->take_bank(bank_idx, task);
+            if (start > arrival_deci)
+                charge(holder, (start - arrival_deci + deci - 1) / deci);
+        }
+        // Latency of this access (visible to the requester) and occupancy
+        // of the bank (what the *next* access to this bank waits for). Row
+        // hits pipeline column commands at tCCD, so a same-row stream is
+        // bus-bound; row switches occupy the bank for precharge+activate.
+        std::uint64_t extra = 0;
+        if (bank.open_row == row) {
+            ++row_hits_;
+        } else if (bank.open_row < 0) {
+            ++row_empties_;
+            extra = empty_extra_;
+        } else {
+            ++row_misses_;
+            extra = miss_extra_;
+        }
+        bank.open_row = row;
 
-    const std::uint64_t done_deci = data_end + controller_deci_;
-    return (done_deci + deci - 1) / deci;
-}
+        const std::uint64_t cmd_done = start + tcl_ + extra;
+        const std::uint64_t data_start = std::max(cmd_done, bus_free_[channel]);
+        if constexpr (Attr) {
+            const task_id holder = attr_->take_bus(channel, task);
+            if (data_start > cmd_done)
+                charge(holder, (data_start - cmd_done + deci - 1) / deci);
+        }
+        const std::uint64_t data_end = data_start + slot_;
+        bus_free_[channel] = data_end;
+        ++lines_;
+        // Row remains open (open-page policy); the next same-row CAS may
+        // issue tCCD later even while this burst is still on the bus.
+        bank.ready_deci = start + tccd_ + extra;
+        return (data_end + controller_ + deci - 1) / deci;
+    }
+
+    /// Regulation and timing of one line of `task`, each wait charged to
+    /// the attributor directly; returns its completion.
+    template <bool Attr>
+    cycle_t timed(std::uint64_t line_id, cycle_t arrival, task_id task) {
+        const cycle_t regulated = regulate(task, arrival);
+        if constexpr (Attr) {
+            if (regulated > arrival)
+                attr_->dram_wait(task, task, regulated - arrival);
+        }
+        return time<Attr>(line_id, regulated, task,
+                          [this, task](task_id holder, std::uint64_t w) {
+                              attr_->dram_wait(task, holder, w);
+                          });
+    }
+
+    /// One access(): timed() plus the line's read/write and byte counts.
+    template <bool Attr>
+    cycle_t access(const line_request& q) {
+        const cycle_t done = timed<Attr>(q.addr / line_bytes, q.arrival, q.task);
+        writes_ += q.is_write ? 1 : 0;
+        if (q.task != bytes_task_) {
+            flush_task_bytes();
+            bytes_task_ = q.task;
+        }
+        ++task_lines_;
+        return done;
+    }
+
+    /// access() of every line in array order; the latest read completion,
+    /// or 0 when the run holds no read.
+    template <bool Attr>
+    cycle_t run(const line_request* reqs, std::size_t n) {
+        cycle_t read_done = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const cycle_t done = access<Attr>(reqs[i]);
+            if (!reqs[i].is_write && done > read_done) read_done = done;
+        }
+        return read_done;
+    }
+
+    /// Adds the counts to the DRAM's stats and per-task bytes. Lines
+    /// timed without access() count no read, write or bytes.
+    void commit() {
+        dram_stats& st = d_.stats_;
+        st.row_hits += row_hits_;
+        st.row_empties += row_empties_;
+        st.row_misses += row_misses_;
+        st.throttled += throttled_;
+        st.bus_busy_deci += lines_ * slot_;
+        if (task_lines_ == 0) return;  // access() never ran
+        flush_task_bytes();
+        st.writes += writes_;
+        st.reads += counted_ - writes_;
+    }
+
+private:
+    void flush_task_bytes() {
+        counted_ += task_lines_;
+        if (bytes_task_ >= 0 && task_lines_ > 0) {
+            std::vector<std::uint64_t>& bytes = d_.per_task_bytes_;
+            const auto t = static_cast<std::size_t>(bytes_task_);
+            if (t >= bytes.size()) bytes.resize(t + 1, 0);
+            bytes[t] += task_lines_ * line_bytes;
+        }
+        task_lines_ = 0;
+    }
+
+    dram_system& d_;
+    obs::probe* const attr_;
+    bank_state* const banks_;
+    std::uint64_t* const bus_free_;
+    regulator_state* const regs_;
+    const std::size_t nregs_;
+    const bool pow2_;
+    const std::uint64_t channel_mask_;
+    const std::uint32_t channel_shift_;
+    const std::uint64_t bank_mask_;
+    const std::uint32_t bank_shift_;
+    const std::uint32_t row_block_shift_;
+    const std::uint64_t channels_;
+    const std::uint64_t nbanks_;
+    const std::uint64_t lines_per_row_;
+    const std::uint64_t tcl_, tccd_, empty_extra_, miss_extra_;
+    const std::uint64_t slot_, controller_;
+    const cycle_t epoch_;
+    const double peak_;
+
+    std::uint64_t row_hits_ = 0, row_empties_ = 0, row_misses_ = 0;
+    std::uint64_t throttled_ = 0;
+    std::uint64_t lines_ = 0;    // bus slots taken
+    std::uint64_t counted_ = 0;  // lines access() counted
+    std::uint64_t writes_ = 0;
+    task_id bytes_task_ = no_task;  // the current run of equal tasks
+    std::uint64_t task_lines_ = 0;
+};
 
 cycle_t dram_system::access(addr_t line_addr, bool is_write, cycle_t arrival,
                             task_id task) {
-    const cycle_t done = access_timed(line_addr, arrival, task);
-    if (is_write) ++stats_.writes; else ++stats_.reads;
-    if (task >= 0) {
-        if (static_cast<std::size_t>(task) >= per_task_bytes_.size())
-            per_task_bytes_.resize(task + 1, 0);
-        per_task_bytes_[task] += line_bytes;
-    }
+    line_timer t(*this);
+    const line_request q{line_addr, arrival, task, is_write};
+    const cycle_t done =
+        t.attributing() ? t.access<true>(q) : t.access<false>(q);
+    t.commit();
     return done;
 }
 
 cycle_t dram_system::access_lines(const line_request* reqs, std::size_t n) {
     const obs::probe::scope host(probe_, obs::subsystem::dram);
-    cycle_t read_done = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const line_request& q = reqs[i];
-        const cycle_t done = access(q.addr, q.is_write, q.arrival, q.task);
-        if (!q.is_write && done > read_done) read_done = done;
-    }
+    line_timer t(*this);
+    const cycle_t read_done =
+        t.attributing() ? t.run<true>(reqs, n) : t.run<false>(reqs, n);
+    t.commit();
     return read_done;
 }
 
@@ -211,7 +323,7 @@ bool dram_system::regulate_bulk(task_id task, cycle_t arrival,
         bytes_used = 0;
     }
     const double budget =
-        reg.share * config_.peak_bytes_per_cycle() * static_cast<double>(epoch);
+        reg.share * peak_bytes_per_cycle_ * static_cast<double>(epoch);
     // Line j passes iff bytes_used + (j+1)*line_bytes <= budget; the counts
     // are integers below 2^53, so the double comparisons are exact and the
     // last line's check implies every earlier one.
@@ -431,69 +543,27 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
     return std::max(arrival, (last_bus + controller_deci_ + deci - 1) / deci);
 }
 
+template <bool Attr>
 cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
                                 cycle_t arrival, task_id task) {
     // nlines <= channels: consecutive line ids stripe distinct channels,
     // so each line has its own bank and bus — no intra-burst coupling.
-    // Same arithmetic as access_timed with regulation already committed
-    // by regulate_bulk; with one line per resource every attribution hook
-    // fires individually, exactly as the per-line walk would.
+    // The per-line body with regulation already committed by
+    // regulate_bulk; with one line per resource every attribution hook
+    // fires individually, exactly as the per-line walk would, and the
+    // waits fold into at most two hook calls per burst (see wait_fold).
     const std::uint64_t line_id0 = line_addr / line_bytes;
-    const std::uint64_t arrival_deci = arrival * deci;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
-
+    line_timer t(*this);
+    [[maybe_unused]] wait_fold waits{probe_, task};
     cycle_t done = arrival;
-    // Waits fold into at most two hook calls per burst (see wait_fold).
-    obs::probe* const attr = obs::attribution_of(probe_);
-    wait_fold waits{attr, task};
-    for (std::uint64_t i = 0; i < nlines; ++i) {
-        const std::uint64_t id = line_id0 + i;
-        const std::uint32_t c = static_cast<std::uint32_t>(id & channel_mask_);
-        const std::uint64_t u = id >> channel_shift_;
-        const std::uint64_t b = u & bank_mask_;
-        const std::int64_t row = static_cast<std::int64_t>(u >> row_block_shift);
-        const std::size_t bank_idx = static_cast<std::size_t>(c) * nbanks + b;
-        bank_state& bank = banks_[bank_idx];
-
-        const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
-        if (attr != nullptr) {
-            const task_id holder = attr->take_bank(bank_idx, task);
-            if (start > arrival_deci)
-                waits.charge(holder, (start - arrival_deci + deci - 1) / deci);
-        }
-        std::uint64_t cmd_cycles = config_.t_cl;
-        std::uint64_t busy_cycles = config_.t_ccd;
-        if (bank.open_row == row) {
-            ++stats_.row_hits;
-        } else if (bank.open_row < 0) {
-            ++stats_.row_empties;
-            cmd_cycles += config_.t_rcd;
-            busy_cycles += config_.t_rcd;
-        } else {
-            ++stats_.row_misses;
-            cmd_cycles += config_.t_rp + config_.t_rcd;
-            busy_cycles += config_.t_rp + config_.t_rcd;
-        }
-        bank.open_row = row;
-
-        const std::uint64_t cmd_done = start + cmd_cycles * deci;
-        const std::uint64_t data_start = std::max(cmd_done, bus_free_[c]);
-        if (attr != nullptr) {
-            const task_id holder = attr->take_bus(c, task);
-            if (data_start > cmd_done)
-                waits.charge(holder, (data_start - cmd_done + deci - 1) / deci);
-        }
-        const std::uint64_t data_end = data_start + data_slot_deci_;
-        bus_free_[c] = data_end;
-        stats_.bus_busy_deci += data_slot_deci_;
-        bank.ready_deci = start + busy_cycles * deci;
-
-        const cycle_t line_done =
-            (data_end + controller_deci_ + deci - 1) / deci;
-        if (line_done > done) done = line_done;
-    }
-    if (attr != nullptr) waits.flush();
+    for (std::uint64_t i = 0; i < nlines; ++i)
+        done = std::max(done, t.time<Attr>(line_id0 + i, arrival, task,
+                                           [&waits](task_id holder,
+                                                    std::uint64_t w) {
+                                               waits.charge(holder, w);
+                                           }));
+    if constexpr (Attr) waits.flush();
+    t.commit();
     return done;
 }
 
@@ -514,20 +584,25 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         // common call by far — small fills, writebacks and tile tails —
         // and need none of the segment machinery: every line is
         // independent.
+        const bool attr = obs::attribution_of(probe_) != nullptr;
         if (nlines <= config_.channels)
-            return burst_tiny(line_addr, nlines, arrival, task);
-        return obs::attribution_of(probe_) != nullptr
-                   ? burst_segments<true>(line_addr, nlines, arrival, task)
-                   : burst_segments<false>(line_addr, nlines, arrival, task);
+            return attr ? burst_tiny<true>(line_addr, nlines, arrival, task)
+                        : burst_tiny<false>(line_addr, nlines, arrival, task);
+        return attr ? burst_segments<true>(line_addr, nlines, arrival, task)
+                    : burst_segments<false>(line_addr, nlines, arrival, task);
     }
     // Non-pow2 or command-bound geometry, or the burst crosses a
     // regulation budget edge: the exact per-line walk (regulate per line,
     // throttle accounting, attribution of the delays) is authoritative
     // here.
+    const std::uint64_t line_id0 = line_addr / line_bytes;
+    line_timer t(*this);
     cycle_t done = arrival;
     for (std::uint64_t i = 0; i < nlines; ++i)
-        done = std::max(done,
-                        access_timed(line_addr + i * line_bytes, arrival, task));
+        done = std::max(done, t.attributing()
+                                  ? t.timed<true>(line_id0 + i, arrival, task)
+                                  : t.timed<false>(line_id0 + i, arrival, task));
+    t.commit();
     return done;
 }
 

@@ -69,10 +69,12 @@ public:
                          cycle_t arrival, task_id task = no_task);
 
     /// Times `n` independent lines, each exactly as one access() call, in
-    /// array order. Writes are posted: the return value is the latest
+    /// array order: one pass of the per-line body that access() runs,
+    /// with the run's stats, read/write counts and per-task bytes added
+    /// once at its end. Writes are posted: the return value is the latest
     /// completion among the reads, or 0 when the run holds none. The
-    /// transparent cache path issues one run per burst (its misses' fills
-    /// and dirty writebacks).
+    /// transparent cache path issues one run per burst (its misses' dirty
+    /// writebacks and fills, in line order).
     cycle_t access_lines(const line_request* reqs, std::size_t n);
 
     /// Sets a task's bandwidth share, clamped to [0,1]; 0 disables
@@ -131,26 +133,24 @@ private:
         std::uint64_t bytes_used = 0;
     };
 
-    struct decoded {
-        std::uint32_t channel;
-        std::uint32_t bank;
-        std::int64_t row;
-    };
-    decoded decode(addr_t line_addr) const;
+    /// The one per-line timing body (regulation, decode, bank/bus update)
+    /// behind access(), access_lines(), burst_tiny() and access_burst()'s
+    /// per-line walk. It copies what it reads into locals and keeps what
+    /// it counts — row outcomes, throttles, bus slots, reads and writes,
+    /// per-task bytes — in locals until commit(), so a run of lines pays
+    /// no member reload or stats store per line. Power-of-two geometries
+    /// (every stock config) decode with shift/mask forms of the div/mod
+    /// chain that the others keep; same quotients either way.
+    class line_timer;
 
-    /// decode() runs once per line on the simulator's hottest path, so a
-    /// power-of-two geometry (every stock config) precomputes shift/mask
-    /// forms of its div/mod chain; non-pow2 geometries keep the exact
-    /// divide path. Same quotients either way — timing is bit-identical.
+    /// Precomputes the shift/mask decode of a power-of-two geometry and
+    /// the batched kernels' gate.
     void precompute_decode();
-
-    /// Applies per-task regulation: returns the (possibly delayed) arrival.
-    cycle_t regulate(task_id task, cycle_t arrival);
 
     /// Burst-wide regulation: when the whole burst fits in the task's
     /// current epoch budget (or the task is unregulated), commits the
-    /// byte usage in one update — bit-equivalent to nlines scalar
-    /// regulate() calls, none of which would have throttled — and returns
+    /// byte usage in one update — bit-equivalent to regulating the nlines
+    /// one by one, none of which would have throttled — and returns
     /// true. Returns false *without mutating* when any line would throttle;
     /// the caller falls back to the per-line path, which re-runs the exact
     /// scalar sequence (window advances, throttle counts, attribution).
@@ -179,18 +179,13 @@ private:
 
     /// Bursts no longer than the channel count stripe one line onto each
     /// channel, so every line is independent of the rest of the burst —
-    /// a lean per-line pass (access_timed minus regulation, which
-    /// regulate_bulk already committed) beats the segment machinery.
+    /// the per-line body without regulation (regulate_bulk already
+    /// committed it) beats the segment machinery.
     /// These dominate the call count: small fills, writebacks, tile
-    /// tails. Handles both the plain and attributed cases.
+    /// tails. `Attr` adds the attribution hooks, as for burst_segments.
+    template <bool Attr>
     cycle_t burst_tiny(addr_t line_addr, std::uint64_t nlines,
                        cycle_t arrival, task_id task);
-
-    /// Timing core of access(): regulation, decode, bank/bus bookkeeping.
-    /// Read/write and per-task byte counters are left to the caller, which
-    /// lets access_burst() bump them once per burst instead of per line
-    /// (is_write never affects timing).
-    cycle_t access_timed(addr_t line_addr, cycle_t arrival, task_id task);
 
     dram_config config_;
     std::vector<bank_state> banks_;        // channel * banks + bank
@@ -218,6 +213,7 @@ private:
     std::uint32_t row_shift_ = 0;
     std::uint64_t data_slot_deci_ = 0;  // burst occupancy + burst gap
     std::uint64_t controller_deci_ = 0;
+    double peak_bytes_per_cycle_ = 0.0;
 };
 
 }  // namespace camdn::dram

@@ -177,6 +177,29 @@ TEST(transparent, rejects_more_ways_than_the_order_holds) {
     EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument);
 }
 
+TEST(transparent, way_mask_outside_one_to_ways_throws) {
+    // The way mask must leave the transparent path at least one way and
+    // no more than the cache has; Release builds must reject the rest too.
+    rig r;
+    EXPECT_THROW(r.cache.set_transparent_ways(0), std::invalid_argument);
+    EXPECT_THROW(r.cache.set_transparent_ways(r.cfg.ways + 1),
+                 std::invalid_argument);
+    // cpu_ways() of a geometry with npu_ways > ways wraps to this.
+    EXPECT_THROW(r.cache.set_transparent_ways(~0u - 3), std::invalid_argument);
+    EXPECT_EQ(r.cache.transparent_ways(), r.cfg.ways);
+    r.cache.set_transparent_ways(1);
+    EXPECT_EQ(r.cache.transparent_ways(), 1u);
+}
+
+TEST(transparent, rejects_more_npu_ways_than_ways) {
+    dram::dram_system dram{dram::dram_config{}};
+    cache_config cfg;
+    cfg.npu_ways = cfg.ways;
+    EXPECT_NO_THROW(shared_cache(cfg, dram));
+    cfg.npu_ways = cfg.ways + 1;
+    EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument);
+}
+
 // Capacity sweep: larger caches keep a working set resident longer.
 class capacity_sweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -6,11 +6,13 @@
 // over every batched geometry in batched_geometries(). The reference is a
 // mirror dram_system driven one access() per line at the burst's arrival,
 // which is exactly the walk the per-line fallback inside access_burst
-// performs.
+// performs. access_lines() runs are checked the same way against one
+// access() per line, in every batched geometry and a non-pow2 one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/snapshot_io.h"
@@ -219,6 +221,42 @@ TEST(dram_batched, regulator_budget_edges_match_perline_reference) {
     EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
 }
 
+/// Three active slots across two tenants, so the DRAM's lines suffer
+/// both self-inflicted and cross-tenant waits.
+void start_three_slots(obs::latency_attributor& a) {
+    const char* tenants[3] = {"ta", "tb", "ta"};
+    for (task_id s = 0; s < 3; ++s) {
+        a.on_dispatch(s, tenants[s]);
+        a.on_inference_start(s, 0, 0);
+    }
+}
+
+/// Ends the three slots' inferences at `horizon` and compares both
+/// attributors' tenants, components and interference matrices.
+void end_and_compare(obs::latency_attributor& attr_b,
+                     obs::latency_attributor& attr_p, cycle_t horizon) {
+    for (task_id s = 0; s < 3; ++s) {
+        attr_b.on_inference_end(s, horizon);
+        attr_p.on_inference_end(s, horizon);
+    }
+    ASSERT_EQ(attr_b.tenant_names(), attr_p.tenant_names());
+    const auto n = static_cast<std::uint32_t>(attr_b.tenant_names().size());
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const auto& tb = attr_b.tenants()[i];
+        const auto& tp = attr_p.tenants()[i];
+        EXPECT_EQ(tb.completed, tp.completed);
+        EXPECT_EQ(tb.latency_cycles, tp.latency_cycles);
+        for (std::size_t c = 0; c < 6; ++c)
+            EXPECT_EQ(obs::attribution_component(tb.comp, c),
+                      obs::attribution_component(tp.comp, c))
+                << "tenant " << i << " component "
+                << obs::attribution_component_names[c];
+        for (std::uint32_t j = 0; j < n; ++j)
+            EXPECT_EQ(attr_b.interference(i, j), attr_p.interference(i, j))
+                << "matrix (" << i << "," << j << ")";
+    }
+}
+
 void check_attributed_bursts(const dram_config& cfg) {
     dram_system batched{cfg};
     dram_system perline{cfg};
@@ -228,16 +266,10 @@ void check_attributed_bursts(const dram_config& cfg) {
     batched.set_probe(&probe_b);
     perline.set_probe(&probe_p);
 
-    // Three active slots across two tenants, so bursts suffer both
-    // self-inflicted and cross-tenant waits (the by-holder aggregation in
-    // the batched paths must fold to the same per-tenant sums).
-    const char* tenants[3] = {"ta", "tb", "ta"};
-    for (task_id s = 0; s < 3; ++s) {
-        attr_b.on_dispatch(s, tenants[s]);
-        attr_p.on_dispatch(s, tenants[s]);
-        attr_b.on_inference_start(s, 0, 0);
-        attr_p.on_inference_start(s, 0, 0);
-    }
+    // The by-holder aggregation in the batched paths must fold to the
+    // same per-tenant sums.
+    start_three_slots(attr_b);
+    start_three_slots(attr_p);
 
     const auto ops = random_ops(cfg, /*seed=*/0x5eed0003, /*count=*/400,
                                 /*ntasks=*/3);
@@ -260,26 +292,7 @@ void check_attributed_bursts(const dram_config& cfg) {
     expect_stats_eq(batched.stats(), perline.stats());
     EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
 
-    for (task_id s = 0; s < 3; ++s) {
-        attr_b.on_inference_end(s, horizon);
-        attr_p.on_inference_end(s, horizon);
-    }
-    ASSERT_EQ(attr_b.tenant_names(), attr_p.tenant_names());
-    const auto n = static_cast<std::uint32_t>(attr_b.tenant_names().size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& tb = attr_b.tenants()[i];
-        const auto& tp = attr_p.tenants()[i];
-        EXPECT_EQ(tb.completed, tp.completed);
-        EXPECT_EQ(tb.latency_cycles, tp.latency_cycles);
-        for (std::size_t c = 0; c < 6; ++c)
-            EXPECT_EQ(obs::attribution_component(tb.comp, c),
-                      obs::attribution_component(tp.comp, c))
-                << "tenant " << i << " component "
-                << obs::attribution_component_names[c];
-        for (std::uint32_t j = 0; j < n; ++j)
-            EXPECT_EQ(attr_b.interference(i, j), attr_p.interference(i, j))
-                << "matrix (" << i << "," << j << ")";
-    }
+    end_and_compare(attr_b, attr_p, horizon);
 }
 
 TEST(dram_batched, attributed_bursts_match_perline_reference) {
@@ -343,6 +356,96 @@ TEST(dram_batched, non_pow2_geometry_uses_exact_perline_walk) {
     }
     expect_stats_eq(batched.stats(), perline.stats());
     EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
+}
+
+/// Random access_lines() runs, the transparent path's miss-run shape:
+/// reads and writes, sequential and scattered addresses, arrivals that
+/// step like a burst's slot times (sometimes back) with gaps between
+/// runs, and lines of tasks 0..2 and the untracked one.
+std::vector<std::vector<line_request>> random_runs(std::uint64_t seed,
+                                                   std::size_t count) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::vector<line_request>> runs(count);
+    cycle_t clock = 0;
+    std::uint64_t cursor = 0;
+    for (auto& run : runs) {
+        if (rng() % 4 == 0) clock += 2000 + rng() % 20000;
+        const std::size_t n = 1 + rng() % (rng() % 4 == 0 ? 300 : 40);
+        for (std::size_t i = 0; i < n; ++i) {
+            line_request q;
+            if (rng() % 3 == 0) cursor = rng() % (1u << 21);  // else sequential
+            q.addr = cursor++ * line_bytes;
+            q.is_write = rng() % 4 == 0;
+            q.task = static_cast<task_id>(rng() % 4) - 1;
+            if (rng() % 8 == 0) {
+                q.arrival = clock > 40 ? clock - rng() % 40 : clock;
+            } else {
+                clock += rng() % 8;
+                q.arrival = clock;
+            }
+            run.push_back(q);
+        }
+    }
+    return runs;
+}
+
+/// Drives the same runs through access_lines() on one DRAM and one
+/// access() per line on another; returns the run side's throttle count.
+std::uint64_t check_line_runs(const dram_config& cfg, bool attributed,
+                              std::uint64_t seed) {
+    dram_system run{cfg};
+    dram_system perline{cfg};
+    for (dram_system* d : {&run, &perline}) {
+        d->set_task_share(0, 0.002);  // 32 lines per epoch: throttles
+        d->set_task_share(1, 0.3);
+        // Task 2 stays unregulated.
+    }
+    obs::latency_attributor attr_r, attr_p;
+    obs::probe probe_r = attributing_probe(cfg, attr_r);
+    obs::probe probe_p = attributing_probe(cfg, attr_p);
+    if (attributed) {
+        run.set_probe(&probe_r);
+        perline.set_probe(&probe_p);
+        start_three_slots(attr_r);
+        start_three_slots(attr_p);
+    }
+    cycle_t horizon = 0;
+    const auto runs = random_runs(seed, 300);
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        const auto& reqs = runs[r];
+        const cycle_t done_r = run.access_lines(reqs.data(), reqs.size());
+        cycle_t done_p = 0;
+        for (const line_request& q : reqs) {
+            const cycle_t done =
+                perline.access(q.addr, q.is_write, q.arrival, q.task);
+            if (!q.is_write) done_p = std::max(done_p, done);
+            horizon = std::max(horizon, done);
+        }
+        EXPECT_EQ(done_r, done_p) << "run " << r;
+        if (::testing::Test::HasFailure()) break;
+    }
+    expect_stats_eq(run.stats(), perline.stats());
+    for (task_id t = -1; t < 3; ++t)
+        EXPECT_EQ(run.task_bytes(t), perline.task_bytes(t)) << "task " << t;
+    EXPECT_EQ(snapshot_of(run), snapshot_of(perline));
+    if (attributed) end_and_compare(attr_r, attr_p, horizon);
+    return run.stats().throttled;
+}
+
+TEST(dram_batched, line_runs_match_per_line_access) {
+    std::vector<named_geometry> geometries = batched_geometries();
+    dram_config three;
+    three.channels = 3;  // div/mod decode
+    geometries.push_back({"3 channels", three});
+    std::uint64_t seed = 0x5eed0005;
+    for (const named_geometry& g : geometries) {
+        for (const bool attributed : {false, true}) {
+            SCOPED_TRACE(std::string(g.name) +
+                         (attributed ? ", attributed" : ", bare"));
+            EXPECT_GT(check_line_runs(g.cfg, attributed, seed++), 0u)
+                << "the regulated task never throttled";
+        }
+    }
 }
 
 }  // namespace

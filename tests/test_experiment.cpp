@@ -282,6 +282,19 @@ TEST(experiment, zero_bandwidth_epoch_is_rejected) {
     EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
+TEST(experiment, camdn_without_a_transparent_way_is_rejected) {
+    // With every way in the NPU subspace the way-mask register leaves the
+    // transparent path no way at all; CaMDN policies must refuse the SoC
+    // rather than time lookups in an empty set.
+    auto cfg = small_cfg(policy::camdn_full);
+    cfg.features.bypass = false;
+    cfg.soc.cache.npu_ways = cfg.soc.cache.ways;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+    // Baselines run the whole cache transparently whatever the partition.
+    cfg.pol = policy::aurora;
+    EXPECT_EQ(run_experiment(cfg).completions.size(), 4u);
+}
+
 TEST(experiment, isolated_latencies_cover_requested_models) {
     soc_config soc;
     std::vector<const model::model*> models{&model::model_by_abbr("MB."),

@@ -7,8 +7,10 @@
 // Randomized bursts cover lengths from one line to past slices x sets (a
 // burst that revisits sets), reads and writes, several tasks and the
 // untracked one, arrivals before and after the slice horizons, way masks
-// of 4 and 16 (and switches between them), 4 MiB and 16 MiB caches, a
-// DRAM-regulated task that gets throttled, and restores of the kernel's
+// of 4 and 16 (and switches between them), 4, 12 and 16 MiB caches (12
+// MiB has 1,536 sets per slice: the modulo decode of a set count that is
+// not a power of two), a DRAM-regulated task that gets throttled, and
+// restores of the kernel's
 // snapshot into a fresh cache mid-run (which leaves every set's recency
 // order and tag signatures to be derived again). After each burst the suite compares the completion cycle, cache
 // stats, per-task hit/miss counters and DRAM stats. Both sides' snapshot
@@ -461,6 +463,9 @@ TEST(transparent_burst, matches_the_per_line_reference) {
     // 16 MiB, the stock geometry, unpartitioned and partitioned.
     throttled += run_scenario({mib(16), 16, 0, 900, 100, 2000, 14});
     throttled += run_scenario({mib(16), 4, 0, 0, 100, 1000, 15});
+    // 12 MiB: slices x sets is not a power of two, so set indices and
+    // signatures take the modulo path; restores walk its snapshot records.
+    throttled += run_scenario({mib(12), 16, 400, 600, 50, 1500, 16});
     EXPECT_GT(throttled, 0u) << "the regulated task never throttled";
 }
 
