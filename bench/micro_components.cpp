@@ -107,6 +107,47 @@ static void bm_dram_burst(benchmark::State& state) {
 }
 BENCHMARK(bm_dram_burst);
 
+// Single-visit bursts (at most one line per channel): small fills,
+// writebacks and tile tails. A fixed seeded table of 1-4-line bursts at
+// random line addresses, spread over three unregulated tasks, three with
+// ample DRAM shares and two whose shares throttle; each burst arrives when
+// its task's previous one completed.
+static void bm_dram_tiny_burst(benchmark::State& state) {
+    constexpr std::uint64_t tasks = 8;
+    struct burst {
+        addr_t addr;
+        std::uint64_t lines;
+        task_id task;
+        bool is_write;
+    };
+    std::vector<burst> table(4096);
+    std::uint64_t x = 12345;
+    for (auto& b : table) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        b.addr = ((x >> 20) % (mib(256) / line_bytes)) * line_bytes;
+        b.lines = 1 + (x >> 8) % 4;
+        b.task = static_cast<task_id>((x >> 12) % tasks);
+        b.is_write = (x >> 16) % 4 == 0;
+    }
+    dram::dram_system d{dram::dram_config{}};
+    for (std::uint64_t t = 3; t < 6; ++t)
+        d.set_task_share(static_cast<task_id>(t), 0.5);
+    for (std::uint64_t t = 6; t < tasks; ++t)
+        d.set_task_share(static_cast<task_id>(t), 0.002);
+    std::vector<cycle_t> ready(tasks, 0);
+    std::uint64_t k = 0, lines = 0;
+    for (auto _ : state) {
+        const burst& b = table[k++ % table.size()];
+        const auto t = static_cast<std::size_t>(b.task);
+        ready[t] =
+            d.access_burst(b.addr, b.lines, b.is_write, ready[t], b.task);
+        benchmark::DoNotOptimize(ready[t]);
+        lines += b.lines;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+}
+BENCHMARK(bm_dram_tiny_burst);
+
 static void bm_transparent_access(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};
     cache::shared_cache c{cache::cache_config{}, d};

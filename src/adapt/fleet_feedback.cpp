@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stats.h"
 #include "runtime/qos.h"
 
 namespace camdn::adapt {
@@ -12,27 +11,18 @@ soc_rollup rollup_from(const sim::experiment_result& res, double qos_scale) {
     soc_rollup r;
     r.completed = res.completions.size();
     r.dropped = res.rejected_arrivals;
-
-    percentile_tracker lat;
-    for (const auto& rec : res.completions) {
-        lat.add(cycles_to_ms(rec.latency()));
+    for (const auto& rec : res.completions)
         if (runtime::meets_qos_target(rec.abbr, rec.latency(), qos_scale))
             r.deadline_met += 1;
-    }
-    r.p99_ms = lat.p99();
     const std::uint64_t offered = r.completed + r.dropped;
     r.sla_rate = offered ? static_cast<double>(r.deadline_met) /
                                static_cast<double>(offered)
                          : 1.0;
 
     if (!res.telemetry.empty()) {
-        double wait = 0.0, util = 0.0;
-        for (const auto& e : res.telemetry) {
-            wait += e.page_wait_frac();
-            util += e.bw_utilization;
-        }
+        double wait = 0.0;
+        for (const auto& e : res.telemetry) wait += e.page_wait_frac();
         r.page_wait_frac = wait / static_cast<double>(res.telemetry.size());
-        r.bw_utilization = util / static_cast<double>(res.telemetry.size());
     }
     return r;
 }
@@ -42,7 +32,6 @@ fleet_feedback::fleet_feedback(const fleet_feedback_config& cfg,
     : cfg_(cfg), weights_(socs, 1.0), streak_(socs, 0) {}
 
 void fleet_feedback::observe(const std::vector<soc_rollup>& round) {
-    rounds_ += 1;
     const std::size_t n = std::min(round.size(), weights_.size());
     if (n == 0) return;
 

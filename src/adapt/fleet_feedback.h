@@ -26,8 +26,6 @@ struct soc_rollup {
     std::uint64_t deadline_met = 0;   ///< completions within the SLA target
     double sla_rate = 1.0;            ///< met / (completed + dropped)
     double page_wait_frac = 0.0;      ///< mean telemetry epoch pressure
-    double bw_utilization = 0.0;      ///< mean DRAM utilization over epochs
-    double p99_ms = 0.0;
 
     /// Routing pressure: page-wait dominated, with drops and SLA misses
     /// folded in (all dimensionless, wait scaled to comparable magnitude).
@@ -89,13 +87,10 @@ public:
     bool drift_replan_due(const std::vector<double>& planned,
                           const std::vector<std::uint64_t>& observed) const;
 
-    std::uint32_t rounds_seen() const { return rounds_; }
-
 private:
     fleet_feedback_config cfg_;
     std::vector<double> weights_;
     std::vector<std::uint32_t> streak_;
-    std::uint32_t rounds_ = 0;
 };
 
 }  // namespace camdn::adapt

@@ -1,9 +1,9 @@
 // Telemetry bus: low-overhead per-epoch runtime counters.
 //
 // The scheduler attaches its bus to the SoC's probe (obs/probe.h), which
-// forwards the components' facts here; every hook is an integer
-// increment, so instrumentation costs nothing when telemetry is off and
-// stays cheap when it is on. The scheduler cuts the
+// adds the components' facts to the open epoch's per-slot counters; every
+// fact is an integer increment, so instrumentation costs nothing when
+// telemetry is off and stays cheap when it is on. The scheduler cuts the
 // accumulated counters into an `epoch_snapshot` every adaptive epoch; the
 // snapshot stream is what the feedback controller (adapt/controller.h) and
 // the fleet rollups (adapt/fleet_feedback.h) consume, and it is exported on
@@ -96,8 +96,7 @@ struct epoch_snapshot {
     }
 };
 
-/// The accumulator the probe writes into. Hooks are no-ops for
-/// out-of-range slots (no_task, isolated warm-up probes).
+/// The accumulator the probe writes into.
 class telemetry_bus {
 public:
     explicit telemetry_bus(std::uint32_t slots = 0) { reset(slots); }
@@ -112,53 +111,12 @@ public:
 
     std::uint32_t slots() const { return static_cast<std::uint32_t>(cur_.size()); }
 
-    // ---- hooks (hot paths, called by the probe) ----
-
-    /// One transparent burst's outcome, counted once.
-    void on_cache_accesses(task_id t, std::uint64_t hits,
-                           std::uint64_t misses) {
-        if (auto* c = slot(t)) {
-            c->cache_hits += hits;
-            c->cache_misses += misses;
-        }
-    }
-    void on_region_lines(task_id t, std::uint64_t lines) {
-        if (auto* c = slot(t)) c->region_lines += lines;
-    }
-    void on_fill_lines(task_id t, std::uint64_t lines) {
-        if (auto* c = slot(t)) c->fill_lines += lines;
-    }
-    void on_dma_bytes(task_id t, std::uint64_t bytes) {
-        if (auto* c = slot(t)) c->dma_bytes += bytes;
-    }
-    void on_layer_retired(task_id t, std::uint64_t compute, std::uint64_t span,
-                          bool lbm) {
-        if (auto* c = slot(t)) {
-            c->layers_retired += 1;
-            c->compute_cycles += compute;
-            c->layer_cycles += span;
-            if (lbm) c->lbm_layers += 1;
-        }
-    }
-    void on_page_wait(task_id t, cycle_t cycles) {
-        if (auto* c = slot(t)) c->page_wait_cycles += cycles;
-    }
-    void on_page_timeout(task_id t, bool was_lbm) {
-        if (auto* c = slot(t)) {
-            c->page_timeouts += 1;
-            if (was_lbm) c->lbm_downgrades += 1;
-        }
-    }
-    void on_completion(task_id t, cycle_t end, cycle_t deadline) {
-        auto* c = slot(t);
-        if (!c) return;
-        c->completions += 1;
-        if (deadline != never) {
-            c->deadline_completions += 1;
-            c->slack_cycles += static_cast<std::int64_t>(deadline) -
-                               static_cast<std::int64_t>(end);
-            if (end > deadline) c->deadline_misses += 1;
-        }
+    /// Slot t's open-epoch counters, which the probe adds to; nullptr for
+    /// an out-of-range slot (no_task, isolated warm-up probes).
+    task_counters* slot(task_id t) {
+        return t >= 0 && static_cast<std::size_t>(t) < cur_.size()
+                   ? &cur_[static_cast<std::size_t>(t)]
+                   : nullptr;
     }
 
     // ---- epoch cutting (scheduler only) ----
@@ -195,12 +153,6 @@ public:
     void restore_state(snapshot_reader& r, bool keep_history);
 
 private:
-    task_counters* slot(task_id t) {
-        return t >= 0 && static_cast<std::size_t>(t) < cur_.size()
-                   ? &cur_[static_cast<std::size_t>(t)]
-                   : nullptr;
-    }
-
     std::vector<task_counters> cur_;
     std::vector<epoch_snapshot> history_;
     cycle_t epoch_start_ = 0;

@@ -128,13 +128,17 @@ public:
         return reg.epoch_start;
     }
 
-    /// Decode and bank/bus update of line `line_id`, arriving (after
-    /// regulation) at `arrival`; returns its completion. With Attr the
-    /// bank and bus change holder, and each wait goes to
-    /// charge(holder, cycles).
-    template <bool Attr, typename Charge>
-    cycle_t time(std::uint64_t line_id, cycle_t arrival, task_id task,
-                 Charge&& charge) {
+    /// Regulation, decode and bank/bus update of line `line_id` of `task`,
+    /// arriving at `arrival`; returns its completion. With Attr the bank
+    /// and bus change holder, and each wait is charged to the attributor
+    /// directly.
+    template <bool Attr>
+    cycle_t timed(std::uint64_t line_id, cycle_t arrival, task_id task) {
+        const cycle_t regulated = regulate(task, arrival);
+        if constexpr (Attr) {
+            if (regulated > arrival)
+                attr_->dram_wait(task, task, regulated - arrival);
+        }
         std::uint32_t channel;
         std::uint64_t bank_in_channel;
         std::int64_t row;
@@ -153,12 +157,13 @@ public:
             static_cast<std::size_t>(channel) * nbanks_ + bank_in_channel;
         bank_state& bank = banks_[bank_idx];
 
-        const std::uint64_t arrival_deci = arrival * deci;
+        const std::uint64_t arrival_deci = regulated * deci;
         const std::uint64_t start = std::max(arrival_deci, bank.ready_deci);
         if constexpr (Attr) {
             const task_id holder = attr_->take_bank(bank_idx, task);
             if (start > arrival_deci)
-                charge(holder, (start - arrival_deci + deci - 1) / deci);
+                attr_->dram_wait(task, holder,
+                                 (start - arrival_deci + deci - 1) / deci);
         }
         // Latency of this access (visible to the requester) and occupancy
         // of the bank (what the *next* access to this bank waits for). Row
@@ -181,7 +186,8 @@ public:
         if constexpr (Attr) {
             const task_id holder = attr_->take_bus(channel, task);
             if (data_start > cmd_done)
-                charge(holder, (data_start - cmd_done + deci - 1) / deci);
+                attr_->dram_wait(task, holder,
+                                 (data_start - cmd_done + deci - 1) / deci);
         }
         const std::uint64_t data_end = data_start + slot_;
         bus_free_[channel] = data_end;
@@ -190,21 +196,6 @@ public:
         // issue tCCD later even while this burst is still on the bus.
         bank.ready_deci = start + tccd_ + extra;
         return (data_end + controller_ + deci - 1) / deci;
-    }
-
-    /// Regulation and timing of one line of `task`, each wait charged to
-    /// the attributor directly; returns its completion.
-    template <bool Attr>
-    cycle_t timed(std::uint64_t line_id, cycle_t arrival, task_id task) {
-        const cycle_t regulated = regulate(task, arrival);
-        if constexpr (Attr) {
-            if (regulated > arrival)
-                attr_->dram_wait(task, task, regulated - arrival);
-        }
-        return time<Attr>(line_id, regulated, task,
-                          [this, task](task_id holder, std::uint64_t w) {
-                              attr_->dram_wait(task, holder, w);
-                          });
     }
 
     /// One access(): timed() plus the line's read/write and byte counts.
@@ -230,6 +221,17 @@ public:
             if (!reqs[i].is_write && done > read_done) read_done = done;
         }
         return read_done;
+    }
+
+    /// timed() of `n` consecutive lines from `line_id0`, all arriving at
+    /// `arrival`; the latest completion, at least `arrival`.
+    template <bool Attr>
+    cycle_t walk(std::uint64_t line_id0, std::uint64_t n, cycle_t arrival,
+                 task_id task) {
+        cycle_t done = arrival;
+        for (std::uint64_t i = 0; i < n; ++i)
+            done = std::max(done, timed<Attr>(line_id0 + i, arrival, task));
+        return done;
     }
 
     /// Adds the counts to the DRAM's stats and per-task bytes. Lines
@@ -348,8 +350,7 @@ std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
     return s;
 }
 
-/// One channel's (or one tiny burst's) DRAM waits, folded into few hook
-/// calls.
+/// One channel's DRAM waits, folded into few hook calls.
 using wait_fold = obs::probe::wait_fold<&obs::probe::dram_wait>;
 }  // namespace
 
@@ -543,30 +544,6 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
     return std::max(arrival, (last_bus + controller_deci_ + deci - 1) / deci);
 }
 
-template <bool Attr>
-cycle_t dram_system::burst_tiny(addr_t line_addr, std::uint64_t nlines,
-                                cycle_t arrival, task_id task) {
-    // nlines <= channels: consecutive line ids stripe distinct channels,
-    // so each line has its own bank and bus — no intra-burst coupling.
-    // The per-line body with regulation already committed by
-    // regulate_bulk; with one line per resource every attribution hook
-    // fires individually, exactly as the per-line walk would, and the
-    // waits fold into at most two hook calls per burst (see wait_fold).
-    const std::uint64_t line_id0 = line_addr / line_bytes;
-    line_timer t(*this);
-    [[maybe_unused]] wait_fold waits{probe_, task};
-    cycle_t done = arrival;
-    for (std::uint64_t i = 0; i < nlines; ++i)
-        done = std::max(done, t.time<Attr>(line_id0 + i, arrival, task,
-                                           [&waits](task_id holder,
-                                                    std::uint64_t w) {
-                                               waits.charge(holder, w);
-                                           }));
-    if constexpr (Attr) waits.flush();
-    t.commit();
-    return done;
-}
-
 cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
                                   bool is_write, cycle_t arrival,
                                   task_id task) {
@@ -579,29 +556,25 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         per_task_bytes_[task] += nlines * line_bytes;
     }
     if (nlines == 0) return arrival;
-    if (batched_geometry_ && regulate_bulk(task, arrival, nlines)) {
-        // Single-visit bursts (at most one line per channel) are the most
-        // common call by far — small fills, writebacks and tile tails —
-        // and need none of the segment machinery: every line is
-        // independent.
-        const bool attr = obs::attribution_of(probe_) != nullptr;
-        if (nlines <= config_.channels)
-            return attr ? burst_tiny<true>(line_addr, nlines, arrival, task)
-                        : burst_tiny<false>(line_addr, nlines, arrival, task);
-        return attr ? burst_segments<true>(line_addr, nlines, arrival, task)
-                    : burst_segments<false>(line_addr, nlines, arrival, task);
+    // Single-visit bursts (at most one line per channel: small fills,
+    // writebacks and tile tails) are the most common call by far and need
+    // none of the segment machinery. Their width test comes first because
+    // a successful regulate_bulk commits the burst's bytes.
+    if (batched_geometry_ && nlines > config_.channels &&
+        regulate_bulk(task, arrival, nlines)) {
+        return obs::attribution_of(probe_) != nullptr
+                   ? burst_segments<true>(line_addr, nlines, arrival, task)
+                   : burst_segments<false>(line_addr, nlines, arrival, task);
     }
-    // Non-pow2 or command-bound geometry, or the burst crosses a
-    // regulation budget edge: the exact per-line walk (regulate per line,
-    // throttle accounting, attribution of the delays) is authoritative
-    // here.
+    // The exact per-line walk (regulate per line, throttle accounting,
+    // attribution of the delays) for single-visit bursts, non-pow2 or
+    // command-bound geometries, and bursts across a regulation budget
+    // edge.
     const std::uint64_t line_id0 = line_addr / line_bytes;
     line_timer t(*this);
-    cycle_t done = arrival;
-    for (std::uint64_t i = 0; i < nlines; ++i)
-        done = std::max(done, t.attributing()
-                                  ? t.timed<true>(line_id0 + i, arrival, task)
-                                  : t.timed<false>(line_id0 + i, arrival, task));
+    const cycle_t done =
+        t.attributing() ? t.walk<true>(line_id0, nlines, arrival, task)
+                        : t.walk<false>(line_id0, nlines, arrival, task);
     t.commit();
     return done;
 }

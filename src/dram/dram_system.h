@@ -134,9 +134,9 @@ private:
     };
 
     /// The one per-line timing body (regulation, decode, bank/bus update)
-    /// behind access(), access_lines(), burst_tiny() and access_burst()'s
-    /// per-line walk. It copies what it reads into locals and keeps what
-    /// it counts — row outcomes, throttles, bus slots, reads and writes,
+    /// behind access(), access_lines() and access_burst()'s per-line
+    /// walk. It copies what it reads into locals and keeps what it
+    /// counts — row outcomes, throttles, bus slots, reads and writes,
     /// per-task bytes — in locals until commit(), so a run of lines pays
     /// no member reload or stats store per line. Power-of-two geometries
     /// (every stock config) decode with shift/mask forms of the div/mod
@@ -176,16 +176,6 @@ private:
     template <bool Attr>
     cycle_t burst_segments(addr_t line_addr, std::uint64_t nlines,
                            cycle_t arrival, task_id task);
-
-    /// Bursts no longer than the channel count stripe one line onto each
-    /// channel, so every line is independent of the rest of the burst —
-    /// the per-line body without regulation (regulate_bulk already
-    /// committed it) beats the segment machinery.
-    /// These dominate the call count: small fills, writebacks, tile
-    /// tails. `Attr` adds the attribution hooks, as for burst_segments.
-    template <bool Attr>
-    cycle_t burst_tiny(addr_t line_addr, std::uint64_t nlines,
-                       cycle_t arrival, task_id task);
 
     dram_config config_;
     std::vector<bank_state> banks_;        // channel * banks + bank

@@ -48,7 +48,12 @@ void probe::layer_retired(task_id t, const std::string& abbr,
                           std::uint32_t layer, cycle_t issue, cycle_t end,
                           std::uint64_t compute, bool lbm) {
     const std::uint64_t span = end > issue ? end - issue : 0;
-    if (bus_ != nullptr) bus_->on_layer_retired(t, compute, span, lbm);
+    if (auto* c = counters(t)) {
+        c->layers_retired += 1;
+        c->compute_cycles += compute;
+        c->layer_cycles += span;
+        if (lbm) c->lbm_layers += 1;
+    }
     if (o_.attr != nullptr) o_.attr->on_layer_retired(t, span, compute);
     if (o_.trace != nullptr)
         o_.trace->complete_arg(o_.trace->intern(abbr),
@@ -64,7 +69,10 @@ void probe::inference_start(task_id slot, const std::string& abbr,
 }
 
 void probe::page_timeout(task_id slot, cycle_t now, bool was_lbm) {
-    if (bus_ != nullptr) bus_->on_page_timeout(slot, was_lbm);
+    if (auto* c = counters(slot)) {
+        c->page_timeouts += 1;
+        if (was_lbm) c->lbm_downgrades += 1;
+    }
     if (o_.trace != nullptr)
         o_.trace->instant("page_timeout", "sched", tid(slot), now);
 }
@@ -72,7 +80,15 @@ void probe::page_timeout(task_id slot, cycle_t now, bool was_lbm) {
 void probe::completion(task_id slot, const std::string& abbr,
                        std::uint32_t cores, cycle_t arrival, cycle_t started,
                        cycle_t end, cycle_t deadline) {
-    if (bus_ != nullptr) bus_->on_completion(slot, end, deadline);
+    if (auto* c = counters(slot)) {
+        c->completions += 1;
+        if (deadline != never) {
+            c->deadline_completions += 1;
+            c->slack_cycles += static_cast<std::int64_t>(deadline) -
+                               static_cast<std::int64_t>(end);
+            if (end > deadline) c->deadline_misses += 1;
+        }
+    }
     if (o_.trace != nullptr)
         o_.trace->complete_arg(o_.trace->intern(abbr), "inference", tid(slot),
                                started, end, cores);

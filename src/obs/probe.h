@@ -5,10 +5,11 @@
 // engine each hold one `probe*` and report typed facts to it; the
 // scheduler reports its own (dispatch, start, page wait and timeout,
 // completion, epoch cut) through the SoC. Each fact is one call, which the
-// probe fans out to whatever is attached: the adapt::telemetry_bus (the
-// control input of the adaptive controller and the fleet feedback) and
-// the run observer's sinks — latency attributor, trace recorder, metrics
-// registry and JSONL sink (obs/observer.h).
+// probe fans out to whatever is attached: the adapt::telemetry_bus, whose
+// per-slot counters (the control input of the adaptive controller and the
+// fleet feedback) the probe adds to itself, and the run observer's sinks —
+// latency attributor, trace recorder, metrics registry and JSONL sink
+// (obs/observer.h).
 //
 // This module owns the attribution holder tables: the last user of every
 // DRAM bank, DRAM channel bus and cache slice, which a contended wait is
@@ -55,18 +56,22 @@ public:
 
     // ---- hardware facts (per burst or chunk: inline) ----
 
+    /// One transparent burst's outcome, counted once.
     void cache_accesses(task_id t, std::uint64_t hits, std::uint64_t misses) {
-        if (bus_ != nullptr) bus_->on_cache_accesses(t, hits, misses);
+        if (auto* c = counters(t)) {
+            c->cache_hits += hits;
+            c->cache_misses += misses;
+        }
     }
     void region_lines(task_id t, std::uint64_t lines) {
-        if (bus_ != nullptr) bus_->on_region_lines(t, lines);
+        if (auto* c = counters(t)) c->region_lines += lines;
     }
     void fill_lines(task_id t, std::uint64_t lines) {
-        if (bus_ != nullptr) bus_->on_fill_lines(t, lines);
+        if (auto* c = counters(t)) c->fill_lines += lines;
     }
     /// A tracked transfer, at submission.
     void dma_bytes(task_id t, std::uint64_t bytes) {
-        if (bus_ != nullptr) bus_->on_dma_bytes(t, bytes);
+        if (auto* c = counters(t)) c->dma_bytes += bytes;
     }
     /// One chunk's service window, recorded when the trace samples chunks.
     void dma_chunk(task_id t, cycle_t issue, cycle_t done,
@@ -118,7 +123,7 @@ public:
     template <typename Held>
     void page_wait(task_id slot, cycle_t now, cycle_t retry,
                    std::uint32_t slots, Held&& held) {
-        if (bus_ != nullptr) bus_->on_page_wait(slot, retry - now);
+        if (auto* c = counters(slot)) c->page_wait_cycles += retry - now;
         if (o_.trace != nullptr)
             o_.trace->complete("page_wait", "sched", tid(slot), now, retry);
         if (o_.attr == nullptr) return;
@@ -173,6 +178,11 @@ public:
     };
 
 private:
+    /// Slot t's open-epoch telemetry counters; nullptr without a bus or
+    /// for a slot outside it.
+    adapt::task_counters* counters(task_id t) {
+        return bus_ != nullptr ? bus_->slot(t) : nullptr;
+    }
     static std::uint32_t tid(task_id t) {
         return t < 0 ? trace_tid_untracked : static_cast<std::uint32_t>(t);
     }

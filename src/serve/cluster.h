@@ -157,8 +157,6 @@ struct cluster_config {
     /// SLA definition for rollups and cluster_result::sla_rate: a
     /// completion meets SLA within qos_scale * its model's Table-I target.
     double qos_scale = 1.0;
-    /// Record per-SoC telemetry epochs (implied by feedback_rounds > 1).
-    bool telemetry = false;
 
     /// Max replicas per model (0 = bounded only by cache capacity).
     std::uint32_t replication_limit = 0;

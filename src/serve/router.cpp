@@ -28,11 +28,6 @@ request_router::request_router(const cluster_config& cfg,
     mean_service_ = n ? std::max<cycle_t>(sum / n, 1) : 1;
 }
 
-cycle_t request_router::est_service(std::uint32_t s,
-                                    std::uint32_t model_idx) const {
-    return iso_[s][model_idx];
-}
-
 bool request_router::warm(std::uint32_t s, std::uint32_t model_idx) const {
     const auto& lru = socs_[s].warm_lru;
     return std::find(lru.begin(), lru.end(), model_idx) != lru.end();

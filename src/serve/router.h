@@ -28,10 +28,6 @@ public:
     /// index, or -1 when no SoC hosts the model.
     std::int32_t route(cycle_t at, std::uint32_t model_idx);
 
-    /// Estimated service time of `model_idx` on SoC `s` (memoized
-    /// single-tenant isolated latency), cycles.
-    cycle_t est_service(std::uint32_t s, std::uint32_t model_idx) const;
-
     /// True when `model_idx`'s pages are currently warm on SoC `s`.
     bool warm(std::uint32_t s, std::uint32_t model_idx) const;
 

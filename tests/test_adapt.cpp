@@ -1,14 +1,15 @@
 // Tests of the adaptive-control subsystem (src/adapt): the telemetry bus
-// accounting, the epoch feedback controller's three loops (page shares,
-// ahead_ratio, bandwidth caps), the fleet feedback weights/re-placement
-// signal, the new bursty/churn workload generators, and the cluster-level
-// feedback rounds.
+// accounting as the probe writes it, the epoch feedback controller's three
+// loops (page shares, ahead_ratio, bandwidth caps), the fleet feedback
+// weights/re-placement signal, the new bursty/churn workload generators,
+// and the cluster-level feedback rounds.
 #include <gtest/gtest.h>
 
 #include "adapt/controller.h"
 #include "adapt/fleet_feedback.h"
 #include "adapt/telemetry.h"
 #include "model/model_zoo.h"
+#include "obs/probe.h"
 #include "runtime/workload.h"
 #include "serve/cluster.h"
 #include "sim/experiment.h"
@@ -18,13 +19,24 @@ namespace {
 
 // ---- telemetry bus ---------------------------------------------------
 
+/// A bus of `slots` slots behind a probe with nothing else attached: the
+/// facts reach the counters the way a run's components report them.
+struct probed_bus {
+    adapt::telemetry_bus bus;
+    obs::probe probe{1, 1, 1};
+    explicit probed_bus(std::uint32_t slots) : bus(slots) {
+        probe.attach(obs::run_observer{}, &bus);
+    }
+};
+
 TEST(telemetry, counters_accumulate_and_cut_resets) {
-    adapt::telemetry_bus bus(2);
-    bus.on_cache_accesses(0, 1, 0);
-    bus.on_cache_accesses(0, 0, 1);
-    bus.on_dma_bytes(1, 4096);
-    bus.on_page_wait(1, 500);
-    bus.on_layer_retired(0, 100, 150, true);
+    probed_bus pb(2);
+    auto& bus = pb.bus;
+    pb.probe.cache_accesses(0, 1, 0);
+    pb.probe.cache_accesses(0, 0, 1);
+    pb.probe.dma_bytes(1, 4096);
+    pb.probe.page_wait(1, 1000, 1500, 2, [](std::uint32_t) { return 0u; });
+    pb.probe.layer_retired(0, "MB.", 0, 50, 200, 100, true);  // span 150
 
     adapt::telemetry_bus::cut_sample s;
     s.dram_bytes = 1 << 20;
@@ -56,22 +68,22 @@ TEST(telemetry, counters_accumulate_and_cut_resets) {
 }
 
 TEST(telemetry, out_of_range_slots_are_ignored) {
-    adapt::telemetry_bus bus(1);
-    bus.on_cache_accesses(no_task, 1, 0);
-    bus.on_dma_bytes(5, 100);
-    bus.on_page_timeout(-3, true);
-    const auto& snap = bus.cut(10, {});
+    probed_bus pb(1);
+    pb.probe.cache_accesses(no_task, 1, 0);
+    pb.probe.dma_bytes(5, 100);
+    pb.probe.page_timeout(-3, 0, true);
+    const auto& snap = pb.bus.cut(10, {});
     EXPECT_EQ(snap.tasks[0].cache_hits, 0u);
     EXPECT_EQ(snap.tasks[0].dma_bytes, 0u);
     EXPECT_EQ(snap.total_timeouts(), 0u);
 }
 
 TEST(telemetry, completion_slack_is_signed) {
-    adapt::telemetry_bus bus(1);
-    bus.on_completion(0, 150, 100);  // 50 late
-    bus.on_completion(0, 80, 100);   // 20 early
-    bus.on_completion(0, 99, never); // no deadline: slack untouched
-    const auto& snap = bus.cut(200, {});
+    probed_bus pb(1);
+    pb.probe.completion(0, "MB.", 1, 0, 0, 150, 100);   // 50 late
+    pb.probe.completion(0, "MB.", 1, 0, 0, 80, 100);    // 20 early
+    pb.probe.completion(0, "MB.", 1, 0, 0, 99, never);  // no deadline
+    const auto& snap = pb.bus.cut(200, {});
     EXPECT_EQ(snap.tasks[0].completions, 3u);
     EXPECT_EQ(snap.tasks[0].deadline_completions, 2u);
     EXPECT_EQ(snap.tasks[0].deadline_misses, 1u);

@@ -761,7 +761,6 @@ serve::cluster_config time_sliced_cluster() {
     cfg.seed = 11;
     cfg.feedback_rounds = 4;
     cfg.round_cycles = ms_to_cycles(6.0);
-    cfg.telemetry = true;
     cfg.threads = 1;
     return cfg;
 }

@@ -1,13 +1,14 @@
-// Property tests for the batched access_burst paths (burst_tiny, the
-// closed-form row-chain, and the attributed variants): every one must be
-// bit-exact against the per-line reference — same completion cycles, same
-// stats (row_hits included: they enter snapshot bytes), same snapshot
-// bytes, and, with an attributor attached, the same attribution state —
-// over every batched geometry in batched_geometries(). The reference is a
-// mirror dram_system driven one access() per line at the burst's arrival,
-// which is exactly the walk the per-line fallback inside access_burst
-// performs. access_lines() runs are checked the same way against one
-// access() per line, in every batched geometry and a non-pow2 one.
+// Property tests for access_burst's dispatch (single-visit bursts on the
+// per-line walk, the closed-form row-chain, and the attributed variants):
+// every one must be bit-exact against the per-line reference — same
+// completion cycles, same stats (row_hits included: they enter snapshot
+// bytes), same snapshot bytes, and, with an attributor attached, the same
+// attribution state — over every batched geometry in batched_geometries().
+// The reference is a mirror dram_system driven one access() per line at
+// the burst's arrival, which is exactly the walk the per-line fallback
+// inside access_burst performs. access_lines() runs are checked the same
+// way against one access() per line, in every batched geometry and a
+// non-pow2 one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -133,7 +134,7 @@ std::vector<burst_op> random_ops(const dram_config& cfg, std::uint64_t seed,
     for (std::size_t i = 0; i < count; ++i) {
         burst_op op;
         switch (rng() % 4) {
-            case 0:  // tiny path: at most one line per channel
+            case 0:  // single-visit: at most one line per channel
                 op.nlines = 1 + rng() % channels;
                 break;
             case 1:  // closed form, inside one row block
@@ -142,7 +143,7 @@ std::vector<burst_op> random_ops(const dram_config& cfg, std::uint64_t seed,
             case 2:  // multi-segment: crosses row boundaries per bank
                 op.nlines = 201 + rng() % 4800;
                 break;
-            default:  // degenerate edges around the tiny/segment boundary
+            default:  // edges around the walk/segment boundary
                 op.nlines = channels - 1 + rng() % 4;  // channels-1..+2
                 break;
         }
@@ -310,9 +311,8 @@ TEST(dram_batched, attributed_bursts_match_perline_reference) {
 }
 
 TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {
-    // Explicit widths around the tiny/segment dispatch boundary:
-    // 1..channels goes through burst_tiny, channels+1 through the segment
-    // paths.
+    // Explicit widths around the walk/segment dispatch boundary:
+    // 1..channels takes the per-line walk, channels+1 the segment paths.
     for (const named_geometry& g : batched_geometries()) {
         SCOPED_TRACE(g.name);
         const std::uint64_t channels = g.cfg.channels;

@@ -11,7 +11,8 @@
 //     sinks attached is bit-identical (results AND snapshot bytes) to a
 //     bare run;
 //   * pinned outputs — size and FNV-1a of every observer output of an
-//     adaptive, an AuRORA and a fleet run;
+//     adaptive, an AuRORA and a fleet run, and of two elastic
+//     bounded-history fleets' files and retained history;
 //   * cluster determinism — trace and JSONL files byte-identical across
 //     sweep-pool widths;
 //   * metrics registry and profiler basics.
@@ -725,6 +726,94 @@ TEST(observer_outputs, are_pinned_for_adaptive_aurora_and_fleet_runs) {
                          {60300u, 0x43d33316413e0199ull}}));
     std::remove(fleet.trace_path.c_str());
     std::remove(fleet.metrics_jsonl_path.c_str());
+}
+
+/// An elastic, bounded-history fleet: four 1 ms rounds of RS. + MB.
+/// traffic on unbounded queues, with both exporters on and a completion
+/// ring smaller than the run.
+serve::cluster_config elastic_fleet(std::uint32_t socs) {
+    serve::soc_instance_config inst;
+    inst.slots = 2;
+    inst.admission_queue_limit = runtime::unbounded_queue;
+    serve::cluster_config cfg = serve::uniform_cluster(socs, inst);
+    cfg.models = {&model::model_by_abbr("RS."), &model::model_by_abbr("MB.")};
+    cfg.seed = 7;
+    cfg.feedback_rounds = 5;
+    cfg.round_cycles = ms_to_cycles(1.0);
+    cfg.autoscale.enabled = true;
+    cfg.autoscale.cooldown_rounds = 0;
+    cfg.bounded_history = true;
+    cfg.history_records = 16;
+    cfg.trace_path = "test_obs_elastic_trace.json";
+    cfg.metrics_jsonl_path = "test_obs_elastic_epochs.jsonl";
+    return cfg;
+}
+
+/// Pins of one elastic run: its trace file, its JSONL file, and a digest
+/// of the retained history (round summaries, then the completion ring).
+std::vector<output_pin> elastic_pins(const serve::cluster_config& cfg,
+                                     serve::cluster_result& res) {
+    res = serve::run_cluster(cfg);
+    std::ostringstream history;
+    for (const auto& rs : res.round_summaries)
+        history << rs.round << ' ' << rs.soc_id << ' ' << rs.completions
+                << ' ' << rs.rejected << ' ' << rs.events << ' '
+                << rs.makespan << '\n';
+    for (const auto& rec : res.recent_completions)
+        history << rec.slot << ' ' << rec.abbr << ' ' << rec.arrival << ' '
+                << rec.start << ' ' << rec.end << ' ' << rec.dram_bytes << ' '
+                << rec.cores << '\n';
+    std::vector<output_pin> pins = {pin_of(slurp(cfg.trace_path)),
+                                    pin_of(slurp(cfg.metrics_jsonl_path)),
+                                    pin_of(history.str())};
+    std::remove(cfg.trace_path.c_str());
+    std::remove(cfg.metrics_jsonl_path.c_str());
+    return pins;
+}
+
+std::size_t count_events(const serve::cluster_result& res,
+                         serve::scale_event_kind kind) {
+    std::size_t n = 0;
+    for (const auto& ev : res.scale_events) n += ev.kind == kind ? 1 : 0;
+    return n;
+}
+
+// Autoscaling writes scale_event rows, fleet-lane scale instants and scale
+// metrics, and bounded history keeps round summaries and a completion
+// ring; these pins hold all of them.
+TEST(observer_outputs, are_pinned_for_elastic_bounded_history_fleets) {
+    // One SoC under a heavy stream: the round SLA collapses and the
+    // autoscaler adds SoCs.
+    auto grow = elastic_fleet(1);
+    grow.socs[0].admission_queue_limit = 4;
+    grow.arrival_rate_per_ms = 40.0;
+    grow.total_arrivals = 120;
+    grow.autoscale.max_socs = 3;
+    serve::cluster_result grown;
+    EXPECT_EQ(elastic_pins(grow, grown),
+              (std::vector<output_pin>{{13387155u, 0x5337a28a8c9a12cull},
+                                       {59322u, 0xf3c22cdcfb7cb5dcull},
+                                       {919u, 0xd89ef942615ba9cull}}));
+    EXPECT_GT(count_events(grown, serve::scale_event_kind::add), 0u);
+
+    // Two SoCs with an always-idle backlog threshold: one drains at the
+    // first barrier, its queued requests migrate, and it retires.
+    auto shrink = elastic_fleet(2);
+    shrink.models = {&model::model_by_abbr("RS.")};
+    shrink.arrival_rate_per_ms = 12.0;
+    shrink.total_arrivals = 48;
+    shrink.autoscale.max_socs = 2;
+    shrink.autoscale.backlog_high = 1e18;
+    shrink.autoscale.backlog_low = 1e18;
+    shrink.autoscale.sla_low = 0.0;
+    serve::cluster_result shrunk;
+    EXPECT_EQ(elastic_pins(shrink, shrunk),
+              (std::vector<output_pin>{{24332472u, 0x7f494db7264fca4aull},
+                                       {149713u, 0x80611715fc7d4f06ull},
+                                       {866u, 0xd21ac05fdfd87cdaull}}));
+    EXPECT_GT(shrunk.migrated_requests, 0u);
+    EXPECT_GT(count_events(shrunk, serve::scale_event_kind::drain), 0u);
+    EXPECT_GT(count_events(shrunk, serve::scale_event_kind::retire), 0u);
 }
 
 TEST(cluster_obs, trace_and_jsonl_identical_across_pool_widths) {

@@ -8,8 +8,9 @@
 //     transparent-line block, a valid transparent line stamped after the
 //     LRU tick, and corrupt CPT task ids (out of range, repeated, out of
 //     order);
-//   * a pinned size + FNV-1a hash of one mid-flight snapshot, so any
-//     drift of the byte format fails;
+//   * pinned sizes + FNV-1a hashes of two mid-flight snapshots (a
+//     bypassing CaMDN run and an AuRORA run, whose transparent sets hold
+//     lines), so any drift of the byte format fails;
 //   * a seeded mutation fuzz (bit flips, truncations, splices of two valid
 //     snapshots) of the machine, engine and typed-event sections through
 //     warm resume: every input either throws snapshot_error or constructs
@@ -289,6 +290,23 @@ TEST(snapshot_codec, mid_flight_snapshot_bytes_are_pinned) {
     const auto bytes = snap.encode();
     EXPECT_EQ(bytes.size(), 5775571u);
     EXPECT_EQ(fnv1a(bytes), 0x1b06a5bfa24178a0ull);
+}
+
+TEST(snapshot_codec, mid_flight_aurora_snapshot_bytes_are_pinned) {
+    // AuRORA runs its DMA through the transparent path, so, unlike the
+    // bypassing CaMDN run above, this snapshot's transparent-line block
+    // holds valid lines, and the pin covers their slice-major record order.
+    auto cfg = codec_cfg();
+    cfg.pol = sim::policy::aurora;
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(5.0));
+    ASSERT_FALSE(snap.running.empty()) << "the pinned snapshot is mid-flight";
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < cfg.soc.cache.lines_total(); ++i)
+        valid += snap.machine[line_block_begin + i * line_record_bytes + 20];
+    ASSERT_GT(valid, 0u) << "no valid transparent line";
+    const auto bytes = snap.encode();
+    EXPECT_EQ(bytes.size(), 5773093u);
+    EXPECT_EQ(fnv1a(bytes), 0x4736241485c649dfull);
 }
 
 TEST(snapshot_codec, cut_inside_the_transparent_line_block_is_rejected) {
