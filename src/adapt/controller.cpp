@@ -20,9 +20,9 @@ feedback_controller::feedback_controller(const controller_config& cfg,
 }
 
 const control_action& feedback_controller::on_epoch(const epoch_snapshot& snap) {
-    if (cfg_.manage_shares) update_shares(snap);
-    if (cfg_.manage_ahead) update_ahead(snap);
-    if (cfg_.manage_bandwidth) update_bandwidth(snap);
+    update_shares(snap);
+    update_ahead(snap);
+    update_bandwidth(snap);
     return action_;
 }
 

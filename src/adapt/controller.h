@@ -15,8 +15,9 @@
 //   * MoCA-style per-slot DRAM bandwidth caps from observed traffic skew
 //     and QoS slack.
 // The decision path is a pure function of the snapshot stream and the
-// seeded config, so adaptive sweeps stay bit-identical across runs and
-// thread-pool widths.
+// config, so adaptive sweeps stay bit-identical across runs and
+// thread-pool widths. The scheduler runs it with the default gains; the
+// gains stay settable for the controller's own unit tests.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,12 @@
 
 namespace camdn::adapt {
 
-struct controller_config {
-    /// Telemetry/decision epoch (cycles of the 1 GHz clock).
-    cycle_t epoch = 100'000;
+/// Telemetry/decision epoch (cycles of the 1 GHz clock). Also paces
+/// telemetry-only recording.
+inline constexpr cycle_t epoch_cycles = 100'000;
 
+struct controller_config {
     // ---- page-share loop ----
-    bool manage_shares = true;
     /// Smoothing of the observed active-slot count, in [0,1]; higher reacts
     /// faster to bursts, lower rides through blips.
     double active_smoothing = 0.5;
@@ -43,7 +44,6 @@ struct controller_config {
     // paper's 0.2, tuned for saturated co-location) and falls back to it
     // under contention: in a fully loaded SoC the adaptive policy thereby
     // converges to static CaMDN instead of under- or over-shooting it.
-    bool manage_ahead = true;
     double ahead_max = 0.35;
     double ahead_up = 1.2;    ///< applied when contention is low
     double ahead_down = 0.5;  ///< applied on timeouts / heavy waiting
@@ -53,18 +53,11 @@ struct controller_config {
     double wait_lo = 0.001;
 
     // ---- bandwidth loop ----
-    bool manage_bandwidth = true;
     /// A slot is a bandwidth hog when its share of epoch DMA bytes exceeds
     /// hog_factor / active_slots while some other slot is behind.
     double hog_factor = 1.5;
     /// Caps never drop below this DRAM share.
     double bw_floor = 0.125;
-
-    /// Reserved for stochastic controller extensions (e.g. dithered
-    /// exploration). Every current loop is a pure function of the snapshot
-    /// stream, so two controllers with equal config and input agree
-    /// bit-for-bit regardless of seed.
-    std::uint64_t seed = 0;
 };
 
 /// What the scheduler applies after each epoch decision.
@@ -86,8 +79,6 @@ public:
     const control_action& on_epoch(const epoch_snapshot& snap);
 
     const control_action& action() const { return action_; }
-    double smoothed_active() const { return active_ema_; }
-    const controller_config& config() const { return cfg_; }
 
     /// Checkpoint support: serializes / restores the loop state (smoothed
     /// active count and the last published action) so a resumed run

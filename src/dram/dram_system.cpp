@@ -590,8 +590,6 @@ void dram_system::set_task_share(task_id task, double fraction) {
     regulators_[task].share = std::clamp(fraction, 0.0, 1.0);
 }
 
-void dram_system::clear_task_shares() { regulators_.clear(); }
-
 std::uint64_t dram_system::task_bytes(task_id task) const {
     if (task < 0 || static_cast<std::size_t>(task) >= per_task_bytes_.size())
         return 0;

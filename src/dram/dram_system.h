@@ -80,7 +80,6 @@ public:
     /// Sets a task's bandwidth share, clamped to [0,1]; 0 disables
     /// regulation for it. Throws std::invalid_argument on NaN.
     void set_task_share(task_id task, double fraction);
-    void clear_task_shares();
 
     const dram_stats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; per_task_bytes_.clear(); }
@@ -103,11 +102,6 @@ public:
     void restore_state(snapshot_reader& r);
     /// Exact byte count save_state appends.
     std::size_t state_bytes() const;
-
-    /// Average achieved bandwidth (bytes/cycle) over [0, horizon].
-    double achieved_bandwidth(cycle_t horizon) const {
-        return horizon ? static_cast<double>(stats_.bytes()) / horizon : 0.0;
-    }
 
     /// The SoC's probe (nullptr: nothing attached). Bursts and line runs
     /// charge host time to `dram`; a lone access() stays in its caller's

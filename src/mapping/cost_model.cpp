@@ -25,21 +25,16 @@ bool residual_in_block(const model::model& m, std::uint32_t layer_index,
 }
 
 std::uint64_t layer_compute_cycles(const model::layer& l,
-                                   const mapper_config& cfg, std::uint64_t tm,
-                                   std::uint64_t tn, std::uint64_t tk) {
+                                   const mapper_config& cfg, std::uint64_t tk) {
     using model::layer_kind;
     switch (l.kind) {
         case layer_kind::elementwise:
         case layer_kind::pool:
             return npu::simd_cycles(cfg.npu, l.m);
-        case layer_kind::dwconv: {
+        case layer_kind::dwconv:
             // Channels across columns, pixels across rows, window as the
-            // streamed dimension; tiling adds fill overhead per tile.
-            const std::uint64_t tiles =
-                ceil_div(l.m, tm) * ceil_div(l.n, tn);
-            (void)tiles;
+            // streamed dimension.
             return npu::dwconv_tile_cycles(cfg.npu, l.m, l.n, l.k);
-        }
         case layer_kind::conv:
         case layer_kind::gemm: {
             // Pipeline fill is paid once per k-tile per (row, col) pass.
@@ -147,7 +142,7 @@ void finalize_candidate(const model::layer& l, const mapper_config& cfg,
             static_cast<std::uint32_t>(ceil_div(pinned, cfg.page_bytes));
     }
 
-    cand.compute_cycles = layer_compute_cycles(l, cfg, cand.tm, cand.tn, cand.tk);
+    cand.compute_cycles = layer_compute_cycles(l, cfg, cand.tk);
 
     const double dram_cycles =
         static_cast<double>(cand.dram_bytes()) / cfg.est_dram_bytes_per_cycle;

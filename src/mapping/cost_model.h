@@ -56,10 +56,10 @@ void finalize_candidate(const model::layer& l, const mapper_config& cfg,
                         mapping_candidate& cand, bool in_block_residual,
                         std::uint64_t lbm_block_pages);
 
-/// Compute cycles of the whole layer under the given tiling.
+/// Compute cycles of the whole layer with its reduction tiled by `tk` (the
+/// m/n tiling does not change the array's passes).
 std::uint64_t layer_compute_cycles(const model::layer& l,
-                                   const mapper_config& cfg, std::uint64_t tm,
-                                   std::uint64_t tn, std::uint64_t tk);
+                                   const mapper_config& cfg, std::uint64_t tk);
 
 /// Scratchpad bytes of one (tm, tn, tk) tile: int8 input rows + int8
 /// weight columns + int32 accumulators.

@@ -54,7 +54,6 @@ struct mapping_candidate {
     bool output_to_region = false;   ///< LBM: output stays in cache
 
     bool weights_cached() const { return weights_pinned_bytes > 0; }
-    bool input_cached() const { return input_pinned_bytes > 0; }
 
     // Refetch factors implied by the tiling.
     std::uint64_t weight_passes = 1;

@@ -1,6 +1,5 @@
 #include "model/model.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -24,13 +23,6 @@ std::uint64_t model::total_intermediate_bytes() const {
     for (std::size_t i = 0; i + 1 < layers.size(); ++i)
         total += layers[i].output_bytes;
     return total;
-}
-
-std::uint64_t model::max_intermediate_bytes() const {
-    std::uint64_t best = 0;
-    for (std::size_t i = 0; i + 1 < layers.size(); ++i)
-        best = std::max(best, layers[i].output_bytes);
-    return best;
 }
 
 model_builder::model_builder(std::string name, std::string abbr,

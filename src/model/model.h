@@ -26,8 +26,6 @@ struct model {
     std::uint64_t total_weight_bytes() const;
     /// Bytes of inter-layer activation tensors (outputs of non-final layers).
     std::uint64_t total_intermediate_bytes() const;
-    /// Largest single inter-layer tensor.
-    std::uint64_t max_intermediate_bytes() const;
 };
 
 /// Incremental model construction that tracks the running activation shape

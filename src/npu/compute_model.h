@@ -16,15 +16,6 @@
 
 namespace camdn::npu {
 
-/// Cycles to compute a dense GEMM tile of (m x n x k) MACs.
-inline cycle_t gemm_tile_cycles(const npu_config& cfg, std::uint64_t m,
-                                std::uint64_t n, std::uint64_t k) {
-    if (m == 0 || n == 0 || k == 0) return 0;
-    const std::uint64_t row_passes = ceil_div(m, cfg.pe_rows);
-    const std::uint64_t col_passes = ceil_div(n, cfg.pe_cols);
-    return row_passes * col_passes * (k + cfg.pipeline_fill);
-}
-
 /// Cycles for a depthwise tile covering `pixels` output pixels over
 /// `channels` channels with an r*s window. Channels map across PE columns,
 /// pixels across rows; the k dimension collapses to r*s.

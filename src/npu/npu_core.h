@@ -1,37 +1,19 @@
-// Per-core bookkeeping: which task occupies the core, how long it has been
-// busy, and its scratchpad. The tile-level execution state machine lives in
-// sim/layer_executor; this class is the hardware-side resource.
+// Per-core bookkeeping: how long the core has been busy. The tile-level
+// execution state machine lives in sim/layer_engine; this class is the
+// hardware-side resource.
 #pragma once
 
 #include <cstdint>
 
 #include "common/types.h"
-#include "npu/npu_config.h"
-#include "npu/scratchpad.h"
 
 namespace camdn::npu {
 
 class npu_core {
 public:
-    npu_core(npu_id id, const npu_config& cfg)
-        : id_(id), spad_(cfg.scratchpad_bytes) {}
+    void assign(cycle_t now) { busy_since_ = now; }
+    void release(cycle_t now) { busy_cycles_ += now - busy_since_; }
 
-    npu_id id() const { return id_; }
-
-    bool idle() const { return task_ == no_task; }
-    task_id current_task() const { return task_; }
-
-    void assign(task_id task, cycle_t now) {
-        task_ = task;
-        busy_since_ = now;
-    }
-    void release(cycle_t now) {
-        busy_cycles_ += now - busy_since_;
-        task_ = no_task;
-        spad_.reset();
-    }
-
-    scratchpad& spad() { return spad_; }
     std::uint64_t busy_cycles() const { return busy_cycles_; }
     /// Cycle the current assignment started (mid-layer checkpointing).
     cycle_t busy_since() const { return busy_since_; }
@@ -42,11 +24,8 @@ public:
     void restore_busy_cycles(std::uint64_t cycles) { busy_cycles_ = cycles; }
 
 private:
-    npu_id id_;
-    task_id task_ = no_task;
     cycle_t busy_since_ = 0;
     std::uint64_t busy_cycles_ = 0;
-    scratchpad spad_;
 };
 
 }  // namespace camdn::npu

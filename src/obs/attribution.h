@@ -181,7 +181,6 @@ public:
     std::uint64_t interference_row_sum(std::uint32_t i) const;
     /// Fleet-wide totals across all tenants.
     attribution_components totals() const;
-    std::uint64_t dma_window_wait_cycles() const { return dma_window_wait_; }
 
     /// Merges another attributor's completed totals (tenants matched by
     /// name). Fleet runs fold each live SoC's attributor into a master at

@@ -78,7 +78,6 @@ public:
     /// approximate shares are all the "what do I optimize next" question
     /// needs.
     void set_sample_every(std::uint32_t n) { sample_every_ = n == 0 ? 1 : n; }
-    std::uint32_t sample_every() const { return sample_every_; }
 
     /// Switches attribution to `s`, charging the elapsed interval to the
     /// previously active subsystem. Returns the previous subsystem so a

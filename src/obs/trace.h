@@ -72,7 +72,6 @@ public:
     void set_chunk_sample_every(std::uint32_t n) {
         chunk_sample_every_ = n == 0 ? 1 : n;
     }
-    std::uint32_t chunk_sample_every() const { return chunk_sample_every_; }
     /// Advances the chunk sampling counter; true when this chunk's event
     /// should be recorded. Called once per issued chunk by the SoC's probe
     /// while chunk_events() is on.
@@ -88,7 +87,6 @@ public:
     void set_flight_sample_every(std::uint32_t n) {
         flight_sample_every_ = n == 0 ? 1 : n;
     }
-    std::uint32_t flight_sample_every() const { return flight_sample_every_; }
     /// Advances the flight sampling counter; true when this flight's
     /// completion event should be recorded. Called once per retired
     /// flight by the SoC's probe while a recorder is attached.

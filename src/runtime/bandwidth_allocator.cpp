@@ -57,6 +57,4 @@ void bandwidth_allocator::reallocate(const std::vector<task*>& running,
     }
 }
 
-void bandwidth_allocator::clear() { dram_.clear_task_shares(); }
-
 }  // namespace camdn::runtime

@@ -14,6 +14,9 @@
 
 namespace camdn::runtime {
 
+/// Epoch of the MoCA/AuRORA bandwidth re-partitioning timer.
+inline constexpr cycle_t bw_epoch_cycles = 50'000;
+
 class bandwidth_allocator {
 public:
     /// Shares are demand-proportional with `headroom` slack above the
@@ -28,10 +31,6 @@ public:
     /// current layer's DRAM bytes per estimated cycle; urgency scales the
     /// demand of tasks that are behind their deadline pace.
     void reallocate(const std::vector<task*>& running, cycle_t now);
-
-    /// Removes regulation for every task (used when a policy disables
-    /// bandwidth partitioning).
-    void clear();
 
 private:
     dram::dram_system& dram_;

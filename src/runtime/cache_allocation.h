@@ -17,6 +17,10 @@
 
 namespace camdn::runtime {
 
+/// Poll interval while a page request waits (the caller re-runs the
+/// negotiation until it succeeds or the decision's timeout passes).
+inline constexpr cycle_t page_retry_cycles = 2'000;
+
 struct allocation_decision {
     const mapping::mapping_candidate* candidate = nullptr;
     std::uint32_t pages_needed = 0;

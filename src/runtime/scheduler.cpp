@@ -66,9 +66,6 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
       gen_(&gen),
       machine_(cfg.soc, cfg.pol),
       bw_(machine_.dram()) {
-    // A zero epoch would re-arm the bandwidth timer at one cycle forever.
-    if (cfg_.bw_epoch == 0)
-        throw std::invalid_argument("scheduler: bw_epoch must be non-zero");
     // The observer's epoch consumers ride the telemetry bus; turning it on
     // for them is observation only (epoch cuts are lazy — see
     // maybe_cut_epoch), so results stay bit-identical to a bare run.
@@ -81,7 +78,7 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
                                std::max<std::uint32_t>(cfg_.co_located, 1));
         alg_.set_fair_pages(&page_share_);
         ctl_ = std::make_unique<adapt::feedback_controller>(
-            cfg_.adapt_ctl, cfg_.co_located,
+            adapt::controller_config{}, cfg_.co_located,
             machine_.cache().pages().total_pages(), alg_.ahead_ratio());
     }
 
@@ -151,9 +148,11 @@ std::uint64_t scheduler::machine_fingerprint() const {
     f.add(cfg_.qos_mode ? 1u : 0u);
     f.add(cfg_.qos_scale);
     f.add(cfg_.spread_idle_cores ? 1u : 0u);
-    f.add(cfg_.page_retry_interval);
-    f.add(cfg_.bw_epoch);
-    f.add(cfg_.adapt_ctl.epoch);
+    // Hashed although fixed: existing snapshots' fingerprints must still
+    // match.
+    f.add(page_retry_cycles);
+    f.add(bw_epoch_cycles);
+    f.add(adapt::epoch_cycles);
     return f.h;
 }
 
@@ -270,7 +269,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
                                      " is both free and assigned (or "
                                      "assigned twice)");
             seen[static_cast<std::size_t>(c)] = true;
-            machine_.cores()[c].assign(t.id, rs.core_busy_since[i]);
+            machine_.cores()[c].assign(rs.core_busy_since[i]);
             t.cores.push_back(c);
         }
         t.arrival = rs.arrival;
@@ -331,8 +330,8 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
         dram_throttled_mark_ = machine_.dram().stats().throttled;
         if (telemetry_on_) bus_.reset(cfg_.co_located, snap.now);
     }
-    if (telemetry_on_ && cfg_.adapt_ctl.epoch != 0 && epoch_deadline_ == never)
-        epoch_deadline_ = snap.now + cfg_.adapt_ctl.epoch;
+    if (telemetry_on_ && epoch_deadline_ == never)
+        epoch_deadline_ = snap.now + adapt::epoch_cycles;
     if (ctl_) {
         if (snap.controller.empty())
             throw snapshot_error(
@@ -622,7 +621,7 @@ void scheduler::schedule_bw_epoch() {
     if (done_ || !use_bw_alloc()) return;
     auto running = running_tasks();
     bw_.reallocate(running, machine_.eq().now());
-    machine_.eq().schedule_event(machine_.eq().now() + cfg_.bw_epoch,
+    machine_.eq().schedule_event(machine_.eq().now() + bw_epoch_cycles,
                                  sched_ev(sched_event::bw_epoch));
 }
 
@@ -643,7 +642,7 @@ void scheduler::cut_epoch() {
 void scheduler::maybe_cut_epoch() {
     if (machine_.eq().now() < epoch_deadline_) return;
     cut_epoch();
-    epoch_deadline_ = machine_.eq().now() + cfg_.adapt_ctl.epoch;
+    epoch_deadline_ = machine_.eq().now() + adapt::epoch_cycles;
 }
 
 void scheduler::apply_action(const adapt::control_action& a) {
@@ -735,7 +734,7 @@ void scheduler::try_dispatch() {
             free_cores_.pop_back();
         }
         for (npu_id c : t.cores)
-            machine_.cores()[c].assign(t.id, machine_.eq().now());
+            machine_.cores()[c].assign(machine_.eq().now());
 
         begin_inference(t);
     }
@@ -832,7 +831,7 @@ void scheduler::negotiate_pages(task& t, allocation_decision d) {
                 return;
             }
             const cycle_t retry =
-                std::min(d.timeout, now + cfg_.page_retry_interval);
+                std::min(d.timeout, now + page_retry_cycles);
             // Who holds the pages this wait is gated on: the co-located
             // slots' current allocations apportion the blame.
             if (auto* p = machine_.probe())
@@ -1027,8 +1026,8 @@ void scheduler::start_if_needed() {
         return;
     }
 
-    if (telemetry_on_ && cfg_.adapt_ctl.epoch != 0 && epoch_deadline_ == never)
-        epoch_deadline_ = cfg_.adapt_ctl.epoch;
+    if (telemetry_on_ && epoch_deadline_ == never)
+        epoch_deadline_ = adapt::epoch_cycles;
 
     gen_->start(*this);
     update_done();
@@ -1144,8 +1143,8 @@ sim::experiment_result scheduler::segment_result() {
         fill_result();
         // The boundary cut closed an epoch; start the next segment's first
         // epoch at the boundary rather than the stale deadline.
-        if (telemetry_on_ && cfg_.adapt_ctl.epoch != 0)
-            epoch_deadline_ = machine_.eq().now() + cfg_.adapt_ctl.epoch;
+        if (telemetry_on_)
+            epoch_deadline_ = machine_.eq().now() + adapt::epoch_cycles;
     }
     return result_;
 }

@@ -48,9 +48,6 @@ struct task {
     const mapping::mct& current_mct() const {
         return mapping->tables[current_layer];
     }
-    bool at_last_layer() const {
-        return current_layer + 1 >= mdl->layers.size();
-    }
 };
 
 }  // namespace camdn::runtime

@@ -494,20 +494,20 @@ void fleet_runner::feed_back() {
         out_.drift_replacements += 1;
 }
 
-/// Retains or releases the round's results. Bounded-history runs keep
-/// compact rollups plus a completion ring; everything else keeps the
-/// historical round-major per_soc layout.
+/// Retains or releases the round's results: a compact rollup per live SoC,
+/// then either the full result (per_soc, aligned with the rollups) or, in
+/// bounded-history runs, the completion ring.
 void fleet_runner::retain(std::uint32_t round) {
-    if (!cfg_.bounded_history) {
-        for (auto& res : round_res_) out_.per_soc.push_back(std::move(res));
-        return;
-    }
     const std::size_t ring = cfg_.history_records;
     for (std::size_t k = 0; k < round_res_.size(); ++k) {
-        const auto& res = round_res_[k];
+        auto& res = round_res_[k];
         out_.round_summaries.push_back(
             {round, fleet_[k].id, res.completions.size(),
              res.rejected_arrivals, res.events_executed, res.makespan});
+        if (!cfg_.bounded_history) {
+            out_.per_soc.push_back(std::move(res));
+            continue;
+        }
         if (ring == 0) continue;
         for (const auto& rec : res.completions) {
             if (out_.recent_completions.size() < ring) {

@@ -249,14 +249,17 @@ struct tenant_metrics {
 };
 
 struct cluster_result {
-    /// Per-SoC simulation results, in fleet order. With feedback_rounds
-    /// R > 1 this holds R x fleet entries in round-major order
-    /// (per_soc[r * socs + s]). Empty in bounded_history mode (see
+    /// Per-SoC simulation results: one entry per live SoC per round, in
+    /// round order and fleet order within a round. per_soc[i] belongs to
+    /// the round and SoC id round_summaries[i] names (for a fixed fleet of
+    /// S SoCs that is round i / S, SoC i % S; autoscaling changes the
+    /// count per round). Empty in bounded_history mode (see
     /// round_summaries / recent_completions instead).
     std::vector<sim::experiment_result> per_soc;
 
-    /// Compact per-(round, SoC) rollup retained in bounded_history mode —
-    /// the O(rounds x fleet) stand-in for per_soc.
+    /// Compact per-(round, SoC) rollup of every live SoC's round, in the
+    /// order per_soc uses — the O(rounds x fleet) stand-in for per_soc in
+    /// bounded_history mode.
     struct round_summary {
         std::uint32_t round = 0;
         std::uint32_t soc_id = 0;

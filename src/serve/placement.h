@@ -36,8 +36,7 @@ struct placement {
 };
 
 /// Plans placement for `cfg` (deterministic; also warms the process
-/// mapping registry for every (model, SoC) pair so routers can take a
-/// lock-free sim::snapshot_mappings() afterwards).
+/// mapping registry for every (model, SoC) pair).
 placement plan_placement(const cluster_config& cfg);
 
 }  // namespace camdn::serve

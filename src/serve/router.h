@@ -6,9 +6,7 @@
 // state: per-SoC server occupancy (estimated from the memoized isolated
 // latencies) and per-SoC cache warmth (an LRU of model working sets sized
 // by the offline mapping's page demand, precomputed by the placement
-// planner — the mapping-registry mutex is never taken on this path;
-// consumers needing raw mapping detail after placement can capture a
-// lock-free sim::snapshot_mappings()).
+// planner, so the mapping-registry mutex is never taken on this path).
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "adapt/controller.h"
 #include "adapt/telemetry.h"
 #include "cache/shared_cache.h"
 #include "common/types.h"
@@ -81,13 +80,11 @@ struct experiment_config {
     double churn_interval_ms = 8.0;
     std::uint32_t churn_active_models = 2;
 
-    // ---- telemetry + adaptive control (src/adapt) ----
-    /// Record per-epoch telemetry snapshots (any policy). Implied by
-    /// policy::camdn_adaptive, which needs them to steer.
+    // ---- telemetry (src/adapt) ----
+    /// Record per-epoch telemetry snapshots (any policy), one every
+    /// adapt::epoch_cycles. Implied by policy::camdn_adaptive, which needs
+    /// them to steer.
     bool telemetry = false;
-    /// Epoch length, controller gains and seed for camdn_adaptive; the
-    /// epoch also paces telemetry-only recording.
-    adapt::controller_config adapt_ctl{};
 
     bool qos_mode = false;
     double qos_scale = 1.0;  ///< QoS-H/M/L = 0.8 / 1.0 / 1.2
@@ -96,11 +93,6 @@ struct experiment_config {
     /// execution with multicast weight reads). The motivation experiment
     /// (Fig 2) pins each task to one NPU, per the paper's methodology.
     bool spread_idle_cores = true;
-
-    /// Poll interval while waiting on a page request (Algorithm 1).
-    cycle_t page_retry_interval = 2'000;
-    /// Bandwidth reallocation epoch for MoCA/AuRORA; must be non-zero.
-    cycle_t bw_epoch = 50'000;
 
     // ---- observability (src/obs) ----
     /// Nullable observer hooks (trace recorder, metrics registry, epoch

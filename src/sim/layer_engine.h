@@ -69,7 +69,6 @@ public:
                const address_map& addrs);
 
     bool idle() const { return active_count_ == 0; }
-    std::size_t active_runs() const { return active_count_; }
     bool slot_active(task_id slot) const {
         return slot >= 0 && static_cast<std::size_t>(slot) < runs_.size() &&
                runs_[slot].active;

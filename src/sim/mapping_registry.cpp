@@ -1,7 +1,11 @@
 #include "sim/mapping_registry.h"
 
+#include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "mapping/layer_mapper.h"
 
@@ -9,22 +13,23 @@ namespace camdn::sim {
 
 namespace {
 
-/// The fields that define a registry key on the config side — exactly the
-/// set the historical string key encoded, so configs differing only in
-/// fields the mapper ignores (core count, SIMD width, cache-bandwidth
-/// estimate) keep sharing one entry.
+/// The fields that define a registry key on the config side: every field
+/// the mapper reads (tiling, cost model, segmentation and the latency
+/// estimate's bandwidths), so configs differing only in the core count
+/// share one entry.
 bool same_key_fields(const mapping::mapper_config& a,
                      const mapping::mapper_config& b) {
     return a.npu.pe_rows == b.npu.pe_rows && a.npu.pe_cols == b.npu.pe_cols &&
            a.npu.scratchpad_bytes == b.npu.scratchpad_bytes &&
+           a.npu.pipeline_fill == b.npu.pipeline_fill &&
+           a.npu.simd_lanes == b.npu.simd_lanes &&
            a.page_bytes == b.page_bytes &&
            a.lbm_block_budget == b.lbm_block_budget &&
            a.lbm_max_layers == b.lbm_max_layers &&
            a.est_dram_bytes_per_cycle == b.est_dram_bytes_per_cycle &&
+           a.est_cache_bytes_per_cycle == b.est_cache_bytes_per_cycle &&
            a.usage_levels == b.usage_levels;
 }
-
-constexpr std::uint32_t miss = UINT32_MAX;
 
 /// Interning tables + entry store. Everything behind registry_mutex.
 struct registry_state {
@@ -90,42 +95,6 @@ const mapping::model_mapping& mapping_for(const model::model& m,
     reg.store.push_back(std::move(mapped));
     reg.entries.emplace(key, &reg.store.back());
     return reg.store.back();
-}
-
-const mapping::model_mapping* mapping_snapshot::find(
-    const model::model& m, const mapping::mapper_config& cfg) const {
-    std::uint32_t name_id;
-    const auto hit = model_ids_.find(&m);
-    if (hit != model_ids_.end()) {
-        name_id = hit->second;
-    } else {
-        const auto by_name = name_ids_.find(m.name);
-        if (by_name == name_ids_.end()) return nullptr;
-        name_id = by_name->second;
-    }
-    std::uint32_t config_id = miss;
-    for (std::uint32_t i = 0; i < configs_.size(); ++i) {
-        if (same_key_fields(configs_[i], cfg)) {
-            config_id = i;
-            break;
-        }
-    }
-    if (config_id == miss) return nullptr;
-    const auto it = entries_.find(entry_key(name_id, config_id));
-    return it != entries_.end() ? it->second : nullptr;
-}
-
-mapping_snapshot snapshot_mappings() {
-    mapping_snapshot snap;
-    auto& reg = registry();
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    snap.model_ids_ = reg.model_ids;
-    snap.name_ids_ = reg.name_ids;
-    snap.configs_ = reg.configs;
-    snap.entries_.reserve(reg.entries.size());
-    for (const auto& [key, mapped] : reg.entries)
-        snap.entries_.emplace(key, mapped);
-    return snap;
 }
 
 void clear_mapping_registry() {

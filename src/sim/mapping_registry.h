@@ -6,13 +6,8 @@
 // integer id, and the registry resolves (name id, config id) through one
 // integer-keyed hash lookup instead of formatting and comparing a
 // composite string per call — the lookup sits on the scheduler's dispatch
-// path and the cluster router's per-arrival scoring path.
+// path.
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "mapping/cost_model.h"
 #include "mapping/mapping.h"
@@ -25,36 +20,7 @@ namespace camdn::sim {
 const mapping::model_mapping& mapping_for(const model::model& m,
                                           const mapping::mapper_config& cfg);
 
-/// Immutable view of the registry, captured under the lock once. Lookups
-/// afterwards are lock-free and allocation-free, so hot paths that consult
-/// mappings at high frequency (the cluster router scoring every arrival)
-/// never contend with sweep threads populating the registry. Entries added
-/// after the snapshot are invisible — warm the keys you need via
-/// mapping_for() first.
-class mapping_snapshot {
-public:
-    /// The snapshotted mapping of `m` under `cfg`, or nullptr when the
-    /// pair was not in the registry at capture time.
-    const mapping::model_mapping* find(const model::model& m,
-                                       const mapping::mapper_config& cfg) const;
-
-    std::size_t size() const { return entries_.size(); }
-
-private:
-    friend mapping_snapshot snapshot_mappings();
-
-    /// Copies of the interning tables at capture time (see the .cpp).
-    std::unordered_map<const void*, std::uint32_t> model_ids_;
-    std::unordered_map<std::string, std::uint32_t> name_ids_;
-    std::vector<mapping::mapper_config> configs_;
-    std::unordered_map<std::uint64_t, const mapping::model_mapping*> entries_;
-};
-
-/// Captures the current registry contents (one lock acquisition).
-mapping_snapshot snapshot_mappings();
-
-/// Drops all cached mappings (test isolation). Snapshots taken earlier
-/// must not be used afterwards.
+/// Drops all cached mappings (test isolation).
 void clear_mapping_registry();
 
 }  // namespace camdn::sim

@@ -29,9 +29,7 @@ soc::soc(const soc_config& config, policy pol)
     cache_->set_transparent_ways(is_camdn(pol) ? config_.cache.cpu_ways()
                                                : config_.cache.ways);
 
-    cores_.reserve(config_.npu.cores);
-    for (std::uint32_t i = 0; i < config_.npu.cores; ++i)
-        cores_.emplace_back(static_cast<npu_id>(i), config_.npu);
+    cores_.resize(config_.npu.cores);
 }
 
 void soc::attach(const obs::run_observer& o, adapt::telemetry_bus* bus) {

@@ -823,7 +823,7 @@ TEST(checkpoint, equal_count_and_fixed_windows_complete_the_same_stream) {
 // ---- drained-run makespan (cancellable bw-epoch timer) ----------------
 
 TEST(checkpoint, drained_open_loop_run_does_not_inflate_makespan) {
-    // MoCA re-arms its bandwidth epoch every cfg.bw_epoch cycles. Before
+    // MoCA re-arms its bandwidth epoch every runtime::bw_epoch_cycles. Before
     // the cancellable timer, the pending epoch event dragged the clock past
     // the last completion on drained runs, inflating the makespan by up to
     // one epoch. The makespan must now be exactly the last completion.
@@ -835,7 +835,6 @@ TEST(checkpoint, drained_open_loop_run_does_not_inflate_makespan) {
     cfg.arrival_rate_per_ms = 2.0;
     cfg.total_arrivals = 6;
     cfg.admission_queue_limit = runtime::unbounded_queue;
-    cfg.bw_epoch = 50'000;
 
     const auto res = sim::run_experiment(cfg);
     ASSERT_EQ(res.completions.size(), 6u);

@@ -115,14 +115,6 @@ TEST(dram, share_zero_disables_regulation) {
     EXPECT_EQ(d.stats().throttled, 0u);
 }
 
-TEST(dram, clear_task_shares_unthrottles) {
-    dram_system d(table2_config());
-    d.set_task_share(1, 0.01);
-    d.clear_task_shares();
-    d.access_burst(0, 5'000, false, 0, 1);
-    EXPECT_EQ(d.stats().throttled, 0u);
-}
-
 TEST(dram, nan_share_is_rejected) {
     // std::clamp would pass NaN through, and every regulator comparison
     // with a NaN share fails: the burst path would commit the whole burst

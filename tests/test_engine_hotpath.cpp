@@ -638,14 +638,63 @@ TEST(engine_hotpath, mapping_registry_interns_and_caches) {
     const auto& second = sim::mapping_for(m, cfg.mapper());
     EXPECT_EQ(&first, &second);  // same interned (model, config) entry
 
-    const auto snap = sim::snapshot_mappings();
-    EXPECT_EQ(snap.find(m, cfg.mapper()), &first);
-
     // A config differing in a keyed field resolves to a distinct mapping.
     auto other = cfg.mapper();
     other.lbm_max_layers += 1;
     const auto& third = sim::mapping_for(m, other);
     EXPECT_NE(&first, &third);
+    sim::clear_mapping_registry();
+}
+
+/// Compute cycles and latency estimates summed over every candidate of
+/// every layer: two mappings agree on these only if the cost model saw the
+/// same NPU and bandwidth figures.
+std::pair<std::uint64_t, std::uint64_t> candidate_cycles(
+    const mapping::model_mapping& mm) {
+    std::uint64_t compute = 0, est = 0;
+    for (const auto& table : mm.tables) {
+        for (const auto& cand : table.lwm) {
+            compute += cand.compute_cycles;
+            est += cand.est_cycles;
+        }
+        if (table.lbm) {
+            compute += table.lbm->compute_cycles;
+            est += table.lbm->est_cycles;
+        }
+    }
+    return {compute, est};
+}
+
+TEST(engine_hotpath, mapping_registry_keys_every_field_the_mapper_reads) {
+    // The cost model reads the SIMD width, the pipeline fill and the cache
+    // bandwidth estimate; a config differing only there must get its own
+    // entry, equal to a fresh map_model.
+    sim::clear_mapping_registry();
+    const auto& m = model::model_by_abbr("MB.");
+    const auto base = sim::soc_config{}.mapper();
+    auto npu = base;
+    npu.npu.simd_lanes = 16;
+    npu.npu.pipeline_fill = 128;
+    auto cache_bw = base;
+    cache_bw.est_cache_bytes_per_cycle = 1.0;
+
+    const auto& a = sim::mapping_for(m, base);
+    const auto& b = sim::mapping_for(m, npu);
+    const auto& c = sim::mapping_for(m, cache_bw);
+    EXPECT_NE(&a, &b);
+    EXPECT_NE(&a, &c);
+    EXPECT_EQ(candidate_cycles(a),
+              candidate_cycles(mapping::map_model(m, base)));
+    EXPECT_EQ(candidate_cycles(b), candidate_cycles(mapping::map_model(m, npu)));
+    EXPECT_EQ(candidate_cycles(c),
+              candidate_cycles(mapping::map_model(m, cache_bw)));
+    EXPECT_NE(candidate_cycles(a), candidate_cycles(b));
+    EXPECT_NE(candidate_cycles(a), candidate_cycles(c));
+
+    // The core count is the one NPU field the mapper never reads.
+    auto cores = base;
+    cores.npu.cores = 8;
+    EXPECT_EQ(&sim::mapping_for(m, cores), &a);
     sim::clear_mapping_registry();
 }
 

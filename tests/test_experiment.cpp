@@ -274,14 +274,6 @@ TEST(experiment_golden, aurora_qos_matches_pre_refactor_driver) {
                    {3, "MB.", 0, 0, 719856, 9175936, 1}});
 }
 
-TEST(experiment, zero_bandwidth_epoch_is_rejected) {
-    // A zero epoch would re-arm MoCA's bandwidth timer at the same cycle
-    // forever; the scheduler refuses it for every policy.
-    auto cfg = small_cfg(policy::moca);
-    cfg.bw_epoch = 0;
-    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
-}
-
 TEST(experiment, camdn_without_a_transparent_way_is_rejected) {
     // With every way in the NPU subspace the way-mask register leaves the
     // transparent path no way at all; CaMDN policies must refuse the SoC

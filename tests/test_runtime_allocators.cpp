@@ -1,12 +1,15 @@
 // Tests for the baseline resource allocators: MoCA-style bandwidth
-// partitioning and AuRORA-style NPU core allocation.
+// partitioning and AuRORA-style core groups sized by deadline slack.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "dram/dram_system.h"
 #include "mapping/layer_mapper.h"
 #include "model/model.h"
+#include "model/model_zoo.h"
 #include "runtime/bandwidth_allocator.h"
-#include "runtime/npu_allocator.h"
+#include "sim/experiment.h"
 
 namespace camdn::runtime {
 namespace {
@@ -70,18 +73,6 @@ TEST(bandwidth_allocator, urgent_task_gets_more) {
     EXPECT_LT(urgent_done, relaxed_done);
 }
 
-TEST(bandwidth_allocator, clear_removes_regulation) {
-    rig r;
-    bandwidth_allocator bw(r.dram, 1.0);
-    task a = r.make_task(0);
-    task b = r.make_task(1);
-    std::vector<task*> running{&a, &b};
-    bw.reallocate(running, 0);
-    bw.clear();
-    r.dram.access_burst(0, 30'000, false, 0, 0);
-    EXPECT_EQ(r.dram.stats().throttled, 0u);
-}
-
 TEST(bandwidth_allocator, skips_idle_slots) {
     rig r;
     bandwidth_allocator bw(r.dram, 1.0);
@@ -94,76 +85,30 @@ TEST(bandwidth_allocator, skips_idle_slots) {
     EXPECT_EQ(r.dram.stats().throttled, 0u);
 }
 
-TEST(npu_allocator, one_core_each_when_tasks_match_cores) {
-    rig r;
-    npu_allocator alloc(4);
-    std::vector<task> tasks;
-    for (int i = 0; i < 4; ++i) tasks.push_back(r.make_task(i));
-    std::vector<task*> running;
-    for (auto& t : tasks) running.push_back(&t);
-    const auto counts = alloc.allocate(running, 0);
-    for (auto c : counts) EXPECT_EQ(c, 1u);
-}
-
-TEST(npu_allocator, total_never_exceeds_pool) {
-    rig r;
-    npu_allocator alloc(8, /*max per task=*/4);
-    std::vector<task> tasks;
-    for (int i = 0; i < 3; ++i)
-        tasks.push_back(r.make_task(i, /*deadline=*/1));  // extremely needy
-    std::vector<task*> running;
-    for (auto& t : tasks) running.push_back(&t);
-    const auto counts = alloc.allocate(running, 0);
-    std::uint32_t used = 0;
-    for (auto c : counts) {
-        used += c;
-        EXPECT_LE(c, 4u);
+// AuRORA's core-group sizing (the scheduler's dispatch, also used by CaMDN
+// in QoS mode): a group covers the estimated work in the deadline window,
+// from 1 up to 4 cores. Tightening the deadline widens every group.
+TEST(core_groups, deadline_slack_sizes_every_group) {
+    for (const auto pol : {sim::policy::aurora, sim::policy::camdn_full}) {
+        for (const auto& [scale, cores] :
+             {std::pair{1.0, 1u}, std::pair{0.5, 2u}, std::pair{0.2, 4u}}) {
+            sim::experiment_config cfg;
+            cfg.pol = pol;
+            cfg.qos_mode = true;
+            cfg.qos_scale = scale;
+            cfg.workload = {&model::model_by_abbr("MB."),
+                            &model::model_by_abbr("RS.")};
+            cfg.co_located = 4;
+            cfg.inferences_per_slot = 1;
+            cfg.seed = 7;
+            const auto res = sim::run_experiment(cfg);
+            ASSERT_EQ(res.completions.size(), 4u);
+            for (const auto& rec : res.completions)
+                EXPECT_EQ(rec.cores, cores)
+                    << sim::policy_name(pol) << " qos_scale " << scale << " "
+                    << rec.abbr;
+        }
     }
-    EXPECT_LE(used, 8u);
 }
-
-TEST(npu_allocator, needy_tasks_get_extra_cores) {
-    rig r;
-    // Odd pool: after everyone gets a fair spread, the leftover core goes
-    // to the neediest task.
-    npu_allocator alloc(5);
-    task urgent = r.make_task(0, /*deadline=*/1'000);
-    task relaxed = r.make_task(1, never);
-    std::vector<task*> running{&urgent, &relaxed};
-    const auto counts = alloc.allocate(running, 0);
-    EXPECT_GT(counts[0], counts[1]);
-    EXPECT_GE(counts[1], 1u);
-}
-
-TEST(npu_allocator, oversubscription_serves_neediest_first) {
-    rig r;
-    npu_allocator alloc(2);
-    task a = r.make_task(0, /*deadline=*/10'000'000);
-    task b = r.make_task(1, /*deadline=*/1'000);  // needier
-    task c = r.make_task(2, /*deadline=*/5'000'000);
-    std::vector<task*> running{&a, &b, &c};
-    const auto counts = alloc.allocate(running, 0);
-    EXPECT_EQ(counts[1], 1u);  // the neediest always runs
-    std::uint32_t used = counts[0] + counts[1] + counts[2];
-    EXPECT_EQ(used, 2u);
-}
-
-TEST(npu_allocator, null_slots_are_skipped) {
-    rig r;
-    npu_allocator alloc(4);
-    task a = r.make_task(0);
-    std::vector<task*> running{nullptr, &a, nullptr};
-    const auto counts = alloc.allocate(running, 0);
-    EXPECT_EQ(counts[0], 0u);
-    EXPECT_GE(counts[1], 1u);
-    EXPECT_EQ(counts[2], 0u);
-}
-
-TEST(npu_allocator, empty_running_set) {
-    npu_allocator alloc(4);
-    std::vector<task*> running;
-    EXPECT_TRUE(alloc.allocate(running, 0).empty());
-}
-
 }  // namespace
 }  // namespace camdn::runtime

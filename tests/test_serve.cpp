@@ -19,7 +19,6 @@
 #include "serve/placement.h"
 #include "serve/router.h"
 #include "serve/stream_source.h"
-#include "sim/mapping_registry.h"
 
 namespace camdn::serve {
 namespace {
@@ -174,15 +173,6 @@ TEST(router, cache_affinity_separates_models_across_socs) {
     const auto home0 = router.route(0, 0);
     const auto home1 = router.route(1, 1);
     EXPECT_NE(home0, home1);  // second model steers clear of the busy host
-}
-
-TEST(router, mapping_snapshot_covers_every_placed_pair) {
-    auto cfg = colocation_cfg();
-    plan_placement(cfg);  // warms the registry
-    const auto snap = sim::snapshot_mappings();
-    for (const auto& inst : cfg.socs)
-        for (const auto* m : cfg.models)
-            EXPECT_NE(snap.find(*m, inst.soc.mapper()), nullptr);
 }
 
 // ---- cluster simulation ----
@@ -499,6 +489,40 @@ TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
     EXPECT_EQ(res.dropped_queue, 0u);
     EXPECT_EQ(res.dropped_unroutable, 0u);
     EXPECT_EQ(res.completed, cfg.total_arrivals);
+}
+
+TEST(cluster, per_soc_entries_are_named_by_round_summaries) {
+    // An autoscaled fleet changes size between rounds, so per_soc has no
+    // fixed stride: round_summaries[i] names the round and SoC of
+    // per_soc[i]. Two SoCs run rounds 0-2, the drained one retires at the
+    // barrier after round 2, and one SoC runs rounds 3-4.
+    const auto res = run_cluster(drain_migrate_cfg());
+    ASSERT_EQ(res.per_soc.size(), 8u);
+    ASSERT_EQ(res.round_summaries.size(), res.per_soc.size());
+
+    const scale_event* retire = nullptr;
+    for (const auto& ev : res.scale_events)
+        if (ev.kind == scale_event_kind::retire) retire = &ev;
+    ASSERT_NE(retire, nullptr);
+
+    std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
+    std::uint64_t completions = 0;
+    for (std::size_t i = 0; i < res.per_soc.size(); ++i) {
+        const auto& rs = res.round_summaries[i];
+        const auto& soc = res.per_soc[i];
+        EXPECT_TRUE(seen.insert({rs.round, rs.soc_id}).second) << i;
+        if (i > 0) {
+            EXPECT_GE(rs.round, res.round_summaries[i - 1].round);
+        }
+        EXPECT_FALSE(rs.soc_id == retire->soc_id && rs.round > retire->round)
+            << "entry " << i << " belongs to the retired SoC";
+        EXPECT_EQ(rs.completions, soc.completions.size()) << i;
+        EXPECT_EQ(rs.rejected, soc.rejected_arrivals) << i;
+        EXPECT_EQ(rs.events, soc.events_executed) << i;
+        EXPECT_EQ(rs.makespan, soc.makespan) << i;
+        completions += rs.completions;
+    }
+    EXPECT_EQ(completions, res.completed);
 }
 
 /// Runs `cfg` and checks every completion's recorded arrival against the
