@@ -233,9 +233,9 @@ static void bm_page_alloc_release(benchmark::State& state) {
 }
 BENCHMARK(bm_page_alloc_release);
 
-// Machine-section codec of a default 16 MiB cache + DRAM: what each SoC
-// pays at every fleet round barrier (save at the pause, restore at the
-// resume). The cache is warmed so every transparent line is valid.
+// Machine-section codec of a default 16 MiB cache + DRAM: what a snapshot
+// save and a resume pay for the machine (nearly all of a snapshot's
+// bytes). The cache is warmed so every transparent line is valid.
 struct warm_machine {
     dram::dram_system dram{dram::dram_config{}};
     cache::shared_cache cache{cache::cache_config{}, dram};
@@ -252,19 +252,15 @@ struct warm_machine {
     // `cache` holds a reference to `dram`.
     warm_machine(const warm_machine&) = delete;
     warm_machine& operator=(const warm_machine&) = delete;
-
-    std::size_t state_bytes() const {
-        return cache.state_bytes() + dram.state_bytes();
-    }
 };
 
 static void bm_machine_section_save(benchmark::State& state) {
     const warm_machine m;
     std::vector<std::uint8_t> section;
     for (auto _ : state) {
-        // Re-save into the previous buffer, as the in-place carry does.
-        snapshot_writer w(std::move(section));
-        w.reserve(m.state_bytes());
+        // A fresh writer, as scheduler::save uses: the buffer grows as the
+        // section is written.
+        snapshot_writer w;
         m.cache.save_state(w);
         m.dram.save_state(w);
         section = w.take();

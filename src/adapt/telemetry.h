@@ -111,6 +111,10 @@ public:
 
     std::uint32_t slots() const { return static_cast<std::uint32_t>(cur_.size()); }
 
+    /// The open epoch: its start cycle and its per-slot counters so far.
+    cycle_t epoch_start() const { return epoch_start_; }
+    const std::vector<task_counters>& open_epoch() const { return cur_; }
+
     /// Slot t's open-epoch counters, which the probe adds to; nullptr for
     /// an out-of-range slot (no_task, isolated warm-up probes).
     task_counters* slot(task_id t) {

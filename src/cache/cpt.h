@@ -53,10 +53,6 @@ public:
     /// table's geometry.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
-    /// Exact byte count save_state appends.
-    std::size_t state_bytes() const {
-        return 8 + entries_.size() * entry_record_bytes;
-    }
 
 private:
     struct entry {

@@ -86,12 +86,6 @@ void page_allocator::save_state(snapshot_writer& w) const {
     }
 }
 
-std::size_t page_allocator::state_bytes() const {
-    std::size_t n = 4 + 8 + 4 * free_.size() + 8;
-    for (const auto& [task, pages] : held_) n += 4 + 8 + 4 * pages.size();
-    return n;
-}
-
 void page_allocator::restore_state(snapshot_reader& r) {
     const std::uint32_t total = r.u32();
     if (total != total_)

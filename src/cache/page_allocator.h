@@ -59,8 +59,6 @@ public:
     /// ascending task order so snapshot bytes are deterministic.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
-    /// Exact byte count save_state appends.
-    std::size_t state_bytes() const;
 
 private:
     std::uint32_t total_ = 0;

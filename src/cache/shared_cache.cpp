@@ -86,10 +86,8 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
         index_mask_ = nsets - 1;
         sig_shift_ = log2_of(nsets);
     }
-    clear_sets(nsets);
-}
-
-void shared_cache::clear_sets(std::size_t nsets) {
+    // Every set empty: no valid line, owners no_task, the ways in index
+    // order.
     hot_set hot;
     for (std::uint32_t w = 0; w < config_.ways; ++w)
         hot.order |= std::uint64_t{w} << (4 * w);  // any order suits
@@ -434,18 +432,6 @@ cycle_t shared_cache::bypass_write_burst(addr_t dram_addr, std::uint64_t nlines,
                               arrival + config_.noc_latency, task);
 }
 
-void shared_cache::reset_stats() {
-    stats_ = {};
-    task_hits_.clear();
-    task_misses_.clear();
-}
-
-void shared_cache::invalidate_all() {
-    clear_sets(hot_.size());
-    std::fill(slice_free_.begin(), slice_free_.end(), 0);
-    lru_tick_ = 0;
-}
-
 namespace {
 
 void save_stats(snapshot_writer& w, const cache_stats& s) {
@@ -484,8 +470,6 @@ void restore_stats(snapshot_reader& r, cache_stats& s) {
     s.slice_busy_cycles = r.u64();
 }
 
-constexpr std::size_t stats_bytes = 15 * 8;
-
 void save_counter_vec(snapshot_writer& w, const std::vector<std::uint64_t>& v) {
     w.u64(v.size());
     for (const std::uint64_t x : v) w.u64(x);
@@ -497,24 +481,10 @@ void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
     for (auto& x : v) x = r.u64();
 }
 
-std::size_t counter_vec_bytes(const std::vector<std::uint64_t>& v) {
-    return 8 + 8 * v.size();
-}
-
 /// One transparent line on disk: tag, lru, owner, valid, dirty.
 constexpr std::size_t line_record_bytes = 8 + 8 + 4 + 1 + 1;
 
 }  // namespace
-
-std::size_t shared_cache::state_bytes() const {
-    std::size_t n = 4 + 4 + 8 + lines() * line_record_bytes + 8 +
-                    8 * slice_free_.size() + stats_bytes +
-                    counter_vec_bytes(task_hits_) +
-                    counter_vec_bytes(task_misses_) + pages_.state_bytes() + 8;
-    for (const auto& table : cpts_)
-        if (table) n += 4 + table->state_bytes();
-    return n;
-}
 
 void shared_cache::save_state(snapshot_writer& w) const {
     w.u32(static_cast<std::uint32_t>(lines()));
@@ -625,6 +595,17 @@ void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
                 std::to_string(task_slots) + " task slots");
         auto table = std::make_unique<cache_page_table>(config_);
         table->restore_state(r);
+        // A model's region maps only pages the pool gave that model.
+        std::vector<bool> held(config_.pages_total(), false);
+        for (const std::uint32_t pcpn : pages_.pages_of(t)) held[pcpn] = true;
+        for (std::uint32_t v = 0; v < table->capacity(); ++v) {
+            const auto pcpn = table->lookup(v);
+            if (pcpn && !held[*pcpn])
+                throw snapshot_error("snapshot CPT of task " +
+                                     std::to_string(t) + " maps page " +
+                                     std::to_string(*pcpn) +
+                                     ", which the task does not hold");
+        }
         cpts_.resize(static_cast<std::size_t>(t) + 1);
         cpts_[t] = std::move(table);
     }

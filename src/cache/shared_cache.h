@@ -154,14 +154,10 @@ public:
                                cycle_t arrival, task_id task);
 
     const cache_stats& stats() const { return stats_; }
-    void reset_stats();
 
     /// The SoC's probe (nullptr: nothing attached). Slice waits charge the
     /// slice's previous user, transparent read misses the victim's owner.
     void set_probe(obs::probe* p) { probe_ = p; }
-
-    /// Drops every transparent line (used between experiment repetitions).
-    void invalidate_all();
 
     /// Checkpoint support: serializes / restores the full warm state —
     /// transparent lines with their LRU stamps, slice busy horizons
@@ -169,13 +165,13 @@ public:
     /// cumulative stats, per-task hit/miss counters, the page pool and
     /// every live CPT. restore_state throws snapshot_error on a geometry
     /// mismatch, on a valid line stamped after the saved LRU tick (no run
-    /// produces one, and the recency order could not honour it), and on
-    /// CPT task ids that are not strictly ascending or not below
-    /// `task_slots` (the resuming scheduler's slot count).
+    /// produces one, and the recency order could not honour it), on CPT
+    /// task ids that are not strictly ascending or not below `task_slots`
+    /// (the resuming scheduler's slot count), and on a CPT that maps a
+    /// page its task does not hold (regions are model-exclusive, paper
+    /// §III-B).
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r, std::size_t task_slots);
-    /// Exact byte count save_state appends (sizes section buffers once).
-    std::size_t state_bytes() const;
 
 private:
     /// Cold per-line record: the full line id (so the victim address is
@@ -230,9 +226,6 @@ private:
     /// stamps (ways below the mask by descending (stamp, way), then the
     /// masked-off ways in index order) and the signatures from the tags.
     void derive_set(hot_set& hot, const cold_set& cold) const;
-    /// Sizes the sets to `nsets`, each empty: no valid line, owners
-    /// no_task, the ways in index order.
-    void clear_sets(std::size_t nsets);
     /// Transparent lines of the geometry (snapshot record count).
     std::size_t lines() const { return hot_.size() * config_.ways; }
 

@@ -71,6 +71,23 @@ std::size_t event_queue::pending(event_channel ch, std::uint8_t kind) const {
         std::count_if(heap_.begin(), heap_.end(), match));
 }
 
+std::size_t event_queue::pending(event_channel ch) const {
+    const auto c = static_cast<std::uint8_t>(ch);
+    const auto match = [&](const entry& e) { return e.channel == c; };
+    return static_cast<std::size_t>(
+        std::count_if(near_.begin(), near_.end(), match) +
+        std::count_if(heap_.begin(), heap_.end(), match));
+}
+
+cycle_t event_queue::next_time(event_channel ch, std::uint8_t kind) const {
+    const auto c = static_cast<std::uint8_t>(ch);
+    cycle_t due = never;
+    for (const auto* part : {&near_, &heap_})
+        for (const auto& e : *part)
+            if (e.channel == c && e.kind == kind) due = std::min(due, e.when);
+    return due;
+}
+
 void event_queue::save_typed(snapshot_writer& w) const {
     std::vector<const entry*> sorted;
     sorted.reserve(pending());

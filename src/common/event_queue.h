@@ -121,6 +121,11 @@ public:
 
     /// Pending events of (`ch`, `kind`). O(pending).
     std::size_t pending(event_channel ch, std::uint8_t kind) const;
+    /// Pending events of `ch`, any kind. O(pending).
+    std::size_t pending(event_channel ch) const;
+    /// Earliest due cycle among the pending events of (`ch`, `kind`);
+    /// `never` when none is pending. O(pending).
+    cycle_t next_time(event_channel ch, std::uint8_t kind) const;
 
     /// Serializes every pending event (when, seq, record), sorted by
     /// (when, seq) so equal states produce equal bytes.

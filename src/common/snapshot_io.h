@@ -140,17 +140,6 @@ private:
 /// Appends snapshot fields to a growing byte buffer.
 class snapshot_writer {
 public:
-    snapshot_writer() = default;
-    /// Writes into `buf`'s storage: its contents are dropped, its capacity
-    /// is kept (re-saving into a snapshot's previous section buffer).
-    explicit snapshot_writer(std::vector<std::uint8_t> buf)
-        : buf_(std::move(buf)) {
-        buf_.clear();
-    }
-
-    /// Sizes the buffer once when the caller knows the final byte count.
-    void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-
     void u8(std::uint8_t v) { span(1).u8(v); }
     void b(bool v) { span(1).b(v); }
     void u32(std::uint32_t v) { span(4).u32(v); }

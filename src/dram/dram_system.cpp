@@ -596,11 +596,6 @@ std::uint64_t dram_system::task_bytes(task_id task) const {
     return per_task_bytes_[task];
 }
 
-void dram_system::reset_timing() {
-    for (auto& b : banks_) b = bank_state{};
-    std::fill(bus_free_.begin(), bus_free_.end(), 0);
-}
-
 void dram_system::save_state(snapshot_writer& w) const {
     w.u64(banks_.size());
     for (const auto& b : banks_) {
@@ -624,11 +619,6 @@ void dram_system::save_state(snapshot_writer& w) const {
     w.u64(stats_.row_empties);
     w.u64(stats_.throttled);
     w.u64(stats_.bus_busy_deci);
-}
-
-std::size_t dram_system::state_bytes() const {
-    return 8 + 16 * banks_.size() + 8 + 8 * bus_free_.size() + 8 +
-           24 * regulators_.size() + 8 + 8 * per_task_bytes_.size() + 7 * 8;
 }
 
 void dram_system::restore_state(snapshot_reader& r) {

@@ -82,12 +82,8 @@ public:
     void set_task_share(task_id task, double fraction);
 
     const dram_stats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; per_task_bytes_.clear(); }
 
-    /// Resets bank/bus timing state (between experiment repetitions).
-    void reset_timing();
-
-    /// Bytes moved on behalf of `task` since the last reset.
+    /// Cumulative bytes moved on behalf of `task`.
     std::uint64_t task_bytes(task_id task) const;
 
     const dram_config& config() const { return config_; }
@@ -100,8 +96,6 @@ public:
     /// regulator share that is NaN or outside [0,1].
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
-    /// Exact byte count save_state appends.
-    std::size_t state_bytes() const;
 
     /// The SoC's probe (nullptr: nothing attached). Bursts and line runs
     /// charge host time to `dram`; a lone access() stays in its caller's

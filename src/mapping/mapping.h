@@ -53,8 +53,6 @@ struct mapping_candidate {
     bool input_from_region = false;  ///< LBM chain: producer left it in cache
     bool output_to_region = false;   ///< LBM: output stays in cache
 
-    bool weights_cached() const { return weights_pinned_bytes > 0; }
-
     // Refetch factors implied by the tiling.
     std::uint64_t weight_passes = 1;
     std::uint64_t input_passes = 1;

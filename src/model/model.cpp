@@ -18,13 +18,6 @@ std::uint64_t model::total_weight_bytes() const {
     return total;
 }
 
-std::uint64_t model::total_intermediate_bytes() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i + 1 < layers.size(); ++i)
-        total += layers[i].output_bytes;
-    return total;
-}
-
 model_builder::model_builder(std::string name, std::string abbr,
                              model_domain domain, std::string type,
                              double qos_ms, std::uint32_t in_c,

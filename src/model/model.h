@@ -24,8 +24,6 @@ struct model {
 
     std::uint64_t total_macs() const;
     std::uint64_t total_weight_bytes() const;
-    /// Bytes of inter-layer activation tensors (outputs of non-final layers).
-    std::uint64_t total_intermediate_bytes() const;
 };
 
 /// Incremental model construction that tracks the running activation shape

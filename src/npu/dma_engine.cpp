@@ -81,17 +81,6 @@ std::size_t dma_engine::find_flight(std::uint64_t id) const {
     return static_cast<std::size_t>(it - flights_.begin());
 }
 
-void dma_engine::insert_flight(flight f) {
-    // Fresh ids are monotonic, so the common case is an append; restore
-    // may replay ids out of order and inserts at the sorted position.
-    const auto it = std::lower_bound(
-        flights_.begin(), flights_.end(), f.id,
-        [](const flight& g, std::uint64_t want) { return g.id < want; });
-    if (it != flights_.end() && it->id == f.id)
-        throw snapshot_error("snapshot DMA flight id appears twice");
-    flights_.insert(it, std::move(f));
-}
-
 void dma_engine::recycle_ring(std::vector<cycle_t>&& ring) {
     if (ring.capacity() == 0 || ring_pool_.size() >= 64) return;
     ring.clear();
@@ -207,18 +196,19 @@ void dma_engine::save_state(snapshot_writer& w) const {
     }
 }
 
-void dma_engine::restore_state(snapshot_reader& r) {
-    if (!flights_.empty())
-        throw std::logic_error(
-            "dma_engine::restore_state requires an idle engine");
-    next_flight_ = r.u64();
-    const std::uint64_t n = r.count(8);
-    flights_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        flight f;
+dma_engine::flight_table dma_engine::read_flights(snapshot_reader& r) {
+    flight_table t;
+    t.next_id = r.u64();
+    // Per flight: id, the request (u8 op, i32 task, three u64, u32 group),
+    // four u64 cursor fields, the outstanding count, last_done, the token.
+    t.flights.resize(r.count(8 + 1 + 4 + 3 * 8 + 4 + 4 * 8 + 8 + 8 + 2 * 8));
+    for (std::size_t i = 0; i < t.flights.size(); ++i) {
+        flight_record& f = t.flights[i];
         f.id = r.u64();
-        if (f.id >= next_flight_)
+        if (f.id >= t.next_id)
             throw snapshot_error("snapshot DMA flight id beyond the counter");
+        if (i > 0 && f.id <= t.flights[i - 1].id)
+            throw snapshot_error("snapshot DMA flight ids are not ascending");
         const std::uint8_t op = r.u8();
         if (op > static_cast<std::uint8_t>(transfer_request::kind::bypass_write))
             throw snapshot_error("snapshot DMA flight has unknown op");
@@ -232,21 +222,33 @@ void dma_engine::restore_state(snapshot_reader& r) {
         f.total_chunks = r.u64();
         f.issued_chunks = r.u64();
         f.retired_chunks = r.u64();
-        const std::uint64_t outstanding = r.count(8);
-        f.out.reserve(outstanding);
-        for (std::uint64_t c = 0; c < outstanding; ++c)
-            f.out.push_back(r.u64());
+        f.out.resize(r.count(8));
+        for (cycle_t& done : f.out) done = r.u64();
         f.last_done = r.u64();
-        // Not serialized: a restored flight's trace span re-anchors at the
-        // restore clock (the pre-pause portion belongs to the old process).
-        f.issue = eq_.now();
         f.target.a = r.u64();
         f.target.b = r.u64();
         if (f.issued_chunks > f.total_chunks ||
             f.retired_chunks > f.issued_chunks ||
             f.issued_lines > f.req.nlines)
             throw snapshot_error("snapshot DMA flight cursor is inconsistent");
-        insert_flight(std::move(f));
+    }
+    return t;
+}
+
+void dma_engine::restore_state(snapshot_reader& r) {
+    if (!flights_.empty())
+        throw std::logic_error(
+            "dma_engine::restore_state requires an idle engine");
+    flight_table saved = read_flights(r);
+    next_flight_ = saved.next_id;
+    flights_.reserve(saved.flights.size());
+    for (flight_record& rec : saved.flights) {
+        flight f;
+        static_cast<flight_record&>(f) = std::move(rec);
+        // Not serialized: a restored flight's trace span re-anchors at the
+        // restore clock (the pre-pause portion belongs to the old process).
+        f.issue = eq_.now();
+        flights_.push_back(std::move(f));
     }
 }
 

@@ -96,10 +96,34 @@ public:
     bool idle() const { return flights_.empty(); }
     std::size_t live_flights() const { return flights_.size(); }
 
-    /// Serializes every live flight (cursor, window occupancy, completion
-    /// token). The pending chunk_done events are saved separately with the
-    /// event queue's typed section.
+    /// One live flight as a snapshot stores it: the request, the chunk
+    /// cursor, the outstanding chunks' completion cycles (oldest first)
+    /// and the completion token.
+    struct flight_record {
+        std::uint64_t id = 0;
+        transfer_request req;
+        std::uint64_t issued_lines = 0;  // lines handed to the memory system
+        std::uint64_t total_chunks = 0;
+        std::uint64_t issued_chunks = 0;
+        std::uint64_t retired_chunks = 0;
+        std::vector<cycle_t> out;
+        cycle_t last_done = 0;
+        dma_target target{};
+    };
+    /// The flight table as a snapshot stores it.
+    struct flight_table {
+        std::uint64_t next_id = 0;  ///< id the next submission takes
+        std::vector<flight_record> flights;  ///< ascending id
+    };
+
+    /// Serializes every live flight. The pending chunk_done events are
+    /// saved separately with the event queue's typed section.
     void save_state(snapshot_writer& w) const;
+    /// Decodes the table save_state wrote. restore_state rebuilds the
+    /// engine from it; snapshot inspectors read it as it is. Throws
+    /// snapshot_error on truncation, an unknown op, an inconsistent
+    /// cursor, or ids that are not ascending and below the counter.
+    static flight_table read_flights(snapshot_reader& r);
     /// Rebuilds the flight table; throws snapshot_error on malformed
     /// input. Requires an idle engine.
     void restore_state(snapshot_reader& r);
@@ -114,27 +138,17 @@ public:
     }
 
 private:
-    /// In-flight bookkeeping of one submitted transfer: the request, the
-    /// chunk cursor, the occupancy of the issue window and the completion
-    /// target — plain data, so every flight serializes. Outstanding chunk
-    /// completions live in `out[out_head..]` — a vector consumed
+    /// In-flight bookkeeping of one submitted transfer: its record (plain
+    /// data, so every flight serializes) plus a ring cursor. Outstanding
+    /// chunk completions live in `out[out_head..]`, a vector consumed
     /// front-to-back whose buffer returns to the engine's ring pool when
     /// the flight retires.
-    struct flight {
-        std::uint64_t id = 0;
-        transfer_request req;
-        std::uint64_t issued_lines = 0;  // lines handed to the memory system
-        std::uint64_t total_chunks = 0;
-        std::uint64_t issued_chunks = 0;
-        std::uint64_t retired_chunks = 0;
-        std::vector<cycle_t> out;
+    struct flight : flight_record {
         std::uint32_t out_head = 0;
-        cycle_t last_done = 0;
         /// Submission cycle — trace-event bookkeeping only, NOT serialized
         /// (snapshot bytes are unchanged; a restored flight re-anchors at
         /// the restore clock, a live one at every set_probe).
         cycle_t issue = 0;
-        dma_target target{};
 
         std::size_t outstanding() const { return out.size() - out_head; }
     };
@@ -147,7 +161,6 @@ private:
     /// the dispatch counters advance exactly as the scheduled path would.
     void pump(std::uint64_t id, bool allow_inline = false);
     std::size_t find_flight(std::uint64_t id) const;
-    void insert_flight(flight f);
     void recycle_ring(std::vector<cycle_t>&& ring);
 
     event_queue& eq_;

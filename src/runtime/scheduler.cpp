@@ -402,12 +402,6 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
 }
 
 scheduler_snapshot scheduler::save() const {
-    scheduler_snapshot s;
-    save(s);
-    return s;
-}
-
-void scheduler::save(scheduler_snapshot& into) const {
     if (!paused_ && !finalized_)
         throw std::logic_error(
             "scheduler::save: only valid while paused or after completion");
@@ -417,8 +411,6 @@ void scheduler::save(scheduler_snapshot& into) const {
     assert(in_flight_ == dispatch_queue_.size() + busy &&
            "pause point accounting: queued + running must equal in-flight");
 
-    // Every field is built fresh; only `into`'s section buffers are
-    // recycled (their storage, not their bytes).
     scheduler_snapshot s;
     s.machine_fingerprint = machine_fingerprint();
     s.run_fingerprint = run_fingerprint();
@@ -471,46 +463,39 @@ void scheduler::save(scheduler_snapshot& into) const {
     }
 
     {
-        // The machine section is nearly all of a snapshot (the cache's
-        // transparent lines): sized exactly, it is never regrown.
-        const std::size_t machine_bytes =
-            machine_.cache().state_bytes() + machine_.dram().state_bytes();
-        snapshot_writer w(std::move(into.machine));
-        w.reserve(machine_bytes);
+        snapshot_writer w;
         machine_.cache().save_state(w);
         machine_.dram().save_state(w);
-        assert(w.bytes().size() == machine_bytes &&
-               "state_bytes() must match what save_state() writes");
         s.machine = w.take();
     }
     {
-        snapshot_writer w(std::move(into.engine));
+        snapshot_writer w;
         machine_.layers().save_state(w);
         machine_.dma().save_state(w);
         s.engine = w.take();
     }
     {
-        snapshot_writer w(std::move(into.typed_events));
+        snapshot_writer w;
         machine_.eq().save_typed(w);
         s.typed_events = w.take();
     }
     if (telemetry_saved()) {
-        snapshot_writer w(std::move(into.telemetry));
+        snapshot_writer w;
         bus_.save_state(w);
         s.telemetry = w.take();
     }
     if (ctl_) {
-        snapshot_writer w(std::move(into.controller));
+        snapshot_writer w;
         ctl_->save_state(w);
         s.controller = w.take();
     }
     if (gen_->checkpointable()) {
-        snapshot_writer w(std::move(into.workload));
+        snapshot_writer w;
         gen_->save_state(w);
         s.workload = w.take();
     }
     {
-        snapshot_writer w(std::move(into.results));
+        snapshot_writer w;
         w.u64(result_.completions.size());
         for (const auto& rec : result_.completions) {
             w.i32(rec.slot);
@@ -523,7 +508,7 @@ void scheduler::save(scheduler_snapshot& into) const {
         }
         s.results = w.take();
     }
-    into = std::move(s);
+    return s;
 }
 
 void scheduler::start_next_segment(workload_generator& gen) {

@@ -107,10 +107,6 @@ public:
     /// Valid while paused or after completion; throws std::logic_error
     /// otherwise.
     scheduler_snapshot save() const;
-    /// save() into an existing snapshot, overwriting every field. Its
-    /// section buffers keep their capacity, so re-saving into the snapshot
-    /// this scheduler resumed from allocates no new machine section.
-    void save(scheduler_snapshot& into) const;
 
     /// Starts the next workload segment on this machine in place. Valid
     /// while paused or finished; the next run_segment() runs it. The

@@ -95,6 +95,10 @@ scheduler_snapshot scheduler_snapshot::decode(const std::uint8_t* data,
     s.dram_throttled_mark = r.u64();
     s.ahead_ratio = r.d();
     const std::uint64_t nslot = r.count(4);
+    if (nslot != s.slots)
+        throw snapshot_error("snapshot holds " + std::to_string(nslot) +
+                             " per-slot counters for " +
+                             std::to_string(s.slots) + " slots");
     s.slot_completed.resize(nslot);
     for (auto& c : s.slot_completed) c = r.u32();
     const std::uint64_t nshare = r.count(4);

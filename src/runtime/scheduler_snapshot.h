@@ -130,8 +130,9 @@ struct scheduler_snapshot {
     std::vector<std::uint8_t> results;    ///< completions so far (exact resume)
 
     std::vector<std::uint8_t> encode() const;
-    /// Throws snapshot_error on bad magic, version mismatch, truncation or
-    /// trailing garbage.
+    /// Throws snapshot_error on bad magic, version mismatch, truncation,
+    /// trailing garbage, or a slot count its per-slot counters disagree
+    /// with.
     static scheduler_snapshot decode(const std::uint8_t* data,
                                      std::size_t size);
     static scheduler_snapshot decode(const std::vector<std::uint8_t>& bytes) {

@@ -70,8 +70,8 @@ experiment_result run_experiment_segment(
     // the cut carries into the snapshot.
     experiment_result res = s->segment_result();
     // The scheduler copied everything it needs out of `resume_from` while
-    // restoring, so saving into the same snapshot is safe (in-place carry).
-    if (save_to != nullptr) s->save(*save_to);
+    // restoring, so `save_to` may be the same snapshot.
+    if (save_to != nullptr) *save_to = s->save();
     return res;
 }
 

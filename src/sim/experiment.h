@@ -163,11 +163,10 @@ experiment_result run_experiment(const experiment_config& cfg);
 /// is what fleet rounds use; `pause_at` takes precedence over the hold.
 /// With both pointers null and neither bound this is run_experiment.
 /// `resume_from` and `save_to` may point at the same snapshot: the segment
-/// then resumes from it and saves back into it, reusing its section
-/// buffers (an in-place carry). Fleet rounds continue live schedulers in
-/// place instead (runtime::scheduler::start_next_segment); this save +
-/// warm resume path is the reference that continuation is tested
-/// against.
+/// then resumes from it and saves over it. Fleet rounds continue live
+/// schedulers in place instead (runtime::scheduler::start_next_segment);
+/// this save + warm resume path is the reference that continuation is
+/// tested against.
 experiment_result run_experiment_segment(
     const experiment_config& cfg,
     const runtime::scheduler_snapshot* resume_from,

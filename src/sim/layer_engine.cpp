@@ -229,13 +229,19 @@ void layer_engine::start(runtime::task& t,
     if (slot_active(t.id))
         throw std::logic_error(
             "layer_engine::start: slot already has a layer in flight");
+    const std::int32_t cand_index =
+        mapping::candidate_index(t.current_mct(), &cand);
+    if (cand_index == -2)
+        throw std::logic_error(
+            "layer_engine::start: candidate is not in the layer's MCT");
     if (static_cast<std::size_t>(t.id) >= runs_.size())
         runs_.resize(t.id + 1);
     layer_run& run = runs_[t.id];
     run = layer_run{};
     run.active = true;
     ++active_count_;
-    run.cand_index = mapping::candidate_index(t.current_mct(), &cand);
+    run.slot = t.id;
+    run.cand_index = cand_index;
     bind(run, t, cand, addrs);
     run.issue_cycle = machine_.eq().now();
     run.compute_end_prev = machine_.eq().now();
@@ -375,15 +381,9 @@ void layer_engine::maybe_finish(task_id slot) {
 
 void layer_engine::save_state(snapshot_writer& w) const {
     w.u64(active_count_);
-    for (std::size_t s = 0; s < runs_.size(); ++s) {
-        const layer_run& run = runs_[s];
+    for (const layer_run& run : runs_) {
         if (!run.active) continue;
-        const task_id slot = static_cast<task_id>(s);
-        if (run.cand_index == -2)
-            throw std::logic_error(
-                "layer_engine::save_state: run's candidate is not in its "
-                "task's MCT (ad-hoc runs cannot be checkpointed)");
-        w.i32(slot);
+        w.i32(run.slot);
         w.i32(run.cand_index);
         w.u64(run.idx);
         w.u64(run.load_tile);
@@ -398,25 +398,13 @@ void layer_engine::save_state(snapshot_writer& w) const {
     }
 }
 
-void layer_engine::restore_state(snapshot_reader& r,
-                                 std::vector<runtime::task>& tasks,
-                                 const std::vector<address_map>& addrs) {
-    if (active_count_ != 0)
-        throw std::logic_error(
-            "layer_engine::restore_state requires an idle engine");
-    // Per-run record: slot + cand_index (i32 each), 8 u64 cursor fields,
-    // load_remaining (u32), all_issued (u8) — must match save_state.
-    const std::uint64_t n = r.count(4 + 4 + 8 * 8 + 4 + 1);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const task_id slot = r.i32();
-        if (slot < 0 || static_cast<std::size_t>(slot) >= tasks.size())
-            throw snapshot_error("snapshot layer run slot out of range");
-        runtime::task& t = tasks[slot];
-        if (t.mdl == nullptr || t.mapping == nullptr || !t.running())
-            throw snapshot_error(
-                "snapshot layer run references a slot that is not running");
-
-        layer_run run;
+std::vector<layer_engine::run_record> layer_engine::read_runs(
+    snapshot_reader& r) {
+    // Per record: slot + cand_index (i32 each), 8 u64 cursor fields,
+    // load_remaining (u32), all_issued (u8).
+    std::vector<run_record> runs(r.count(4 + 4 + 8 * 8 + 4 + 1));
+    for (run_record& run : runs) {
+        run.slot = r.i32();
         run.cand_index = r.i32();
         run.idx = r.u64();
         run.load_tile = r.u64();
@@ -428,27 +416,37 @@ void layer_engine::restore_state(snapshot_reader& r,
         run.issue_cycle = r.u64();
         run.compute_end_prev = r.u64();
         run.compute_end_prev2 = r.u64();
+    }
+    return runs;
+}
 
-        const mapping::mct& table = t.current_mct();
-        const mapping::mapping_candidate* cand = nullptr;
-        if (run.cand_index == -1) {
-            if (!table.lbm)
-                throw snapshot_error(
-                    "snapshot layer run wants an LBM candidate the layer "
-                    "does not have");
-            cand = &*table.lbm;
-        } else if (run.cand_index >= 0 &&
-                   static_cast<std::size_t>(run.cand_index) <
-                       table.lwm.size()) {
-            cand = &table.lwm[run.cand_index];
-        } else {
-            throw snapshot_error("snapshot layer run candidate out of range");
-        }
+void layer_engine::restore_state(snapshot_reader& r,
+                                 std::vector<runtime::task>& tasks,
+                                 const std::vector<address_map>& addrs) {
+    if (active_count_ != 0)
+        throw std::logic_error(
+            "layer_engine::restore_state requires an idle engine");
+    for (const run_record& rec : read_runs(r)) {
+        const task_id slot = rec.slot;
+        if (slot < 0 || static_cast<std::size_t>(slot) >= tasks.size())
+            throw snapshot_error("snapshot layer run slot out of range");
+        runtime::task& t = tasks[slot];
+        if (t.mdl == nullptr || t.mapping == nullptr || !t.running())
+            throw snapshot_error(
+                "snapshot layer run references a slot that is not running");
+        const mapping::mapping_candidate* cand =
+            mapping::candidate_at(t.current_mct(), rec.cand_index);
+        if (cand == nullptr)
+            throw snapshot_error(
+                "snapshot layer run candidate is not in the layer's MCT");
+        if (slot_active(slot))
+            throw snapshot_error("snapshot layer run slot appears twice");
+
+        layer_run run;
+        static_cast<run_record&>(run) = rec;
         bind(run, t, *cand, addrs[slot]);
         if (run.idx > run.total || run.pending_stores > run.total)
             throw snapshot_error("snapshot layer run cursor is inconsistent");
-        if (slot_active(slot))
-            throw snapshot_error("snapshot layer run slot appears twice");
         if (static_cast<std::size_t>(slot) >= runs_.size())
             runs_.resize(slot + 1);
         run.active = true;

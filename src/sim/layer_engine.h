@@ -58,13 +58,14 @@ public:
 
     /// Completion hook: fires once every load, compute and store of a
     /// slot's layer has retired, with the completion cycle. Wired once by
-    /// the scheduler (or per call by the execute_layer convenience).
+    /// the scheduler.
     using done_fn = std::function<void(task_id, cycle_t)>;
     void set_on_done(done_fn fn) { on_done_ = std::move(fn); }
 
-    /// Starts layer `t.current_layer` of `t` under `cand`. One run per
-    /// slot: starting a slot whose previous layer has not completed throws
-    /// std::logic_error.
+    /// Starts layer `t.current_layer` of `t` under `cand`, which must be a
+    /// candidate of that layer's MCT (a run is saved by its index there).
+    /// One run per slot. Throws std::logic_error on a candidate outside
+    /// the MCT, or on a slot whose previous layer has not completed.
     void start(runtime::task& t, const mapping::mapping_candidate& cand,
                const address_map& addrs);
 
@@ -74,11 +75,30 @@ public:
                runs_[slot].active;
     }
 
-    /// Serializes every in-flight run (slot, candidate index, tile cursor,
-    /// pipeline horizons, load/store occupancy). Throws std::logic_error
-    /// when a run's candidate is not part of its task's MCT (ad-hoc runs
-    /// started outside the scheduler cannot be checkpointed).
+    /// One in-flight run as a snapshot stores it: the slot, the
+    /// candidate's index in the layer's MCT and the tile cursor.
+    struct run_record {
+        task_id slot = no_task;
+        std::int32_t cand_index = 0;  ///< lwm index; -1 = lbm
+        std::uint64_t idx = 0;        ///< next tile to issue
+        std::uint64_t load_tile = 0;  ///< tile currently loading
+        std::uint32_t load_remaining = 0;  ///< outstanding load transfers
+        cycle_t load_latest = 0;           ///< latest load completion so far
+        std::uint64_t pending_stores = 0;
+        bool all_issued = false;
+        cycle_t final_end = 0;
+        cycle_t issue_cycle = 0;
+        cycle_t compute_end_prev = 0;
+        cycle_t compute_end_prev2 = 0;
+    };
+
+    /// Serializes every in-flight run's record, in ascending slot order.
     void save_state(snapshot_writer& w) const;
+
+    /// Decodes the records save_state wrote. restore_state rebinds them;
+    /// snapshot inspectors read them as they are. Throws snapshot_error on
+    /// truncation.
+    static std::vector<run_record> read_runs(snapshot_reader& r);
 
     /// Rebuilds the run table against already-restored tasks: `tasks` and
     /// `addrs` are indexed by slot, and each restored run's candidate is
@@ -98,24 +118,11 @@ private:
     // DMA token layout: a = slot, b = tile | store_bit.
     static constexpr std::uint64_t store_bit = std::uint64_t{1} << 63;
 
-    /// One in-flight layer. The first block is the serialized cursor; the
-    /// second is derived state bind() recomputes from the task, candidate
-    /// and machine, so none of it rides the snapshot.
-    struct layer_run {
+    /// One in-flight layer: its serialized record, plus derived state
+    /// bind() recomputes from the task, candidate and machine, so none of
+    /// it rides the snapshot.
+    struct layer_run : run_record {
         bool active = false;  ///< slot entry in use (vector slots recycle)
-
-        // ---- serialized cursor ----
-        std::int32_t cand_index = -2;  ///< lwm index; -1 = lbm; -2 = ad hoc
-        std::uint64_t idx = 0;         ///< next tile to issue
-        std::uint64_t load_tile = 0;   ///< tile currently loading
-        std::uint32_t load_remaining = 0;  ///< outstanding load transfers
-        cycle_t load_latest = 0;           ///< latest load completion so far
-        std::uint64_t pending_stores = 0;
-        bool all_issued = false;
-        cycle_t final_end = 0;
-        cycle_t issue_cycle = 0;
-        cycle_t compute_end_prev = 0;
-        cycle_t compute_end_prev2 = 0;
 
         // ---- derived (rebuilt by bind()) ----
         runtime::task* t = nullptr;

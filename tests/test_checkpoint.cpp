@@ -426,6 +426,15 @@ TEST(checkpoint, bad_magic_version_and_trailing_bytes_are_rejected) {
     EXPECT_THROW(scheduler_snapshot::decode(corrupt), snapshot_error);
 }
 
+TEST(checkpoint, header_slot_count_must_match_the_per_slot_counters) {
+    // Readers size per-slot state (the telemetry bus) from the header's
+    // slot count, so decode holds it to the counters the snapshot carries.
+    auto snap = mid_run_snapshot(roundtrip_cfg(), ms_to_cycles(2.0));
+    EXPECT_NO_THROW(scheduler_snapshot::decode(snap.encode()));
+    snap.slots = 0xffffffffu;
+    EXPECT_THROW(scheduler_snapshot::decode(snap.encode()), snapshot_error);
+}
+
 TEST(checkpoint, resume_rejects_mismatched_configurations) {
     const auto cfg = roundtrip_cfg();
     const auto snap = mid_run_snapshot(cfg, ms_to_cycles(2.0));

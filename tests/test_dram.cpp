@@ -190,18 +190,6 @@ TEST(dram, restore_rejects_share_outside_unit_interval) {
     }
 }
 
-TEST(dram, reset_stats_and_timing) {
-    dram_system d(table2_config());
-    d.access_burst(0, 100, false, 0, 1);
-    d.reset_stats();
-    EXPECT_EQ(d.stats().accesses(), 0u);
-    EXPECT_EQ(d.task_bytes(1), 0u);
-    d.reset_timing();
-    // After a timing reset, an access at time 0 behaves like a cold start.
-    const cycle_t done = d.access(0, false, 0);
-    EXPECT_LE(done, 100u);
-}
-
 TEST(dram, bus_busy_accounting_bounded_by_elapsed) {
     dram_system d(table2_config());
     const cycle_t done = d.access_burst(0, 5'000, false, 0);

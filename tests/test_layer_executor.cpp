@@ -1,14 +1,17 @@
-// Tests of the tile-level layer executor: the traffic it actually moves
+// Tests of the tile-level layer engine: the traffic it actually moves
 // must agree with the mapping candidate's analytic prediction, and its
 // pipelining must respect compute/memory bounds.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "mapping/layer_mapper.h"
 #include "model/model_zoo.h"
 #include "runtime/task.h"
 #include "sim/address_map.h"
-#include "sim/layer_executor.h"
+#include "sim/layer_engine.h"
 #include "sim/mapping_registry.h"
+#include "sim/soc.h"
 
 namespace camdn::sim {
 namespace {
@@ -44,10 +47,14 @@ struct rig {
         return *cand;
     }
 
+    /// Runs the armed layer under `cand` to completion on the engine, wired
+    /// as the scheduler wires it; returns the layer's completion cycle.
     cycle_t run(const mapping::mapping_candidate& cand) {
         cycle_t end = 0;
-        execute_layer(machine, camdn_features{}, task, cand, addrs,
-                      [&](cycle_t done) { end = done; });
+        auto& engine = machine.layers();
+        engine.set_features(camdn_features{});
+        engine.set_on_done([&](task_id, cycle_t done) { end = done; });
+        engine.start(task, cand, addrs);
         machine.eq().run();
         return end;
     }
@@ -145,13 +152,31 @@ TEST(layer_executor, multi_core_speeds_up_compute_bound_layers) {
 }
 
 TEST(layer_executor, multicast_combines_multi_core_weight_reads) {
+    // The first ResNet layer whose largest candidate pins weights: a
+    // multi-core run re-reads them from the region as one multicast.
+    const auto& mm =
+        mapping_for(model::model_by_abbr("RS."), soc_config{}.mapper());
+    std::uint32_t layer = 0;
+    while (layer < mm.tables.size() &&
+           mm.tables[layer].lwm.back().weights_pinned_bytes == 0)
+        ++layer;
+    ASSERT_LT(layer, mm.tables.size()) << "no candidate pins weights";
     rig r;
-    const auto& cand = r.arm("RS.", 2);
+    const auto& cand = r.arm("RS.", layer);
+    ASSERT_GT(cand.weights_pinned_bytes, 0u);
     r.task.cores = {0, 1, 2, 3};
     r.run(cand);
-    if (cand.weights_cached()) {
-        EXPECT_GT(r.machine.cache().stats().multicast_combined, 0u);
-    }
+    EXPECT_GT(r.machine.cache().stats().multicast_combined, 0u);
+}
+
+TEST(layer_executor, candidate_outside_the_mct_is_rejected) {
+    // A run is saved by its candidate's index in the layer's MCT, so the
+    // engine starts none other.
+    rig r;
+    mapping::mapping_candidate copy = r.arm("RS.", 2);
+    EXPECT_THROW(r.machine.layers().start(r.task, copy, r.addrs),
+                 std::logic_error);
+    EXPECT_TRUE(r.machine.layers().idle());
 }
 
 TEST(layer_executor, elementwise_layers_stream_in_chunks) {

@@ -3,35 +3,44 @@
 //   * the writer/reader field and span operations against a per-byte
 //     little-endian reference encoder kept here, with every strict prefix
 //     of an encoding rejected;
-//   * exact section sizing (state_bytes() == what save_state writes);
 //   * decoder rejection inside the machine section: a cut through the
 //     transparent-line block, a valid transparent line stamped after the
-//     LRU tick, and corrupt CPT task ids (out of range, repeated, out of
-//     order);
+//     LRU tick, corrupt CPT task ids (out of range, repeated, out of
+//     order) and a CPT mapping a page its task does not hold;
 //   * pinned sizes + FNV-1a hashes of two mid-flight snapshots (a
 //     bypassing CaMDN run and an AuRORA run, whose transparent sets hold
 //     lines), so any drift of the byte format fails;
+//   * the components' section readers agreeing at pause points of an
+//     adaptive MMPP run and a closed loop: each running slot has one
+//     layer run or one armed negotiation, each armed negotiation one
+//     pending retry, and each DMA flight one pending chunk event;
 //   * a seeded mutation fuzz (bit flips, truncations, splices of two valid
-//     snapshots) of the machine, engine and typed-event sections through
-//     warm resume: every input either throws snapshot_error or constructs
-//     a scheduler. Under ASan/UBSan the second outcome must also be clean.
+//     snapshots) of the machine, engine, typed-event and telemetry
+//     sections through warm resume: every input either throws
+//     snapshot_error or constructs a scheduler. Under ASan/UBSan the
+//     second outcome must also be clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cache/cpt.h"
 #include "cache/shared_cache.h"
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/snapshot_io.h"
 #include "dram/dram_system.h"
 #include "model/model_zoo.h"
+#include "npu/dma_engine.h"
 #include "runtime/scheduler.h"
 #include "runtime/scheduler_snapshot.h"
 #include "runtime/workload.h"
+#include "sim/layer_engine.h"
 
 namespace camdn {
 namespace {
@@ -203,45 +212,6 @@ TEST(snapshot_codec, random_fields_match_a_bytewise_reference) {
     }
 }
 
-TEST(snapshot_codec, writer_reuses_an_adopted_buffer) {
-    std::vector<std::uint8_t> old(64, 0xab);
-    const auto* storage = old.data();
-    snapshot_writer w(std::move(old));
-    EXPECT_TRUE(w.bytes().empty());  // contents dropped
-    w.u64(1);
-    const auto bytes = w.take();
-    EXPECT_EQ(bytes.data(), storage);  // capacity kept, no reallocation
-    EXPECT_EQ(bytes, (std::vector<std::uint8_t>{1, 0, 0, 0, 0, 0, 0, 0}));
-}
-
-// ---- exact section sizing ------------------------------------------------
-
-TEST(snapshot_codec, state_bytes_match_the_encoded_sections) {
-    dram::dram_system d{dram::dram_config{}};
-    cache::shared_cache c{cache::cache_config{}, d};
-    auto expect_exact = [&](const char* when) {
-        snapshot_writer cw;
-        c.save_state(cw);
-        EXPECT_EQ(cw.bytes().size(), c.state_bytes()) << when;
-        snapshot_writer dw;
-        d.save_state(dw);
-        EXPECT_EQ(dw.bytes().size(), d.state_bytes()) << when;
-    };
-    expect_exact("fresh");
-
-    // Transparent traffic from three tasks (per-task counters grow), held
-    // pages for two tasks, two live CPTs, one DRAM regulator.
-    for (addr_t a = 0; a < 4096 * line_bytes; a += line_bytes)
-        c.transparent_access(a, (a / line_bytes) % 3 == 0, a,
-                             static_cast<task_id>((a / line_bytes) % 3));
-    const auto pages = c.pages().try_allocate(0, 8).value();
-    c.pages().try_allocate(2, 4);
-    c.cpt(0).map(0, pages[0]);
-    c.cpt(2);
-    d.set_task_share(1, 0.5);
-    expect_exact("warm");
-}
-
 // ---- mid-flight snapshots --------------------------------------------------
 
 experiment_config codec_cfg() {
@@ -366,15 +336,21 @@ TEST(snapshot_codec, transparent_line_stamped_after_the_tick_is_rejected) {
     EXPECT_NO_THROW(warm_resume(cfg, stamped(invalid_line, tick + 1)));
 }
 
-TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
-    // camdn_hw_only keeps one CPT per running inference, so a pause with
-    // both slots busy carries tables for tasks 0 and 1.
+/// camdn_hw_only keeps one CPT per running inference, mapping the pages
+/// its task holds.
+experiment_config hw_only_cfg() {
     experiment_config cfg;
     cfg.workload = {&model::model_by_abbr("MB."), &model::model_by_abbr("EF.")};
     cfg.co_located = 2;
     cfg.pol = sim::policy::camdn_hw_only;
     cfg.inferences_per_slot = 2;
     cfg.seed = 5;
+    return cfg;
+}
+
+/// The first pause of `cfg` with both slots busy: its machine section
+/// carries tables for tasks 0 and 1.
+scheduler_snapshot both_slots_busy(const experiment_config& cfg) {
     auto gen = runtime::make_workload_generator(cfg);
     runtime::scheduler sched(cfg, *gen);
     scheduler_snapshot snap;
@@ -383,6 +359,12 @@ TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
         snap = sched.save();
         if (snap.running.size() == 2) break;
     }
+    return snap;
+}
+
+TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
+    const experiment_config cfg = hw_only_cfg();
+    const scheduler_snapshot snap = both_slots_busy(cfg);
     ASSERT_EQ(snap.running.size(), 2u) << "no pause with both slots busy";
 
     // The cache part of the machine section ends where a standalone cache
@@ -392,8 +374,9 @@ TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
     snapshot_reader whole(snap.machine);
     c.restore_state(whole, cfg.co_located);
     const std::size_t cache_end = snap.machine.size() - whole.remaining();
-    const std::size_t table_bytes =
-        4 + cache::cache_page_table(cfg.soc.cache).state_bytes();
+    snapshot_writer fresh_table;
+    cache::cache_page_table(cfg.soc.cache).save_state(fresh_table);
+    const std::size_t table_bytes = 4 + fresh_table.bytes().size();
     const std::size_t first_id = cache_end - 2 * table_bytes;
     const std::size_t second_id = cache_end - table_bytes;
     auto read_at = [&](std::size_t off, std::size_t n) {
@@ -425,13 +408,164 @@ TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
                  snapshot_error);
 }
 
+TEST(snapshot_codec, cpt_mapping_a_page_its_task_does_not_hold_is_rejected) {
+    // Regions are model-exclusive (paper §III-B): a task's CPT maps only
+    // pages the pool gave that task.
+    const experiment_config cfg = hw_only_cfg();
+    const scheduler_snapshot snap = both_slots_busy(cfg);
+    ASSERT_EQ(snap.running.size(), 2u) << "no pause with both slots busy";
+
+    // The machine section decoded into a standalone cache, edited through
+    // its own API and saved back in front of the DRAM part.
+    using edit_fn = std::function<void(cache::shared_cache&)>;
+    auto edited = [&](const edit_fn& edit) {
+        dram::dram_system d{cfg.soc.dram};
+        cache::shared_cache c{cfg.soc.cache, d};
+        snapshot_reader r(snap.machine);
+        c.restore_state(r, cfg.co_located);
+        const std::size_t cache_end = snap.machine.size() - r.remaining();
+        edit(c);
+        snapshot_writer w;
+        c.save_state(w);
+        scheduler_snapshot s = snap;
+        s.machine = w.take();
+        s.machine.insert(s.machine.end(), snap.machine.begin() + cache_end,
+                         snap.machine.end());
+        return s;
+    };
+    auto first_mapped = [](cache::shared_cache& c, task_id t) {
+        std::uint32_t v = 0;
+        while (!c.cpt(t).is_mapped(v)) ++v;
+        return v;
+    };
+    // Slot 1 hands its last page back to the pool, and its table drops it.
+    auto free_a_page = [&](cache::shared_cache& c) {
+        const std::uint32_t page = c.pages().release(1, 1).front();
+        for (std::uint32_t v = 0; v < c.cpt(1).capacity(); ++v)
+            if (c.cpt(1).lookup(v) == page) c.cpt(1).unmap(v);
+        return page;
+    };
+    ASSERT_EQ(edited([](cache::shared_cache&) {}).machine, snap.machine)
+        << "the edit round trip changes no byte";
+    ASSERT_NO_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
+        free_a_page(c);
+    })));
+
+    // Slot 0's first valid entry pointed at a page slot 1 holds.
+    EXPECT_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
+                     c.cpt(0).map(first_mapped(c, 0),
+                                  c.pages().pages_of(1).front());
+                 })),
+                 snapshot_error);
+    // Or at a free page.
+    EXPECT_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
+                     const std::uint32_t page = free_a_page(c);
+                     c.cpt(0).map(first_mapped(c, 0), page);
+                 })),
+                 snapshot_error);
+}
+
+// ---- section readers agree --------------------------------------------------
+
+/// What one snapshot's sections hold of the states the laws relate.
+struct section_counts {
+    std::size_t runs = 0, armed = 0, flights = 0;
+};
+
+/// Decodes `snap`'s typed-event and engine sections with the components'
+/// own readers and checks the laws that tie them together.
+section_counts expect_sections_agree(const scheduler_snapshot& snap,
+                                     const std::string& where) {
+    event_queue events;
+    events.restore_now(snap.now);
+    snapshot_reader typed(snap.typed_events);
+    events.restore_typed(typed);
+    EXPECT_TRUE(typed.done()) << where;
+    snapshot_reader engine(snap.engine);
+    const auto runs = sim::layer_engine::read_runs(engine);
+    const auto flights = npu::dma_engine::read_flights(engine);
+    EXPECT_TRUE(engine.done()) << where;
+
+    std::size_t armed = 0;
+    for (const auto& rs : snap.running) {
+        const auto records = std::count_if(
+            runs.begin(), runs.end(),
+            [&](const sim::layer_engine::run_record& run) {
+                return run.slot == rs.slot;
+            });
+        // A running slot is either running a layer or negotiating pages.
+        EXPECT_EQ(records + (rs.neg_armed ? 1 : 0), 1)
+            << where << ", slot " << rs.slot;
+        armed += rs.neg_armed ? 1 : 0;
+    }
+    EXPECT_EQ(runs.size() + armed, snap.running.size())
+        << where << ": a layer run on a slot that is not running";
+    EXPECT_EQ(events.pending(event_channel::sched,
+                             static_cast<std::uint8_t>(
+                                 runtime::sched_event::page_retry)),
+              armed)
+        << where;
+    EXPECT_EQ(events.pending(event_channel::dma), flights.flights.size())
+        << where;
+    return {runs.size(), armed, flights.flights.size()};
+}
+
+TEST(snapshot_decoders, sections_agree_at_pause_points) {
+    // PointPillars and ViT beside ResNet and MobileNet contend for pages,
+    // so some pauses land while a slot waits for its grant.
+    const std::vector<const model::model*> mix = {
+        &model::model_by_abbr("RS."), &model::model_by_abbr("PP."),
+        &model::model_by_abbr("MB."), &model::model_by_abbr("VT.")};
+    experiment_config mmpp;
+    mmpp.workload = mix;
+    mmpp.co_located = 6;
+    mmpp.seed = 10;
+    mmpp.kind = runtime::workload_kind::open_loop_mmpp;
+    mmpp.pol = sim::policy::camdn_adaptive;
+    mmpp.arrival_rate_per_ms = 1.0;
+    mmpp.mmpp_rate_scale = {0.25, 3.0};
+    mmpp.mmpp_sojourn_ms = 3.0;
+    mmpp.total_arrivals = 16;
+    mmpp.admission_queue_limit = runtime::unbounded_queue;
+
+    experiment_config closed;
+    closed.workload = mix;
+    closed.co_located = 8;
+    closed.seed = 10;
+    closed.pol = sim::policy::camdn_full;
+    closed.inferences_per_slot = 2;
+
+    for (const auto* cfg : {&mmpp, &closed}) {
+        const std::string name = sim::policy_name(cfg->pol);
+        auto gen = runtime::make_workload_generator(*cfg);
+        runtime::scheduler sched(*cfg, *gen);
+        std::size_t pauses = 0;
+        section_counts seen;
+        for (cycle_t at = ms_to_cycles(0.25); sched.run_segment(at);
+             at += ms_to_cycles(0.25)) {
+            const section_counts n = expect_sections_agree(
+                sched.save(), name + " at cycle " + std::to_string(at));
+            seen.runs += n.runs;
+            seen.armed += n.armed;
+            seen.flights += n.flights;
+            ++pauses;
+        }
+        // The pauses catch every state the laws relate.
+        EXPECT_GT(pauses, 100u) << name;
+        EXPECT_GT(seen.runs, 0u) << name;
+        EXPECT_GT(seen.armed, 0u) << name;
+        EXPECT_GT(seen.flights, 0u) << name;
+    }
+}
+
 // ---- decoder fuzz -----------------------------------------------------------
 
 std::vector<std::uint8_t>& section(scheduler_snapshot& s, int which) {
     switch (which) {
         case 0: return s.machine;
         case 1: return s.engine;
-        default: return s.typed_events;
+        case 2: return s.typed_events;
+        default: return s.telemetry;
     }
 }
 
@@ -441,14 +575,15 @@ TEST(snapshot_fuzz, mutated_sections_throw_or_resume_cleanly) {
     auto b = paused_snapshot(cfg, ms_to_cycles(1.5));
     ASSERT_FALSE(a.engine.empty());
     ASSERT_FALSE(a.typed_events.empty());
+    ASSERT_FALSE(a.telemetry.empty()) << "the adaptive run saves telemetry";
     const std::size_t block_end =
         line_block_begin + cfg.soc.cache.lines_total() * line_record_bytes;
 
     rng r(20251016);
     std::size_t threw = 0, resumed = 0;
-    for (int i = 0; i < 450; ++i) {
+    for (int i = 0; i < 600; ++i) {
         scheduler_snapshot m = a;
-        const int which = i % 3;
+        const int which = i % 4;
         auto& bytes = section(m, which);
         const int mutation = static_cast<int>(r.next_below(3));
         if (mutation == 0) {

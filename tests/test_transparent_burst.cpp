@@ -209,11 +209,11 @@ private:
     cycle_t miss_penalty_ = 0;
 };
 
-/// Serializes `x` into `buf`, reusing its storage.
+/// Serializes `x` into `buf`.
 template <typename T>
 const std::vector<std::uint8_t>& snapshot_into(std::vector<std::uint8_t>& buf,
                                                const T& x) {
-    snapshot_writer w(std::move(buf));
+    snapshot_writer w;
     x.save_state(w);
     buf = w.take();
     return buf;

@@ -19,28 +19,34 @@
 //       prints the header, in-flight state and section sizes without
 //       simulating anything; --json emits one machine-readable JSON
 //       object instead (numeric leaves flatten into camdn_report
-//       metrics, so snapshots diff like any other run dump).
+//       metrics, so snapshots diff like any other run dump). The
+//       sections are decoded by the components that write them, so the
+//       tool knows no section's byte layout.
 //
 // Scenario kinds: closed, poisson, mmpp, churn, hybrid (closed-loop +
 // churn). The scenario is a pure function of the flags, so a file saved by
 // one process resumes bit-identically in another.
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "adapt/telemetry.h"
+#include "common/event_queue.h"
 #include "model/model_zoo.h"
+#include "npu/dma_engine.h"
 #include "runtime/scheduler.h"
 #include "runtime/scheduler_snapshot.h"
 #include "runtime/workload.h"
 #include "sim/experiment.h"
+#include "sim/layer_engine.h"
 
 namespace {
 
 using camdn::cycle_t;
 using camdn::event_channel;
+using camdn::never;
 using camdn::runtime::sched_event;
 using camdn::runtime::scheduler_snapshot;
 
@@ -197,56 +203,104 @@ int cmd_load(const options& opt) {
     return 0;
 }
 
-/// Pending events of the typed-event section by channel and scheduler
-/// kind, parsed from the event_queue::save_typed layout. The
-/// bandwidth-epoch timer is armed when a bw_epoch event is pending.
-struct pending_events {
-    bool parsed = false;
-    std::uint64_t total = 0;
-    std::uint64_t dma = 0, layer = 0, page_retry = 0, workload = 0;
-    std::uint64_t bw_epoch = 0;
-    cycle_t bw_when = 0;
+/// Everything inspect reports past the header, decoded in one pass by the
+/// code that owns each section's layout: the typed events by
+/// event_queue::restore_typed, the engine section by the layer and DMA
+/// engines' record readers, the telemetry by telemetry_bus::restore_state.
+/// A section that does not decode keeps the reason instead of its facts.
+struct inspection {
+    camdn::event_queue events;
+    std::string events_error;
+    std::vector<camdn::sim::layer_engine::run_record> runs;
+    camdn::npu::dma_engine::flight_table flights;
+    std::string engine_error;
+    camdn::adapt::telemetry_bus telemetry;
+    std::string telemetry_error;
+
+    /// Typed events pending on the scheduler channel of `kind`.
+    std::size_t sched(sched_event kind) const {
+        return events.pending(event_channel::sched,
+                              static_cast<std::uint8_t>(kind));
+    }
+    /// The bandwidth-epoch timer is armed when its event is pending.
+    cycle_t bw_due() const {
+        const auto bw = static_cast<std::uint8_t>(sched_event::bw_epoch);
+        return events.next_time(event_channel::sched, bw);
+    }
 };
 
-pending_events count_pending(const scheduler_snapshot& snap) {
-    pending_events p;
+/// Runs `decode` over a non-empty section, which must consume it to its
+/// last byte; returns the error, or "" when the section decoded.
+template <typename Decode>
+std::string decode_section(const std::vector<std::uint8_t>& bytes,
+                           Decode decode) {
+    if (bytes.empty()) return "";
     try {
-        camdn::snapshot_reader r(snap.typed_events);
-        p.total = snap.typed_events.empty() ? 0 : r.u64();
-        for (std::uint64_t i = 0; i < p.total; ++i) {
-            const cycle_t when = r.u64();
-            r.u64();  // seq
-            const auto channel = static_cast<event_channel>(r.u8());
-            const auto kind = static_cast<sched_event>(r.u8());
-            r.u64();  // payload a
-            r.u64();  // payload b
-            if (channel == event_channel::dma) {
-                ++p.dma;
-            } else if (channel == event_channel::layer) {
-                ++p.layer;
-            } else if (kind == sched_event::page_retry) {
-                ++p.page_retry;
-            } else if (kind == sched_event::workload) {
-                ++p.workload;
-            } else if (kind == sched_event::bw_epoch) {
-                ++p.bw_epoch;
-                p.bw_when = when;
-            }
-        }
-        p.parsed = true;
-    } catch (const camdn::snapshot_error&) {
+        camdn::snapshot_reader r(bytes);
+        decode(r);
+        if (!r.done()) return "trailing bytes";
+    } catch (const camdn::snapshot_error& e) {
+        return e.what();
     }
-    return p;
+    return "";
+}
+
+void inspect_sections(const scheduler_snapshot& snap, inspection& in) {
+    in.events.restore_now(snap.now);
+    in.events_error =
+        decode_section(snap.typed_events, [&](camdn::snapshot_reader& r) {
+            in.events.restore_typed(r);
+            in.events.restore_next_seq(snap.event_seq);
+        });
+    in.engine_error =
+        decode_section(snap.engine, [&](camdn::snapshot_reader& r) {
+            in.runs = camdn::sim::layer_engine::read_runs(r);
+            in.flights = camdn::npu::dma_engine::read_flights(r);
+        });
+    in.telemetry = camdn::adapt::telemetry_bus(snap.slots);
+    in.telemetry_error =
+        decode_section(snap.telemetry, [&](camdn::snapshot_reader& r) {
+            in.telemetry.restore_state(r, /*keep_history=*/true);
+        });
+}
+
+/// Telemetry rollup: the open epoch's layers and completions, and the
+/// counter totals over the cut history.
+struct telemetry_totals {
+    std::uint64_t open_layers = 0, open_completions = 0;
+    std::uint64_t layers = 0, completions = 0, dma_bytes = 0, dram_bytes = 0;
+    std::uint64_t hits = 0, misses = 0, waits = 0, timeouts = 0;
+};
+
+telemetry_totals total_telemetry(const camdn::adapt::telemetry_bus& bus) {
+    telemetry_totals t;
+    for (const auto& c : bus.open_epoch()) {
+        t.open_layers += c.layers_retired;
+        t.open_completions += c.completions;
+    }
+    for (const auto& e : bus.history()) {
+        for (const auto& c : e.tasks) {
+            t.hits += c.cache_hits;
+            t.misses += c.cache_misses;
+            t.dma_bytes += c.dma_bytes;
+            t.layers += c.layers_retired;
+            t.waits += c.page_wait_cycles;
+            t.timeouts += c.page_timeouts;
+            t.completions += c.completions;
+        }
+        t.dram_bytes += e.dram_bytes;
+    }
+    return t;
 }
 
 /// Machine-readable inspect: one JSON object whose numeric leaves flatten
 /// into camdn_report metrics (so two snapshots diff like two run dumps).
-/// Mirrors the text report's fields; section parse failures degrade to
-/// omitting that group rather than failing the inspect.
-int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
-                     const scheduler_snapshot& snap) {
+/// Carries the text report's facts; a section that does not decode leaves
+/// its group out rather than failing the inspect.
+void print_json(const std::vector<std::uint8_t>& bytes,
+                const scheduler_snapshot& snap, const inspection& in) {
     std::ostream& o = std::cout;
-    const pending_events pend = count_pending(snap);
+    const bool events_ok = in.events_error.empty();
     o << "{\"snapshot\":{"
       << "\"bytes\":" << bytes.size()
       << ",\"version\":" << scheduler_snapshot::version
@@ -257,7 +311,7 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
       << ",\"clock\":" << snap.now
       << ",\"event_seq\":" << snap.event_seq
       << ",\"slots\":" << snap.slots
-      << ",\"bw_timer_armed\":" << (pend.bw_epoch > 0 ? 1 : 0)
+      << ",\"bw_timer_armed\":" << (events_ok && in.bw_due() != never ? 1 : 0)
       << ",\"admission_queue\":" << snap.admission_queue.size()
       << ",\"in_flight\":" << snap.running.size() << "}";
 
@@ -271,92 +325,34 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
     }
     o << "]";
 
-    if (pend.parsed)
-        o << ",\"pending_events\":{\"dma\":" << pend.dma
-          << ",\"layer\":" << pend.layer
-          << ",\"page_retry\":" << pend.page_retry
-          << ",\"workload\":" << pend.workload
-          << ",\"bw_epoch\":" << pend.bw_epoch << "}";
+    if (events_ok)
+        o << ",\"pending_events\":{\"dma\":"
+          << in.events.pending(event_channel::dma)
+          << ",\"layer\":" << in.events.pending(event_channel::layer)
+          << ",\"page_retry\":" << in.sched(sched_event::page_retry)
+          << ",\"workload\":" << in.sched(sched_event::workload)
+          << ",\"bw_epoch\":" << in.sched(sched_event::bw_epoch) << "}";
 
-    try {
-        std::uint64_t runs = 0, flights = 0;
-        if (!snap.engine.empty()) {
-            camdn::snapshot_reader r(snap.engine);
-            runs = r.u64();
-            for (std::uint64_t i = 0; i < runs; ++i) {
-                r.i32();
-                r.i32();
-                r.u64();
-                r.u64();
-                r.u32();
-                r.u64();
-                r.u64();
-                r.u8();
-                for (int f = 0; f < 4; ++f) r.u64();
-            }
-            r.u64();  // next flight id
-            flights = r.u64();
-        }
-        o << ",\"engine\":{\"layer_runs\":" << runs
-          << ",\"dma_flights\":" << flights
-          << ",\"pending_typed_events\":" << pend.total << "}";
-    } catch (const camdn::snapshot_error&) {
-    }
+    if (in.engine_error.empty())
+        o << ",\"engine\":{\"layer_runs\":" << in.runs.size()
+          << ",\"dma_flights\":" << in.flights.flights.size()
+          << ",\"pending_typed_events\":"
+          << (events_ok ? in.events.pending() : 0) << "}";
 
-    try {
-        if (!snap.telemetry.empty()) {
-            camdn::snapshot_reader r(snap.telemetry);
-            const std::uint64_t epoch_start = r.u64();
-            const std::uint64_t slots = r.u64();
-            std::uint64_t open_layers = 0, open_completions = 0;
-            for (std::uint64_t s = 0; s < slots; ++s) {
-                std::uint64_t c[15];
-                for (auto& v : c) v = r.u64();
-                r.i64();
-                open_layers += c[5];
-                open_completions += c[12];
-            }
-            const std::uint64_t epochs = r.u64();
-            std::uint64_t layers = 0, completions = 0, dma_bytes = 0;
-            std::uint64_t hits = 0, misses = 0, waits = 0, timeouts = 0;
-            std::uint64_t dram_bytes = 0;
-            for (std::uint64_t e = 0; e < epochs; ++e) {
-                r.u64();
-                r.u64();
-                r.u64();
-                const std::uint64_t n = r.u64();
-                for (std::uint64_t s = 0; s < n; ++s) {
-                    std::uint64_t c[15];
-                    for (auto& v : c) v = r.u64();
-                    r.i64();
-                    hits += c[0];
-                    misses += c[1];
-                    dma_bytes += c[4];
-                    layers += c[5];
-                    waits += c[9];
-                    timeouts += c[10];
-                    completions += c[12];
-                }
-                dram_bytes += r.u64();
-                r.u64();
-                r.d();
-                r.u32();
-                r.u32();
-            }
-            o << ",\"telemetry\":{\"epochs\":" << epochs
-              << ",\"open_epoch_start\":" << epoch_start
-              << ",\"open_layers\":" << open_layers
-              << ",\"open_completions\":" << open_completions
-              << ",\"layers\":" << layers
-              << ",\"completions\":" << completions
-              << ",\"dma_bytes\":" << dma_bytes
-              << ",\"dram_bytes\":" << dram_bytes
-              << ",\"cache_hits\":" << hits
-              << ",\"cache_misses\":" << misses
-              << ",\"page_wait_cycles\":" << waits
-              << ",\"page_timeouts\":" << timeouts << "}";
-        }
-    } catch (const camdn::snapshot_error&) {
+    if (!snap.telemetry.empty() && in.telemetry_error.empty()) {
+        const telemetry_totals t = total_telemetry(in.telemetry);
+        o << ",\"telemetry\":{\"epochs\":" << in.telemetry.history().size()
+          << ",\"open_epoch_start\":" << in.telemetry.epoch_start()
+          << ",\"open_layers\":" << t.open_layers
+          << ",\"open_completions\":" << t.open_completions
+          << ",\"layers\":" << t.layers
+          << ",\"completions\":" << t.completions
+          << ",\"dma_bytes\":" << t.dma_bytes
+          << ",\"dram_bytes\":" << t.dram_bytes
+          << ",\"cache_hits\":" << t.hits
+          << ",\"cache_misses\":" << t.misses
+          << ",\"page_wait_cycles\":" << t.waits
+          << ",\"page_timeouts\":" << t.timeouts << "}";
     }
 
     o << ",\"sections\":{"
@@ -367,15 +363,12 @@ int cmd_inspect_json(const std::vector<std::uint8_t>& bytes,
       << ",\"controller\":" << snap.controller.size()
       << ",\"workload\":" << snap.workload.size()
       << ",\"results\":" << snap.results.size() << "}}\n";
-    return 0;
 }
 
-int cmd_inspect(const options& opt) {
-    const auto bytes = read_file(opt.file);
-    const auto snap = scheduler_snapshot::decode(bytes);
-    if (opt.json) return cmd_inspect_json(bytes, snap);
-    const pending_events pend = count_pending(snap);
-
+void print_text(const std::vector<std::uint8_t>& bytes,
+                const scheduler_snapshot& snap, const inspection& in) {
+    const bool events_ok = in.events_error.empty();
+    const cycle_t bw_due = events_ok ? in.bw_due() : never;
     std::cout << "camdn scheduler snapshot (" << bytes.size() << " bytes)\n"
               << "  version:              " << scheduler_snapshot::version
               << "\n"
@@ -387,9 +380,8 @@ int cmd_inspect(const options& opt) {
               << "  event seq:            " << snap.event_seq << "\n"
               << "  slots:                " << snap.slots << "\n"
               << "  bw timer:             "
-              << (pend.bw_epoch > 0
-                      ? "armed at " + std::to_string(pend.bw_when)
-                      : std::string("idle"))
+              << (bw_due != never ? "armed at " + std::to_string(bw_due)
+                                  : std::string("idle"))
               << "\n"
               << "  admission queue:      " << snap.admission_queue.size()
               << " request(s)\n"
@@ -402,106 +394,47 @@ int cmd_inspect(const options& opt) {
                   << "\n";
     }
 
-    // The engine section: layer-run cursors, then DMA flights. This
-    // mirrors the save_state layouts of sim::layer_engine and
-    // npu::dma_engine for the current snapshot version (decode above
-    // already rejected any other version); a parse failure here is
-    // reported without failing the inspect.
-    try {
-        if (!snap.engine.empty()) {
-            camdn::snapshot_reader r(snap.engine);
-            const std::uint64_t runs = r.u64();
-            for (std::uint64_t i = 0; i < runs; ++i) {
-                const std::int32_t slot = r.i32();
-                r.i32();  // candidate index
-                const std::uint64_t idx = r.u64();
-                r.u64();  // load_tile
-                const std::uint32_t loads = r.u32();
-                r.u64();  // load_latest
-                const std::uint64_t stores = r.u64();
-                r.u8();   // all_issued
-                for (int f = 0; f < 4; ++f) r.u64();  // horizons
-                std::cout << "  layer run (slot " << slot
-                          << "): tile cursor " << idx << ", " << loads
-                          << " load(s) and " << stores
-                          << " store(s) outstanding\n";
-            }
-            r.u64();  // next flight id
-            const std::uint64_t flights = r.u64();
-            std::cout << "  dma flights:          " << flights << "\n";
-        }
-    } catch (const camdn::snapshot_error& e) {
-        std::cout << "  (engine section did not parse: " << e.what() << ")\n";
+    if (!in.engine_error.empty()) {
+        std::cout << "  (engine section did not parse: " << in.engine_error
+                  << ")\n";
+    } else if (!snap.engine.empty()) {
+        for (const auto& run : in.runs)
+            std::cout << "  layer run (slot " << run.slot << "): tile cursor "
+                      << run.idx << ", " << run.load_remaining
+                      << " load(s) and " << run.pending_stores
+                      << " store(s) outstanding\n";
+        std::cout << "  dma flights:          " << in.flights.flights.size()
+                  << "\n";
     }
 
-    if (pend.parsed)
-        std::cout << "  pending typed events: " << pend.total << " (dma "
-                  << pend.dma << ", layer " << pend.layer << ", page_retry "
-                  << pend.page_retry << ", workload " << pend.workload
-                  << ", bw_epoch " << pend.bw_epoch << ")\n";
+    if (events_ok)
+        std::cout << "  pending typed events: " << in.events.pending()
+                  << " (dma " << in.events.pending(event_channel::dma)
+                  << ", layer " << in.events.pending(event_channel::layer)
+                  << ", page_retry " << in.sched(sched_event::page_retry)
+                  << ", workload " << in.sched(sched_event::workload)
+                  << ", bw_epoch " << in.sched(sched_event::bw_epoch) << ")\n";
     else
-        std::cout << "  (typed-event section did not parse)\n";
+        std::cout << "  (typed-event section did not parse: "
+                  << in.events_error << ")\n";
 
-    // Telemetry summary: epoch count, open-epoch state and the counter
-    // totals across the recorded history (mirrors adapt::telemetry_bus::
-    // save_state for the current snapshot version).
-    try {
-        if (!snap.telemetry.empty()) {
-            camdn::snapshot_reader r(snap.telemetry);
-            const std::uint64_t epoch_start = r.u64();
-            const std::uint64_t slots = r.u64();
-            // Open-epoch counters: layers retired / completions accumulated
-            // since the last cut tell whether the epoch has content.
-            std::uint64_t open_layers = 0, open_completions = 0;
-            for (std::uint64_t s = 0; s < slots; ++s) {
-                std::uint64_t c[15];
-                for (auto& v : c) v = r.u64();
-                r.i64();  // slack_cycles
-                open_layers += c[5];
-                open_completions += c[12];
-            }
-            const std::uint64_t epochs = r.u64();
-            std::uint64_t layers = 0, completions = 0, dma_bytes = 0;
-            std::uint64_t hits = 0, misses = 0, waits = 0, timeouts = 0;
-            std::uint64_t dram_bytes = 0;
-            for (std::uint64_t e = 0; e < epochs; ++e) {
-                r.u64();  // index
-                r.u64();  // start
-                r.u64();  // end
-                const std::uint64_t n = r.u64();
-                for (std::uint64_t s = 0; s < n; ++s) {
-                    std::uint64_t c[15];
-                    for (auto& v : c) v = r.u64();
-                    r.i64();  // slack_cycles
-                    hits += c[0];
-                    misses += c[1];
-                    dma_bytes += c[4];
-                    layers += c[5];
-                    waits += c[9];
-                    timeouts += c[10];
-                    completions += c[12];
-                }
-                dram_bytes += r.u64();
-                r.u64();  // dram_throttled
-                r.d();    // bw_utilization
-                r.u32();  // idle_pages
-                r.u32();  // active_slots
-            }
-            std::cout << "  telemetry epochs:     " << epochs
-                      << " (open epoch since cycle " << epoch_start << ": "
-                      << open_layers << " layer(s), " << open_completions
-                      << " completion(s))\n"
-                      << "  telemetry totals:     " << layers << " layers, "
-                      << completions << " completions, "
-                      << dma_bytes / (1024.0 * 1024.0) << " MiB DMA, "
-                      << dram_bytes / (1024.0 * 1024.0) << " MiB DRAM\n"
-                      << "                        cache " << hits << " hit(s) / "
-                      << misses << " miss(es), page-wait " << waits
-                      << " cycle(s), " << timeouts << " timeout(s)\n";
-        }
-    } catch (const camdn::snapshot_error& e) {
-        std::cout << "  (telemetry section did not parse: " << e.what()
-                  << ")\n";
+    if (!in.telemetry_error.empty()) {
+        std::cout << "  (telemetry section did not parse: "
+                  << in.telemetry_error << ")\n";
+    } else if (!snap.telemetry.empty()) {
+        const telemetry_totals t = total_telemetry(in.telemetry);
+        std::cout << "  telemetry epochs:     " << in.telemetry.history().size()
+                  << " (open epoch since cycle " << in.telemetry.epoch_start()
+                  << ": " << t.open_layers << " layer(s), "
+                  << t.open_completions << " completion(s))\n"
+                  << "  telemetry totals:     " << t.layers << " layers, "
+                  << t.completions << " completions, "
+                  << t.dma_bytes / (1024.0 * 1024.0) << " MiB DMA, "
+                  << t.dram_bytes / (1024.0 * 1024.0) << " MiB DRAM\n"
+                  << "                        cache " << t.hits
+                  << " hit(s) / " << t.misses << " miss(es), page-wait "
+                  << t.waits << " cycle(s), " << t.timeouts
+                  << " timeout(s)\n";
     }
 
     auto section = [](const char* name, const std::vector<std::uint8_t>& b) {
@@ -514,6 +447,17 @@ int cmd_inspect(const options& opt) {
     section("controller  ", snap.controller);
     section("workload    ", snap.workload);
     section("results     ", snap.results);
+}
+
+int cmd_inspect(const options& opt) {
+    const auto bytes = read_file(opt.file);
+    const auto snap = scheduler_snapshot::decode(bytes);
+    inspection in;
+    inspect_sections(snap, in);
+    if (opt.json)
+        print_json(bytes, snap, in);
+    else
+        print_text(bytes, snap, in);
     return 0;
 }
 
