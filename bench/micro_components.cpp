@@ -200,9 +200,7 @@ BENCHMARK(bm_transparent_burst);
 static void bm_region_read_burst(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};
     cache::shared_cache c{cache::cache_config{}, d};
-    auto pages = c.pages().try_allocate(0, 8).value();
-    auto& cpt = c.cpt(0);
-    for (std::uint32_t v = 0; v < pages.size(); ++v) cpt.map(v, pages[v]);
+    c.pages().try_allocate(0, 8);
     for (auto _ : state) {
         benchmark::DoNotOptimize(c.region_read_burst(0, 0, 512, 0));
     }
@@ -211,12 +209,16 @@ static void bm_region_read_burst(benchmark::State& state) {
 BENCHMARK(bm_region_read_burst);
 
 static void bm_cpt_translate(benchmark::State& state) {
-    cache::cache_page_table cpt{cache::cache_config{}};
-    for (std::uint32_t v = 0; v < 384; ++v) cpt.map(v, 128 + v);
+    const cache::cache_config cfg;
+    const cache::page_translation cpt{cfg};
+    cache::page_allocator pool{cfg};
+    pool.try_allocate(0, pool.total_pages());
+    const auto& held = pool.pages_of(0);
     addr_t vcaddr = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cpt.translate(vcaddr));
-        vcaddr = (vcaddr + line_bytes) % (384 * kib(32));
+        benchmark::DoNotOptimize(
+            cpt.translate(held[cpt.page_of(vcaddr)], cpt.offset_in_page(vcaddr)));
+        vcaddr = (vcaddr + line_bytes) % (held.size() * cfg.page_bytes);
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -225,8 +227,7 @@ BENCHMARK(bm_cpt_translate);
 static void bm_page_alloc_release(benchmark::State& state) {
     cache::page_allocator pool{cache::cache_config{}};
     for (auto _ : state) {
-        auto got = pool.try_allocate(0, 32);
-        benchmark::DoNotOptimize(got);
+        benchmark::DoNotOptimize(pool.try_allocate(0, 32));
         pool.release(0, 32);
     }
     state.SetItemsProcessed(state.iterations());
@@ -245,9 +246,7 @@ struct warm_machine {
         for (std::uint64_t i = 0; i < lines; ++i)
             cache.transparent_access(i * line_bytes, i % 4 == 0, i,
                                      static_cast<task_id>(i % 2));
-        const auto pages = cache.pages().try_allocate(0, 16).value();
-        for (std::uint32_t v = 0; v < pages.size(); ++v)
-            cache.cpt(0).map(v, pages[v]);
+        cache.pages().try_allocate(0, 16);
     }
     // `cache` holds a reference to `dram`.
     warm_machine(const warm_machine&) = delete;
@@ -326,7 +325,7 @@ static void bm_algorithm1_select(benchmark::State& state) {
         tasks[i].mdl = &m;
         tasks[i].mapping = &mapping;
         tasks[i].current_layer = static_cast<std::uint32_t>(i * 7 % 60);
-        tasks[i].p_alloc = 24;
+        pool.try_allocate(i, 24);
         tasks[i].p_next = 12;
         tasks[i].t_next = 1000 * i;
         running.push_back(&tasks[i]);

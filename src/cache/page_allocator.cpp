@@ -1,7 +1,8 @@
 #include "cache/page_allocator.h"
 
 #include <algorithm>
-#include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace camdn::cache {
 
@@ -16,55 +17,30 @@ page_allocator::page_allocator(const cache_config& config) {
     for (std::uint32_t pcpn = last; pcpn > first; --pcpn) free_.push_back(pcpn - 1);
 }
 
-std::uint32_t page_allocator::allocated(task_id task) const {
-    auto it = held_.find(task);
-    return it == held_.end() ? 0 : static_cast<std::uint32_t>(it->second.size());
+bool page_allocator::try_allocate(task_id task, std::uint32_t count) {
+    if (task < 0)
+        throw std::invalid_argument("page_allocator: pages belong to real "
+                                    "tasks, not id " + std::to_string(task));
+    if (count > free_.size()) return false;
+    const auto idx = static_cast<std::size_t>(task);
+    if (idx >= held_.size()) held_.resize(idx + 1);
+    auto& mine = held_[idx];
+    mine.insert(mine.end(), free_.rbegin(), free_.rbegin() + count);
+    free_.resize(free_.size() - count);
+    return true;
 }
 
-const std::vector<std::uint32_t>& page_allocator::pages_of(task_id task) const {
-    static const std::vector<std::uint32_t> empty;
-    auto it = held_.find(task);
-    return it == held_.end() ? empty : it->second;
-}
-
-std::optional<std::vector<std::uint32_t>> page_allocator::try_allocate(
-    task_id task, std::uint32_t count) {
-    if (count > free_.size()) return std::nullopt;
-    std::vector<std::uint32_t> taken;
-    taken.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        taken.push_back(free_.back());
-        free_.pop_back();
-    }
-    auto& mine = held_[task];
-    mine.insert(mine.end(), taken.begin(), taken.end());
-    return taken;
-}
-
-std::vector<std::uint32_t> page_allocator::release(task_id task,
-                                                   std::uint32_t count) {
-    std::vector<std::uint32_t> freed;
-    auto it = held_.find(task);
-    if (it == held_.end()) return freed;
-    auto& mine = it->second;
-    if (count > mine.size()) count = static_cast<std::uint32_t>(mine.size());
-    freed.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        freed.push_back(mine.back());
-        mine.pop_back();
-        free_.push_back(freed.back());
-    }
-    if (mine.empty()) held_.erase(it);
-    return freed;
-}
-
-std::vector<std::uint32_t> page_allocator::release_all(task_id task) {
-    return release(task, allocated(task));
+void page_allocator::release(task_id task, std::uint32_t count) {
+    if (task < 0 || static_cast<std::size_t>(task) >= held_.size()) return;
+    auto& mine = held_[static_cast<std::size_t>(task)];
+    count = std::min(count, static_cast<std::uint32_t>(mine.size()));
+    free_.insert(free_.end(), mine.rbegin(), mine.rbegin() + count);
+    mine.resize(mine.size() - count);
 }
 
 bool page_allocator::accounting_consistent() const {
     std::size_t held = 0;
-    for (const auto& [task, pages] : held_) held += pages.size();
+    for (const auto& pages : held_) held += pages.size();
     return held + free_.size() == total_;
 }
 
@@ -73,20 +49,18 @@ void page_allocator::save_state(snapshot_writer& w) const {
     w.u64(free_.size());
     for (const std::uint32_t pcpn : free_) w.u32(pcpn);
 
-    std::vector<task_id> holders;
-    holders.reserve(held_.size());
-    for (const auto& [task, pages] : held_) holders.push_back(task);
-    std::sort(holders.begin(), holders.end());
-    w.u64(holders.size());
-    for (const task_id t : holders) {
-        const auto& pages = held_.at(t);
-        w.i32(t);
-        w.u64(pages.size());
-        for (const std::uint32_t pcpn : pages) w.u32(pcpn);
+    w.u64(static_cast<std::uint64_t>(
+        std::count_if(held_.begin(), held_.end(),
+                      [](const auto& pages) { return !pages.empty(); })));
+    for (std::size_t t = 0; t < held_.size(); ++t) {
+        if (held_[t].empty()) continue;
+        w.i32(static_cast<task_id>(t));
+        w.u64(held_[t].size());
+        for (const std::uint32_t pcpn : held_[t]) w.u32(pcpn);
     }
 }
 
-void page_allocator::restore_state(snapshot_reader& r) {
+void page_allocator::restore_state(snapshot_reader& r, std::size_t task_slots) {
     const std::uint32_t total = r.u32();
     if (total != total_)
         throw snapshot_error("snapshot page-pool size mismatch: saved " +
@@ -97,7 +71,7 @@ void page_allocator::restore_state(snapshot_reader& r) {
     // corrupt-but-well-formed snapshot (out-of-range or duplicated pcpn)
     // is rejected instead of silently corrupting cache addressing.
     std::vector<std::uint32_t> valid = free_;
-    for (const auto& [task, pages] : held_)
+    for (const auto& pages : held_)
         valid.insert(valid.end(), pages.begin(), pages.end());
     std::sort(valid.begin(), valid.end());
 
@@ -106,18 +80,29 @@ void page_allocator::restore_state(snapshot_reader& r) {
     free_.reserve(nfree);
     for (std::uint64_t i = 0; i < nfree; ++i) free_.push_back(r.u32());
 
+    // Holders were saved in strictly ascending id order, so an id at or
+    // below its predecessor's (the first's predecessor is -1) is negative,
+    // repeated or out of order.
     held_.clear();
     const std::uint64_t holders = r.count(12);
+    task_id last = -1;
     for (std::uint64_t h = 0; h < holders; ++h) {
         const task_id t = r.i32();
+        if (t <= last || static_cast<std::size_t>(t) >= task_slots)
+            throw snapshot_error(
+                "snapshot page-pool holder id " + std::to_string(t) +
+                " is negative, repeated, out of order or outside the " +
+                std::to_string(task_slots) + " task slots");
+        last = t;
         const std::uint64_t n = r.count(4);
-        auto& pages = held_[t];
+        held_.resize(static_cast<std::size_t>(t) + 1);
+        auto& pages = held_.back();
         pages.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) pages.push_back(r.u32());
     }
 
     std::vector<std::uint32_t> restored = free_;
-    for (const auto& [task, pages] : held_)
+    for (const auto& pages : held_)
         restored.insert(restored.end(), pages.begin(), pages.end());
     std::sort(restored.begin(), restored.end());
     if (restored != valid)

@@ -1,7 +1,6 @@
 #include "cache/shared_cache.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -77,6 +76,7 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
       slice_free_(config.slices, 0),
       slice_start_(config.slices, 0),
       pages_(config),
+      translation_(config),
       miss_penalty_cycles_(dram.isolated_line_service_cycles() +
                            config.fill_latency + config.noc_latency) {
     const std::size_t nsets = static_cast<std::size_t>(config_.slices) * sets_;
@@ -353,17 +353,24 @@ std::uint64_t shared_cache::task_misses(task_id task) const {
                : 0;
 }
 
-cache_page_table& shared_cache::cpt(task_id task) {
-    assert(task >= 0 && "CPTs belong to real tasks");
-    const auto idx = static_cast<std::size_t>(task);
-    if (idx >= cpts_.size()) cpts_.resize(idx + 1);
-    if (!cpts_[idx]) cpts_[idx] = std::make_unique<cache_page_table>(config_);
-    return *cpts_[idx];
+namespace {
+/// region_slice's error path, out of line so the bursts stay small.
+[[noreturn]] void unheld_page(task_id task, std::uint32_t vcpn,
+                              std::size_t held) {
+    throw std::logic_error("NEC access to virtual cache page " +
+                           std::to_string(vcpn) + " of task " +
+                           std::to_string(task) + ", which holds " +
+                           std::to_string(held) + " pages");
 }
+}  // namespace
 
-void shared_cache::destroy_cpt(task_id task) {
-    if (task >= 0 && static_cast<std::size_t>(task) < cpts_.size())
-        cpts_[task].reset();
+std::uint32_t shared_cache::region_slice(task_id task, addr_t vcaddr) const {
+    const std::uint32_t vcpn = translation_.page_of(vcaddr);
+    const std::vector<std::uint32_t>& held = pages_.pages_of(task);
+    if (vcpn >= held.size()) unheld_page(task, vcpn, held.size());
+    return translation_
+        .translate(held[vcpn], translation_.offset_in_page(vcaddr))
+        .slice;
 }
 
 cycle_t shared_cache::region_read_burst(task_id task, addr_t vcaddr,
@@ -373,8 +380,7 @@ cycle_t shared_cache::region_read_burst(task_id task, addr_t vcaddr,
     stats_.region_reads += nlines;
     if (group_size > 1) stats_.multicast_combined += (group_size - 1) * nlines;
     if (probe_ != nullptr) probe_->region_lines(task, nlines);
-    const pcaddr first = cpt(task).translate(vcaddr);
-    return occupy_striped(first.slice, nlines, arrival, task) +
+    return occupy_striped(region_slice(task, vcaddr), nlines, arrival, task) +
            config_.hit_latency;
 }
 
@@ -383,8 +389,7 @@ cycle_t shared_cache::region_write_burst(task_id task, addr_t vcaddr,
     if (nlines == 0) return arrival;
     stats_.region_writes += nlines;
     if (probe_ != nullptr) probe_->region_lines(task, nlines);
-    const pcaddr first = cpt(task).translate(vcaddr);
-    return occupy_striped(first.slice, nlines, arrival, task) +
+    return occupy_striped(region_slice(task, vcaddr), nlines, arrival, task) +
            config_.noc_latency;
 }
 
@@ -394,11 +399,10 @@ cycle_t shared_cache::region_fill_burst(task_id task, addr_t vcaddr,
     if (nlines == 0) return arrival;
     stats_.region_fills += nlines;
     if (probe_ != nullptr) probe_->fill_lines(task, nlines);
-    const pcaddr first = cpt(task).translate(vcaddr);
+    const std::uint32_t slice = region_slice(task, vcaddr);
     const cycle_t dram_done =
         dram_.access_burst(dram_addr, nlines, false, arrival, task);
-    const cycle_t slices_done =
-        occupy_striped(first.slice, nlines, arrival, task);
+    const cycle_t slices_done = occupy_striped(slice, nlines, arrival, task);
     return std::max(dram_done, slices_done) + config_.fill_latency;
 }
 
@@ -408,9 +412,8 @@ cycle_t shared_cache::region_writeback_burst(task_id task, addr_t vcaddr,
                                              cycle_t arrival) {
     if (nlines == 0) return arrival;
     stats_.region_writebacks += nlines;
-    const pcaddr first = cpt(task).translate(vcaddr);
     const cycle_t slices_done =
-        occupy_striped(first.slice, nlines, arrival, task);
+        occupy_striped(region_slice(task, vcaddr), nlines, arrival, task);
     return dram_.access_burst(dram_addr, nlines, true, slices_done, task);
 }
 
@@ -447,7 +450,6 @@ void save_stats(snapshot_writer& w, const cache_stats& s) {
     w.u64(s.region_writebacks);
     w.u64(s.bypass_reads);
     w.u64(s.bypass_writes);
-    w.u64(s.multicast_reads);
     w.u64(s.multicast_combined);
     w.u64(s.slice_busy_cycles);
 }
@@ -465,7 +467,6 @@ void restore_stats(snapshot_reader& r, cache_stats& s) {
     s.region_writebacks = r.u64();
     s.bypass_reads = r.u64();
     s.bypass_writes = r.u64();
-    s.multicast_reads = r.u64();
     s.multicast_combined = r.u64();
     s.slice_busy_cycles = r.u64();
 }
@@ -514,18 +515,6 @@ void shared_cache::save_state(snapshot_writer& w) const {
     save_counter_vec(w, task_hits_);
     save_counter_vec(w, task_misses_);
     pages_.save_state(w);
-
-    // Live tables in ascending task order — the same bytes the old sorted
-    // owner walk produced.
-    std::uint64_t live = 0;
-    for (const auto& table : cpts_)
-        if (table) ++live;
-    w.u64(live);
-    for (std::size_t t = 0; t < cpts_.size(); ++t) {
-        if (!cpts_[t]) continue;
-        w.i32(static_cast<task_id>(t));
-        cpts_[t]->save_state(w);
-    }
 }
 
 void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
@@ -578,37 +567,7 @@ void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
     restore_stats(r, stats_);
     restore_counter_vec(r, task_hits_);
     restore_counter_vec(r, task_misses_);
-    pages_.restore_state(r);
-
-    // Tables were saved in strictly ascending task order, one per slot at
-    // most; cpts_ grows to each accepted id, so an id below its size is a
-    // repeat or out of order.
-    cpts_.clear();
-    const std::uint64_t ncpts = r.count(12);
-    for (std::uint64_t i = 0; i < ncpts; ++i) {
-        const task_id t = r.i32();
-        if (t < 0 || static_cast<std::size_t>(t) >= task_slots ||
-            static_cast<std::size_t>(t) < cpts_.size())
-            throw snapshot_error(
-                "snapshot CPT task id " + std::to_string(t) +
-                " is repeated, out of order or outside the " +
-                std::to_string(task_slots) + " task slots");
-        auto table = std::make_unique<cache_page_table>(config_);
-        table->restore_state(r);
-        // A model's region maps only pages the pool gave that model.
-        std::vector<bool> held(config_.pages_total(), false);
-        for (const std::uint32_t pcpn : pages_.pages_of(t)) held[pcpn] = true;
-        for (std::uint32_t v = 0; v < table->capacity(); ++v) {
-            const auto pcpn = table->lookup(v);
-            if (pcpn && !held[*pcpn])
-                throw snapshot_error("snapshot CPT of task " +
-                                     std::to_string(t) + " maps page " +
-                                     std::to_string(*pcpn) +
-                                     ", which the task does not hold");
-        }
-        cpts_.resize(static_cast<std::size_t>(t) + 1);
-        cpts_[t] = std::move(table);
-    }
+    pages_.restore_state(r, task_slots);
 }
 
 }  // namespace camdn::cache

@@ -11,7 +11,7 @@
 // The two paths are disjoint by way index once partitioning is enabled:
 // the way-mask register keeps transparent fills inside the low
 // `cpu_ways` ways while NEC operations address the high `npu_ways` ways
-// through CPT translation.
+// through CPT translation of the pages the pool holds for their task.
 //
 // Timing: each slice serves one line per cycle (tracked as a busy-until
 // horizon per slice); DRAM interactions delegate to dram::dram_system.
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache_config.h"
@@ -73,9 +72,6 @@ struct cache_stats {
     std::uint64_t region_writebacks = 0;
     std::uint64_t bypass_reads = 0;
     std::uint64_t bypass_writes = 0;
-    /// Written by nothing since the single-line multicast read is gone;
-    /// kept because it is part of the snapshot layout.
-    std::uint64_t multicast_reads = 0;
     /// Requests that multicast combining removed from the NoC/memory.
     std::uint64_t multicast_combined = 0;
     /// Total slice service slots consumed (1 cycle each).
@@ -130,14 +126,15 @@ public:
     std::uint64_t task_hits(task_id task) const;
     std::uint64_t task_misses(task_id task) const;
 
-    // ---- Model-exclusive regions (CPT + page pool) ----
+    // ---- Model-exclusive regions (page pool) ----
 
-    cache_page_table& cpt(task_id task);
-    void destroy_cpt(task_id task);
     page_allocator& pages() { return pages_; }
     const page_allocator& pages() const { return pages_; }
 
     // ---- NEC semantics (bursts over consecutive lines) ----
+    // A region burst covers `nlines` lines from virtual cache address
+    // `vcaddr` of `task`'s region; it throws std::logic_error when the
+    // task does not hold the page of the burst's first line.
 
     cycle_t region_read_burst(task_id task, addr_t vcaddr, std::uint64_t nlines,
                               cycle_t arrival, std::uint32_t group_size = 1);
@@ -162,14 +159,12 @@ public:
     /// Checkpoint support: serializes / restores the full warm state —
     /// transparent lines with their LRU stamps, slice busy horizons
     /// (absolute cycles; the resumed run continues the same clock),
-    /// cumulative stats, per-task hit/miss counters, the page pool and
-    /// every live CPT. restore_state throws snapshot_error on a geometry
-    /// mismatch, on a valid line stamped after the saved LRU tick (no run
-    /// produces one, and the recency order could not honour it), on CPT
-    /// task ids that are not strictly ascending or not below `task_slots`
-    /// (the resuming scheduler's slot count), and on a CPT that maps a
-    /// page its task does not hold (regions are model-exclusive, paper
-    /// §III-B).
+    /// cumulative stats, per-task hit/miss counters and the page pool.
+    /// restore_state throws snapshot_error on a geometry mismatch, on a
+    /// valid line stamped after the saved LRU tick (no run produces one,
+    /// and the recency order could not honour it), and on a page pool
+    /// page_allocator::restore_state rejects (`task_slots` is the resuming
+    /// scheduler's slot count).
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r, std::size_t task_slots);
 
@@ -229,6 +224,11 @@ private:
     /// Transparent lines of the geometry (snapshot record count).
     std::size_t lines() const { return hot_.size() * config_.ways; }
 
+    /// The slice of the line of `task`'s region holding `vcaddr`,
+    /// translated through the task's held pages. Throws std::logic_error
+    /// when the task does not hold the page.
+    std::uint32_t region_slice(task_id task, addr_t vcaddr) const;
+
     /// Reserves `nlines` striped service slots starting at `start_slice`,
     /// one per line at or after `arrival`; returns the cycle the last
     /// completes. `task` is the requester, for attribution only (no_task =
@@ -263,10 +263,7 @@ private:
     std::vector<dram::line_request> dram_run_;
 
     page_allocator pages_;
-    /// Per-task CPTs, indexed by task id (small dense ints) — the hot NEC
-    /// path reaches its table with one load instead of a hash probe. Tasks
-    /// without a table hold nullptr.
-    std::vector<std::unique_ptr<cache_page_table>> cpts_;
+    page_translation translation_;
 
     cache_stats stats_;
     std::vector<std::uint64_t> task_hits_;

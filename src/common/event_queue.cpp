@@ -117,6 +117,11 @@ void event_queue::restore_typed(snapshot_reader& r) {
         if (ev.channel >= n_event_channels)
             throw snapshot_error("snapshot typed event on unknown channel " +
                                  std::to_string(ev.channel));
+        if (ev.kind >=
+            event_kind_count(static_cast<event_channel>(ev.channel)))
+            throw snapshot_error("snapshot typed event of unknown kind " +
+                                 std::to_string(ev.kind) + " on channel " +
+                                 std::to_string(ev.channel));
         ev.a = r.u64();
         ev.b = r.u64();
         // restore_event() would clamp a past event to now(), moving it.

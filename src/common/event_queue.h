@@ -71,6 +71,19 @@ enum class event_channel : std::uint8_t {
 };
 inline constexpr std::size_t n_event_channels = 3;
 
+/// Kinds each channel defines, numbered from 0 — dma: chunk_done; layer:
+/// tile gate, store due; sched: runtime::sched_event. restore_typed
+/// rejects a kind at or past its channel's count, and each component
+/// static_asserts its kinds against it.
+constexpr std::uint8_t event_kind_count(event_channel ch) {
+    switch (ch) {
+        case event_channel::dma: return 1;
+        case event_channel::layer: return 2;
+        case event_channel::sched: return 3;
+    }
+    return 0;
+}
+
 /// One serializable event record: which component (channel), which of its
 /// transitions (kind, component-defined) and two payload words whose
 /// meaning the component owns (flight ids, slot ids, tile indices, arrival
@@ -132,8 +145,9 @@ public:
     void save_typed(snapshot_writer& w) const;
 
     /// Re-arms a saved pending set. The caller restores now() first and
-    /// next_seq() after. Throws snapshot_error on an unknown channel, an
-    /// event due before now(), or a sequence number some pending event
+    /// next_seq() after. Throws snapshot_error on an unknown channel or a
+    /// kind its channel does not define, an event due before now(), or a
+    /// sequence number some pending event
     /// already holds (two events equal in (when, seq) have no defined pop
     /// order).
     void restore_typed(snapshot_reader& r);

@@ -168,7 +168,7 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
             continue;
         eq_.schedule_event(
             next, typed_event{static_cast<std::uint8_t>(event_channel::dma),
-                              0, id, 0});
+                              kind_chunk_done, id, 0});
         return;
     }
 }

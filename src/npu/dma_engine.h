@@ -138,6 +138,11 @@ public:
     }
 
 private:
+    /// The DMA channel's one typed-event kind; a = flight id.
+    static constexpr std::uint8_t kind_chunk_done = 0;
+    static_assert(kind_chunk_done + 1 == event_kind_count(event_channel::dma),
+                  "event_kind_count(dma) counts the DMA engine's kinds");
+
     /// In-flight bookkeeping of one submitted transfer: its record (plain
     /// data, so every flight serializes) plus a ring cursor. Outstanding
     /// chunk completions live in `out[out_head..]`, a vector consumed

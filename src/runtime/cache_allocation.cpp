@@ -11,7 +11,7 @@ std::int64_t cache_allocation_algorithm::predict_available_pages(
     for (const task* t : running) {
         if (t == nullptr || t->id == current.id) continue;
         if (t->t_next < t_ahead) {
-            ahead += static_cast<std::int64_t>(t->p_alloc) -
+            ahead += static_cast<std::int64_t>(pool.allocated(t->id)) -
                      static_cast<std::int64_t>(t->p_next);
         }
     }

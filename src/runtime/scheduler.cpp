@@ -42,6 +42,9 @@ struct fingerprint {
 constexpr std::uint8_t kind(sched_event k) {
     return static_cast<std::uint8_t>(k);
 }
+static_assert(kind(sched_event::bw_epoch) + 1 ==
+                  event_kind_count(event_channel::sched),
+              "event_kind_count(sched) counts every sched_event");
 
 /// A typed event on the scheduler's channel.
 typed_event sched_ev(sched_event k, std::uint64_t a = 0) {
@@ -84,7 +87,6 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
 
     const std::uint32_t slots = cfg_.co_located;
     tasks_.resize(slots);
-    slot_busy_.assign(slots, false);
     neg_.assign(slots, {});
     addrs_.reserve(slots);
     for (std::uint32_t s = 0; s < slots; ++s) {
@@ -245,7 +247,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
     for (const auto& rs : snap.running) {
         if (rs.slot < 0 || static_cast<std::size_t>(rs.slot) >= tasks_.size())
             throw snapshot_error("snapshot running slot out of range");
-        if (slot_busy_[rs.slot])
+        if (tasks_[rs.slot].running())
             throw snapshot_error("snapshot running slot appears twice");
         task& t = tasks_[rs.slot];
         t.mdl = find_model(rs.model);
@@ -280,11 +282,8 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
         t.lbm_enabled = rs.lbm_enabled;
         t.lbm_block = rs.lbm_block;
         t.dram_bytes_mark = rs.dram_bytes_mark;
-        t.p_alloc = machine_.cache().pages().allocated(t.id);
         // Re-key the slot's parameter addresses exactly as dispatch did.
         addrs_[rs.slot] = sim::address_map(rs.slot, model_salt(t.mdl->name));
-        slot_busy_[rs.slot] = true;
-        in_flight_ += 1;
         auto& neg = neg_[rs.slot];
         neg.armed = rs.neg_armed;
         neg.cand = rs.neg_cand;
@@ -295,6 +294,14 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
             throw snapshot_error(
                 "snapshot pending negotiation candidate out of range");
     }
+    // Only a running slot's completion releases its pages: pages held by
+    // an idle slot would never return to the pool.
+    for (const task& t : tasks_)
+        if (!t.running() && machine_.cache().pages().allocated(t.id) > 0)
+            throw snapshot_error(
+                "snapshot slot " + std::to_string(t.id) + " holds " +
+                std::to_string(machine_.cache().pages().allocated(t.id)) +
+                " cache pages but is not running");
 
     if (!snap.engine.empty()) {
         snapshot_reader r(snap.engine);
@@ -356,7 +363,6 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
             (q.slot < 0 || static_cast<std::size_t>(q.slot) >= tasks_.size()))
             throw snapshot_error("snapshot queued slot out of range");
         dispatch_queue_.push_back({mdl, q.arrival, q.slot});
-        in_flight_ += 1;
     }
 
     if (mode == resume_mode::exact) {
@@ -405,11 +411,6 @@ scheduler_snapshot scheduler::save() const {
     if (!paused_ && !finalized_)
         throw std::logic_error(
             "scheduler::save: only valid while paused or after completion");
-    std::size_t busy = 0;
-    for (const bool b : slot_busy_)
-        if (b) ++busy;
-    assert(in_flight_ == dispatch_queue_.size() + busy &&
-           "pause point accounting: queued + running must equal in-flight");
 
     scheduler_snapshot s;
     s.machine_fingerprint = machine_fingerprint();
@@ -437,8 +438,8 @@ scheduler_snapshot scheduler::save() const {
         s.admission_queue.push_back({q.mdl->name, q.arrival, q.slot});
 
     for (std::size_t sl = 0; sl < tasks_.size(); ++sl) {
-        if (!slot_busy_[sl]) continue;
         const task& t = tasks_[sl];
+        if (!t.running()) continue;
         scheduler_snapshot::running_slot rs;
         rs.slot = t.id;
         rs.model = t.mdl->name;
@@ -543,7 +544,13 @@ void scheduler::start_next_segment(workload_generator& gen) {
 
 std::size_t scheduler::running_count() const {
     return static_cast<std::size_t>(
-        std::count(slot_busy_.begin(), slot_busy_.end(), true));
+        std::count_if(tasks_.begin(), tasks_.end(),
+                      [](const task& t) { return t.running(); }));
+}
+
+bool scheduler::all_slots_idle() const {
+    return std::none_of(tasks_.begin(), tasks_.end(),
+                        [](const task& t) { return t.running(); });
 }
 
 std::vector<trace_arrival> scheduler::lift_admission_queue() {
@@ -554,7 +561,6 @@ std::vector<trace_arrival> scheduler::lift_admission_queue() {
     std::vector<trace_arrival> out;
     out.reserve(dispatch_queue_.size());
     for (const auto& q : dispatch_queue_) out.push_back({q.arrival, q.mdl});
-    in_flight_ -= static_cast<std::uint32_t>(dispatch_queue_.size());
     dispatch_queue_.clear();
     return out;
 }
@@ -587,12 +593,11 @@ void scheduler::submit(const model::model* mdl, cycle_t arrival,
                        task_id slot) {
     dispatch_queue_.push_back(
         {mdl, std::min(arrival, machine_.eq().now()), slot});
-    in_flight_ += 1;
     try_dispatch();
 }
 
 void scheduler::update_done() {
-    if (in_flight_ == 0 && dispatch_queue_.empty() && gen_->exhausted()) {
+    if (dispatch_queue_.empty() && all_slots_idle() && gen_->exhausted()) {
         done_ = true;
         // A drained run must not let the already-armed bandwidth epoch tick
         // on: cancelling it stops the chain and keeps the pending no-op
@@ -644,8 +649,8 @@ void scheduler::apply_action(const adapt::control_action& a) {
 }
 
 task_id scheduler::pick_free_slot() const {
-    for (std::size_t s = 0; s < slot_busy_.size(); ++s)
-        if (!slot_busy_[s]) return static_cast<task_id>(s);
+    for (const task& t : tasks_)
+        if (!t.running()) return t.id;
     return no_task;
 }
 
@@ -660,9 +665,9 @@ void scheduler::try_dispatch() {
         task_id slot = no_task;
         for (; idx < dispatch_queue_.size(); ++idx) {
             const work_item& cand = dispatch_queue_[idx];
-            slot = cand.slot != no_task ? (slot_busy_[cand.slot] ? no_task
-                                                                 : cand.slot)
-                                        : pick_free_slot();
+            slot = cand.slot != no_task
+                       ? (tasks_[cand.slot].running() ? no_task : cand.slot)
+                       : pick_free_slot();
             if (slot != no_task) break;
         }
         if (slot == no_task) return;  // nothing dispatchable right now
@@ -670,7 +675,6 @@ void scheduler::try_dispatch() {
         const model::model* mdl = dispatch_queue_[idx].mdl;
         const cycle_t arrival = dispatch_queue_[idx].arrival;
         dispatch_queue_.erase(dispatch_queue_.begin() + idx);
-        slot_busy_[slot] = true;
 
         task& t = tasks_[slot];
         t.mdl = mdl;
@@ -743,8 +747,6 @@ void scheduler::begin_inference(task& t) {
         const std::uint32_t have = machine_.cache().pages().allocated(t.id);
         if (share > have)
             machine_.cache().pages().try_allocate(t.id, share - have);
-        t.p_alloc = machine_.cache().pages().allocated(t.id);
-        remap_cpt(t);
     }
 
     begin_layer(t);
@@ -772,7 +774,8 @@ void scheduler::begin_layer(task& t) {
         case sim::policy::camdn_hw_only: {
             // Architecture only: the static share bounds the LWM candidate;
             // LBM and prediction belong to the scheduling method (Full).
-            const std::uint32_t share = t.p_alloc;
+            const std::uint32_t share =
+                machine_.cache().pages().allocated(t.id);
             const mapping::mapping_candidate* best = &table.lwm.front();
             for (const auto& cand : table.lwm)
                 if (cand.pages_needed <= share &&
@@ -796,16 +799,12 @@ void scheduler::begin_layer(task& t) {
 void scheduler::negotiate_pages(task& t, allocation_decision d) {
     auto& pool = machine_.cache().pages();
     const std::uint32_t target = d.pages_needed;
+    const std::uint32_t have = pool.allocated(t.id);
 
     // Shrink first: excess pages return to the pool immediately.
-    if (t.p_alloc > target) {
-        pool.release(t.id, t.p_alloc - target);
-        t.p_alloc = pool.allocated(t.id);
-        remap_cpt(t);
-    }
-    if (t.p_alloc < target) {
-        auto got = pool.try_allocate(t.id, target - t.p_alloc);
-        if (!got) {
+    if (have > target) pool.release(t.id, have - target);
+    if (have < target) {
+        if (!pool.try_allocate(t.id, target - have)) {
             const cycle_t now = machine_.eq().now();
             if (d.timeout != never && now >= d.timeout) {
                 // Timeout: fall back to the next-smaller candidate.
@@ -837,8 +836,6 @@ void scheduler::negotiate_pages(task& t, allocation_decision d) {
                                 static_cast<std::uint64_t>(t.id)));
             return;
         }
-        t.p_alloc = pool.allocated(t.id);
-        remap_cpt(t);
     }
     grant_and_run(t, d);
 }
@@ -876,13 +873,6 @@ std::uint32_t scheduler::predict_next_pages(const task& t) {
         if (cand.pages_needed <= fair && cand.pages_needed >= pick->pages_needed)
             pick = &cand;
     return pick->pages_needed;
-}
-
-void scheduler::remap_cpt(task& t) {
-    auto& cpt = machine_.cache().cpt(t.id);
-    cpt.clear();
-    const auto& pages = machine_.cache().pages().pages_of(t.id);
-    for (std::uint32_t v = 0; v < pages.size(); ++v) cpt.map(v, pages[v]);
 }
 
 void scheduler::on_sched_event(const typed_event& ev) {
@@ -935,9 +925,7 @@ void scheduler::end_layer(task& t, cycle_t end) {
         t.mapping->is_block_tail(t.current_layer)) {
         // The block's intermediates are dead; return the arena promptly.
         machine_.cache().pages().release_all(t.id);
-        t.p_alloc = 0;
         t.lbm_enabled = false;
-        remap_cpt(t);
     }
 
     t.current_layer += 1;
@@ -955,9 +943,7 @@ void scheduler::end_inference(task& t, cycle_t end) {
                       t.started, end, t.deadline);
     if (sim::is_camdn(cfg_.pol)) {
         machine_.cache().pages().release_all(t.id);
-        t.p_alloc = 0;
         t.lbm_enabled = false;
-        machine_.cache().destroy_cpt(t.id);
     }
     machine_.dram().set_task_share(t.id, 0.0);
 
@@ -977,9 +963,6 @@ void scheduler::end_inference(task& t, cycle_t end) {
     }
     t.cores.clear();
     t.completed_inferences += 1;
-    slot_busy_[t.id] = false;
-    assert(in_flight_ > 0);
-    in_flight_ -= 1;
 
     completion_info info;
     info.slot = t.id;
@@ -1075,8 +1058,7 @@ bool scheduler::run_segment_hold_dispatch(cycle_t hold_after) {
         // the floor), no inference is running, and nothing further is due
         // this cycle. The only pending event can be the bandwidth-epoch
         // timer, which is cancelled — a warm resume re-arms it.
-        const bool no_running = in_flight_ == dispatch_queue_.size();
-        if (!done_ && no_running && gen_->exhausted()) {
+        if (!done_ && all_slots_idle() && gen_->exhausted()) {
             eq.cancel(event_channel::sched, kind(sched_event::bw_epoch));
             if (eq.next_time() > eq.now()) {
                 paused_ = true;
@@ -1113,7 +1095,8 @@ void scheduler::fill_result() {
 
 void scheduler::finalize() {
     if (finalized_) return;
-    assert(in_flight_ == 0 && "experiment ended with live inferences");
+    assert(dispatch_queue_.empty() && all_slots_idle() &&
+           "experiment ended with live inferences");
     assert(gen_->exhausted() && "experiment ended with pending arrivals");
     fill_result();
     finalized_ = true;

@@ -178,6 +178,10 @@ private:
     /// feeds observers is observation, saved as a bare run's.
     bool telemetry_saved() const { return cfg_.telemetry || adaptive(); }
 
+    /// No inference is running. A slot runs while it holds cores, and
+    /// the inferences in flight are the admission queue plus the running
+    /// slots.
+    bool all_slots_idle() const;
     std::vector<const task*> running_tasks_const() const;
     std::vector<task*> running_tasks();
     std::uint64_t est_total_cycles(const task& t) const;
@@ -197,7 +201,6 @@ private:
     void on_page_retry(task_id slot);
     void end_layer(task& t, cycle_t end);
     void end_inference(task& t, cycle_t end);
-    void remap_cpt(task& t);
     std::uint32_t predict_next_pages(const task& t);
     void schedule_bw_epoch();
     /// Lazy epoch boundary: cuts a telemetry epoch once simulation time
@@ -234,7 +237,6 @@ private:
 
     std::vector<task> tasks_;
     std::vector<sim::address_map> addrs_;
-    std::vector<bool> slot_busy_;
 
     /// Armed Algorithm-1 page-negotiation retry per slot: the payload the
     /// queued sched-channel page_retry event needs to rebuild its
@@ -273,7 +275,6 @@ private:
     bool resume_exact_ = false;
 
     sim::experiment_result result_;
-    std::uint32_t in_flight_ = 0;
     bool done_ = false;
 };
 

@@ -7,7 +7,8 @@
 //   * the clock and the event-queue tie-break counter;
 //   * the full machine state — transparent cache lines with LRU order,
 //     slice/DRAM timing horizons, the shared page pool (exact free-list
-//     order) and live CPTs, per-core busy counters, regulator windows;
+//     order and each slot's pages, which are its CPT), per-core busy
+//     counters, regulator windows;
 //   * scheduler bookkeeping — per-slot inference counts, the NPU free-core
 //     stack (release order matters for future dispatch), the admission
 //     queue, telemetry epoch marks, the adaptive controller's loop state;
@@ -26,7 +27,7 @@
 // encode()/decode() round-trip through a versioned little-endian byte
 // format; decode throws camdn::snapshot_error on truncation, bad magic or
 // version mismatch (version-1 snapshots from the pre-typed-event engine
-// are rejected with an explicit legacy message, version 2 with the
+// are rejected with an explicit legacy message, versions 2 and 3 with the
 // generic mismatch), and scheduler resume
 // additionally validates the fingerprints against the resuming
 // configuration.
@@ -48,7 +49,10 @@ struct scheduler_snapshot {
     /// Version 3: typed-event-only engine — generator events and the
     /// bandwidth-epoch timer move into the typed-event section, so the
     /// header's timer fields and the generators' event ids go.
-    static constexpr std::uint32_t version = 3;
+    /// Version 4: the page pool is the one record of each slot's pages —
+    /// the machine section's per-task CPT block goes, with the cache's
+    /// unused multicast-read counter.
+    static constexpr std::uint32_t version = 4;
 
     // ---- identity / compatibility ----
     /// Hash of everything the machine state depends on (SoC geometry,
@@ -103,7 +107,7 @@ struct scheduler_snapshot {
         cycle_t arrival = 0;
         cycle_t started = 0;
         cycle_t deadline = never;
-        // Algorithm-1 globals (Tnext/Pnext; Palloc rebuilds from the pool).
+        // Algorithm-1 globals (Tnext/Pnext; Palloc is the pool's).
         cycle_t t_next = 0;
         std::uint32_t p_next = 0;
         bool lbm_enabled = false;
@@ -121,7 +125,7 @@ struct scheduler_snapshot {
     std::vector<running_slot> running;
 
     // ---- opaque subsystem sections ----
-    std::vector<std::uint8_t> machine;    ///< cache + pool + CPTs + DRAM + cores
+    std::vector<std::uint8_t> machine;    ///< cache + pool + DRAM + cores
     std::vector<std::uint8_t> engine;     ///< layer-run cursors + DMA flights
     std::vector<std::uint8_t> typed_events;  ///< every pending queue entry
     std::vector<std::uint8_t> telemetry;  ///< bus counters + epoch history

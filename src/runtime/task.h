@@ -1,8 +1,9 @@
 // Runtime state of one co-located DNN task (tenant).
 //
-// Carries the Algorithm 1 global bookkeeping (Tnext / Pnext / Palloc,
-// updated at the end of each layer) alongside scheduling and measurement
-// state.
+// Carries the Algorithm 1 global bookkeeping (Tnext / Pnext, updated at
+// the end of each layer) alongside scheduling and measurement state. The
+// third global, Palloc, is the page pool's count of the task's pages
+// (cache::page_allocator::allocated).
 #pragma once
 
 #include <cstdint>
@@ -30,10 +31,9 @@ struct task {
     cycle_t started = 0;
     cycle_t deadline = never;  ///< absolute; `never` when no QoS target
 
-    // ---- Algorithm 1 globals (paper: Tnext, Pnext, Palloc) ----
+    // ---- Algorithm 1 globals (paper: Tnext, Pnext) ----
     cycle_t t_next = 0;        ///< predicted next reallocation time
     std::uint32_t p_next = 0;  ///< predicted pages needed at next reallocation
-    std::uint32_t p_alloc = 0; ///< pages currently held
 
     // ---- LBM state ----
     bool lbm_enabled = false;

@@ -47,8 +47,8 @@ namespace {
 // window. The within-window pick of slot s's j-th inference is pre-drawn
 // from the seed; only the window base depends on the dispatch cycle, so
 // the same simulated schedule always serves the same models while a slot's
-// tenant still swaps mid-run — each swap tears down the previous model's
-// CPT and region state under whatever adaptation is active. The plain
+// tenant still swaps mid-run — each swap returns the previous model's
+// region pages to the pool under whatever adaptation is active. The plain
 // closed loop is one window over the whole catalog that never rotates: it
 // makes the same next_below(models.size()) draws it always made, so runs
 // stay bit-identical under the same seed.

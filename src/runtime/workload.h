@@ -39,8 +39,8 @@ enum class workload_kind : std::uint8_t {
     /// Closed-loop + churn hybrid: N re-dispatching slots (with
     /// cfg.think_time_ms) whose model choice follows the rotating
     /// cfg.churn_active_models window at each dispatch instant — a slot's
-    /// tenant swaps mid-run, exercising the CPT teardown path under
-    /// adaptation.
+    /// tenant swaps mid-run, exercising the release of a finished
+    /// model's region pages under adaptation.
     closed_loop_churn,
 };
 

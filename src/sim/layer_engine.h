@@ -115,6 +115,8 @@ private:
     // Typed layer events: a = slot; store_due carries the tile in b.
     static constexpr std::uint8_t kind_tile_gate = 0;
     static constexpr std::uint8_t kind_store_due = 1;
+    static_assert(kind_store_due + 1 == event_kind_count(event_channel::layer),
+                  "event_kind_count(layer) counts the layer engine's kinds");
     // DMA token layout: a = slot, b = tile | store_bit.
     static constexpr std::uint64_t store_bit = std::uint64_t{1} << 63;
 

@@ -48,7 +48,7 @@ TEST(pred_avail_pages, counts_idle_plus_expected_releases) {
     task current = s.make_task(0);
 
     task other = s.make_task(1);
-    other.p_alloc = 50;
+    ASSERT_TRUE(s.pool.try_allocate(1, 50));  // Palloc
     other.p_next = 10;
     other.t_next = 100;  // will reallocate before the horizon
 
@@ -63,7 +63,7 @@ TEST(pred_avail_pages, counts_idle_plus_expected_releases) {
     for (auto& f : fillers) running.push_back(&f);
 
     // Drain the pool so idle is a known quantity.
-    s.pool.try_allocate(9, s.pool.total_pages() - 20);
+    ASSERT_TRUE(s.pool.try_allocate(9, s.pool.idle_pages() - 20));
 
     const auto ahead =
         alg.predict_available_pages(running, current, s.pool, /*t_ahead=*/200);
@@ -75,11 +75,11 @@ TEST(pred_avail_pages, ignores_tasks_reallocating_after_horizon) {
     cache_allocation_algorithm alg;
     task current = s.make_task(0);
     task other = s.make_task(1);
-    other.p_alloc = 50;
+    ASSERT_TRUE(s.pool.try_allocate(1, 50));  // Palloc
     other.p_next = 10;
     other.t_next = 500;  // beyond the horizon
 
-    s.pool.try_allocate(9, s.pool.total_pages() - 20);
+    ASSERT_TRUE(s.pool.try_allocate(9, s.pool.idle_pages() - 20));
     std::vector<const task*> running{&current, &other};
     const auto ahead =
         alg.predict_available_pages(running, current, s.pool, 200);
@@ -91,24 +91,34 @@ TEST(pred_avail_pages, excludes_the_current_task) {
     scenario s;
     cache_allocation_algorithm alg;
     task current = s.make_task(0);
-    current.p_alloc = 100;
+    ASSERT_TRUE(s.pool.try_allocate(0, 100));  // Palloc
     current.p_next = 0;
     current.t_next = 0;  // would count if not excluded
     std::vector<const task*> running{&current};
     const auto ahead =
         alg.predict_available_pages(running, current, s.pool, 1000);
     EXPECT_EQ(ahead, static_cast<std::int64_t>(s.pool.total_pages()));
+
+    // Alone, the fairness floor is the whole pool either way; beside
+    // co-runners that release nothing, only the idle pages count.
+    std::vector<task> idle_peers;
+    for (int i = 1; i < 8; ++i) {
+        idle_peers.push_back(s.make_task(i));
+        idle_peers.back().t_next = never;
+    }
+    for (const auto& p : idle_peers) running.push_back(&p);
+    EXPECT_EQ(alg.predict_available_pages(running, current, s.pool, 1000),
+              static_cast<std::int64_t>(s.pool.total_pages() - 100));
 }
 
 TEST(pred_avail_pages, negative_deltas_reduce_the_estimate) {
     scenario s;
     cache_allocation_algorithm alg;
     task current = s.make_task(0);
-    task growing = s.make_task(1);
-    growing.p_alloc = 0;
+    task growing = s.make_task(1);  // holds no pages
     growing.p_next = 150;  // will take pages at its next reallocation
     growing.t_next = 0;
-    s.pool.try_allocate(9, s.pool.total_pages() - 200);
+    ASSERT_TRUE(s.pool.try_allocate(9, s.pool.total_pages() - 200));
     std::vector<const task*> running{&current, &growing};
     const auto ahead =
         alg.predict_available_pages(running, current, s.pool, 1000);
@@ -150,7 +160,7 @@ TEST(algorithm1, lbm_denied_when_prediction_is_too_small) {
     task t = s.make_task(0, 0);
     // Soak the pool with co-runners that won't release anything soon and
     // keep many tasks running so the fairness floor is small.
-    s.pool.try_allocate(9, s.pool.total_pages());
+    ASSERT_TRUE(s.pool.try_allocate(9, s.pool.total_pages()));
     std::vector<task> others;
     for (int i = 1; i <= 16; ++i) {
         others.push_back(s.make_task(i));

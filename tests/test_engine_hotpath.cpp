@@ -298,9 +298,11 @@ struct driven {
         log.push_back(ev.a);
         log.push_back(q->now());
         const std::uint64_t x = mix(ev.b);
-        const typed_event child{static_cast<std::uint8_t>((x >> 8) % 3),
-                                static_cast<std::uint8_t>((x >> 16) % 4),
-                                mix(ev.a), x};
+        const auto ch = static_cast<event_channel>((x >> 8) % 3);
+        const typed_event child{
+            static_cast<std::uint8_t>(ch),
+            static_cast<std::uint8_t>((x >> 16) % event_kind_count(ch)),
+            mix(ev.a), x};
         const cycle_t when = q->now() + (x >> 24) % 9;
         if (x % 8 == 0 &&
             q->try_inline(when, static_cast<event_channel>(child.channel))) {
@@ -351,7 +353,9 @@ template <class Q>
 void apply_op(driven<Q>& d, std::uint64_t x, std::uint64_t id) {
     Q& q = *d.q;
     const auto ch = static_cast<event_channel>((x >> 8) % 3);
-    const auto kind = static_cast<std::uint8_t>((x >> 16) % 4);
+    // Only kinds the channel defines: restore_typed rejects the rest.
+    const auto kind =
+        static_cast<std::uint8_t>((x >> 16) % event_kind_count(ch));
     const typed_event ev{static_cast<std::uint8_t>(ch), kind, id, x};
     const std::uint64_t r = x >> 24;
     switch (x % 16) {
@@ -500,7 +504,7 @@ TEST(engine_hotpath, typed_section_bytes_stable_across_restore) {
     event_queue eq;
     eq.set_handler(event_channel::layer, [](const typed_event&) {});
     for (std::uint64_t i = 0; i < 64; ++i)
-        eq.schedule_event(100 + (i % 7), typed_event{1, 2, i, i * 3});
+        eq.schedule_event(100 + (i % 7), typed_event{1, 1, i, i * 3});
     snapshot_writer w;
     eq.save_typed(w);
 

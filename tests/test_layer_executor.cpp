@@ -37,13 +37,8 @@ struct rig {
         const mapping::mapping_candidate* cand =
             want_lbm && mm.tables[layer].lbm ? &*mm.tables[layer].lbm
                                              : &mm.tables[layer].lwm.back();
-        if (cand->pages_needed > 0) {
-            auto pages =
-                machine.cache().pages().try_allocate(0, cand->pages_needed);
-            auto& cpt = machine.cache().cpt(0);
-            for (std::uint32_t v = 0; v < pages->size(); ++v)
-                cpt.map(v, (*pages)[v]);
-        }
+        EXPECT_TRUE(
+            machine.cache().pages().try_allocate(0, cand->pages_needed));
         return *cand;
     }
 

@@ -3,6 +3,7 @@
 // through the burst entry points (a single line is a one-line burst).
 #include <gtest/gtest.h>
 
+#include "cache/cpt.h"
 #include "cache/shared_cache.h"
 #include "dram/dram_system.h"
 
@@ -14,12 +15,8 @@ struct rig {
     cache_config cfg{};
     shared_cache cache{cfg, dram};
 
-    rig() {
-        // Give task 0 a fully mapped region of 4 pages.
-        auto pages = cache.pages().try_allocate(0, 4).value();
-        auto& cpt = cache.cpt(0);
-        for (std::uint32_t v = 0; v < pages.size(); ++v) cpt.map(v, pages[v]);
-    }
+    // Give task 0 a region of 4 pages.
+    rig() { EXPECT_TRUE(cache.pages().try_allocate(0, 4)); }
 };
 
 TEST(nec, region_read_has_cache_latency_no_dram) {
@@ -138,11 +135,11 @@ TEST(nec, regions_and_transparent_paths_share_slice_bandwidth) {
 
 TEST(nec, per_task_regions_are_isolated_by_cpt) {
     rig r;
-    auto pages = r.cache.pages().try_allocate(1, 1).value();
-    r.cache.cpt(1).map(0, pages[0]);
+    ASSERT_TRUE(r.cache.pages().try_allocate(1, 1));
     // Same vcaddr, different tasks, different physical placement.
-    const pcaddr a = r.cache.cpt(0).translate(0);
-    const pcaddr b = r.cache.cpt(1).translate(0);
+    const page_translation cpt(r.cfg);
+    const pcaddr a = cpt.translate(r.cache.pages().pages_of(0)[0], 0);
+    const pcaddr b = cpt.translate(r.cache.pages().pages_of(1)[0], 0);
     EXPECT_TRUE(a.way != b.way || a.set != b.set || a.slice != b.slice);
 }
 

@@ -5,8 +5,9 @@
 //     of an encoding rejected;
 //   * decoder rejection inside the machine section: a cut through the
 //     transparent-line block, a valid transparent line stamped after the
-//     LRU tick, corrupt CPT task ids (out of range, repeated, out of
-//     order) and a CPT mapping a page its task does not hold;
+//     LRU tick and corrupt page-pool holder ids (out of range, repeated,
+//     out of order); at resume, pages held by a slot that is not running;
+//     in the typed-event section, a kind its channel does not define;
 //   * pinned sizes + FNV-1a hashes of two mid-flight snapshots (a
 //     bypassing CaMDN run and an AuRORA run, whose transparent sets hold
 //     lines), so any drift of the byte format fails;
@@ -29,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cpt.h"
 #include "cache/shared_cache.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
@@ -258,8 +258,8 @@ TEST(snapshot_codec, mid_flight_snapshot_bytes_are_pinned) {
     const auto snap = paused_snapshot(codec_cfg(), ms_to_cycles(2.0));
     ASSERT_FALSE(snap.running.empty()) << "the pinned snapshot is mid-flight";
     const auto bytes = snap.encode();
-    EXPECT_EQ(bytes.size(), 5775571u);
-    EXPECT_EQ(fnv1a(bytes), 0x1b06a5bfa24178a0ull);
+    EXPECT_EQ(bytes.size(), 5772983u);
+    EXPECT_EQ(fnv1a(bytes), 0xfcb226d831c96215ull);
 }
 
 TEST(snapshot_codec, mid_flight_aurora_snapshot_bytes_are_pinned) {
@@ -275,8 +275,8 @@ TEST(snapshot_codec, mid_flight_aurora_snapshot_bytes_are_pinned) {
         valid += snap.machine[line_block_begin + i * line_record_bytes + 20];
     ASSERT_GT(valid, 0u) << "no valid transparent line";
     const auto bytes = snap.encode();
-    EXPECT_EQ(bytes.size(), 5773093u);
-    EXPECT_EQ(fnv1a(bytes), 0x4736241485c649dfull);
+    EXPECT_EQ(bytes.size(), 5773077u);
+    EXPECT_EQ(fnv1a(bytes), 0x1fcee13255820762ull);
 }
 
 TEST(snapshot_codec, cut_inside_the_transparent_line_block_is_rejected) {
@@ -336,8 +336,8 @@ TEST(snapshot_codec, transparent_line_stamped_after_the_tick_is_rejected) {
     EXPECT_NO_THROW(warm_resume(cfg, stamped(invalid_line, tick + 1)));
 }
 
-/// camdn_hw_only keeps one CPT per running inference, mapping the pages
-/// its task holds.
+/// camdn_hw_only grants each running inference an equal static share of
+/// the page pool.
 experiment_config hw_only_cfg() {
     experiment_config cfg;
     cfg.workload = {&model::model_by_abbr("MB."), &model::model_by_abbr("EF.")};
@@ -348,41 +348,64 @@ experiment_config hw_only_cfg() {
     return cfg;
 }
 
-/// The first pause of `cfg` with both slots busy: its machine section
-/// carries tables for tasks 0 and 1.
-scheduler_snapshot both_slots_busy(const experiment_config& cfg) {
+/// The first pause of `cfg`, every 0.2 ms, with `running` slots busy.
+scheduler_snapshot first_pause_running(const experiment_config& cfg,
+                                       std::size_t running) {
     auto gen = runtime::make_workload_generator(cfg);
     runtime::scheduler sched(cfg, *gen);
-    scheduler_snapshot snap;
     for (cycle_t at = ms_to_cycles(0.2); sched.run_segment(at);
          at += ms_to_cycles(0.2)) {
-        snap = sched.save();
-        if (snap.running.size() == 2) break;
+        scheduler_snapshot snap = sched.save();
+        if (snap.running.size() == running) return snap;
     }
-    return snap;
+    return {};
 }
 
-TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
+/// `snap` with its machine section decoded into a standalone cache,
+/// edited through the cache's own API and saved back in front of the DRAM
+/// part.
+scheduler_snapshot with_cache_edit(
+    const experiment_config& cfg, const scheduler_snapshot& snap,
+    const std::function<void(cache::shared_cache&)>& edit) {
+    dram::dram_system d{cfg.soc.dram};
+    cache::shared_cache c{cfg.soc.cache, d};
+    snapshot_reader r(snap.machine);
+    c.restore_state(r, cfg.co_located);
+    const std::size_t cache_end = snap.machine.size() - r.remaining();
+    edit(c);
+    snapshot_writer w;
+    c.save_state(w);
+    scheduler_snapshot s = snap;
+    s.machine = w.take();
+    s.machine.insert(s.machine.end(), snap.machine.begin() + cache_end,
+                     snap.machine.end());
+    return s;
+}
+
+TEST(snapshot_codec, corrupt_page_pool_holder_ids_are_rejected) {
     const experiment_config cfg = hw_only_cfg();
-    const scheduler_snapshot snap = both_slots_busy(cfg);
+    const scheduler_snapshot snap = first_pause_running(cfg, 2);
     ASSERT_EQ(snap.running.size(), 2u) << "no pause with both slots busy";
 
     // The cache part of the machine section ends where a standalone cache
-    // stops reading; the two CPT records (i32 id + table) end there.
+    // stops reading, with the pool's two holder records: i32 id, u64 page
+    // count, u32 pcpns.
     dram::dram_system d{cfg.soc.dram};
     cache::shared_cache c{cfg.soc.cache, d};
     snapshot_reader whole(snap.machine);
     c.restore_state(whole, cfg.co_located);
     const std::size_t cache_end = snap.machine.size() - whole.remaining();
-    snapshot_writer fresh_table;
-    cache::cache_page_table(cfg.soc.cache).save_state(fresh_table);
-    const std::size_t table_bytes = 4 + fresh_table.bytes().size();
-    const std::size_t first_id = cache_end - 2 * table_bytes;
-    const std::size_t second_id = cache_end - table_bytes;
+    auto holder_bytes = [&](task_id t) {
+        return 4 + 8 + 4 * std::size_t{c.pages().allocated(t)};
+    };
+    const std::size_t second_id = cache_end - holder_bytes(1);
+    const std::size_t first_id = second_id - holder_bytes(0);
     auto read_at = [&](std::size_t off, std::size_t n) {
         return snapshot_reader(snap.machine.data() + off, n);
     };
-    ASSERT_EQ(read_at(first_id - 8, 8).u64(), 2u) << "live CPT count";
+    ASSERT_GT(c.pages().allocated(0), 0u);
+    ASSERT_GT(c.pages().allocated(1), 0u);
+    ASSERT_EQ(read_at(first_id - 8, 8).u64(), 2u) << "holder count";
     ASSERT_EQ(read_at(first_id, 4).i32(), 0);
     ASSERT_EQ(read_at(second_id, 4).i32(), 1);
     EXPECT_NO_THROW(warm_resume(cfg, snap));
@@ -393,13 +416,13 @@ TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
             s.machine[off + b] = static_cast<std::uint8_t>(id >> (8 * b));
         return s;
     };
-    // Far out of range: must be rejected before it sizes the table vector
+    // Far out of range: must be rejected before it sizes the holdings
     // (2^31 entries).
     EXPECT_THROW(warm_resume(cfg, patched(second_id, 0x7fffffffu)),
                  snapshot_error);
     // One past the resuming scheduler's slot count.
     EXPECT_THROW(warm_resume(cfg, patched(second_id, 2)), snapshot_error);
-    // Repeated id: would silently replace the first table.
+    // Repeated id: would silently merge the two holdings.
     EXPECT_THROW(warm_resume(cfg, patched(second_id, 0)), snapshot_error);
     // Descending ids.
     EXPECT_THROW(warm_resume(cfg, patched(first_id, 1)), snapshot_error);
@@ -408,61 +431,77 @@ TEST(snapshot_codec, corrupt_cpt_task_ids_are_rejected) {
                  snapshot_error);
 }
 
-TEST(snapshot_codec, cpt_mapping_a_page_its_task_does_not_hold_is_rejected) {
-    // Regions are model-exclusive (paper §III-B): a task's CPT maps only
-    // pages the pool gave that task.
-    const experiment_config cfg = hw_only_cfg();
-    const scheduler_snapshot snap = both_slots_busy(cfg);
-    ASSERT_EQ(snap.running.size(), 2u) << "no pause with both slots busy";
-
-    // The machine section decoded into a standalone cache, edited through
-    // its own API and saved back in front of the DRAM part.
-    using edit_fn = std::function<void(cache::shared_cache&)>;
-    auto edited = [&](const edit_fn& edit) {
-        dram::dram_system d{cfg.soc.dram};
-        cache::shared_cache c{cfg.soc.cache, d};
-        snapshot_reader r(snap.machine);
-        c.restore_state(r, cfg.co_located);
-        const std::size_t cache_end = snap.machine.size() - r.remaining();
-        edit(c);
-        snapshot_writer w;
-        c.save_state(w);
-        scheduler_snapshot s = snap;
-        s.machine = w.take();
-        s.machine.insert(s.machine.end(), snap.machine.begin() + cache_end,
-                         snap.machine.end());
-        return s;
-    };
-    auto first_mapped = [](cache::shared_cache& c, task_id t) {
-        std::uint32_t v = 0;
-        while (!c.cpt(t).is_mapped(v)) ++v;
-        return v;
-    };
-    // Slot 1 hands its last page back to the pool, and its table drops it.
-    auto free_a_page = [&](cache::shared_cache& c) {
-        const std::uint32_t page = c.pages().release(1, 1).front();
-        for (std::uint32_t v = 0; v < c.cpt(1).capacity(); ++v)
-            if (c.cpt(1).lookup(v) == page) c.cpt(1).unmap(v);
-        return page;
-    };
-    ASSERT_EQ(edited([](cache::shared_cache&) {}).machine, snap.machine)
+TEST(snapshot_codec, pages_held_by_an_idle_slot_are_rejected) {
+    // Only a running slot's completion returns its pages to the pool, so a
+    // page an idle slot holds would never come back. The open-loop run
+    // leaves one of its two slots idle between arrivals.
+    auto cfg = codec_cfg();
+    cfg.pol = sim::policy::camdn_hw_only;
+    const scheduler_snapshot snap = first_pause_running(cfg, 1);
+    ASSERT_EQ(snap.running.size(), 1u) << "no pause with one idle slot";
+    const task_id idle = 1 - snap.running.front().slot;
+    ASSERT_EQ(with_cache_edit(cfg, snap, [](cache::shared_cache&) {}).machine,
+              snap.machine)
         << "the edit round trip changes no byte";
-    ASSERT_NO_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
-        free_a_page(c);
-    })));
+    EXPECT_NO_THROW(warm_resume(cfg, snap));
+    const auto hand_idle_a_page = [&](cache::shared_cache& c) {
+        ASSERT_TRUE(c.pages().try_allocate(idle, 1));
+    };
+    EXPECT_THROW(warm_resume(cfg, with_cache_edit(cfg, snap, hand_idle_a_page)),
+                 snapshot_error);
+}
 
-    // Slot 0's first valid entry pointed at a page slot 1 holds.
-    EXPECT_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
-                     c.cpt(0).map(first_mapped(c, 0),
-                                  c.pages().pages_of(1).front());
-                 })),
-                 snapshot_error);
-    // Or at a free page.
-    EXPECT_THROW(warm_resume(cfg, edited([&](cache::shared_cache& c) {
-                     const std::uint32_t page = free_a_page(c);
-                     c.cpt(0).map(first_mapped(c, 0), page);
-                 })),
-                 snapshot_error);
+/// A typed-event section is a u64 count, then records of when (8), seq
+/// (8), channel (1), kind (1), a (8), b (8).
+constexpr std::size_t typed_record_bytes = 8 + 8 + 1 + 1 + 8 + 8;
+constexpr std::size_t typed_channel_at = 16, typed_kind_at = 17;
+
+/// Offset of the first record of `snap`'s typed section on `ch`; 0 when
+/// none is pending.
+std::size_t first_typed_on(const scheduler_snapshot& snap, event_channel ch) {
+    const auto& bytes = snap.typed_events;
+    for (std::size_t at = 8; at + typed_record_bytes <= bytes.size();
+         at += typed_record_bytes)
+        if (bytes[at + typed_channel_at] == static_cast<std::uint8_t>(ch))
+            return at;
+    return 0;
+}
+
+/// `snap` with the kind of its typed-event record at byte `at` replaced.
+scheduler_snapshot with_kind(const scheduler_snapshot& snap, std::size_t at,
+                             std::uint8_t kind) {
+    scheduler_snapshot s = snap;
+    s.typed_events[at + typed_kind_at] = kind;
+    return s;
+}
+
+TEST(snapshot_codec, typed_events_of_unknown_kinds_are_rejected) {
+    // A kind its channel does not define fails at restore; it must not
+    // resume (the DMA engine would run it as a chunk completion) or throw
+    // only once dispatched.
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    EXPECT_NO_THROW(warm_resume(cfg, snap));
+    // The first pending DMA chunk rewritten to kind 9.
+    const std::size_t dma = first_typed_on(snap, event_channel::dma);
+    ASSERT_NE(dma, 0u) << "no pending DMA event";
+    ASSERT_EQ(snap.typed_events[dma + typed_kind_at], 0);
+    EXPECT_THROW(warm_resume(cfg, with_kind(snap, dma, 9)), snapshot_error);
+
+    // Each channel's last kind resumes and the next is rejected, at a
+    // pause with events pending on all three.
+    const auto all = paused_snapshot(cfg, ms_to_cycles(1.4));
+    for (const event_channel ch :
+         {event_channel::dma, event_channel::layer, event_channel::sched}) {
+        const std::size_t at = first_typed_on(all, ch);
+        ASSERT_NE(at, 0u) << "no pending event on channel "
+                          << static_cast<int>(ch);
+        const std::uint8_t kinds = event_kind_count(ch);
+        EXPECT_NO_THROW(warm_resume(cfg, with_kind(all, at, kinds - 1)));
+        EXPECT_THROW(warm_resume(cfg, with_kind(all, at, kinds)),
+                     snapshot_error)
+            << "channel " << static_cast<int>(ch);
+    }
 }
 
 // ---- section readers agree --------------------------------------------------

@@ -134,7 +134,7 @@ public:
     std::uint64_t task_hits(task_id t) const { return at(task_hits_, t); }
     std::uint64_t task_misses(task_id t) const { return at(task_misses_, t); }
 
-    /// shared_cache::save_state's layout, with no live CPT.
+    /// shared_cache::save_state's layout.
     void save_state(snapshot_writer& w) const {
         w.u32(static_cast<std::uint32_t>(lines_.size()));
         w.u32(tw_);
@@ -153,15 +153,14 @@ public:
               stats_.writebacks, stats_.evictions, stats_.inter_task_evictions,
               stats_.region_reads, stats_.region_writes, stats_.region_fills,
               stats_.region_writebacks, stats_.bypass_reads,
-              stats_.bypass_writes, stats_.multicast_reads,
-              stats_.multicast_combined, stats_.slice_busy_cycles})
+              stats_.bypass_writes, stats_.multicast_combined,
+              stats_.slice_busy_cycles})
             w.u64(v);
         for (const auto* v : {&task_hits_, &task_misses_}) {
             w.u64(v->size());
             for (const std::uint64_t x : *v) w.u64(x);
         }
         pages_.save_state(w);
-        w.u64(0);
     }
 
 private:
