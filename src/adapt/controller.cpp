@@ -5,12 +5,10 @@
 
 namespace camdn::adapt {
 
-feedback_controller::feedback_controller(const controller_config& cfg,
-                                         std::uint32_t slots,
+feedback_controller::feedback_controller(std::uint32_t slots,
                                          std::uint32_t total_pages,
                                          double initial_ahead)
-    : cfg_(cfg),
-      slots_(std::max<std::uint32_t>(slots, 1)),
+    : slots_(std::max<std::uint32_t>(slots, 1)),
       total_pages_(total_pages),
       active_ema_(static_cast<double>(slots_)),
       ahead_baseline_(initial_ahead) {
@@ -34,7 +32,7 @@ void feedback_controller::update_shares(const epoch_snapshot& snap) {
     // split back within an epoch or two.
     const double observed =
         static_cast<double>(std::max<std::uint32_t>(snap.active_slots, 1));
-    active_ema_ += cfg_.active_smoothing * (observed - active_ema_);
+    active_ema_ += active_smoothing * (observed - active_ema_);
     // Round up: a fractional competitor still constrains the split. Never
     // below 1 or above the slot count.
     const std::uint32_t effective = std::min<std::uint32_t>(
@@ -62,13 +60,13 @@ void feedback_controller::update_ahead(const epoch_snapshot& snap) {
     const bool spare = snap.active_slots < slots_;
     const double wait = snap.page_wait_frac();
     double a = action_.ahead_ratio;
-    if (snap.total_timeouts() > 0 || wait > cfg_.wait_hi) {
-        a *= cfg_.ahead_down;
-    } else if (wait < cfg_.wait_lo && snap.active_slots > 0 && spare) {
-        a *= cfg_.ahead_up;
+    if (snap.total_timeouts() > 0 || wait > wait_hi) {
+        a *= ahead_down;
+    } else if (wait < wait_lo && snap.active_slots > 0 && spare) {
+        a *= ahead_up;
     }
     action_.ahead_ratio =
-        std::clamp(a, ahead_baseline_, std::max(ahead_baseline_, cfg_.ahead_max));
+        std::clamp(a, ahead_baseline_, std::max(ahead_baseline_, ahead_max));
 }
 
 void feedback_controller::save_state(snapshot_writer& w) const {
@@ -124,8 +122,8 @@ void feedback_controller::update_bandwidth(const epoch_snapshot& snap) {
                             static_cast<double>(total_bytes);
         const bool behind = c.deadline_misses > 0 ||
                             (c.deadline_completions > 0 && c.slack_cycles < 0);
-        if (!behind && frac > cfg_.hog_factor * fair)
-            action_.bw_share[s] = std::max(cfg_.bw_floor, fair);
+        if (!behind && frac > hog_factor * fair)
+            action_.bw_share[s] = std::max(bw_floor, fair);
     }
 }
 

@@ -15,9 +15,8 @@
 //   * MoCA-style per-slot DRAM bandwidth caps from observed traffic skew
 //     and QoS slack.
 // The decision path is a pure function of the snapshot stream and the
-// config, so adaptive sweeps stay bit-identical across runs and
-// thread-pool widths. The scheduler runs it with the default gains; the
-// gains stay settable for the controller's own unit tests.
+// fixed gains below, so adaptive sweeps stay bit-identical across runs
+// and thread-pool widths.
 #pragma once
 
 #include <cstdint>
@@ -33,33 +32,6 @@ namespace camdn::adapt {
 /// telemetry-only recording.
 inline constexpr cycle_t epoch_cycles = 100'000;
 
-struct controller_config {
-    // ---- page-share loop ----
-    /// Smoothing of the observed active-slot count, in [0,1]; higher reacts
-    /// faster to bursts, lower rides through blips.
-    double active_smoothing = 0.5;
-
-    // ---- ahead_ratio loop (multiplicative increase / decrease) ----
-    // The look-ahead only ever grows above the profile-time baseline (the
-    // paper's 0.2, tuned for saturated co-location) and falls back to it
-    // under contention: in a fully loaded SoC the adaptive policy thereby
-    // converges to static CaMDN instead of under- or over-shooting it.
-    double ahead_max = 0.35;
-    double ahead_up = 1.2;    ///< applied when contention is low
-    double ahead_down = 0.5;  ///< applied on timeouts / heavy waiting
-    /// Page-wait fraction (per active slot) above which the look-ahead
-    /// backs off, and below which it may grow. Between the two: hold.
-    double wait_hi = 0.01;
-    double wait_lo = 0.001;
-
-    // ---- bandwidth loop ----
-    /// A slot is a bandwidth hog when its share of epoch DMA bytes exceeds
-    /// hog_factor / active_slots while some other slot is behind.
-    double hog_factor = 1.5;
-    /// Caps never drop below this DRAM share.
-    double bw_floor = 0.125;
-};
-
 /// What the scheduler applies after each epoch decision.
 struct control_action {
     double ahead_ratio = 0.2;
@@ -71,8 +43,35 @@ struct control_action {
 
 class feedback_controller {
 public:
-    feedback_controller(const controller_config& cfg, std::uint32_t slots,
-                        std::uint32_t total_pages, double initial_ahead);
+    // ---- page-share loop ----
+    /// Smoothing of the observed active-slot count, in [0,1]; higher reacts
+    /// faster to bursts, lower rides through blips.
+    static constexpr double active_smoothing = 0.5;
+
+    // ---- ahead_ratio loop (multiplicative increase / decrease) ----
+    // The look-ahead only ever grows above the profile-time baseline (the
+    // paper's 0.2, tuned for saturated co-location) and falls back to it
+    // under contention: in a fully loaded SoC the adaptive policy thereby
+    // converges to static CaMDN instead of under- or over-shooting it.
+    static constexpr double ahead_max = 0.35;
+    /// Applied when contention is low.
+    static constexpr double ahead_up = 1.2;
+    /// Applied on timeouts / heavy waiting.
+    static constexpr double ahead_down = 0.5;
+    /// Page-wait fraction (per active slot) above which the look-ahead
+    /// backs off, and below which it may grow. Between the two: hold.
+    static constexpr double wait_hi = 0.01;
+    static constexpr double wait_lo = 0.001;
+
+    // ---- bandwidth loop ----
+    /// A slot is a bandwidth hog when its share of epoch DMA bytes exceeds
+    /// hog_factor / active_slots while some other slot is behind.
+    static constexpr double hog_factor = 1.5;
+    /// Caps never drop below this DRAM share.
+    static constexpr double bw_floor = 0.125;
+
+    feedback_controller(std::uint32_t slots, std::uint32_t total_pages,
+                        double initial_ahead);
 
     /// Consumes one epoch snapshot and returns the action to apply for the
     /// next epoch. Deterministic.
@@ -91,7 +90,6 @@ private:
     void update_ahead(const epoch_snapshot& snap);
     void update_bandwidth(const epoch_snapshot& snap);
 
-    controller_config cfg_;
     std::uint32_t slots_;
     std::uint32_t total_pages_;
     double active_ema_;

@@ -42,26 +42,19 @@ struct soc_rollup {
 /// as violations.
 soc_rollup rollup_from(const sim::experiment_result& res, double qos_scale);
 
-struct fleet_feedback_config {
-    /// Multiplicative weight step per unit of pressure above/below the
-    /// fleet mean, per round.
-    double pressure_gain = 1.0;
-    double weight_min = 0.25;
-    double weight_max = 4.0;
-    /// A round with sla_rate below this counts toward the violation streak.
-    double sla_target = 0.9;
-    /// Consecutive violating rounds on any SoC before re-placement fires.
-    std::uint32_t replace_patience = 2;
-    /// Proactive re-placement on traffic-mix drift: when > 0, a round
-    /// whose observed per-tenant routed mix diverges from the planned mix
-    /// by more than this many nats (KL, add-one smoothed) triggers a
-    /// re-plan without waiting for an SLA violation streak. 0 disables.
-    double mix_kl_threshold = 0.0;
-};
-
 class fleet_feedback {
 public:
-    fleet_feedback(const fleet_feedback_config& cfg, std::size_t socs);
+    /// Weight bounds: a SoC's backlog multiplier stays in [min, max]. Each
+    /// round moves it by one unit of weight per unit of pressure above or
+    /// below the fleet mean.
+    static constexpr double weight_min = 0.25;
+    static constexpr double weight_max = 4.0;
+    /// A round with sla_rate below this counts toward the violation streak.
+    static constexpr double sla_target = 0.9;
+    /// Consecutive violating rounds on any SoC before re-placement fires.
+    static constexpr std::uint32_t replace_patience = 2;
+
+    explicit fleet_feedback(std::size_t socs);
 
     /// Consumes one round of rollups (fleet order) and updates weights and
     /// violation streaks.
@@ -75,20 +68,7 @@ public:
     /// every streak (the re-placement gets a fresh observation window).
     bool replacement_due();
 
-    /// KL divergence (nats) of the observed per-tenant routed counts from
-    /// the planned traffic weights. Both sides are normalized with add-one
-    /// style smoothing, so zero counts and zero weights are safe and the
-    /// result is always finite and non-negative.
-    static double mix_divergence(const std::vector<double>& planned,
-                                 const std::vector<std::uint64_t>& observed);
-
-    /// Proactive drift trigger: true when mix_kl_threshold > 0 and the
-    /// round's observed mix diverged past it. Pure (no streak state).
-    bool drift_replan_due(const std::vector<double>& planned,
-                          const std::vector<std::uint64_t>& observed) const;
-
 private:
-    fleet_feedback_config cfg_;
     std::vector<double> weights_;
     std::vector<std::uint32_t> streak_;
 };

@@ -10,14 +10,6 @@
 namespace camdn::cache {
 
 namespace {
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-std::uint32_t log2_of(std::uint64_t v) {
-    std::uint32_t s = 0;
-    while ((std::uint64_t{1} << s) < v) ++s;
-    return s;
-}
-
 std::uint32_t lowest_bit(std::uint32_t mask) {
     return static_cast<std::uint32_t>(__builtin_ctz(mask));
 }
@@ -48,7 +40,9 @@ std::uint16_t pack_flags(const std::uint8_t* bytes) {
     return static_cast<std::uint16_t>(lo | hi << 8);
 }
 
-const cache_config& within_order_capacity(const cache_config& config) {
+/// The config, once its ways fit the recency order and every count the
+/// bit-field decode divides by is a power of two.
+const cache_config& checked(const cache_config& config) {
     if (config.ways > shared_cache::max_ways)
         throw std::invalid_argument(
             "shared_cache: " + std::to_string(config.ways) +
@@ -58,6 +52,11 @@ const cache_config& within_order_capacity(const cache_config& config) {
         throw std::invalid_argument(
             "shared_cache: " + std::to_string(config.npu_ways) +
             " NPU ways exceed the cache's " + std::to_string(config.ways));
+    checked_page_geometry(config);
+    if (!is_pow2(config.sets_per_slice()))
+        throw std::invalid_argument(
+            "shared_cache: " + std::to_string(config.sets_per_slice()) +
+            " sets per slice, not a power of two");
     return config;
 }
 
@@ -69,7 +68,7 @@ constexpr std::size_t prefetch_sets = 8;
 }  // namespace
 
 shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
-    : config_(within_order_capacity(config)),
+    : config_(checked(config)),
       dram_(dram),
       sets_(config.sets_per_slice()),
       transparent_ways_(config.ways),
@@ -80,12 +79,9 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
       miss_penalty_cycles_(dram.isolated_line_service_cycles() +
                            config.fill_latency + config.noc_latency) {
     const std::size_t nsets = static_cast<std::size_t>(config_.slices) * sets_;
-    pow2_geometry_ = is_pow2(config_.slices) && is_pow2(sets_);
-    if (pow2_geometry_) {
-        slice_mask_ = config_.slices - 1;
-        index_mask_ = nsets - 1;
-        sig_shift_ = log2_of(nsets);
-    }
+    slice_mask_ = config_.slices - 1;
+    index_mask_ = nsets - 1;
+    sig_shift_ = log2_of(nsets);
     // Every set empty: no valid line, owners no_task, the ways in index
     // order.
     hot_set hot;
@@ -178,15 +174,8 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     const std::uint32_t slices = config_.slices;
     const std::size_t nsets = hot_.size();
     const std::uint64_t line0 = paddr / line_bytes;
-    std::uint32_t slice0;
-    std::size_t idx;
-    if (pow2_geometry_) {
-        slice0 = static_cast<std::uint32_t>(line0 & slice_mask_);
-        idx = static_cast<std::size_t>(line0 & index_mask_);
-    } else {
-        slice0 = static_cast<std::uint32_t>(line0 % slices);
-        idx = static_cast<std::size_t>(line0 % nsets);
-    }
+    const auto slice0 = static_cast<std::uint32_t>(line0 & slice_mask_);
+    auto idx = static_cast<std::size_t>(line0 & index_mask_);
     obs::probe* const attr = obs::attribution_of(probe_);
     obs::probe::wait_fold<&obs::probe::cache_wait> waits{attr, task};
 
@@ -235,7 +224,7 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     std::uint64_t tick = lru_tick_;
     std::uint64_t hits = 0, evictions = 0, inter_task = 0, writebacks = 0;
     cycle_t done = is_write ? last_slot + hit_latency : arrival;
-    std::size_t ahead = (idx + prefetch_sets) % nsets;
+    std::size_t ahead = (idx + prefetch_sets) & index_mask_;
     std::uint64_t i = 0;
     for (std::uint64_t visit = 1; i < nlines; ++visit) {
         const std::uint64_t round = std::min<std::uint64_t>(nlines - i, slices);

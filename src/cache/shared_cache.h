@@ -91,7 +91,9 @@ struct access_result {
 class shared_cache {
 public:
     /// Throws std::invalid_argument when config.npu_ways exceeds
-    /// config.ways, or config.ways exceeds max_ways.
+    /// config.ways, config.ways exceeds max_ways, or a count the address
+    /// decode divides by is not a power of two: slices, sets per slice,
+    /// page bytes and pages per way (checked_page_geometry).
     shared_cache(const cache_config& config, dram::dram_system& dram);
 
     const cache_config& config() const { return config_; }
@@ -192,9 +194,9 @@ private:
         std::uint64_t order = 0;
         std::uint16_t valid = 0;  ///< bit w: way w holds a line
         std::uint16_t dirty = 0;  ///< bit w: way w's line is dirty
-        /// Per way, 16 bits of the line id above the set index (pow2
-        /// geometries; the low 16 bits otherwise): the lookup compares
-        /// these first and confirms a candidate on the full tag.
+        /// Per way, 16 bits of the line id above the set index: the
+        /// lookup compares these first and confirms a candidate on the
+        /// full tag.
         std::uint16_t sig[max_ways] = {};
         std::uint32_t pad[5] = {};  // the hot part fills 64 bytes
     };
@@ -243,10 +245,8 @@ private:
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
     std::uint32_t transparent_ways_ = 0;
-    // Transparent bursts decode their first line's slice and set index;
-    // power-of-two geometries (every stock config) use masks, which yield
-    // the same remainders as the modulo fallback bit for bit.
-    bool pow2_geometry_ = false;
+    // Transparent bursts decode their first line's slice and set index
+    // with masks of the power-of-two geometry.
     std::uint64_t slice_mask_ = 0;
     std::uint64_t index_mask_ = 0;
     std::uint32_t sig_shift_ = 0;  // line id bits below the tag signature

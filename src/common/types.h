@@ -51,6 +51,19 @@ constexpr std::uint64_t lines_for(std::uint64_t bytes) {
     return ceil_div(bytes, line_bytes);
 }
 
+/// Whether `v` is a power of two (0 is not). The cache and DRAM decode
+/// addresses by bit fields, so their geometries must be powers of two.
+constexpr bool is_pow2(std::uint64_t v) {
+    return v != 0 && (v & (v - 1)) == 0;
+}
+
+/// log2 of a power of two: the shift that stands for dividing by `v`.
+constexpr std::uint32_t log2_of(std::uint64_t v) {
+    std::uint32_t s = 0;
+    while ((std::uint64_t{1} << s) < v) ++s;
+    return s;
+}
+
 /// Saturating clock arithmetic. Hours-of-stream-time configs multiply
 /// round lengths by round counts; a wrapped product silently truncates a
 /// round window to near zero, so long-horizon bounds clamp to

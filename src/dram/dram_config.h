@@ -9,7 +9,9 @@
 namespace camdn::dram {
 
 /// dram_system's constructor throws std::invalid_argument on a zero
-/// divisor (count, bandwidth or epoch) or a row below one line.
+/// divisor (count, bandwidth or epoch), a row below one line, or a
+/// channel, bank-per-channel or line-per-row count that is not a power of
+/// two: lines decode to channel, bank and row by bit fields.
 struct dram_config {
     /// Independent channels; consecutive cache lines interleave across them.
     std::uint32_t channels = 4;

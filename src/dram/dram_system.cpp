@@ -11,9 +11,8 @@ namespace camdn::dram {
 namespace {
 constexpr std::uint64_t deci = 10;  // deci-cycles per cycle
 
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-/// The config, once its divisors are known to be usable.
+/// The config, once its divisors are known to be usable and the address
+/// decode's counts are powers of two.
 const dram_config& checked(const dram_config& c) {
     if (c.channels == 0 || c.banks_per_channel == 0 ||
         c.bytes_per_cycle_x10 == 0 || c.regulation_epoch == 0)
@@ -22,13 +21,12 @@ const dram_config& checked(const dram_config& c) {
             "and regulation_epoch must be non-zero");
     if (c.row_bytes < line_bytes)
         throw std::invalid_argument("dram_system: a row is below one line");
+    if (!is_pow2(c.channels) || !is_pow2(c.banks_per_channel) ||
+        c.row_bytes % line_bytes != 0 || !is_pow2(c.row_bytes / line_bytes))
+        throw std::invalid_argument(
+            "dram_system: channels, banks per channel and lines per row "
+            "must be powers of two");
     return c;
-}
-
-std::uint32_t log2_of(std::uint64_t v) {
-    std::uint32_t s = 0;
-    while ((std::uint64_t{1} << s) < v) ++s;
-    return s;
 }
 }  // namespace
 
@@ -40,27 +38,19 @@ dram_system::dram_system(const dram_config& config)
 }
 
 void dram_system::precompute_decode() {
-    lines_per_row_ = config_.row_bytes / line_bytes;
-    pow2_geometry_ = is_pow2(config_.channels) &&
-                     is_pow2(config_.banks_per_channel) &&
-                     config_.row_bytes % line_bytes == 0 &&
-                     is_pow2(lines_per_row_);
-    if (pow2_geometry_) {
-        channel_shift_ = log2_of(config_.channels);
-        channel_mask_ = config_.channels - 1;
-        bank_shift_ = log2_of(config_.banks_per_channel);
-        bank_mask_ = config_.banks_per_channel - 1;
-        row_shift_ = log2_of(lines_per_row_);
-    }
+    channel_shift_ = log2_of(config_.channels);
+    channel_mask_ = config_.channels - 1;
+    bank_shift_ = log2_of(config_.banks_per_channel);
+    bank_mask_ = config_.banks_per_channel - 1;
+    row_shift_ = log2_of(config_.row_bytes / line_bytes);
     data_slot_deci_ = config_.burst_deci_cycles() + config_.t_burst_gap * deci;
     peak_bytes_per_cycle_ = config_.peak_bytes_per_cycle();
     controller_deci_ = config_.t_controller * deci;
-    // The batched kernels need the pow2 decode, and burst_segments needs
-    // each bank's bus-order G chain non-increasing from its second visit:
-    // a bank's CAS cadence may not outrun the whole channel bus.
-    batched_geometry_ = pow2_geometry_ &&
-                        config_.t_ccd * deci <=
-                            config_.banks_per_channel * data_slot_deci_;
+    // burst_segments needs each bank's bus-order G chain non-increasing
+    // from its second visit: a bank's CAS cadence may not outrun the
+    // whole channel bus.
+    batched_geometry_ = config_.t_ccd * deci <=
+                        config_.banks_per_channel * data_slot_deci_;
 }
 
 /// The one per-line timing body: regulation, decode and the bank/bus
@@ -80,15 +70,11 @@ public:
           bus_free_(d.bus_free_.data()),
           regs_(d.regulators_.data()),
           nregs_(d.regulators_.size()),
-          pow2_(d.pow2_geometry_),
           channel_mask_(d.channel_mask_),
           channel_shift_(d.channel_shift_),
           bank_mask_(d.bank_mask_),
           bank_shift_(d.bank_shift_),
           row_block_shift_(d.bank_shift_ + d.row_shift_),
-          channels_(d.config_.channels),
-          nbanks_(d.config_.banks_per_channel),
-          lines_per_row_(d.lines_per_row_),
           tcl_(d.config_.t_cl * deci),
           tccd_(d.config_.t_ccd * deci),
           empty_extra_(d.config_.t_rcd * deci),
@@ -139,22 +125,11 @@ public:
             if (regulated > arrival)
                 attr_->dram_wait(task, task, regulated - arrival);
         }
-        std::uint32_t channel;
-        std::uint64_t bank_in_channel;
-        std::int64_t row;
-        if (pow2_) {
-            channel = static_cast<std::uint32_t>(line_id & channel_mask_);
-            const std::uint64_t u = line_id >> channel_shift_;
-            bank_in_channel = u & bank_mask_;
-            row = static_cast<std::int64_t>(u >> row_block_shift_);
-        } else {
-            channel = static_cast<std::uint32_t>(line_id % channels_);
-            const std::uint64_t u = line_id / channels_;
-            bank_in_channel = u % nbanks_;
-            row = static_cast<std::int64_t>(u / nbanks_ / lines_per_row_);
-        }
+        const std::uint64_t channel = line_id & channel_mask_;
+        const std::uint64_t u = line_id >> channel_shift_;
+        const auto row = static_cast<std::int64_t>(u >> row_block_shift_);
         const std::size_t bank_idx =
-            static_cast<std::size_t>(channel) * nbanks_ + bank_in_channel;
+            (channel << bank_shift_) + (u & bank_mask_);
         bank_state& bank = banks_[bank_idx];
 
         const std::uint64_t arrival_deci = regulated * deci;
@@ -267,15 +242,11 @@ private:
     std::uint64_t* const bus_free_;
     regulator_state* const regs_;
     const std::size_t nregs_;
-    const bool pow2_;
     const std::uint64_t channel_mask_;
     const std::uint32_t channel_shift_;
     const std::uint64_t bank_mask_;
     const std::uint32_t bank_shift_;
     const std::uint32_t row_block_shift_;
-    const std::uint64_t channels_;
-    const std::uint64_t nbanks_;
-    const std::uint64_t lines_per_row_;
     const std::uint64_t tcl_, tccd_, empty_extra_, miss_extra_;
     const std::uint64_t slot_, controller_;
     const cycle_t epoch_;
@@ -359,8 +330,8 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
                                     cycle_t arrival, task_id task) {
     // Consecutive lines stripe channels -> banks -> rows, so each channel's
     // subsequence (own data bus, own banks) times independently. Within a
-    // channel, in-channel line index u walks one row block until a pow2
-    // boundary; inside such a segment every bank's visit chain is linear:
+    // channel, in-channel line index u walks one row block until a row
+    // block boundary; inside such a segment every bank's visit chain is linear:
     //   start(v) = R1 + (v-1)*D  for v >= 1, with
     //   R1 = max(arrival, ready) + busy(first visit),  D = tCCD deci.
     // The only cross-bank coupling is the channel bus prefix-max
@@ -384,8 +355,8 @@ cycle_t dram_system::burst_segments(addr_t line_addr, std::uint64_t nlines,
     const std::uint64_t tcl = config_.t_cl * deci;
     const std::uint64_t empty_extra = config_.t_rcd * deci;
     const std::uint64_t miss_extra = (config_.t_rp + config_.t_rcd) * deci;
-    // batched_geometry_ implies pow2_geometry_: counts are masks + 1 and
-    // every divide by them is a shift.
+    // Every count is a power of two: counts are masks + 1 and every
+    // divide by them is a shift.
     const std::uint64_t channel_mask = channel_mask_;
     const std::uint32_t channel_shift = channel_shift_;
     const std::uint64_t bank_mask = bank_mask_;
@@ -567,9 +538,8 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
                    : burst_segments<false>(line_addr, nlines, arrival, task);
     }
     // The exact per-line walk (regulate per line, throttle accounting,
-    // attribution of the delays) for single-visit bursts, non-pow2 or
-    // command-bound geometries, and bursts across a regulation budget
-    // edge.
+    // attribution of the delays) for single-visit bursts, command-bound
+    // geometries, and bursts across a regulation budget edge.
     const std::uint64_t line_id0 = line_addr / line_bytes;
     line_timer t(*this);
     const cycle_t done =

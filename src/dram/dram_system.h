@@ -53,6 +53,7 @@ struct line_request {
 
 class dram_system {
 public:
+    /// Throws std::invalid_argument as dram_config documents.
     explicit dram_system(const dram_config& config = {});
 
     /// Times one 64 B line transfer arriving at `arrival`. Returns the
@@ -126,13 +127,11 @@ private:
     /// walk. It copies what it reads into locals and keeps what it
     /// counts — row outcomes, throttles, bus slots, reads and writes,
     /// per-task bytes — in locals until commit(), so a run of lines pays
-    /// no member reload or stats store per line. Power-of-two geometries
-    /// (every stock config) decode with shift/mask forms of the div/mod
-    /// chain that the others keep; same quotients either way.
+    /// no member reload or stats store per line. Lines decode to channel,
+    /// bank and row by shifts and masks.
     class line_timer;
 
-    /// Precomputes the shift/mask decode of a power-of-two geometry and
-    /// the batched kernels' gate.
+    /// Precomputes the shift/mask decode and the batched kernels' gate.
     void precompute_decode();
 
     /// Burst-wide regulation: when the whole burst fits in the task's
@@ -179,11 +178,9 @@ private:
     obs::probe* probe_ = nullptr;
 
     // Constants derived from config_ at construction (hot-path hoists).
-    bool pow2_geometry_ = false;
-    /// pow2 geometry with t_ccd*10 <= banks*S: access_burst may take the
-    /// batched kernels. Command-bound geometries walk per line.
+    /// t_ccd*10 <= banks*S: access_burst may take the batched kernels.
+    /// Command-bound geometries walk per line.
     bool batched_geometry_ = false;
-    std::uint64_t lines_per_row_ = 0;  // row_bytes / line_bytes, cached once
     std::uint32_t channel_shift_ = 0;
     std::uint64_t channel_mask_ = 0;
     std::uint32_t bank_shift_ = 0;

@@ -72,12 +72,21 @@ struct mapping_candidate {
 
 /// Mapping Candidate Table of one layer.
 struct mct {
-    /// LWM candidates in ascending pages_needed order (deduplicated).
+    /// LWM candidates in strictly ascending pages_needed order (map_layer's
+    /// dominance filter keeps one candidate per page count).
     std::vector<mapping_candidate> lwm;
     std::optional<mapping_candidate> lbm;
 
     /// Smallest candidate — always exists and needs zero pages.
     const mapping_candidate& minimal() const { return lwm.front(); }
+
+    /// The LWM candidate with the most pages within `pages` (Algorithm 1,
+    /// lines 16-22); the minimal one when none fits.
+    const mapping_candidate& largest_lwm_within(std::uint64_t pages) const {
+        for (auto it = lwm.rbegin(); it != lwm.rend(); ++it)
+            if (it->pages_needed <= pages) return *it;
+        return minimal();
+    }
 };
 
 /// Serializable identity of `cand` inside `table`: its LWM index, -1 for

@@ -32,8 +32,6 @@ struct run_observer {
     /// (obs/attribution.h).
     latency_attributor* attr = nullptr;
 
-    /// Emit every Nth epoch row (sampling interval; 0 behaves as 1).
-    std::uint32_t epoch_sample_every = 1;
     /// SoC index: the trace pid and the "soc" field of JSONL rows.
     std::uint32_t soc_index = 0;
 

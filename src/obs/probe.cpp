@@ -103,10 +103,7 @@ void probe::completion(task_id slot, const std::string& abbr,
 }
 
 void probe::epoch_cut(const adapt::epoch_snapshot& snap, cycle_t now) {
-    const std::uint32_t every =
-        o_.epoch_sample_every == 0 ? 1 : o_.epoch_sample_every;
-    const bool row = o_.epochs != nullptr && snap.index % every == 0;
-    if (row) o_.epochs->epoch_row(o_.soc_index, snap);
+    if (o_.epochs != nullptr) o_.epochs->epoch_row(o_.soc_index, snap);
     if (o_.metrics != nullptr) {
         bind_metric_slots();
         *mslots_.epochs_cut += 1;
@@ -125,7 +122,8 @@ void probe::epoch_cut(const adapt::epoch_snapshot& snap, cycle_t now) {
         *mslots_.active_slots = snap.active_slots;
     }
     if (o_.attr != nullptr) {
-        if (row) o_.epochs->row(o_.attr->jsonl_row(o_.soc_index, snap.index));
+        if (o_.epochs != nullptr)
+            o_.epochs->row(o_.attr->jsonl_row(o_.soc_index, snap.index));
         if (o_.trace != nullptr) trace_attribution(*o_.trace, now, *o_.attr);
     }
 }

@@ -70,32 +70,24 @@ allocation_decision cache_allocation_algorithm::select(
     const std::int64_t p_ahead =
         predict_available_pages(running, current, pool, t_ahead);
 
-    const mapping::mapping_candidate* chosen = &table.lwm.front();
-    for (const auto& cand : table.lwm) {
-        if (chosen->pages_needed < cand.pages_needed &&
-            static_cast<std::int64_t>(cand.pages_needed) <= p_ahead) {
-            chosen = &cand;
-        }
-    }
-    return {chosen, chosen->pages_needed, t_ahead};
+    // p_ahead >= 0: predict_available_pages floors it at the fair share.
+    const mapping::mapping_candidate& chosen =
+        table.largest_lwm_within(static_cast<std::uint64_t>(p_ahead));
+    return {&chosen, chosen.pages_needed, t_ahead};
 }
 
 allocation_decision cache_allocation_algorithm::downgrade(
     const task& current, std::uint32_t cap_pages, cycle_t now) const {
-    const mapping::mct& table = current.current_mct();
-    const mapping::mapping_candidate* chosen = &table.lwm.front();
-    for (const auto& cand : table.lwm) {
-        if (cand.pages_needed < cap_pages &&
-            cand.pages_needed > chosen->pages_needed) {
-            chosen = &cand;
-        }
-    }
+    // Strictly below the cap: the largest candidate within cap - 1 pages.
+    const mapping::mapping_candidate& chosen =
+        current.current_mct().largest_lwm_within(
+            cap_pages == 0 ? 0 : cap_pages - 1);
     const cycle_t t_ahead =
         now + static_cast<cycle_t>(
                   ahead_ratio_ *
                   static_cast<double>(
                       current.mapping->layer_est[current.current_layer]));
-    return {chosen, chosen->pages_needed, t_ahead};
+    return {&chosen, chosen.pages_needed, t_ahead};
 }
 
 }  // namespace camdn::runtime

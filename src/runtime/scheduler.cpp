@@ -81,8 +81,8 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
                                std::max<std::uint32_t>(cfg_.co_located, 1));
         alg_.set_fair_pages(&page_share_);
         ctl_ = std::make_unique<adapt::feedback_controller>(
-            adapt::controller_config{}, cfg_.co_located,
-            machine_.cache().pages().total_pages(), alg_.ahead_ratio());
+            cfg_.co_located, machine_.cache().pages().total_pages(),
+            alg_.ahead_ratio());
     }
 
     const std::uint32_t slots = cfg_.co_located;
@@ -774,14 +774,8 @@ void scheduler::begin_layer(task& t) {
         case sim::policy::camdn_hw_only: {
             // Architecture only: the static share bounds the LWM candidate;
             // LBM and prediction belong to the scheduling method (Full).
-            const std::uint32_t share =
-                machine_.cache().pages().allocated(t.id);
-            const mapping::mapping_candidate* best = &table.lwm.front();
-            for (const auto& cand : table.lwm)
-                if (cand.pages_needed <= share &&
-                    cand.pages_needed >= best->pages_needed)
-                    best = &cand;
-            run_layer(t, *best);
+            run_layer(t, table.largest_lwm_within(
+                             machine_.cache().pages().allocated(t.id)));
             return;
         }
 
@@ -868,11 +862,7 @@ std::uint32_t scheduler::predict_next_pages(const task& t) {
                 static_cast<std::size_t>(t.id) < page_share_.size()
             ? page_share_[t.id]
             : machine_.cache().pages().total_pages() / cfg_.co_located;
-    const mapping::mapping_candidate* pick = &table.lwm.front();
-    for (const auto& cand : table.lwm)
-        if (cand.pages_needed <= fair && cand.pages_needed >= pick->pages_needed)
-            pick = &cand;
-    return pick->pages_needed;
+    return table.largest_lwm_within(fair).pages_needed;
 }
 
 void scheduler::on_sched_event(const typed_event& ev) {

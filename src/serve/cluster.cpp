@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "adapt/fleet_feedback.h"
 #include "common/rng.h"
 #include "model/model_zoo.h"
 #include "obs/attribution.h"
@@ -168,7 +169,7 @@ private:
     void fold_results();
     void feed_back();
     void retain(std::uint32_t round);
-    bool replan();
+    void replan();
     void replace_plan();
     void record(const scale_event& ev);
 
@@ -179,9 +180,6 @@ private:
     /// sentinel well clear of any SoC id.
     const std::uint32_t fleet_lane_;
     const std::uint32_t min_socs_, max_socs_;
-    /// Mix the current placement was planned against (for the drift
-    /// trigger); re-plans rebase it onto the observed mix.
-    std::vector<double> planned_mix_;
     stream_source stream_;
 
     /// The live fleet. Fixed-fleet runs keep exactly the configured
@@ -201,7 +199,7 @@ private:
     std::uint32_t cooldown_ = 0;
     std::size_t ring_pos_ = 0;  // bounded-history completion-ring cursor
 
-    std::vector<std::uint64_t> routed_per_model_, round_routed_;
+    std::vector<std::uint64_t> routed_per_model_;
     /// Queued requests lifted out of draining SoCs, re-routed at the next
     /// round start at their original arrival stamps (the target fires
     /// them at its own clock, and admission keeps the stamp).
@@ -234,12 +232,10 @@ fleet_runner::fleet_runner(const cluster_config& cfg)
                       : static_cast<std::uint32_t>(cfg_.socs.size())),
       min_socs_(std::max<std::uint32_t>(cfg_.autoscale.min_socs, 1)),
       max_socs_(std::max(cfg_.autoscale.max_socs, min_socs_)),
-      planned_mix_(traffic_weights(cfg_)),
-      stream_(cfg_, cumulative(planned_mix_)),
+      stream_(cfg_, cumulative(traffic_weights(cfg_))),
       route_cfg_(cfg_),
-      fb_(cfg_.feedback, cfg_.socs.size()),
-      routed_per_model_(cfg_.models.size(), 0),
-      round_routed_(cfg_.models.size(), 0) {
+      fb_(cfg_.socs.size()),
+      routed_per_model_(cfg_.models.size(), 0) {
     fleet_.reserve(cfg_.socs.size());
     for (const auto& inst : cfg_.socs)
         fleet_.push_back({inst, next_id_++, false, {}, {}, {}, {}});
@@ -300,11 +296,9 @@ void fleet_runner::route(const stream_arrival& a, bool migrated) {
     traces_[route_map_[ri]].push_back({a.at, cfg_.models[a.model]});
     if (migrated) return;
     routed_per_model_[a.model] += 1;
-    round_routed_[a.model] += 1;
 }
 
 void fleet_runner::route_round(std::uint32_t round) {
-    std::fill(round_routed_.begin(), round_routed_.end(), 0u);
     traces_.assign(fleet_.size(), {});
     // Migrated backlog first (in drain order), then the round's fresh
     // arrivals — the per-SoC trace generator stable-sorts by stamp, so
@@ -481,17 +475,14 @@ void fleet_runner::fold_results() {
 }
 
 /// Folds the routable SoCs' rollups into the router weights, then
-/// re-plans on a violation streak or, proactively, on traffic-mix drift.
+/// re-plans on a violation streak.
 void fleet_runner::feed_back() {
     std::vector<adapt::soc_rollup> rollups;
     rollups.reserve(route_map_.size());
     for (const auto k : route_map_)
         rollups.push_back(adapt::rollup_from(round_res_[k], cfg_.qos_scale));
     fb_.observe(rollups);
-    if (fb_.replacement_due())
-        replan();
-    else if (fb_.drift_replan_due(planned_mix_, round_routed_) && replan())
-        out_.drift_replacements += 1;
+    if (fb_.replacement_due()) replan();
 }
 
 /// Retains or releases the round's results: a compact rollup per live SoC,
@@ -521,20 +512,18 @@ void fleet_runner::retain(std::uint32_t round) {
 }
 
 /// Re-plans against the observed cumulative mix (+1 smoothing keeps
-/// every model placeable and the weights positive); false while nothing
-/// has been routed.
-bool fleet_runner::replan() {
+/// every model placeable and the weights positive); a no-op while
+/// nothing has been routed.
+void fleet_runner::replan() {
     std::uint64_t total_routed = 0;
     for (const auto n : routed_per_model_) total_routed += n;
-    if (total_routed == 0) return false;
+    if (total_routed == 0) return;
     route_cfg_.traffic_share.assign(cfg_.models.size(), 1.0);
     for (std::size_t m = 0; m < cfg_.models.size(); ++m)
         route_cfg_.traffic_share[m] +=
             static_cast<double>(routed_per_model_[m]);
     replace_plan();
     out_.replacements += 1;
-    planned_mix_ = traffic_weights(route_cfg_);
-    return true;
 }
 
 /// Plans placement over the routable SoCs and builds its router (hooked
@@ -642,7 +631,7 @@ void fleet_runner::autoscale(std::uint32_t round) {
     // Resize feedback to the new routable set (weights and violation
     // streaks restart; the router is rebuilt against the fresh weights,
     // so stale per-SoC state never leaks across a fleet-shape change).
-    fb_ = adapt::fleet_feedback(cfg_.feedback, ev.active_after);
+    fb_ = adapt::fleet_feedback(ev.active_after);
     replace_plan();
 }
 

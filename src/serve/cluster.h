@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "adapt/fleet_feedback.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "model/model.h"
@@ -153,13 +152,9 @@ struct cluster_config {
     /// A value > 0 requires feedback_rounds > 1 (run_cluster throws
     /// std::invalid_argument otherwise).
     cycle_t round_cycles = 0;
-    adapt::fleet_feedback_config feedback{};
     /// SLA definition for rollups and cluster_result::sla_rate: a
     /// completion meets SLA within qos_scale * its model's Table-I target.
     double qos_scale = 1.0;
-
-    /// Max replicas per model (0 = bounded only by cache capacity).
-    std::uint32_t replication_limit = 0;
 
     /// Sweep-pool width for the per-SoC simulations (0 = hardware
     /// concurrency, 1 = inline). Never changes results.
@@ -301,11 +296,8 @@ struct cluster_result {
     std::uint64_t deadline_met = 0;
     /// Final router load weights (empty without feedback).
     std::vector<double> route_weights;
-    /// Re-placements triggered (SLA violation streaks + mix drift).
+    /// Re-placements triggered by SLA violation streaks.
     std::uint32_t replacements = 0;
-    /// Subset of `replacements` fired proactively by KL traffic-mix drift
-    /// (fleet_feedback_config::mix_kl_threshold).
-    std::uint32_t drift_replacements = 0;
 
     /// Autoscaling history in decision order (empty with autoscaling
     /// off). soc_ids are stable across the run: initial SoCs are

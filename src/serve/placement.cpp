@@ -91,15 +91,11 @@ placement plan_placement(const cluster_config& cfg) {
     }
 
     // Pass 2: replicate the hottest models (traffic per replica) onto the
-    // roomiest SoCs that still fit them, until nothing fits or the
-    // replication limit is reached.
+    // roomiest SoCs that still fit them, until nothing fits.
     for (;;) {
         std::size_t pick_m = M, pick_s = S;
         double pick_heat = -1.0;
         for (std::size_t m = 0; m < M; ++m) {
-            if (cfg.replication_limit != 0 &&
-                out.hosts[m].size() >= cfg.replication_limit)
-                continue;
             const double heat =
                 share[m] / static_cast<double>(out.hosts[m].size());
             if (heat <= pick_heat) continue;

@@ -143,25 +143,60 @@ INSTANTIATE_TEST_SUITE_P(page_sizes, cpt_page_size,
                          ::testing::Values(kib(8), kib(16), kib(32), kib(64),
                                            kib(128)));
 
-// A geometry that is not a power of two takes the div/mod fallback, which
-// must agree with the same arithmetic written out.
-TEST(cpt, non_power_of_two_geometry_uses_the_same_arithmetic) {
+// The decode is bit fields, so every count it divides by must be a power
+// of two. A 12 MiB cache has 1,536 sets per slice and 24 pages per way:
+// both the translation and the cache reject it at construction.
+TEST(cpt, non_power_of_two_geometry_is_rejected) {
+    dram::dram_system dram{dram::dram_config{}};
     cache_config cfg;
-    cfg.total_bytes = mib(12);  // 1,536 sets per slice, 24 pages per way
-    const page_translation cpt(cfg);
-    const std::uint32_t ppw = cfg.pages_per_way();
-    ASSERT_EQ(ppw, 24u);
-    for (const std::uint32_t pcpn : {0u, ppw - 1, ppw, cfg.pages_total() - 1}) {
-        for (const addr_t off : {addr_t{0}, 9 * line_bytes,
-                                 cfg.page_bytes - line_bytes}) {
-            const std::uint64_t line = off / line_bytes;
-            const pcaddr p = cpt.translate(pcpn, off);
-            EXPECT_EQ(p.slice, line % cfg.slices);
-            EXPECT_EQ(p.way, pcpn / cfg.pages_per_way());
-            EXPECT_EQ(p.set, (pcpn % cfg.pages_per_way()) * cfg.sets_per_page() +
-                                 line / cfg.slices);
-        }
-    }
+    cfg.total_bytes = mib(12);
+    ASSERT_EQ(cfg.pages_per_way(), 24u);
+    EXPECT_THROW(page_translation{cfg}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument);
+
+    cache_config slices;
+    slices.slices = 6;
+    EXPECT_THROW(page_translation{slices}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(slices, dram), std::invalid_argument);
+
+    cache_config pages;
+    pages.page_bytes = kib(24);
+    EXPECT_THROW(page_translation{pages}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(pages, dram), std::invalid_argument);
+
+    // 12 ways of 8 slices leave 2,048 sets per slice: a way count is no
+    // decoded field, so it may be any number up to max_ways.
+    cache_config twelve;
+    twelve.total_bytes = mib(12);
+    twelve.ways = 12;
+    EXPECT_NO_THROW(page_translation{twelve});
+    EXPECT_NO_THROW(shared_cache(twelve, dram));
+}
+
+// Degenerate page geometries fail at construction instead of dividing by
+// zero or building an empty pool. A 256-byte page is smaller than one line
+// per slice (zero sets per page); a 64 KiB page does not fit one way of a
+// 256 KiB cache (zero pages per way).
+TEST(cpt, degenerate_page_geometry_is_rejected) {
+    dram::dram_system dram{dram::dram_config{}};
+    cache_config tiny;
+    tiny.page_bytes = 256;
+    ASSERT_EQ(tiny.sets_per_page(), 0u);
+    EXPECT_THROW(page_translation{tiny}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(tiny, dram), std::invalid_argument);
+
+    cache_config wide;
+    wide.total_bytes = kib(256);
+    wide.page_bytes = kib(64);
+    ASSERT_EQ(wide.pages_per_way(), 0u);
+    EXPECT_THROW(page_translation{wide}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(wide, dram), std::invalid_argument);
+
+    cache_config no_ways;
+    no_ways.ways = 0;
+    no_ways.npu_ways = 0;
+    EXPECT_THROW(page_translation{no_ways}, std::invalid_argument);
+    EXPECT_THROW(shared_cache(no_ways, dram), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,12 +7,12 @@
 // The reference is a mirror dram_system driven one access() per line at
 // the burst's arrival, which is exactly the walk the per-line fallback
 // inside access_burst performs. access_lines() runs are checked the same
-// way against one access() per line, in every batched geometry and a
-// non-pow2 one.
+// way against one access() per line, in every batched geometry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,8 +51,6 @@ cycle_t perline_burst(dram_system& d, addr_t addr, std::uint64_t nlines,
                                        arrival, task));
     return done;
 }
-
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 /// access_burst's gate for the batched kernels, restated from the config:
 /// a pow2 geometry whose bank CAS cadence (t_ccd) cannot outrun the whole
@@ -337,25 +335,22 @@ TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {
     }
 }
 
-TEST(dram_batched, non_pow2_geometry_uses_exact_perline_walk) {
-    // A 3-channel geometry cannot use the pow2 decode, so access_burst
-    // must take the authoritative per-line walk — equivalence holds by
-    // construction, but the dispatch itself is what this pins down.
-    dram_config cfg;
-    cfg.channels = 3;
-    dram_system batched{cfg};
-    dram_system perline{cfg};
-    const auto ops = random_ops(cfg, /*seed=*/0x5eed0004, /*count=*/100,
-                                /*ntasks=*/2);
-    for (const burst_op& op : ops) {
-        const cycle_t done_b = batched.access_burst(
-            op.addr, op.nlines, op.is_write, op.arrival, op.task);
-        const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task);
-        ASSERT_EQ(done_b, done_p);
-    }
-    expect_stats_eq(batched.stats(), perline.stats());
-    EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
+TEST(dram_batched, non_pow2_geometry_is_rejected) {
+    // Lines decode to channel, bank and row by bit fields, so every burst
+    // path (per-line walk and segment kernels alike) needs power-of-two
+    // counts: a geometry without them fails at construction.
+    dram_config channels;
+    channels.channels = 3;
+    EXPECT_THROW(dram_system{channels}, std::invalid_argument);
+    dram_config banks;
+    banks.banks_per_channel = 12;
+    EXPECT_THROW(dram_system{banks}, std::invalid_argument);
+    dram_config rows;
+    rows.row_bytes = 3 * 1024;  // 48 lines per row
+    EXPECT_THROW(dram_system{rows}, std::invalid_argument);
+    dram_config ragged;
+    ragged.row_bytes = 2048 + 32;  // not a whole number of lines
+    EXPECT_THROW(dram_system{ragged}, std::invalid_argument);
 }
 
 /// Random access_lines() runs, the transparent path's miss-run shape:
@@ -433,12 +428,8 @@ std::uint64_t check_line_runs(const dram_config& cfg, bool attributed,
 }
 
 TEST(dram_batched, line_runs_match_per_line_access) {
-    std::vector<named_geometry> geometries = batched_geometries();
-    dram_config three;
-    three.channels = 3;  // div/mod decode
-    geometries.push_back({"3 channels", three});
     std::uint64_t seed = 0x5eed0005;
-    for (const named_geometry& g : geometries) {
+    for (const named_geometry& g : batched_geometries()) {
         for (const bool attributed : {false, true}) {
             SCOPED_TRACE(std::string(g.name) +
                          (attributed ? ", attributed" : ", bare"));

@@ -4,6 +4,7 @@
 
 #include "mapping/layer_mapper.h"
 #include "model/model_zoo.h"
+#include "sim/soc_config.h"
 
 namespace camdn::mapping {
 namespace {
@@ -149,6 +150,50 @@ TEST(layer_mapper, more_cache_never_more_traffic_ladder_property) {
             for (std::size_t i = 1; i < table.lwm.size(); ++i)
                 EXPECT_LE(table.lwm[i].dram_bytes(),
                           table.lwm[i - 1].dram_bytes());
+        }
+    }
+}
+
+// Every MCT a run builds keeps its LWM page counts strictly ascending
+// (the dominance filter keeps one candidate per count), so "the largest
+// candidate within N pages" has one answer whatever a loop's tie rule:
+// the zoo under the mapper configs of three cache and five page sizes.
+TEST(layer_mapper, lwm_pages_strictly_ascend_over_the_zoo) {
+    for (const std::uint64_t cache : {mib(4), mib(16), mib(64)}) {
+        for (const std::uint64_t page :
+             {kib(8), kib(16), kib(32), kib(64), kib(128)}) {
+            sim::soc_config soc;
+            soc.cache.total_bytes = cache;
+            soc.cache.page_bytes = page;
+            const mapper_config cfg = soc.mapper();
+            for (const auto& m : model::benchmark_models()) {
+                const auto mm = map_model(m, cfg);
+                for (std::size_t l = 0; l < mm.tables.size(); ++l) {
+                    const auto& lwm = mm.tables[l].lwm;
+                    ASSERT_EQ(lwm.front().pages_needed, 0u);
+                    for (std::size_t i = 1; i < lwm.size(); ++i)
+                        ASSERT_GT(lwm[i].pages_needed, lwm[i - 1].pages_needed)
+                            << m.abbr << " layer " << l << ", "
+                            << cache / mib(1) << " MiB cache, "
+                            << page / kib(1) << " KiB pages";
+                }
+            }
+        }
+    }
+}
+
+TEST(layer_mapper, largest_lwm_within_picks_the_most_pages_that_fit) {
+    for (const auto& table : mapping_of("RS.").tables) {
+        EXPECT_EQ(&table.largest_lwm_within(0), &table.minimal());
+        EXPECT_EQ(&table.largest_lwm_within(~std::uint64_t{0}),
+                  &table.lwm.back());
+        for (const auto& cand : table.lwm) {
+            EXPECT_EQ(&table.largest_lwm_within(cand.pages_needed), &cand);
+            // One page short falls back to the next smaller candidate.
+            if (cand.pages_needed > 0) {
+                EXPECT_EQ(&table.largest_lwm_within(cand.pages_needed - 1),
+                          &cand - 1);
+            }
         }
     }
 }

@@ -618,24 +618,6 @@ TEST(zero_overhead_off, observer_epochs_restart_at_a_resume) {
     EXPECT_EQ(epoch_bytes, res.dram_total_bytes - paused_bytes);
 }
 
-TEST(zero_overhead_off, epoch_sampling_thins_rows_without_changing_the_run) {
-    auto every1 = observed_cfg();
-    obs::jsonl_sink rows1;
-    every1.obs.epochs = &rows1;
-    every1.obs.epoch_sample_every = 1;
-    const auto a = sim::run_experiment(every1);
-
-    auto every4 = observed_cfg();
-    obs::jsonl_sink rows4;
-    every4.obs.epochs = &rows4;
-    every4.obs.epoch_sample_every = 4;
-    const auto b = sim::run_experiment(every4);
-
-    expect_identical(a, b);
-    EXPECT_GT(rows1.rows(), rows4.rows());
-    EXPECT_GE(rows4.rows(), (rows1.rows() + 3) / 4);
-}
-
 // ---- cluster observability --------------------------------------------
 
 serve::cluster_config small_fleet() {

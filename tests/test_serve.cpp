@@ -85,16 +85,6 @@ TEST(placement, respects_cache_capacity_when_feasible) {
     }
 }
 
-TEST(placement, honors_replication_limit) {
-    auto cfg = colocation_cfg();
-    cfg.replication_limit = 2;
-    const auto place = plan_placement(cfg);
-    for (const auto& hosts : place.hosts) {
-        EXPECT_GE(hosts.size(), 1u);
-        EXPECT_LE(hosts.size(), 2u);
-    }
-}
-
 TEST(placement, replicates_up_to_capacity_without_a_limit) {
     auto cfg = colocation_cfg();
     const auto place = plan_placement(cfg);

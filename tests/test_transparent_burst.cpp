@@ -246,8 +246,8 @@ constexpr int ntasks = 4;  // tasks 0..3, plus the untracked no_task
 struct scenario {
     std::uint64_t cache_bytes = mib(4);
     std::uint32_t transparent_ways = 16;
-    /// Every this many bursts the way mask flips between 4 and 16 (0:
-    /// never).
+    /// Every this many bursts the way mask flips between 4 and all ways
+    /// (0: never).
     std::size_t flip_ways_every = 0;
     /// Every this many bursts the kernel side restores its own snapshot.
     std::size_t restore_every = 0;
@@ -257,6 +257,8 @@ struct scenario {
     std::size_t bursts = 1000;
     std::uint64_t seed = 1;
     bool attribution = false;
+    /// The cache's way count.
+    std::uint32_t ways = 16;
 };
 
 /// Attributors with one tenant per slot, so holder rows name slots.
@@ -301,6 +303,7 @@ void compare_and_restart(obs::latency_attributor& kernel,
 std::uint64_t run_scenario(const scenario& sc) {
     cache_config cfg;
     cfg.total_bytes = sc.cache_bytes;
+    cfg.ways = sc.ways;
     dram::dram_system kernel_dram{dram::dram_config{}};
     dram::dram_system ref_dram{dram::dram_config{}};
     auto kernel_owner = std::make_unique<shared_cache>(cfg, kernel_dram);
@@ -348,7 +351,7 @@ std::uint64_t run_scenario(const scenario& sc) {
     std::vector<std::uint8_t> kernel_bytes, ref_bytes;
     for (std::size_t b = 0; b < sc.bursts; ++b) {
         if (sc.flip_ways_every != 0 && b % sc.flip_ways_every == 0 && b > 0) {
-            ways = ways == 16 ? 4 : 16;
+            ways = ways == cfg.ways ? 4 : cfg.ways;
             kernel->set_transparent_ways(ways);
             ref.set_transparent_ways(ways);
         }
@@ -462,9 +465,11 @@ TEST(transparent_burst, matches_the_per_line_reference) {
     // 16 MiB, the stock geometry, unpartitioned and partitioned.
     throttled += run_scenario({mib(16), 16, 0, 900, 100, 2000, 14});
     throttled += run_scenario({mib(16), 4, 0, 0, 100, 1000, 15});
-    // 12 MiB: slices x sets is not a power of two, so set indices and
-    // signatures take the modulo path; restores walk its snapshot records.
-    throttled += run_scenario({mib(12), 16, 400, 600, 50, 1500, 16});
+    // 12 MiB over 12 ways: 2,048 sets per slice, so a way count that is
+    // not a power of two runs too; restores walk its snapshot records.
+    scenario twelve{mib(12), 12, 400, 600, 50, 1500, 16};
+    twelve.ways = 12;
+    throttled += run_scenario(twelve);
     EXPECT_GT(throttled, 0u) << "the regulated task never throttled";
 }
 
