@@ -50,7 +50,7 @@ int main() {
     for (auto cache_bytes : cache_sizes) {
         for (auto dnns : dnn_counts) {
             const auto& res = results[idx++];
-            grid[{cache_bytes, dnns}] = point{res.cache_hit_rate,
+            grid[{cache_bytes, dnns}] = point{res.cache_stats.hit_rate(),
                                               res.mem_mb_per_inference(),
                                               res.avg_latency_ms()};
         }

@@ -34,7 +34,7 @@ int main() {
         table.add_row({sim::policy_name(pols[i]),
                        fmt_fixed(results[i].avg_latency_ms(), 2),
                        fmt_fixed(results[i].mem_mb_per_inference(), 1),
-                       fmt_fixed(results[i].cache_hit_rate, 3)});
+                       fmt_fixed(results[i].cache_stats.hit_rate(), 3)});
     }
     table.print(std::cout);
 

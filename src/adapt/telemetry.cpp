@@ -34,12 +34,8 @@ namespace {
 void save_counters(snapshot_writer& w, const task_counters& c) {
     w.u64(c.cache_hits);
     w.u64(c.cache_misses);
-    w.u64(c.region_lines);
-    w.u64(c.fill_lines);
     w.u64(c.dma_bytes);
     w.u64(c.layers_retired);
-    w.u64(c.compute_cycles);
-    w.u64(c.layer_cycles);
     w.u64(c.lbm_layers);
     w.u64(c.page_wait_cycles);
     w.u64(c.page_timeouts);
@@ -53,12 +49,8 @@ void save_counters(snapshot_writer& w, const task_counters& c) {
 void restore_counters(snapshot_reader& r, task_counters& c) {
     c.cache_hits = r.u64();
     c.cache_misses = r.u64();
-    c.region_lines = r.u64();
-    c.fill_lines = r.u64();
     c.dma_bytes = r.u64();
     c.layers_retired = r.u64();
-    c.compute_cycles = r.u64();
-    c.layer_cycles = r.u64();
     c.lbm_layers = r.u64();
     c.page_wait_cycles = r.u64();
     c.page_timeouts = r.u64();
@@ -68,6 +60,9 @@ void restore_counters(snapshot_reader& r, task_counters& c) {
     c.deadline_misses = r.u64();
     c.slack_cycles = r.i64();
 }
+
+/// One slot's counters on disk: eleven u64 and the i64 slack.
+constexpr std::size_t counters_bytes = 12 * 8;
 
 }  // namespace
 
@@ -92,7 +87,7 @@ void telemetry_bus::save_state(snapshot_writer& w) const {
 
 void telemetry_bus::restore_state(snapshot_reader& r, bool keep_history) {
     epoch_start_ = r.u64();
-    const std::uint64_t slots = r.count(16 * 8);
+    const std::uint64_t slots = r.count(counters_bytes);
     if (slots != cur_.size())
         throw snapshot_error("snapshot telemetry slot-count mismatch: saved " +
                              std::to_string(slots) + ", configured " +
@@ -105,7 +100,7 @@ void telemetry_bus::restore_state(snapshot_reader& r, bool keep_history) {
         e.index = r.u64();
         e.start = r.u64();
         e.end = r.u64();
-        const std::uint64_t n = r.count(16 * 8);
+        const std::uint64_t n = r.count(counters_bytes);
         e.tasks.resize(n);
         for (auto& c : e.tasks) restore_counters(r, c);
         e.dram_bytes = r.u64();
@@ -115,6 +110,14 @@ void telemetry_bus::restore_state(snapshot_reader& r, bool keep_history) {
         e.active_slots = r.u32();
         if (keep_history) history_.push_back(std::move(e));
     }
+}
+
+telemetry_bus telemetry_bus::read_state(snapshot_reader& r) {
+    snapshot_reader peek = r;
+    peek.u64();  // the open epoch's start
+    telemetry_bus bus(static_cast<std::uint32_t>(peek.count(counters_bytes)));
+    bus.restore_state(r, /*keep_history=*/true);
+    return bus;
 }
 
 }  // namespace camdn::adapt

@@ -24,20 +24,16 @@ namespace camdn::adapt {
 /// All counts are event-ordered simulation facts, so snapshot streams are
 /// bit-identical across repeated runs and sweep-pool widths.
 struct task_counters {
-    // Cache behaviour (transparent + NEC region paths).
+    // Transparent cache path.
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t region_lines = 0;  ///< NEC region reads+writes (lines)
-    std::uint64_t fill_lines = 0;    ///< NEC fills from DRAM (lines)
 
     // DMA traffic issued on behalf of the slot.
     std::uint64_t dma_bytes = 0;
 
     // Layer execution.
     std::uint64_t layers_retired = 0;
-    std::uint64_t compute_cycles = 0;  ///< pure-compute portion of layers
-    std::uint64_t layer_cycles = 0;    ///< issue-to-retire span of layers
-    std::uint64_t lbm_layers = 0;      ///< layers run on an LBM candidate
+    std::uint64_t lbm_layers = 0;  ///< layers run on an LBM candidate
 
     // Algorithm-1 page negotiation.
     std::uint64_t page_wait_cycles = 0;  ///< stalled waiting on page grants
@@ -153,8 +149,14 @@ public:
     /// continuation (history carries, epoch indices keep counting) and a
     /// warm segment restart (fresh history, only the open epoch carries so
     /// boundaries stay aligned to the global epoch grid).
+    /// restore_state throws snapshot_error on a section saved for another
+    /// slot count.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r, bool keep_history);
+    /// The bus a section holds, history included, sized by the section's
+    /// own slot count (which the reader bounds by the bytes present): for
+    /// snapshot inspectors, which have no configuration to check against.
+    static telemetry_bus read_state(snapshot_reader& r);
 
 private:
     std::vector<task_counters> cur_;

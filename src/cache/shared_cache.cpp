@@ -40,9 +40,18 @@ std::uint16_t pack_flags(const std::uint8_t* bytes) {
     return static_cast<std::uint16_t>(lo | hi << 8);
 }
 
-/// The config, once its ways fit the recency order and every count the
-/// bit-field decode divides by is a power of two.
-const cache_config& checked(const cache_config& config) {
+/// The ways [0, n) in index order, one nibble each.
+std::uint64_t ways_in_index_order(std::uint32_t n) {
+    std::uint64_t order = 0;
+    for (std::uint32_t w = 0; w < n; ++w) order |= std::uint64_t{w} << (4 * w);
+    return order;
+}
+
+/// The config, once its ways fit the recency order, the way mask leaves
+/// the transparent path one to all of them, and every count the bit-field
+/// decode divides by is a power of two.
+const cache_config& checked(const cache_config& config,
+                            std::uint32_t transparent_ways) {
     if (config.ways > shared_cache::max_ways)
         throw std::invalid_argument(
             "shared_cache: " + std::to_string(config.ways) +
@@ -52,6 +61,12 @@ const cache_config& checked(const cache_config& config) {
         throw std::invalid_argument(
             "shared_cache: " + std::to_string(config.npu_ways) +
             " NPU ways exceed the cache's " + std::to_string(config.ways));
+    if (transparent_ways < 1 || transparent_ways > config.ways)
+        throw std::invalid_argument(
+            "shared_cache: " + std::to_string(transparent_ways) +
+            " transparent ways, the cache has " +
+            std::to_string(config.ways) +
+            " and the transparent path needs at least one");
     checked_page_geometry(config);
     if (!is_pow2(config.sets_per_slice()))
         throw std::invalid_argument(
@@ -61,17 +76,18 @@ const cache_config& checked(const cache_config& config) {
 }
 
 /// Sets the burst loop prefetches ahead of the one it looks up. The cold
-/// parts (5 MiB in the stock cache) come from the host's L3; on a
+/// parts (3 MiB in the stock cache) come from the host's L3; on a
 /// recorded AuRORA burst trace, distances 4, 8 and 16 timed the same,
 /// and 8 wastes few prefetches past the end of a 128-line burst.
 constexpr std::size_t prefetch_sets = 8;
 }  // namespace
 
-shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
-    : config_(checked(config)),
+shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram,
+                           std::uint32_t transparent_ways)
+    : config_(checked(config, transparent_ways)),
       dram_(dram),
       sets_(config.sets_per_slice()),
-      transparent_ways_(config.ways),
+      transparent_ways_(transparent_ways),
       slice_free_(config.slices, 0),
       slice_start_(config.slices, 0),
       pages_(config),
@@ -83,48 +99,14 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
     index_mask_ = nsets - 1;
     sig_shift_ = log2_of(nsets);
     // Every set empty: no valid line, owners no_task, the ways in index
-    // order.
+    // order (invalid ways are taken lowest first, so they stay in index
+    // order behind the valid ones).
     hot_set hot;
-    for (std::uint32_t w = 0; w < config_.ways; ++w)
-        hot.order |= std::uint64_t{w} << (4 * w);  // any order suits
-    cold_set cold;
+    hot.order = ways_in_index_order(config_.ways);
+    cold_set cold{};
     std::fill(std::begin(cold.owner), std::end(cold.owner), no_task);
     hot_.assign(nsets, hot);
     cold_.assign(nsets, cold);
-}
-
-void shared_cache::derive_set(hot_set& hot, const cold_set& cold) const {
-    // Insertion sort, most recent first. Way w enters after the lower
-    // ways, so it sorts ahead of any with a stamp <= its own: the tail is
-    // the smallest stamp, lowest way on ties — the victim rule.
-    std::uint32_t by_recency[max_ways];
-    for (std::uint32_t w = 0; w < transparent_ways_; ++w) {
-        std::uint32_t p = w;
-        for (; p > 0 &&
-               cold.slot[by_recency[p - 1]].lru <= cold.slot[w].lru;
-             --p)
-            by_recency[p] = by_recency[p - 1];
-        by_recency[p] = w;
-    }
-    std::uint64_t order = 0;
-    for (std::uint32_t p = 0; p < config_.ways; ++p) {
-        order |= std::uint64_t{p < transparent_ways_ ? by_recency[p] : p}
-                 << (4 * p);
-        hot.sig[p] = static_cast<std::uint16_t>(cold.slot[p].tag >> sig_shift_);
-    }
-    hot.order = order;
-}
-
-void shared_cache::set_transparent_ways(std::uint32_t ways) {
-    if (ways < 1 || ways > config_.ways)
-        throw std::invalid_argument(
-            "shared_cache::set_transparent_ways: " + std::to_string(ways) +
-            " ways, the cache has " + std::to_string(config_.ways) +
-            " and the transparent path needs at least one");
-    if (ways == transparent_ways_) return;
-    transparent_ways_ = ways;
-    // Stale orders: each set re-derives its own at its next access.
-    for (hot_set& hot : hot_) hot.order = 0;
 }
 
 cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
@@ -157,13 +139,6 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
         done = std::max(done, slice_free_[s]);
     }
     return done;
-}
-
-void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task,
-                             std::uint64_t n) {
-    if (task < 0 || n == 0) return;
-    if (static_cast<std::size_t>(task) >= v.size()) v.resize(task + 1, 0);
-    v[task] += n;
 }
 
 access_result shared_cache::transparent_lines(addr_t paddr,
@@ -221,7 +196,6 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     if (dram_run_.size() < 2 * nlines) dram_run_.resize(2 * nlines);
     dram::line_request* const run = dram_run_.data();
     std::size_t run_lines = 0;
-    std::uint64_t tick = lru_tick_;
     std::uint64_t hits = 0, evictions = 0, inter_task = 0, writebacks = 0;
     cycle_t done = is_write ? last_slot + hit_latency : arrival;
     std::size_t ahead = (idx + prefetch_sets) & index_mask_;
@@ -243,8 +217,7 @@ access_result shared_cache::transparent_lines(addr_t paddr,
             hot_set& hot = hots[idx];
             cold_set& cold = colds[idx];
             if (++idx == nsets) idx = 0;
-            line_slot* const slot = cold.slot;
-            if (hot.order == 0) derive_set(hot, cold);
+            std::uint64_t* const tag = cold.tag;
             const std::uint64_t order = hot.order;
             const std::uint32_t valid = hot.valid;
 
@@ -254,7 +227,7 @@ access_result shared_cache::transparent_lines(addr_t paddr,
             std::uint32_t way = max_ways;
             for (; cand != 0; cand &= cand - 1) {
                 const std::uint32_t w = lowest_bit(cand);
-                if (slot[w].tag == line_id) {
+                if (tag[w] == line_id) {
                     way = w;
                     break;
                 }
@@ -284,11 +257,11 @@ access_result shared_cache::transparent_lines(addr_t paddr,
                     // owner.
                     if (hot.dirty & bit) {
                         ++writebacks;
-                        run[run_lines++] = {slot[way].tag * line_bytes,
+                        run[run_lines++] = {tag[way] * line_bytes,
                                             service, owner, true};
                     }
                 }
-                slot[way].tag = line_id;
+                tag[way] = line_id;
                 owner = task;
                 hot.sig[way] = sig;
                 hot.valid = static_cast<std::uint16_t>(valid | bit);
@@ -303,11 +276,9 @@ access_result shared_cache::transparent_lines(addr_t paddr,
                                         false};
                 }
             }
-            slot[way].lru = ++tick;
             hot.order = to_front(order, way);
         }
     }
-    lru_tick_ = tick;
 
     const std::uint64_t misses = nlines - hits;
     stats_.hits += hits;
@@ -316,8 +287,6 @@ access_result shared_cache::transparent_lines(addr_t paddr,
     stats_.inter_task_evictions += inter_task;
     stats_.writebacks += writebacks;
     if (!is_write) stats_.read_miss_fills += misses;
-    bump_task(task_hits_, task, hits);
-    bump_task(task_misses_, task, misses);
     if (probe_ != nullptr) probe_->cache_accesses(task, hits, misses);
     if (attr != nullptr) waits.flush();
 
@@ -328,18 +297,6 @@ access_result shared_cache::transparent_lines(addr_t paddr,
                                       config_.noc_latency);
     }
     return access_result{misses == 0, done};
-}
-
-std::uint64_t shared_cache::task_hits(task_id task) const {
-    return (task >= 0 && static_cast<std::size_t>(task) < task_hits_.size())
-               ? task_hits_[task]
-               : 0;
-}
-
-std::uint64_t shared_cache::task_misses(task_id task) const {
-    return (task >= 0 && static_cast<std::size_t>(task) < task_misses_.size())
-               ? task_misses_[task]
-               : 0;
 }
 
 namespace {
@@ -368,7 +325,6 @@ cycle_t shared_cache::region_read_burst(task_id task, addr_t vcaddr,
     if (nlines == 0) return arrival;
     stats_.region_reads += nlines;
     if (group_size > 1) stats_.multicast_combined += (group_size - 1) * nlines;
-    if (probe_ != nullptr) probe_->region_lines(task, nlines);
     return occupy_striped(region_slice(task, vcaddr), nlines, arrival, task) +
            config_.hit_latency;
 }
@@ -377,7 +333,6 @@ cycle_t shared_cache::region_write_burst(task_id task, addr_t vcaddr,
                                          std::uint64_t nlines, cycle_t arrival) {
     if (nlines == 0) return arrival;
     stats_.region_writes += nlines;
-    if (probe_ != nullptr) probe_->region_lines(task, nlines);
     return occupy_striped(region_slice(task, vcaddr), nlines, arrival, task) +
            config_.noc_latency;
 }
@@ -387,7 +342,6 @@ cycle_t shared_cache::region_fill_burst(task_id task, addr_t vcaddr,
                                         cycle_t arrival) {
     if (nlines == 0) return arrival;
     stats_.region_fills += nlines;
-    if (probe_ != nullptr) probe_->fill_lines(task, nlines);
     const std::uint32_t slice = region_slice(task, vcaddr);
     const cycle_t dram_done =
         dram_.access_burst(dram_addr, nlines, false, arrival, task);
@@ -460,38 +414,41 @@ void restore_stats(snapshot_reader& r, cache_stats& s) {
     s.slice_busy_cycles = r.u64();
 }
 
-void save_counter_vec(snapshot_writer& w, const std::vector<std::uint64_t>& v) {
-    w.u64(v.size());
-    for (const std::uint64_t x : v) w.u64(x);
-}
+/// One transparent line on disk: tag, owner, valid, dirty. Each set's
+/// records follow its 8-byte recency order.
+constexpr std::size_t line_record_bytes = 8 + 4 + 1 + 1;
 
-void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
-    const std::uint64_t n = r.count(8);
-    v.assign(n, 0);
-    for (auto& x : v) x = r.u64();
+/// Whether the lookup can run on `order`: its first `tw` nibbles hold each
+/// way below the mask once, and the rest matches `in_index_order` (the
+/// cache's ways in index order, zero nibbles above them).
+bool well_formed_order(std::uint64_t order, std::uint32_t tw,
+                       std::uint64_t in_index_order) {
+    const std::uint64_t head =
+        tw == shared_cache::max_ways ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << (4 * tw)) - 1;
+    std::uint32_t seen = 0;
+    for (std::uint32_t p = 0; p < tw; ++p)
+        seen |= 1u << (order >> (4 * p) & 0xf);
+    return seen == (1u << tw) - 1 && ((order ^ in_index_order) & ~head) == 0;
 }
-
-/// One transparent line on disk: tag, lru, owner, valid, dirty.
-constexpr std::size_t line_record_bytes = 8 + 8 + 4 + 1 + 1;
 
 }  // namespace
 
 void shared_cache::save_state(snapshot_writer& w) const {
     w.u32(static_cast<std::uint32_t>(lines()));
     w.u32(transparent_ways_);
-    w.u64(lru_tick_);
-    auto out = w.span(lines() * line_record_bytes);
+    auto out = w.span(hot_.size() * 8 + lines() * line_record_bytes);
     const std::uint32_t ways = config_.ways;
     const std::uint32_t slices = config_.slices;
-    // Records in slice-major order: (slice, set) lives at set index
+    // Sets in slice-major order: (slice, set) lives at set index
     // slice + slices * set.
     for (std::uint32_t slice = 0; slice < slices; ++slice) {
         for (std::size_t idx = slice; idx < hot_.size(); idx += slices) {
             const hot_set& hot = hot_[idx];
             const cold_set& cold = cold_[idx];
+            out.u64(hot.order);
             for (std::uint32_t w = 0, bit = 1; w < ways; ++w, bit <<= 1) {
-                out.u64(cold.slot[w].tag);
-                out.u64(cold.slot[w].lru);
+                out.u64(cold.tag[w]);
                 out.i32(cold.owner[w]);
                 out.b((hot.valid & bit) != 0);
                 out.b((hot.dirty & bit) != 0);
@@ -501,8 +458,6 @@ void shared_cache::save_state(snapshot_writer& w) const {
     w.u64(slice_free_.size());
     for (const cycle_t c : slice_free_) w.u64(c);
     save_stats(w, stats_);
-    save_counter_vec(w, task_hits_);
-    save_counter_vec(w, task_misses_);
     pages_.save_state(w);
 }
 
@@ -512,50 +467,52 @@ void shared_cache::restore_state(snapshot_reader& r, std::size_t task_slots) {
         throw snapshot_error("snapshot cache geometry mismatch: saved " +
                              std::to_string(nlines) + " lines, configured " +
                              std::to_string(lines()));
-    transparent_ways_ = r.u32();
-    if (transparent_ways_ < 1 || transparent_ways_ > config_.ways)
-        throw snapshot_error("snapshot transparent-way count out of range");
-    lru_tick_ = r.u64();
-    auto in = r.span(static_cast<std::uint64_t>(nlines) * line_record_bytes);
+    const std::uint32_t tw = r.u32();
+    if (tw != transparent_ways_)
+        throw snapshot_error("snapshot transparent-way count " +
+                             std::to_string(tw) + " differs from the cache's " +
+                             std::to_string(transparent_ways_));
+    auto in = r.span(hot_.size() * 8 +
+                     static_cast<std::uint64_t>(nlines) * line_record_bytes);
     const std::uint32_t ways = config_.ways;
-    const std::uint64_t tick = lru_tick_;
     const std::uint32_t slices = config_.slices;
-    std::uint32_t stamped_late = 0;
-    // save_state's slice-major record order.
+    const std::uint64_t in_index_order = ways_in_index_order(ways);
+    bool malformed = false;
+    std::uint32_t valid_masked_off = 0;
+    // save_state's slice-major set order.
     for (std::uint32_t slice = 0; slice < slices; ++slice) {
         for (std::size_t idx = slice; idx < hot_.size(); idx += slices) {
             hot_set& hot = hot_[idx];
             cold_set& cold = cold_[idx];
+            hot.order = in.u64();
+            malformed |= !well_formed_order(hot.order, tw, in_index_order);
             // Per-way flags go to byte arrays and are packed once per set:
             // no per-line shifts or branches.
-            std::uint8_t valid[max_ways] = {}, dirty[max_ways] = {},
-                         late[max_ways] = {};
+            std::uint8_t valid[max_ways] = {}, dirty[max_ways] = {};
             for (std::uint32_t w = 0; w < ways; ++w) {
-                const std::uint64_t tag = in.u64();
-                const std::uint64_t lru = in.u64();
-                cold.slot[w] = line_slot{tag, lru};
+                cold.tag[w] = in.u64();
+                hot.sig[w] =
+                    static_cast<std::uint16_t>(cold.tag[w] >> sig_shift_);
                 cold.owner[w] = in.i32();
                 valid[w] = in.b();
                 dirty[w] = in.b();
-                late[w] = lru > tick;
             }
-            // Order and signatures are derived at the set's next access.
-            hot.order = 0;
             hot.valid = pack_flags(valid);
             hot.dirty = pack_flags(dirty);
-            stamped_late |= hot.valid & pack_flags(late);
+            valid_masked_off |= hot.valid >> tw;
         }
     }
-    if (stamped_late != 0)
+    if (malformed)
         throw snapshot_error(
-            "snapshot transparent line stamped after the LRU tick");
+            "snapshot transparent set has a malformed recency order");
+    if (valid_masked_off != 0)
+        throw snapshot_error(
+            "snapshot transparent line is valid in a masked-off way");
     const std::uint64_t nslices = r.count(8);
     if (nslices != slice_free_.size())
         throw snapshot_error("snapshot cache slice-count mismatch");
     for (auto& c : slice_free_) c = r.u64();
     restore_stats(r, stats_);
-    restore_counter_vec(r, task_hits_);
-    restore_counter_vec(r, task_misses_);
     pages_.restore_state(r, task_slots);
 }
 

@@ -9,9 +9,10 @@
 //    variants that combine identical requests from a group of NPUs.
 //
 // The two paths are disjoint by way index once partitioning is enabled:
-// the way-mask register keeps transparent fills inside the low
-// `cpu_ways` ways while NEC operations address the high `npu_ways` ways
-// through CPT translation of the pages the pool holds for their task.
+// the way-mask register, set once at construction, keeps transparent
+// fills inside the low `cpu_ways` ways while NEC operations address the
+// high `npu_ways` ways through CPT translation of the pages the pool
+// holds for their task.
 //
 // Timing: each slice serves one line per cycle (tracked as a busy-until
 // horizon per slice); DRAM interactions delegate to dram::dram_system.
@@ -20,22 +21,21 @@
 //
 // The transparent path is one burst kernel (transparent_lines) with the
 // per-line semantics of an LRU cache, bit for bit: the victim is the
-// lowest invalid way below the way mask, else the valid way with the
-// smallest LRU stamp (lowest way on ties). Its layout serves the lookup.
+// lowest invalid way below the way mask, else the least recently used
+// valid way. Its layout serves the lookup.
 // Sets are stored in line order: line L lives in set L mod (slices x
 // sets), which is slice + slices x set of its (slice, set) pair, so a
 // burst walks consecutive sets instead of one stream per slice. Each set
 // is split in two arrays. Its hot part is 64 bytes: valid/dirty masks, a
 // 16-bit tag signature per way, and the ways in recency order (one nibble
-// each), so a miss takes the order's tail instead of scanning stamps; the
-// stock 16 MiB cache's hot array is 1 MiB, small enough to stay in a host
-// core's L2. A signature match is confirmed on the full tag. The cold
-// part holds the full tags with their LRU stamps, and the owners, touched
-// only for the way the lookup picked. The burst loop prefetches both
-// parts a fixed number of sets ahead. The order is derived state — never
-// serialized, rebuilt from the stamps at a set's first access after a
-// restore or a way-mask change. Snapshots write the records slice-major
-// (slice, then set, then way), the snapshot format's order.
+// each) — the set's only LRU record, whose tail a miss takes as its
+// victim. The stock 16 MiB cache's hot array is 1 MiB, small enough to
+// stay in a host core's L2. A signature match is confirmed on the full
+// tag. The cold part holds the full tags and the owners, touched only for
+// the way the lookup picked. The burst loop prefetches both parts a fixed
+// number of sets ahead. Snapshots write each set's order word and line
+// records slice-major (slice, then set, then way), the snapshot format's
+// order.
 #pragma once
 
 #include <cstdint>
@@ -90,21 +90,21 @@ struct access_result {
 
 class shared_cache {
 public:
-    /// Throws std::invalid_argument when config.npu_ways exceeds
+    /// `transparent_ways` is the way-mask register: the number of ways the
+    /// transparent path may allocate into. Baselines run unpartitioned
+    /// (config.ways); CaMDN policies restrict the transparent path to
+    /// config.cpu_ways(). Throws std::invalid_argument for 0 transparent
+    /// ways or more than config.ways, when config.npu_ways exceeds
     /// config.ways, config.ways exceeds max_ways, or a count the address
     /// decode divides by is not a power of two: slices, sets per slice,
     /// page bytes and pages per way (checked_page_geometry).
-    shared_cache(const cache_config& config, dram::dram_system& dram);
+    shared_cache(const cache_config& config, dram::dram_system& dram,
+                 std::uint32_t transparent_ways);
+    /// An unpartitioned cache: every way transparent.
+    shared_cache(const cache_config& config, dram::dram_system& dram)
+        : shared_cache(config, dram, config.ways) {}
 
     const cache_config& config() const { return config_; }
-
-    // ---- Partitioning (way-mask register) ----
-
-    /// Number of ways the transparent path may allocate into. Baselines run
-    /// unpartitioned (== config.ways); CaMDN policies restrict the
-    /// transparent path to config.cpu_ways(). Throws std::invalid_argument
-    /// for 0 ways or more than config.ways.
-    void set_transparent_ways(std::uint32_t ways);
     std::uint32_t transparent_ways() const { return transparent_ways_; }
 
     // ---- Transparent path ----
@@ -123,10 +123,6 @@ public:
                               cycle_t arrival, task_id task) {
         return transparent_lines(paddr, nlines, is_write, arrival, task).done;
     }
-
-    /// Per-task transparent hit/miss counts (Fig 2's hit-rate metric).
-    std::uint64_t task_hits(task_id task) const;
-    std::uint64_t task_misses(task_id task) const;
 
     // ---- Model-exclusive regions (page pool) ----
 
@@ -159,24 +155,20 @@ public:
     void set_probe(obs::probe* p) { probe_ = p; }
 
     /// Checkpoint support: serializes / restores the full warm state —
-    /// transparent lines with their LRU stamps, slice busy horizons
+    /// each transparent set's recency order and lines, slice busy horizons
     /// (absolute cycles; the resumed run continues the same clock),
-    /// cumulative stats, per-task hit/miss counters and the page pool.
-    /// restore_state throws snapshot_error on a geometry mismatch, on a
-    /// valid line stamped after the saved LRU tick (no run produces one,
-    /// and the recency order could not honour it), and on a page pool
+    /// cumulative stats and the page pool. restore_state throws
+    /// snapshot_error on a line count or transparent-way count other than
+    /// this cache's; on a recency order the lookup cannot run on (its
+    /// first transparent_ways() nibbles not each way below the mask once,
+    /// or the rest not the masked-off ways in index order above zero
+    /// nibbles); on a valid line in a masked-off way; and on a page pool
     /// page_allocator::restore_state rejects (`task_slots` is the resuming
     /// scheduler's slot count).
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r, std::size_t task_slots);
 
 private:
-    /// Cold per-line record: the full line id (so the victim address is
-    /// known) and the LRU stamp of its last touch.
-    struct line_slot {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;
-    };
     /// A transparent set's hot part, 64 bytes: everything a lookup reads.
     /// Deliberately not alignas(64): glibc kept over-aligned blocks of the
     /// set arrays' size in its per-thread arenas, and a sweep of fresh SoCs
@@ -184,13 +176,12 @@ private:
     /// inside one plain allocation measured no faster on a recorded AuRORA
     /// burst trace, so the arrays are plain vectors.
     struct hot_set {
-        /// Recency order: nibble p holds the way at position p, position 0
-        /// the most recently used. Positions [0, transparent_ways_) hold
-        /// exactly the ways below the mask, so position
-        /// transparent_ways_ - 1 is the LRU victim. 0 marks a stale set
-        /// whose order and signatures are derived at its next access (0
-        /// is never a permutation of two or more ways; a one-way set
-        /// re-derives its trivial order every time).
+        /// Recency order, the set's only LRU record: nibble p holds the way
+        /// at position p, position 0 the most recently used. Positions
+        /// [0, transparent_ways_) hold exactly the ways below the mask, so
+        /// position transparent_ways_ - 1 is the LRU victim; the
+        /// masked-off ways follow in index order, and nibbles past the
+        /// cache's ways are 0.
         std::uint64_t order = 0;
         std::uint16_t valid = 0;  ///< bit w: way w holds a line
         std::uint16_t dirty = 0;  ///< bit w: way w's line is dirty
@@ -201,14 +192,15 @@ private:
         std::uint32_t pad[5] = {};  // the hot part fills 64 bytes
     };
     static_assert(sizeof(hot_set) == 64, "one host cache line per set");
-    /// A transparent set's cold part: the line records and owners, touched
-    /// per way once the lookup has picked one.
+    /// A transparent set's cold part, touched per way once the lookup has
+    /// picked one: each way's full line id (so the victim address is
+    /// known) and owner.
     struct cold_set {
-        line_slot slot[max_ways];
+        std::uint64_t tag[max_ways];
         task_id owner[max_ways];
     };
-    static_assert(sizeof(hot_set) + sizeof(cold_set) == 384,
-                  "hot part, line records and owners: 64 + 256 + 64 bytes");
+    static_assert(sizeof(hot_set) + sizeof(cold_set) == 256,
+                  "hot part, tags and owners: 64 + 128 + 64 bytes");
 
     /// The transparent path's one body: `nlines` consecutive lines from
     /// `paddr`, all arriving at `arrival`. Slice service is solved per
@@ -219,10 +211,6 @@ private:
                                     bool is_write, cycle_t arrival,
                                     task_id task);
 
-    /// Rebuilds a stale set's derived state: the recency order from the
-    /// stamps (ways below the mask by descending (stamp, way), then the
-    /// masked-off ways in index order) and the signatures from the tags.
-    void derive_set(hot_set& hot, const cold_set& cold) const;
     /// Transparent lines of the geometry (snapshot record count).
     std::size_t lines() const { return hot_.size() * config_.ways; }
 
@@ -238,13 +226,10 @@ private:
     cycle_t occupy_striped(std::uint32_t start_slice, std::uint64_t nlines,
                            cycle_t arrival, task_id task);
 
-    void bump_task(std::vector<std::uint64_t>& v, task_id task,
-                   std::uint64_t n);
-
     cache_config config_;
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
-    std::uint32_t transparent_ways_ = 0;
+    const std::uint32_t transparent_ways_;
     // Transparent bursts decode their first line's slice and set index
     // with masks of the power-of-two geometry.
     std::uint64_t slice_mask_ = 0;
@@ -255,7 +240,6 @@ private:
     std::vector<hot_set> hot_;
     std::vector<cold_set> cold_;
     std::vector<cycle_t> slice_free_;
-    std::uint64_t lru_tick_ = 0;
     // transparent_lines scratch, members so bursts allocate nothing: each
     // touched slice's first service start, in the order the burst touches
     // them, and the burst's DRAM line run (two lines per miss at most).
@@ -266,8 +250,6 @@ private:
     page_translation translation_;
 
     cache_stats stats_;
-    std::vector<std::uint64_t> task_hits_;
-    std::vector<std::uint64_t> task_misses_;
 
     obs::probe* probe_ = nullptr;
     // Attributed cost of a transparent read miss over a hit: the isolated

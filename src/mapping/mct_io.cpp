@@ -105,12 +105,14 @@ model_mapping read_mapping(std::istream& is) {
         expect(ss, "block");
         model::layer_block blk;
         ss >> blk.first >> blk.last >> blk.peak_bytes;
-        if (!ss)
+        if (!ss || blk.last < blk.first)
             throw std::runtime_error("mct_io: malformed block at line " +
                                      std::to_string(line_no));
-        blk.out_offset.resize(blk.last - blk.first + 1, 0);
-        for (auto& off : blk.out_offset) ss >> off;
-        if (!ss)
+        // One offset per layer of the block, read as far as the line
+        // goes: the unchecked range sizes nothing.
+        for (std::uint64_t off; ss >> off;) blk.out_offset.push_back(off);
+        if (!ss.eof() ||
+            blk.out_offset.size() != std::uint64_t{blk.last} - blk.first + 1)
             throw std::runtime_error("mct_io: malformed block layout at line " +
                                      std::to_string(line_no));
         m.blocks.push_back(blk);
@@ -120,11 +122,14 @@ model_mapping read_mapping(std::istream& is) {
         auto ss = next_line();
         expect(ss, "layers");
         ss >> layer_count;
+        for (std::size_t b = 0; b < m.blocks.size(); ++b)
+            if (m.blocks[b].last >= layer_count)
+                throw std::runtime_error(
+                    "mct_io: block " + std::to_string(b) + " ends at layer " +
+                    std::to_string(m.blocks[b].last) + ", past the " +
+                    std::to_string(layer_count) + " layers at line " +
+                    std::to_string(line_no));
     }
-    m.block_of.resize(layer_count, 0);
-    for (std::uint32_t b = 0; b < m.blocks.size(); ++b)
-        for (std::uint32_t i = m.blocks[b].first; i <= m.blocks[b].last; ++i)
-            if (i < layer_count) m.block_of[i] = b;
 
     for (std::size_t i = 0; i < layer_count; ++i) {
         auto ss = next_line();
@@ -137,10 +142,22 @@ model_mapping read_mapping(std::istream& is) {
         if (!ss || index != i)
             throw std::runtime_error("mct_io: malformed layer header at line " +
                                      std::to_string(line_no));
+        if (lwm_count == 0)
+            throw std::runtime_error("mct_io: layer without an LWM candidate "
+                                     "at line " + std::to_string(line_no));
         mct table;
         for (std::size_t c = 0; c < lwm_count; ++c) {
             auto cs = next_line();
-            table.lwm.push_back(read_candidate(cs, line_no));
+            const mapping_candidate cand = read_candidate(cs, line_no);
+            // Algorithm 1 reads the list as ascending: minimal() is the
+            // front and needs no page.
+            if (table.lwm.empty()
+                    ? cand.pages_needed != 0
+                    : cand.pages_needed <= table.lwm.back().pages_needed)
+                throw std::runtime_error(
+                    "mct_io: LWM page counts do not ascend strictly from 0 "
+                    "at line " + std::to_string(line_no));
+            table.lwm.push_back(cand);
         }
         if (has_lbm) {
             auto cs = next_line();
@@ -149,11 +166,20 @@ model_mapping read_mapping(std::istream& is) {
         m.tables.push_back(std::move(table));
         m.layer_est.push_back(est);
     }
+    // Every block ends before the layer count, and every layer was read.
+    m.block_of.resize(layer_count, 0);
+    for (std::uint32_t b = 0; b < m.blocks.size(); ++b)
+        for (std::uint32_t i = m.blocks[b].first; i <= m.blocks[b].last; ++i)
+            m.block_of[i] = b;
     {
         auto ss = next_line();
         expect(ss, "block_est");
         std::size_t count = 0;
         ss >> count;
+        if (!ss || count != m.blocks.size())
+            throw std::runtime_error("mct_io: block_est count differs from "
+                                     "the block count at line " +
+                                     std::to_string(line_no));
         m.block_est.resize(count, 0);
         for (std::size_t b = 0; b < count; ++b) ss >> m.block_est[b];
         if (!ss)

@@ -14,7 +14,11 @@ namespace camdn::mapping {
 void write_mapping(std::ostream& os, const model_mapping& mapping);
 
 /// Parses a document produced by write_mapping. Throws std::runtime_error
-/// with a line-numbered message on malformed input.
+/// with a line-numbered message on malformed input, which includes a
+/// layer with no LWM candidate, LWM page counts that do not ascend
+/// strictly from 0, a block whose last layer precedes its first or is not
+/// a layer of the model, and a block_est count other than the block
+/// count.
 model_mapping read_mapping(std::istream& is);
 
 /// Convenience string round-trip helpers.

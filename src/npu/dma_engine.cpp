@@ -158,7 +158,6 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
             f.out.clear();
             f.out_head = 0;
         }
-        ++f.retired_chunks;
         // Coalescing: when the wake-up would be the queue's very next
         // dispatch anyway, keep pumping this flight inline instead of
         // round-tripping a chunk_done event through the heap. Only the
@@ -187,7 +186,6 @@ void dma_engine::save_state(snapshot_writer& w) const {
         w.u64(f.issued_lines);
         w.u64(f.total_chunks);
         w.u64(f.issued_chunks);
-        w.u64(f.retired_chunks);
         w.u64(f.outstanding());
         for (std::size_t i = f.out_head; i < f.out.size(); ++i) w.u64(f.out[i]);
         w.u64(f.last_done);
@@ -200,8 +198,8 @@ dma_engine::flight_table dma_engine::read_flights(snapshot_reader& r) {
     flight_table t;
     t.next_id = r.u64();
     // Per flight: id, the request (u8 op, i32 task, three u64, u32 group),
-    // four u64 cursor fields, the outstanding count, last_done, the token.
-    t.flights.resize(r.count(8 + 1 + 4 + 3 * 8 + 4 + 4 * 8 + 8 + 8 + 2 * 8));
+    // three u64 cursor fields, the outstanding count, last_done, the token.
+    t.flights.resize(r.count(8 + 1 + 4 + 3 * 8 + 4 + 3 * 8 + 8 + 8 + 2 * 8));
     for (std::size_t i = 0; i < t.flights.size(); ++i) {
         flight_record& f = t.flights[i];
         f.id = r.u64();
@@ -221,15 +219,13 @@ dma_engine::flight_table dma_engine::read_flights(snapshot_reader& r) {
         f.issued_lines = r.u64();
         f.total_chunks = r.u64();
         f.issued_chunks = r.u64();
-        f.retired_chunks = r.u64();
         f.out.resize(r.count(8));
         for (cycle_t& done : f.out) done = r.u64();
         f.last_done = r.u64();
         f.target.a = r.u64();
         f.target.b = r.u64();
         if (f.issued_chunks > f.total_chunks ||
-            f.retired_chunks > f.issued_chunks ||
-            f.issued_lines > f.req.nlines)
+            f.out.size() > f.issued_chunks || f.issued_lines > f.req.nlines)
             throw snapshot_error("snapshot DMA flight cursor is inconsistent");
     }
     return t;

@@ -105,7 +105,6 @@ public:
         std::uint64_t issued_lines = 0;  // lines handed to the memory system
         std::uint64_t total_chunks = 0;
         std::uint64_t issued_chunks = 0;
-        std::uint64_t retired_chunks = 0;
         std::vector<cycle_t> out;
         cycle_t last_done = 0;
         dma_target target{};
@@ -122,7 +121,9 @@ public:
     /// Decodes the table save_state wrote. restore_state rebuilds the
     /// engine from it; snapshot inspectors read it as it is. Throws
     /// snapshot_error on truncation, an unknown op, an inconsistent
-    /// cursor, or ids that are not ascending and below the counter.
+    /// cursor (more chunks issued than the transfer has, more outstanding
+    /// than issued, more lines issued than requested), or ids that are
+    /// not ascending and below the counter.
     static flight_table read_flights(snapshot_reader& r);
     /// Rebuilds the flight table; throws snapshot_error on malformed
     /// input. Requires an idle engine.

@@ -50,8 +50,6 @@ void probe::layer_retired(task_id t, const std::string& abbr,
     const std::uint64_t span = end > issue ? end - issue : 0;
     if (auto* c = counters(t)) {
         c->layers_retired += 1;
-        c->compute_cycles += compute;
-        c->layer_cycles += span;
         if (lbm) c->lbm_layers += 1;
     }
     if (o_.attr != nullptr) o_.attr->on_layer_retired(t, span, compute);

@@ -63,12 +63,6 @@ public:
             c->cache_misses += misses;
         }
     }
-    void region_lines(task_id t, std::uint64_t lines) {
-        if (auto* c = counters(t)) c->region_lines += lines;
-    }
-    void fill_lines(task_id t, std::uint64_t lines) {
-        if (auto* c = counters(t)) c->fill_lines += lines;
-    }
     /// A tracked transfer, at submission.
     void dma_bytes(task_id t, std::uint64_t bytes) {
         if (auto* c = counters(t)) c->dma_bytes += bytes;

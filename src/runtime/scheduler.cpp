@@ -197,8 +197,7 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
             throw snapshot_error(
                 "exact resume requires a generator with a saved cursor");
     }
-    if (snap.slots != cfg_.co_located ||
-        snap.slot_completed.size() != tasks_.size())
+    if (snap.slots != cfg_.co_located)
         throw snapshot_error("snapshot slot count mismatch");
 
     machine_.eq().restore_now(snap.now);
@@ -211,18 +210,16 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
             throw snapshot_error("snapshot machine section has trailing bytes");
     }
 
-    if (snap.core_busy_cycles.size() != machine_.cores().size() ||
-        snap.free_cores.size() + [&] {
+    const std::size_t ncores = cfg_.soc.npu.cores;
+    if (snap.free_cores.size() + [&] {
             std::size_t n = 0;
             for (const auto& rs : snap.running) n += rs.cores.size();
             return n;
-        }() != machine_.cores().size())
+        }() != ncores)
         throw snapshot_error("snapshot core count mismatch");
-    for (std::size_t c = 0; c < machine_.cores().size(); ++c)
-        machine_.cores()[c].restore_busy_cycles(snap.core_busy_cycles[c]);
-    std::vector<bool> seen(machine_.cores().size(), false);
+    std::vector<bool> seen(ncores, false);
     for (const npu_id c : snap.free_cores) {
-        if (c < 0 || static_cast<std::size_t>(c) >= machine_.cores().size())
+        if (c < 0 || static_cast<std::size_t>(c) >= ncores)
             throw snapshot_error("snapshot free-core id out of range");
         if (seen[static_cast<std::size_t>(c)])
             throw snapshot_error("snapshot free-core stack lists core " +
@@ -230,9 +227,6 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
         seen[static_cast<std::size_t>(c)] = true;
     }
     free_cores_ = snap.free_cores;
-
-    for (std::size_t s = 0; s < tasks_.size(); ++s)
-        tasks_[s].completed_inferences = snap.slot_completed[s];
 
     // In-flight inferences (mid-layer pauses). Models resolve by name
     // against the catalog and the trace; the mapping registry rebuilds the
@@ -258,20 +252,18 @@ void scheduler::restore(const scheduler_snapshot& snap, resume_mode mode) {
         if (rs.current_layer >= t.mdl->layers.size())
             throw snapshot_error("snapshot running layer out of range");
         t.current_layer = rs.current_layer;
-        if (rs.cores.empty() || rs.cores.size() != rs.core_busy_since.size())
+        if (rs.cores.empty())
             throw snapshot_error(
                 "snapshot running slot has a malformed core group");
         t.cores.clear();
-        for (std::size_t i = 0; i < rs.cores.size(); ++i) {
-            const npu_id c = rs.cores[i];
-            if (c < 0 || static_cast<std::size_t>(c) >= machine_.cores().size())
+        for (const npu_id c : rs.cores) {
+            if (c < 0 || static_cast<std::size_t>(c) >= ncores)
                 throw snapshot_error("snapshot running core id out of range");
             if (seen[static_cast<std::size_t>(c)])
                 throw snapshot_error("snapshot core " + std::to_string(c) +
                                      " is both free and assigned (or "
                                      "assigned twice)");
             seen[static_cast<std::size_t>(c)] = true;
-            machine_.cores()[c].assign(rs.core_busy_since[i]);
             t.cores.push_back(c);
         }
         t.arrival = rs.arrival;
@@ -425,13 +417,8 @@ scheduler_snapshot scheduler::save() const {
     }
     s.ahead_ratio = alg_.ahead_ratio();
 
-    s.slot_completed.reserve(tasks_.size());
-    for (const auto& t : tasks_) s.slot_completed.push_back(t.completed_inferences);
     s.page_share = page_share_;
     s.free_cores = free_cores_;
-    s.core_busy_cycles.reserve(machine_.cores().size());
-    for (const auto& c : machine_.cores())
-        s.core_busy_cycles.push_back(c.busy_cycles());
 
     s.admission_queue.reserve(dispatch_queue_.size());
     for (const auto& q : dispatch_queue_)
@@ -445,9 +432,6 @@ scheduler_snapshot scheduler::save() const {
         rs.model = t.mdl->name;
         rs.current_layer = t.current_layer;
         rs.cores = t.cores;
-        rs.core_busy_since.reserve(t.cores.size());
-        for (const npu_id c : t.cores)
-            rs.core_busy_since.push_back(machine_.cores()[c].busy_since());
         rs.arrival = t.arrival;
         rs.started = t.started;
         rs.deadline = t.deadline;
@@ -722,8 +706,6 @@ void scheduler::try_dispatch() {
             t.cores.push_back(free_cores_.back());
             free_cores_.pop_back();
         }
-        for (npu_id c : t.cores)
-            machine_.cores()[c].assign(machine_.eq().now());
 
         begin_inference(t);
     }
@@ -947,12 +929,8 @@ void scheduler::end_inference(task& t, cycle_t end) {
     rec.dram_bytes = machine_.dram().task_bytes(t.id) - t.dram_bytes_mark;
     result_.completions.push_back(std::move(rec));
 
-    for (npu_id c : t.cores) {
-        machine_.cores()[c].release(machine_.eq().now());
-        free_cores_.push_back(c);
-    }
+    for (npu_id c : t.cores) free_cores_.push_back(c);
     t.cores.clear();
-    t.completed_inferences += 1;
 
     completion_info info;
     info.slot = t.id;
@@ -1066,7 +1044,6 @@ bool scheduler::run_segment_hold_dispatch(cycle_t hold_after) {
 
 void scheduler::fill_result() {
     result_.makespan = machine_.eq().now();
-    result_.cache_hit_rate = machine_.cache().stats().hit_rate();
     result_.cache_stats = machine_.cache().stats();
     result_.dram_stats = machine_.dram().stats();
     result_.dram_total_bytes = machine_.dram().stats().bytes();

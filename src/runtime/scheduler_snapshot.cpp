@@ -17,14 +17,10 @@ std::vector<std::uint8_t> scheduler_snapshot::encode() const {
     w.u64(dram_bytes_mark);
     w.u64(dram_throttled_mark);
     w.d(ahead_ratio);
-    w.u64(slot_completed.size());
-    for (const std::uint32_t c : slot_completed) w.u32(c);
     w.u64(page_share.size());
     for (const std::uint32_t p : page_share) w.u32(p);
     w.u64(free_cores.size());
     for (const npu_id c : free_cores) w.i32(c);
-    w.u64(core_busy_cycles.size());
-    for (const std::uint64_t c : core_busy_cycles) w.u64(c);
 
     w.u64(admission_queue.size());
     for (const auto& q : admission_queue) {
@@ -40,8 +36,6 @@ std::vector<std::uint8_t> scheduler_snapshot::encode() const {
         w.u32(rs.current_layer);
         w.u64(rs.cores.size());
         for (const npu_id c : rs.cores) w.i32(c);
-        w.u64(rs.core_busy_since.size());
-        for (const cycle_t c : rs.core_busy_since) w.u64(c);
         w.u64(rs.arrival);
         w.u64(rs.started);
         w.u64(rs.deadline);
@@ -94,22 +88,12 @@ scheduler_snapshot scheduler_snapshot::decode(const std::uint8_t* data,
     s.dram_bytes_mark = r.u64();
     s.dram_throttled_mark = r.u64();
     s.ahead_ratio = r.d();
-    const std::uint64_t nslot = r.count(4);
-    if (nslot != s.slots)
-        throw snapshot_error("snapshot holds " + std::to_string(nslot) +
-                             " per-slot counters for " +
-                             std::to_string(s.slots) + " slots");
-    s.slot_completed.resize(nslot);
-    for (auto& c : s.slot_completed) c = r.u32();
     const std::uint64_t nshare = r.count(4);
     s.page_share.resize(nshare);
     for (auto& p : s.page_share) p = r.u32();
     const std::uint64_t ncores = r.count(4);
     s.free_cores.resize(ncores);
     for (auto& c : s.free_cores) c = r.i32();
-    const std::uint64_t nbusy = r.count(8);
-    s.core_busy_cycles.resize(nbusy);
-    for (auto& c : s.core_busy_cycles) c = r.u64();
 
     const std::uint64_t nqueue = r.count(8 + 8 + 4);
     s.admission_queue.resize(nqueue);
@@ -119,8 +103,10 @@ scheduler_snapshot scheduler_snapshot::decode(const std::uint8_t* data,
         q.slot = r.i32();
     }
 
-    const std::uint64_t nrunning = r.count(4 + 8 + 4 + 8 * 2 + 8 * 6 + 4 * 3 +
-                                           1 * 2 + 8 * 2 + 4);
+    // Per record at least: slot, the model's length, layer, the core
+    // count, six u64 cycles and marks, three u32 and an i32, two flags.
+    const std::uint64_t nrunning =
+        r.count(4 + 8 + 4 + 8 + 8 * 6 + 4 * 3 + 4 + 1 * 2);
     s.running.resize(nrunning);
     for (auto& rs : s.running) {
         rs.slot = r.i32();
@@ -129,9 +115,6 @@ scheduler_snapshot scheduler_snapshot::decode(const std::uint8_t* data,
         const std::uint64_t nc = r.count(4);
         rs.cores.resize(nc);
         for (auto& c : rs.cores) c = r.i32();
-        const std::uint64_t nb = r.count(8);
-        rs.core_busy_since.resize(nb);
-        for (auto& c : rs.core_busy_since) c = r.u64();
         rs.arrival = r.u64();
         rs.started = r.u64();
         rs.deadline = r.u64();

@@ -5,13 +5,13 @@
 // only at quiescent instants. Everything the simulation's future depends
 // on is captured:
 //   * the clock and the event-queue tie-break counter;
-//   * the full machine state — transparent cache lines with LRU order,
-//     slice/DRAM timing horizons, the shared page pool (exact free-list
-//     order and each slot's pages, which are its CPT), per-core busy
-//     counters, regulator windows;
-//   * scheduler bookkeeping — per-slot inference counts, the NPU free-core
-//     stack (release order matters for future dispatch), the admission
-//     queue, telemetry epoch marks, the adaptive controller's loop state;
+//   * the full machine state — transparent cache sets (recency order and
+//     lines), slice/DRAM timing horizons, the shared page pool (exact
+//     free-list order and each slot's pages, which are its CPT), regulator
+//     windows;
+//   * scheduler bookkeeping — the NPU free-core stack (release order
+//     matters for future dispatch), the admission queue, telemetry epoch
+//     marks, the adaptive controller's loop state;
 //   * the in-flight execution state — one `running_slot` per busy task
 //     (model, layer cursor, core group, QoS deadline, Algorithm-1
 //     globals, pending page negotiation), the layer engine's tile
@@ -27,7 +27,7 @@
 // encode()/decode() round-trip through a versioned little-endian byte
 // format; decode throws camdn::snapshot_error on truncation, bad magic or
 // version mismatch (version-1 snapshots from the pre-typed-event engine
-// are rejected with an explicit legacy message, versions 2 and 3 with the
+// are rejected with an explicit legacy message, versions 2 to 4 with the
 // generic mismatch), and scheduler resume
 // additionally validates the fingerprints against the resuming
 // configuration.
@@ -52,7 +52,13 @@ struct scheduler_snapshot {
     /// Version 4: the page pool is the one record of each slot's pages —
     /// the machine section's per-task CPT block goes, with the cache's
     /// unused multicast-read counter.
-    static constexpr std::uint32_t version = 4;
+    /// Version 5: one record per machine fact — each transparent set's
+    /// recency order replaces the per-line LRU stamps and the LRU tick,
+    /// and the counters nothing reads go: per-core busy cycles and
+    /// assignment cycles, per-slot completed inferences, the cache's
+    /// per-task hit/miss counts, DMA flights' retired-chunk count (issued
+    /// minus outstanding) and four telemetry counters per slot.
+    static constexpr std::uint32_t version = 5;
 
     // ---- identity / compatibility ----
     /// Hash of everything the machine state depends on (SoC geometry,
@@ -62,6 +68,8 @@ struct scheduler_snapshot {
     /// mode). Exact resume — continuing the same run — requires a match;
     /// warm resume (a new trace segment on the warm machine) does not.
     std::uint64_t run_fingerprint = 0;
+    /// Slot count of the saving run. Resume requires the resuming
+    /// configuration's; nothing is sized by it.
     std::uint32_t slots = 0;
 
     // ---- clock ----
@@ -75,15 +83,11 @@ struct scheduler_snapshot {
     std::uint64_t dram_bytes_mark = 0;
     std::uint64_t dram_throttled_mark = 0;
     double ahead_ratio = 0.2;
-    /// Per-slot completed-inference counters.
-    std::vector<std::uint32_t> slot_completed;
     /// Controller-published per-slot page shares (adaptive policy only).
     std::vector<std::uint32_t> page_share;
     /// Free-core stack in pop order (history-dependent: cores return in
     /// release order, and future dispatches pop from the back).
     std::vector<npu_id> free_cores;
-    /// Per-core cumulative busy cycles.
-    std::vector<std::uint64_t> core_busy_cycles;
 
     /// Admitted-but-undispatched requests, with true arrival stamps.
     struct queued_request {
@@ -101,9 +105,7 @@ struct scheduler_snapshot {
         task_id slot = no_task;
         std::string model;  ///< resolved against the catalog on resume
         std::uint32_t current_layer = 0;
-        /// Core group plus each core's assignment cycle (busy accounting).
-        std::vector<npu_id> cores;
-        std::vector<cycle_t> core_busy_since;
+        std::vector<npu_id> cores;  ///< core group
         cycle_t arrival = 0;
         cycle_t started = 0;
         cycle_t deadline = never;
@@ -125,7 +127,7 @@ struct scheduler_snapshot {
     std::vector<running_slot> running;
 
     // ---- opaque subsystem sections ----
-    std::vector<std::uint8_t> machine;    ///< cache + pool + DRAM + cores
+    std::vector<std::uint8_t> machine;    ///< cache + pool + DRAM
     std::vector<std::uint8_t> engine;     ///< layer-run cursors + DMA flights
     std::vector<std::uint8_t> typed_events;  ///< every pending queue entry
     std::vector<std::uint8_t> telemetry;  ///< bus counters + epoch history
@@ -134,9 +136,8 @@ struct scheduler_snapshot {
     std::vector<std::uint8_t> results;    ///< completions so far (exact resume)
 
     std::vector<std::uint8_t> encode() const;
-    /// Throws snapshot_error on bad magic, version mismatch, truncation,
-    /// trailing garbage, or a slot count its per-slot counters disagree
-    /// with.
+    /// Throws snapshot_error on bad magic, version mismatch, truncation or
+    /// trailing garbage.
     static scheduler_snapshot decode(const std::uint8_t* data,
                                      std::size_t size);
     static scheduler_snapshot decode(const std::vector<std::uint8_t>& bytes) {

@@ -40,7 +40,6 @@ struct task {
     std::uint32_t lbm_block = 0;
 
     // Measurement.
-    std::uint32_t completed_inferences = 0;
     std::uint64_t dram_bytes_mark = 0;  ///< dram byte counter at inference start
 
     bool running() const { return !cores.empty(); }

@@ -120,7 +120,6 @@ struct inference_record {
 struct experiment_result {
     std::vector<inference_record> completions;
     cycle_t makespan = 0;
-    double cache_hit_rate = 0.0;  ///< transparent path (baselines)
     std::uint64_t dram_total_bytes = 0;
     cache::cache_stats cache_stats{};
     dram::dram_stats dram_stats{};

@@ -20,16 +20,13 @@ soc::soc(const soc_config& config, policy pol)
       probe_(std::size_t{config.dram.channels} * config.dram.banks_per_channel,
              config.dram.channels, config.cache.slices) {
     dram_ = std::make_unique<dram::dram_system>(config_.dram);
-    cache_ = std::make_unique<cache::shared_cache>(config_.cache, *dram_);
-    dma_ = std::make_unique<npu::dma_engine>(eq_, *cache_);
-    layers_ = std::make_unique<layer_engine>(*this);
-
     // Way-mask register: CaMDN partitions the transparent path down to the
     // CPU ways; baselines run the whole cache transparently.
-    cache_->set_transparent_ways(is_camdn(pol) ? config_.cache.cpu_ways()
-                                               : config_.cache.ways);
-
-    cores_.resize(config_.npu.cores);
+    cache_ = std::make_unique<cache::shared_cache>(
+        config_.cache, *dram_,
+        is_camdn(pol) ? config_.cache.cpu_ways() : config_.cache.ways);
+    dma_ = std::make_unique<npu::dma_engine>(eq_, *cache_);
+    layers_ = std::make_unique<layer_engine>(*this);
 }
 
 void soc::attach(const obs::run_observer& o, adapt::telemetry_bus* bus) {

@@ -1,18 +1,17 @@
-// The simulated SoC: event queue, DRAM, sliced shared cache, NPU cores,
-// the DMA engine and the typed-event layer engine, wired per soc_config
-// and configured for a policy.
+// The simulated SoC: event queue, DRAM, sliced shared cache, the DMA
+// engine and the typed-event layer engine, wired per soc_config and
+// configured for a policy. The NPU cores are soc_config::npu.cores ids
+// the scheduler hands out; no per-core state lives here.
 // It owns the probe every component reports to (obs/probe.h), and with it
 // the attribution holder tables, which live in obs::probe alone.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "cache/shared_cache.h"
 #include "common/event_queue.h"
 #include "dram/dram_system.h"
 #include "npu/dma_engine.h"
-#include "npu/npu_core.h"
 #include "obs/probe.h"
 #include "sim/layer_engine.h"
 #include "sim/soc_config.h"
@@ -34,8 +33,6 @@ public:
     layer_engine& layers() { return *layers_; }
     const layer_engine& layers() const { return *layers_; }
 
-    std::vector<npu::npu_core>& cores() { return cores_; }
-    const std::vector<npu::npu_core>& cores() const { return cores_; }
     const soc_config& config() const { return config_; }
     policy active_policy() const { return policy_; }
 
@@ -54,7 +51,6 @@ private:
     std::unique_ptr<cache::shared_cache> cache_;
     std::unique_ptr<npu::dma_engine> dma_;
     std::unique_ptr<layer_engine> layers_;
-    std::vector<npu::npu_core> cores_;
     obs::probe probe_;
 };
 

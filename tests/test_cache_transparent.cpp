@@ -4,8 +4,10 @@
 
 #include <stdexcept>
 
+#include "adapt/telemetry.h"
 #include "cache/shared_cache.h"
 #include "dram/dram_system.h"
+#include "obs/probe.h"
 
 namespace camdn::cache {
 namespace {
@@ -53,15 +55,16 @@ TEST(transparent, lru_evicts_oldest_way) {
 }
 
 TEST(transparent, way_mask_restricts_associativity) {
-    rig r;
-    r.cache.set_transparent_ways(4);
+    dram::dram_system dram{dram::dram_config{}};
+    const cache_config cfg{};
+    shared_cache cache{cfg, dram, 4};
     for (std::uint32_t i = 0; i < 4; ++i)
-        r.cache.transparent_access(set0_line(r.cfg, i), false, 0, 0);
+        cache.transparent_access(set0_line(cfg, i), false, 0, 0);
     // A fifth distinct line must evict within the 4 allowed ways.
-    r.cache.transparent_access(set0_line(r.cfg, 4), false, 0, 0);
-    EXPECT_EQ(r.cache.stats().evictions, 1u);
+    cache.transparent_access(set0_line(cfg, 4), false, 0, 0);
+    EXPECT_EQ(cache.stats().evictions, 1u);
     // The first line (LRU among the four) is gone.
-    EXPECT_FALSE(r.cache.transparent_access(set0_line(r.cfg, 0), false, 0, 0).hit);
+    EXPECT_FALSE(cache.transparent_access(set0_line(cfg, 0), false, 0, 0).hit);
 }
 
 TEST(transparent, write_miss_does_not_fetch_from_dram) {
@@ -100,16 +103,23 @@ TEST(transparent, inter_task_eviction_counted) {
     EXPECT_EQ(r.cache.stats().inter_task_evictions, 1u);
 }
 
-TEST(transparent, per_task_hit_miss_counters) {
+TEST(transparent, per_slot_hits_and_misses_reach_the_telemetry_bus) {
+    // The cache keeps no per-task counters: its probe reports each burst's
+    // hits and misses to the bus, per slot (Fig 2's hit-rate metric).
     rig r;
+    adapt::telemetry_bus bus(6);
+    obs::probe probe(1, 1, r.cfg.slices);
+    probe.attach(obs::run_observer{}, &bus);
+    r.cache.set_probe(&probe);
     r.cache.transparent_access(0, false, 0, 3);
     r.cache.transparent_access(0, false, 0, 3);
     r.cache.transparent_access(line_bytes, false, 0, 5);
-    EXPECT_EQ(r.cache.task_hits(3), 1u);
-    EXPECT_EQ(r.cache.task_misses(3), 1u);
-    EXPECT_EQ(r.cache.task_misses(5), 1u);
-    EXPECT_EQ(r.cache.task_hits(5), 0u);
-    EXPECT_EQ(r.cache.task_hits(99), 0u);
+    r.cache.transparent_access(2 * line_bytes, false, 0, 99);  // no slot
+    EXPECT_EQ(bus.open_epoch()[3].cache_hits, 1u);
+    EXPECT_EQ(bus.open_epoch()[3].cache_misses, 1u);
+    EXPECT_EQ(bus.open_epoch()[5].cache_misses, 1u);
+    EXPECT_EQ(bus.open_epoch()[5].cache_hits, 0u);
+    EXPECT_EQ(r.cache.stats().misses, 3u);
 }
 
 TEST(transparent, burst_completion_covers_all_lines) {
@@ -164,15 +174,14 @@ TEST(transparent, rejects_more_ways_than_the_order_holds) {
 TEST(transparent, way_mask_outside_one_to_ways_throws) {
     // The way mask must leave the transparent path at least one way and
     // no more than the cache has; Release builds must reject the rest too.
-    rig r;
-    EXPECT_THROW(r.cache.set_transparent_ways(0), std::invalid_argument);
-    EXPECT_THROW(r.cache.set_transparent_ways(r.cfg.ways + 1),
-                 std::invalid_argument);
+    dram::dram_system dram{dram::dram_config{}};
+    const cache_config cfg{};
+    EXPECT_THROW(shared_cache(cfg, dram, 0), std::invalid_argument);
+    EXPECT_THROW(shared_cache(cfg, dram, cfg.ways + 1), std::invalid_argument);
     // cpu_ways() of a geometry with npu_ways > ways wraps to this.
-    EXPECT_THROW(r.cache.set_transparent_ways(~0u - 3), std::invalid_argument);
-    EXPECT_EQ(r.cache.transparent_ways(), r.cfg.ways);
-    r.cache.set_transparent_ways(1);
-    EXPECT_EQ(r.cache.transparent_ways(), 1u);
+    EXPECT_THROW(shared_cache(cfg, dram, ~0u - 3), std::invalid_argument);
+    EXPECT_EQ(shared_cache(cfg, dram).transparent_ways(), cfg.ways);
+    EXPECT_EQ(shared_cache(cfg, dram, 1).transparent_ways(), 1u);
 }
 
 TEST(transparent, rejects_more_npu_ways_than_ways) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "adapt/telemetry.h"
 #include "cache/page_allocator.h"
 #include "common/rng.h"
 #include "model/model_zoo.h"
@@ -106,11 +107,8 @@ void expect_identical(const experiment_result& a, const experiment_result& b) {
             const auto& cy = y.tasks[s];
             EXPECT_EQ(cx.cache_hits, cy.cache_hits) << e << "/" << s;
             EXPECT_EQ(cx.cache_misses, cy.cache_misses) << e << "/" << s;
-            EXPECT_EQ(cx.region_lines, cy.region_lines) << e << "/" << s;
-            EXPECT_EQ(cx.fill_lines, cy.fill_lines) << e << "/" << s;
             EXPECT_EQ(cx.dma_bytes, cy.dma_bytes) << e << "/" << s;
             EXPECT_EQ(cx.layers_retired, cy.layers_retired) << e << "/" << s;
-            EXPECT_EQ(cx.compute_cycles, cy.compute_cycles) << e << "/" << s;
             EXPECT_EQ(cx.page_wait_cycles, cy.page_wait_cycles)
                 << e << "/" << s;
             EXPECT_EQ(cx.page_timeouts, cy.page_timeouts) << e << "/" << s;
@@ -355,7 +353,6 @@ TEST(checkpoint, mid_layer_snapshot_carries_in_flight_state) {
     std::size_t assigned = 0;
     for (const auto& rs : snap.running) {
         EXPECT_FALSE(rs.model.empty());
-        EXPECT_EQ(rs.cores.size(), rs.core_busy_since.size());
         assigned += rs.cores.size();
     }
     EXPECT_EQ(snap.free_cores.size() + assigned, cfg.soc.npu.cores);
@@ -411,10 +408,11 @@ TEST(checkpoint, bad_magic_version_and_trailing_bytes_are_rejected) {
         EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
     }
 
-    // Version skew either way: the next version, and version 3, whose
-    // machine section still carries per-task CPTs.
-    for (const std::uint32_t v :
-         {scheduler_snapshot::version + 1, std::uint32_t{3}}) {
+    // Version skew either way: the next version, version 3, whose machine
+    // section still carries per-task CPTs, and version 4, whose
+    // transparent lines carry LRU stamps.
+    for (const std::uint32_t v : {scheduler_snapshot::version + 1,
+                                  std::uint32_t{3}, std::uint32_t{4}}) {
         corrupt = bytes;
         for (int b = 0; b < 4; ++b)
             corrupt[4 + b] = static_cast<std::uint8_t>(v >> (8 * b));
@@ -432,13 +430,23 @@ TEST(checkpoint, bad_magic_version_and_trailing_bytes_are_rejected) {
     EXPECT_THROW(scheduler_snapshot::decode(corrupt), snapshot_error);
 }
 
-TEST(checkpoint, header_slot_count_must_match_the_per_slot_counters) {
-    // Readers size per-slot state (the telemetry bus) from the header's
-    // slot count, so decode holds it to the counters the snapshot carries.
-    auto snap = mid_run_snapshot(roundtrip_cfg(), ms_to_cycles(2.0));
-    EXPECT_NO_THROW(scheduler_snapshot::decode(snap.encode()));
+TEST(checkpoint, header_slot_count_must_match_the_resuming_configuration) {
+    // Nothing is sized by the header's slot count: camdn_snapshot inspect
+    // sizes its telemetry bus from the telemetry section's own count,
+    // which the reader bounds by the bytes present. So decode accepts any
+    // count, and both resume modes reject one the configuration lacks.
+    const auto cfg = roundtrip_cfg();
+    auto snap = mid_run_snapshot(cfg, ms_to_cycles(2.0));
     snap.slots = 0xffffffffu;
-    EXPECT_THROW(scheduler_snapshot::decode(snap.encode()), snapshot_error);
+    const auto decoded = scheduler_snapshot::decode(snap.encode());
+    ASSERT_EQ(decoded.slots, 0xffffffffu);
+    snapshot_reader r(decoded.telemetry);
+    EXPECT_EQ(adapt::telemetry_bus::read_state(r).slots(), cfg.co_located);
+    auto gen = runtime::make_workload_generator(cfg);
+    EXPECT_THROW(runtime::scheduler(cfg, *gen, decoded, resume_mode::exact),
+                 snapshot_error);
+    EXPECT_THROW(runtime::scheduler(cfg, *gen, decoded, resume_mode::warm),
+                 snapshot_error);
 }
 
 TEST(checkpoint, resume_rejects_mismatched_configurations) {
@@ -475,6 +483,17 @@ TEST(checkpoint, corrupt_but_well_formed_state_is_rejected) {
     auto gen = runtime::make_workload_generator(cfg);
     EXPECT_THROW(runtime::scheduler(cfg, *gen, dup, resume_mode::exact),
                  snapshot_error);
+    // A core id past the SoC's, and a free-core stack one short of them
+    // (free plus assigned cores must be the SoC's cores).
+    auto beyond = snap;
+    beyond.free_cores[0] = static_cast<npu_id>(cfg.soc.npu.cores);
+    EXPECT_THROW(runtime::scheduler(cfg, *gen, beyond, resume_mode::exact),
+                 snapshot_error);
+    auto short_stack = snap;
+    short_stack.free_cores.pop_back();
+    EXPECT_THROW(
+        runtime::scheduler(cfg, *gen, short_stack, resume_mode::exact),
+        snapshot_error);
 
     // Page pool whose contents are not a permutation of the real pages:
     // byte-surgery on a serialized pool (u32 total, u64 count, then the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mapping/layer_mapper.h"
 #include "mapping/mct_io.h"
@@ -100,6 +102,78 @@ TEST(mct_io, rejects_malformed_candidate_line) {
         "layer 0 100 1 0\n"
         "LWM garbage\n";
     EXPECT_THROW(mapping_from_string(text), std::runtime_error);
+}
+
+/// Expects `text` to be rejected with a message naming `line`.
+void expect_rejected_at(const std::string& text, int line) {
+    try {
+        mapping_from_string(text);
+        ADD_FAILURE() << "loaded:\n" << text;
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+                  std::string::npos)
+            << e.what() << " (expected line " << line << ")";
+    }
+}
+
+/// A one-layer, one-block document whose layer lists LWM candidates
+/// needing `pages` pages, in that order (candidate lines start at line 7).
+std::string one_layer(const std::vector<std::uint32_t>& pages) {
+    std::ostringstream os;
+    os << "camdn-mapping-v1\nmodel tiny\nblocks 1\nblock 0 0 64 0\n"
+       << "layers 1\nlayer 0 100 " << pages.size() << " 0\n";
+    for (const std::uint32_t p : pages)
+        os << "LWM 0 1 1 1 0 0 0 0 0 1 1 " << p << " 0 0 0 0 1 1\n";
+    os << "block_est 1 100\nend\n";
+    return os.str();
+}
+
+TEST(mct_io, rejects_a_layer_without_lwm_candidates) {
+    // minimal() and largest_lwm_within read the front of the list.
+    EXPECT_NO_THROW(mapping_from_string(one_layer({0})));
+    expect_rejected_at(one_layer({}), 6);
+}
+
+TEST(mct_io, rejects_lwm_page_counts_that_do_not_ascend_from_zero) {
+    // Algorithm 1's "largest candidate within N pages" scans the list as
+    // ascending, and the minimal candidate needs no page.
+    const auto m = mapping_from_string(one_layer({0, 2, 5}));
+    EXPECT_EQ(m.tables[0].largest_lwm_within(4).pages_needed, 2u);
+    expect_rejected_at(one_layer({1}), 7);
+    expect_rejected_at(one_layer({0, 0}), 8);
+    expect_rejected_at(one_layer({0, 3, 2}), 9);
+}
+
+/// A two-layer document with one block line and one block_est line.
+std::string two_layers(const std::string& block, const std::string& est) {
+    const std::string lwm = "LWM 0 1 1 1 0 0 0 0 0 1 1 0 0 0 0 0 1 1\n";
+    return "camdn-mapping-v1\nmodel tiny\nblocks 1\n" + block +
+           "\nlayers 2\nlayer 0 100 1 0\n" + lwm + "layer 1 100 1 0\n" +
+           lwm + est + "\nend\n";
+}
+
+TEST(mct_io, rejects_blocks_outside_the_layers) {
+    const auto m =
+        mapping_from_string(two_layers("block 0 1 64 0 32", "block_est 1 9"));
+    EXPECT_EQ(m.block_of, (std::vector<std::uint32_t>{0, 0}));
+    // Ends before it starts: an unchecked offset count wraps to 2^32 - 1.
+    expect_rejected_at(two_layers("block 5 3 64 0", "block_est 1 9"), 4);
+    // Ends at the last 32-bit layer, where a block-of loop never ends.
+    expect_rejected_at(two_layers("block 0 4294967295 64 0", "block_est 1 9"),
+                       4);
+    // Ends past the model's layers (checked on the layer-count line).
+    expect_rejected_at(two_layers("block 1 2 64 0 0", "block_est 1 9"), 5);
+    // One offset fewer or more than the block has layers.
+    expect_rejected_at(two_layers("block 0 1 64 0", "block_est 1 9"), 4);
+    expect_rejected_at(two_layers("block 0 1 64 0 0 0", "block_est 1 9"), 4);
+}
+
+TEST(mct_io, rejects_a_block_est_count_other_than_the_block_count) {
+    // Checked before it sizes the estimates.
+    const std::string block = "block 0 1 64 0 32";
+    expect_rejected_at(two_layers(block, "block_est 2 9 9"), 10);
+    expect_rejected_at(two_layers(block, "block_est 0"), 10);
+    expect_rejected_at(two_layers(block, "block_est 18446744073709551615"), 10);
 }
 
 TEST(mct_io, error_message_carries_line_number) {

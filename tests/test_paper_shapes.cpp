@@ -31,7 +31,7 @@ experiment_config base_cfg(policy pol, std::uint32_t co_located) {
 TEST(fig2_shape, hit_rate_falls_with_colocation) {
     const auto solo = run_experiment(base_cfg(policy::shared_baseline, 1));
     const auto many = run_experiment(base_cfg(policy::shared_baseline, 8));
-    EXPECT_LT(many.cache_hit_rate, solo.cache_hit_rate);
+    EXPECT_LT(many.cache_stats.hit_rate(), solo.cache_stats.hit_rate());
 }
 
 TEST(fig2_shape, memory_access_per_model_rises_with_colocation) {
@@ -53,7 +53,7 @@ TEST(fig2_shape, bigger_cache_softens_contention) {
     large.soc.cache.total_bytes = mib(64);
     const auto rs = run_experiment(small);
     const auto rl = run_experiment(large);
-    EXPECT_GT(rl.cache_hit_rate, rs.cache_hit_rate);
+    EXPECT_GT(rl.cache_stats.hit_rate(), rs.cache_stats.hit_rate());
     EXPECT_LE(rl.mem_mb_per_inference(), rs.mem_mb_per_inference());
 }
 

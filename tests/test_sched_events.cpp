@@ -208,7 +208,7 @@ TEST(sched_events, the_typed_section_carries_arrivals_and_the_epoch_timer) {
 
 TEST(sched_events, version_2_snapshots_are_rejected) {
     auto bytes = paused_at(poisson_demo(), 3'000'000).encode();
-    EXPECT_EQ(scheduler_snapshot::version, 4u);
+    EXPECT_EQ(scheduler_snapshot::version, 5u);
     bytes[4] = 2;  // little-endian u32 version at offset 4
     EXPECT_THROW(scheduler_snapshot::decode(bytes), snapshot_error);
 }

@@ -4,10 +4,14 @@
 //     little-endian reference encoder kept here, with every strict prefix
 //     of an encoding rejected;
 //   * decoder rejection inside the machine section: a cut through the
-//     transparent-line block, a valid transparent line stamped after the
-//     LRU tick and corrupt page-pool holder ids (out of range, repeated,
-//     out of order); at resume, pages held by a slot that is not running;
-//     in the typed-event section, a kind its channel does not define;
+//     transparent-set block, a recency order the lookup cannot run on (a
+//     head that is not the unmasked ways, masked-off ways out of place,
+//     unused nibbles set), a valid line in a masked-off way, a
+//     transparent-way count other than the cache's, and corrupt
+//     page-pool holder ids (out of range, repeated, out of order); at
+//     resume, pages held by a slot that is not running; in the engine
+//     section, a DMA flight with more chunks outstanding than issued; in
+//     the typed-event section, a kind its channel does not define;
 //   * pinned sizes + FNV-1a hashes of two mid-flight snapshots (a
 //     bypassing CaMDN run and an AuRORA run, whose transparent sets hold
 //     lines), so any drift of the byte format fails;
@@ -247,10 +251,38 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
     return h;
 }
 
-/// Where the transparent-line block sits in a machine section: after the
-/// line count, the transparent-way count and the LRU tick.
-constexpr std::size_t line_block_begin = 4 + 4 + 8;
-constexpr std::size_t line_record_bytes = 8 + 8 + 4 + 1 + 1;
+/// The machine section opens with the cache: its line count and
+/// transparent-way count, then the transparent-set block — per set, in
+/// slice-major order, the u64 recency order and one record per way: tag
+/// (8), owner (4), valid (1), dirty (1).
+constexpr std::size_t line_block_begin = 4 + 4;
+constexpr std::size_t line_record_bytes = 8 + 4 + 1 + 1;
+constexpr std::size_t valid_in_record = 12;
+
+std::size_t set_record_bytes(const cache::cache_config& c) {
+    return 8 + std::size_t{c.ways} * line_record_bytes;
+}
+
+std::size_t line_block_end(const cache::cache_config& c) {
+    return line_block_begin +
+           std::size_t{c.slices} * c.sets_per_slice() * set_record_bytes(c);
+}
+
+/// `bytes` with `n` little-endian bytes of `v` written at `at`.
+std::vector<std::uint8_t> patched(std::vector<std::uint8_t> bytes,
+                                  std::size_t at, std::uint64_t v, int n) {
+    for (int b = 0; b < n; ++b)
+        bytes[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    return bytes;
+}
+
+/// `snap` with its machine section patched as `patched` does.
+scheduler_snapshot patched_machine(const scheduler_snapshot& snap,
+                                   std::size_t at, std::uint64_t v, int n) {
+    scheduler_snapshot s = snap;
+    s.machine = patched(snap.machine, at, v, n);
+    return s;
+}
 
 TEST(snapshot_codec, mid_flight_snapshot_bytes_are_pinned) {
     // Size and FNV-1a of this snapshot's encoding: any change to the byte
@@ -258,8 +290,8 @@ TEST(snapshot_codec, mid_flight_snapshot_bytes_are_pinned) {
     const auto snap = paused_snapshot(codec_cfg(), ms_to_cycles(2.0));
     ASSERT_FALSE(snap.running.empty()) << "the pinned snapshot is mid-flight";
     const auto bytes = snap.encode();
-    EXPECT_EQ(bytes.size(), 5772983u);
-    EXPECT_EQ(fnv1a(bytes), 0xfcb226d831c96215ull);
+    EXPECT_EQ(bytes.size(), 3806351u);
+    EXPECT_EQ(fnv1a(bytes), 0x1654a2f36b6fe341ull);
 }
 
 TEST(snapshot_codec, mid_flight_aurora_snapshot_bytes_are_pinned) {
@@ -270,70 +302,158 @@ TEST(snapshot_codec, mid_flight_aurora_snapshot_bytes_are_pinned) {
     cfg.pol = sim::policy::aurora;
     const auto snap = paused_snapshot(cfg, ms_to_cycles(5.0));
     ASSERT_FALSE(snap.running.empty()) << "the pinned snapshot is mid-flight";
+    const cache::cache_config& cc = cfg.soc.cache;
     std::size_t valid = 0;
-    for (std::size_t i = 0; i < cfg.soc.cache.lines_total(); ++i)
-        valid += snap.machine[line_block_begin + i * line_record_bytes + 20];
+    for (std::size_t at = line_block_begin; at < line_block_end(cc);
+         at += set_record_bytes(cc))
+        for (std::size_t w = 0; w < cc.ways; ++w)
+            valid += snap.machine[at + 8 + w * line_record_bytes +
+                                  valid_in_record];
     ASSERT_GT(valid, 0u) << "no valid transparent line";
     const auto bytes = snap.encode();
-    EXPECT_EQ(bytes.size(), 5773077u);
-    EXPECT_EQ(fnv1a(bytes), 0x1fcee13255820762ull);
+    EXPECT_EQ(bytes.size(), 3806381u);
+    EXPECT_EQ(fnv1a(bytes), 0x347075d5d9ca5839ull);
 }
 
 TEST(snapshot_codec, cut_inside_the_transparent_line_block_is_rejected) {
     const auto cfg = codec_cfg();
     const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
-    const std::size_t block_end =
-        line_block_begin + cfg.soc.cache.lines_total() * line_record_bytes;
+    const std::size_t block_end = line_block_end(cfg.soc.cache);
     ASSERT_GT(snap.machine.size(), block_end);
     EXPECT_NO_THROW(warm_resume(cfg, snap));
     for (const std::size_t len :
          {line_block_begin, line_block_begin + 1,
-          line_block_begin + 1000 * line_record_bytes + 7, block_end - 1}) {
+          line_block_begin + 1000 * set_record_bytes(cfg.soc.cache) + 7,
+          block_end - 1}) {
         auto cut = snap;
         cut.machine.resize(len);
         EXPECT_THROW(warm_resume(cfg, cut), snapshot_error) << "cut at " << len;
     }
 }
 
-TEST(snapshot_codec, transparent_line_stamped_after_the_tick_is_rejected) {
-    // MoCA runs its DMA through the transparent path, so a paused MoCA
-    // snapshot carries valid lines. No run stamps a line after the LRU
-    // tick; restore rejects a valid one that is, since the recency order
-    // rebuilt from the stamps and the stamp minimum could then pick
-    // different victims.
-    auto cfg = codec_cfg();
-    cfg.pol = sim::policy::moca;
-    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
-    EXPECT_NO_THROW(warm_resume(cfg, snap));
+// The codec run is CaMDN: 4 of its 16 ways are transparent, and its DMA
+// bypasses them, so every set still holds the order it was built with.
+constexpr std::uint64_t ways_in_index_order = 0xfedcba9876543210ull;
 
-    const std::uint64_t tick =
-        snapshot_reader(snap.machine.data() + line_block_begin - 8, 8).u64();
-    const std::size_t lines = cfg.soc.cache.lines_total();
-    // Each record: tag (8), lru (8), owner (4), valid (1), dirty (1).
-    auto first_record = [&](bool valid) {
-        for (std::size_t i = 0; i < lines; ++i) {
-            const std::size_t at = line_block_begin + i * line_record_bytes;
-            if ((snap.machine[at + 20] != 0) == valid) return at;
-        }
-        return std::size_t{0};
+TEST(snapshot_codec, order_head_that_is_not_the_unmasked_ways_is_rejected) {
+    // The lookup takes position transparent_ways - 1 as the victim and
+    // moves the touched way to the front; an order missing that way would
+    // have it scan for a nibble that is not there.
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    const std::size_t last_set =
+        line_block_end(cfg.soc.cache) - set_record_bytes(cfg.soc.cache);
+    for (const std::size_t at : {line_block_begin, last_set}) {
+        ASSERT_EQ(snapshot_reader(snap.machine.data() + at, 8).u64(),
+                  ways_in_index_order);
+        auto with_order = [&](std::uint64_t order) {
+            return patched_machine(snap, at, order, 8);
+        };
+        // Any permutation of ways 0-3 in the head resumes.
+        EXPECT_NO_THROW(warm_resume(cfg, with_order(0xfedcba9876540123ull)));
+        // Way 1 twice and way 0 missing.
+        EXPECT_THROW(warm_resume(cfg, with_order(0xfedcba9876543211ull)),
+                     snapshot_error);
+        // Masked-off way 4 in the head, way 3 behind it.
+        EXPECT_THROW(warm_resume(cfg, with_order(0xfedcba9876534210ull)),
+                     snapshot_error);
+        // The empty order.
+        EXPECT_THROW(warm_resume(cfg, with_order(0)), snapshot_error);
+    }
+}
+
+TEST(snapshot_codec, order_with_masked_off_ways_out_of_place_is_rejected) {
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    // Masked-off ways 4 and 5 swapped.
+    EXPECT_THROW(warm_resume(cfg, patched_machine(snap, line_block_begin,
+                                                  0xfedcba9876453210ull, 8)),
+                 snapshot_error);
+    // A 12-way cache leaves nibbles 12-15 unused: they must be zero.
+    dram::dram_system dram{dram::dram_config{}};
+    cache::cache_config twelve;
+    twelve.total_bytes = mib(12);
+    twelve.ways = 12;
+    cache::shared_cache cache{twelve, dram, 4};
+    snapshot_writer w;
+    cache.save_state(w);
+    const std::vector<std::uint8_t> bytes = w.take();
+    auto restore = [&](std::uint64_t order) {
+        cache::shared_cache fresh{twelve, dram, 4};
+        const auto edited = patched(bytes, line_block_begin, order, 8);
+        snapshot_reader r(edited);
+        fresh.restore_state(r, 1);
     };
-    auto stamped = [&](std::size_t record, std::uint64_t lru) {
+    ASSERT_EQ(snapshot_reader(bytes.data() + line_block_begin, 8).u64(),
+              0xba9876543210ull);
+    EXPECT_NO_THROW(restore(0xba9876540123ull));
+    EXPECT_THROW(restore(0x1ba9876543210ull), snapshot_error);
+    EXPECT_THROW(restore(0xf000ba9876543210ull), snapshot_error);
+}
+
+TEST(snapshot_codec, valid_line_in_a_masked_off_way_is_rejected) {
+    // No run fills a way above the mask; the lookup would never find it.
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    auto valid_byte = [](std::size_t way) {
+        return line_block_begin + 8 + way * line_record_bytes +
+               valid_in_record;
+    };
+    ASSERT_EQ(snap.machine[valid_byte(3)], 0);
+    ASSERT_EQ(snap.machine[valid_byte(4)], 0);
+    auto with_valid = [&](std::size_t way) {
+        return patched_machine(snap, valid_byte(way), 1, 1);
+    };
+    EXPECT_NO_THROW(warm_resume(cfg, with_valid(3)));
+    EXPECT_THROW(warm_resume(cfg, with_valid(4)), snapshot_error);
+    EXPECT_THROW(warm_resume(cfg, with_valid(15)), snapshot_error);
+}
+
+TEST(snapshot_codec, transparent_way_count_other_than_the_caches_is_rejected) {
+    // The way mask is set once, at construction; a snapshot carries the
+    // saving cache's count, which must be the resuming cache's.
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(2.0));
+    ASSERT_EQ(snapshot_reader(snap.machine.data() + 4, 4).u32(),
+              cfg.soc.cache.cpu_ways());
+    EXPECT_NO_THROW(warm_resume(cfg, snap));
+    for (const std::uint32_t ways : {0u, 1u, 5u, 16u, 17u})
+        EXPECT_THROW(warm_resume(cfg, patched_machine(snap, 4, ways, 4)),
+                     snapshot_error)
+            << ways << " ways";
+}
+
+TEST(snapshot_codec, dma_flight_with_more_outstanding_than_issued_is_rejected) {
+    // Snapshots store no retired-chunk count (it is issued minus
+    // outstanding), so restore checks that the difference is not negative.
+    // At this pause a flight has three of its eight chunks in the air.
+    const auto cfg = codec_cfg();
+    const auto snap = paused_snapshot(cfg, ms_to_cycles(1.4));
+    snapshot_reader r(snap.engine);
+    sim::layer_engine::read_runs(r);
+    const std::size_t dma_at = snap.engine.size() - r.remaining();
+    const auto table = npu::dma_engine::read_flights(r);
+    // After the table's next id and flight count, each flight: id, op,
+    // task, three u64 request fields, group size, issued lines, total
+    // chunks, issued chunks, the outstanding count and cycles, last_done
+    // and the token.
+    constexpr std::size_t to_issued = 8 + 1 + 4 + 3 * 8 + 4 + 8 + 8;
+    std::size_t flight_at = dma_at + 8 + 8;
+    auto f = table.flights.begin();
+    for (; f != table.flights.end() && f->out.empty(); ++f)
+        flight_at += to_issued + 8 + 8 + 8 * f->out.size() + 8 + 2 * 8;
+    ASSERT_NE(f, table.flights.end()) << "no DMA chunk in the air";
+    const std::size_t issued_at = flight_at + to_issued;
+    ASSERT_EQ(snapshot_reader(snap.engine.data() + issued_at, 8).u64(),
+              f->issued_chunks);
+    auto with_issued = [&](std::uint64_t issued) {
         scheduler_snapshot s = snap;
-        for (int b = 0; b < 8; ++b)
-            s.machine[record + 8 + b] =
-                static_cast<std::uint8_t>(lru >> (8 * b));
+        s.engine = patched(snap.engine, issued_at, issued, 8);
         return s;
     };
-    const std::size_t valid_line = first_record(true);
-    const std::size_t invalid_line = first_record(false);
-    ASSERT_NE(valid_line, 0u) << "no valid transparent line";
-    ASSERT_NE(invalid_line, 0u) << "no invalid transparent line";
-    EXPECT_THROW(warm_resume(cfg, stamped(valid_line, tick + 1)),
+    EXPECT_NO_THROW(warm_resume(cfg, with_issued(f->out.size())));
+    EXPECT_THROW(warm_resume(cfg, with_issued(f->out.size() - 1)),
                  snapshot_error);
-    EXPECT_THROW(warm_resume(cfg, stamped(valid_line, ~std::uint64_t{0})),
-                 snapshot_error);
-    // An invalid line's stamp never picks a victim.
-    EXPECT_NO_THROW(warm_resume(cfg, stamped(invalid_line, tick + 1)));
 }
 
 /// camdn_hw_only grants each running inference an equal static share of
@@ -368,7 +488,7 @@ scheduler_snapshot with_cache_edit(
     const experiment_config& cfg, const scheduler_snapshot& snap,
     const std::function<void(cache::shared_cache&)>& edit) {
     dram::dram_system d{cfg.soc.dram};
-    cache::shared_cache c{cfg.soc.cache, d};
+    cache::shared_cache c{cfg.soc.cache, d, cfg.soc.cache.cpu_ways()};
     snapshot_reader r(snap.machine);
     c.restore_state(r, cfg.co_located);
     const std::size_t cache_end = snap.machine.size() - r.remaining();
@@ -391,7 +511,7 @@ TEST(snapshot_codec, corrupt_page_pool_holder_ids_are_rejected) {
     // stops reading, with the pool's two holder records: i32 id, u64 page
     // count, u32 pcpns.
     dram::dram_system d{cfg.soc.dram};
-    cache::shared_cache c{cfg.soc.cache, d};
+    cache::shared_cache c{cfg.soc.cache, d, cfg.soc.cache.cpu_ways()};
     snapshot_reader whole(snap.machine);
     c.restore_state(whole, cfg.co_located);
     const std::size_t cache_end = snap.machine.size() - whole.remaining();
@@ -410,24 +530,21 @@ TEST(snapshot_codec, corrupt_page_pool_holder_ids_are_rejected) {
     ASSERT_EQ(read_at(second_id, 4).i32(), 1);
     EXPECT_NO_THROW(warm_resume(cfg, snap));
 
-    auto patched = [&](std::size_t off, std::uint32_t id) {
-        scheduler_snapshot s = snap;
-        for (int b = 0; b < 4; ++b)
-            s.machine[off + b] = static_cast<std::uint8_t>(id >> (8 * b));
-        return s;
+    auto with_id = [&](std::size_t off, std::uint32_t id) {
+        return patched_machine(snap, off, id, 4);
     };
     // Far out of range: must be rejected before it sizes the holdings
     // (2^31 entries).
-    EXPECT_THROW(warm_resume(cfg, patched(second_id, 0x7fffffffu)),
+    EXPECT_THROW(warm_resume(cfg, with_id(second_id, 0x7fffffffu)),
                  snapshot_error);
     // One past the resuming scheduler's slot count.
-    EXPECT_THROW(warm_resume(cfg, patched(second_id, 2)), snapshot_error);
+    EXPECT_THROW(warm_resume(cfg, with_id(second_id, 2)), snapshot_error);
     // Repeated id: would silently merge the two holdings.
-    EXPECT_THROW(warm_resume(cfg, patched(second_id, 0)), snapshot_error);
+    EXPECT_THROW(warm_resume(cfg, with_id(second_id, 0)), snapshot_error);
     // Descending ids.
-    EXPECT_THROW(warm_resume(cfg, patched(first_id, 1)), snapshot_error);
+    EXPECT_THROW(warm_resume(cfg, with_id(first_id, 1)), snapshot_error);
     // Negative id.
-    EXPECT_THROW(warm_resume(cfg, patched(first_id, 0xffffffffu)),
+    EXPECT_THROW(warm_resume(cfg, with_id(first_id, 0xffffffffu)),
                  snapshot_error);
 }
 
@@ -615,8 +732,7 @@ TEST(snapshot_fuzz, mutated_sections_throw_or_resume_cleanly) {
     ASSERT_FALSE(a.engine.empty());
     ASSERT_FALSE(a.typed_events.empty());
     ASSERT_FALSE(a.telemetry.empty()) << "the adaptive run saves telemetry";
-    const std::size_t block_end =
-        line_block_begin + cfg.soc.cache.lines_total() * line_record_bytes;
+    const std::size_t block_end = line_block_end(cfg.soc.cache);
 
     rng r(20251016);
     std::size_t threw = 0, resumed = 0;
@@ -626,9 +742,10 @@ TEST(snapshot_fuzz, mutated_sections_throw_or_resume_cleanly) {
         auto& bytes = section(m, which);
         const int mutation = static_cast<int>(r.next_below(3));
         if (mutation == 0) {
-            // Bit flips. Most machine bytes are transparent lines, which
-            // restore accepts as any value; half the machine flips aim at
-            // the structured fields around the line block instead.
+            // Bit flips. Most machine bytes are transparent sets, where
+            // restore checks each order word and masked-off valid flag but
+            // takes any tag, owner and dirty flag; half the machine flips
+            // aim at the structured fields around the set block instead.
             for (std::uint64_t n = 1 + r.next_below(4); n > 0; --n) {
                 std::size_t at = r.next_below(bytes.size());
                 if (which == 0 && (r.next() & 1)) {

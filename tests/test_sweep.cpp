@@ -43,7 +43,7 @@ void expect_identical(const experiment_result& a, const experiment_result& b) {
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.dram_total_bytes, b.dram_total_bytes);
     EXPECT_EQ(a.rejected_arrivals, b.rejected_arrivals);
-    EXPECT_DOUBLE_EQ(a.cache_hit_rate, b.cache_hit_rate);
+    EXPECT_DOUBLE_EQ(a.cache_stats.hit_rate(), b.cache_stats.hit_rate());
     ASSERT_EQ(a.completions.size(), b.completions.size());
     for (std::size_t i = 0; i < a.completions.size(); ++i) {
         EXPECT_EQ(a.completions[i].slot, b.completions[i].slot);
@@ -123,8 +123,6 @@ void expect_telemetry_identical(const experiment_result& a,
             const auto& q = y.tasks[s];
             EXPECT_EQ(p.cache_hits, q.cache_hits);
             EXPECT_EQ(p.cache_misses, q.cache_misses);
-            EXPECT_EQ(p.region_lines, q.region_lines);
-            EXPECT_EQ(p.fill_lines, q.fill_lines);
             EXPECT_EQ(p.dma_bytes, q.dma_bytes);
             EXPECT_EQ(p.layers_retired, q.layers_retired);
             EXPECT_EQ(p.lbm_layers, q.lbm_layers);

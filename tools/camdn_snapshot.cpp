@@ -206,7 +206,7 @@ int cmd_load(const options& opt) {
 /// Everything inspect reports past the header, decoded in one pass by the
 /// code that owns each section's layout: the typed events by
 /// event_queue::restore_typed, the engine section by the layer and DMA
-/// engines' record readers, the telemetry by telemetry_bus::restore_state.
+/// engines' record readers, the telemetry by telemetry_bus::read_state.
 /// A section that does not decode keeps the reason instead of its facts.
 struct inspection {
     camdn::event_queue events;
@@ -257,10 +257,10 @@ void inspect_sections(const scheduler_snapshot& snap, inspection& in) {
             in.runs = camdn::sim::layer_engine::read_runs(r);
             in.flights = camdn::npu::dma_engine::read_flights(r);
         });
-    in.telemetry = camdn::adapt::telemetry_bus(snap.slots);
+    // Sized by the section's own slot count: the header's sizes nothing.
     in.telemetry_error =
         decode_section(snap.telemetry, [&](camdn::snapshot_reader& r) {
-            in.telemetry.restore_state(r, /*keep_history=*/true);
+            in.telemetry = camdn::adapt::telemetry_bus::read_state(r);
         });
 }
 
